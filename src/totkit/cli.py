@@ -9,6 +9,7 @@ deterministic: identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -316,9 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, SeparationError) as exc:

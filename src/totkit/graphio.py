@@ -99,15 +99,32 @@ def load_circle(path: str):
     if not isinstance(doc, dict) or "points" not in doc:
         raise InputError('circle JSON needs {"points": [...], "order_graph": optional}')
     points = doc["points"]
+    if not isinstance(points, list):
+        raise InputError('"points" must be a list')
     if len(set(map(repr, points))) != len(points):
         raise InputError("duplicate points in cyclic order")
     order_graph = doc.get("order_graph")
     if order_graph is not None:
-        order_graph = [tuple(e) for e in order_graph]
-        for e in order_graph:
-            if len(e) != 3:
-                raise InputError("order_graph entries must be [u, v, weight]")
+        order_graph = _order_graph_edges(points, order_graph)
     return points, order_graph
+
+
+def _order_graph_edges(points, order_graph) -> list:
+    """Validated ``(u, v, weight)`` tuples of a circle's inline order graph."""
+    if not isinstance(order_graph, list):
+        raise InputError("order_graph must be a list of [u, v, weight]")
+    edges = []
+    for e in order_graph:
+        if not isinstance(e, list) or len(e) != 3:
+            raise InputError("order_graph entries must be [u, v, weight]")
+        u, v, w = e
+        for end in (u, v):
+            if end not in points:
+                raise InputError(f"order_graph edge {e!r} names unknown point {end!r}")
+        if not isinstance(w, (int, float)):
+            raise InputError(f"order_graph edge {e!r} has a non-numeric weight")
+        edges.append((u, v, w))
+    return edges
 
 
 def _load_weighted_edges(path: str):
@@ -203,11 +220,41 @@ def tangle_levels_payload(result) -> list:
 
 
 def _find_uid(universe: Universe, pair) -> int:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, list) for x in pair)):
+        raise VerificationError(f"separation {pair!r} is not a pair of side lists")
     a, b = pair
     oid = universe.find(universe.mask_of(a), universe.mask_of(b))
     if oid is None:
         raise VerificationError(f"({a}, {b}) is not a separation of this universe")
     return universe.uid(oid)
+
+
+def _require(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must be present and of type ``kind``."""
+    if not isinstance(doc.get(key), kind):
+        raise VerificationError(f"artifact field {key!r} is missing or not a {kind.__name__}")
+    return doc[key]
+
+
+def _decomposition_of(g: Graph, dd):
+    """The tree-decomposition of an artifact's ``decomposition`` block."""
+    from .treedec import TreeDecomposition
+
+    if not isinstance(dd, dict):
+        raise VerificationError("artifact field 'decomposition' is not an object")
+    nodes = _require(dd, "nodes", list)
+    edges = _require(dd, "edges", list)
+    for nd in nodes:
+        if not (isinstance(nd, dict) and isinstance(nd.get("id"), int) and isinstance(nd.get("bag"), list)):
+            raise VerificationError(f"decomposition node {nd!r} needs an integer id and a bag list")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2):
+            raise VerificationError(f"decomposition edge {e!r} is not a pair of node ids")
+    return TreeDecomposition(
+        graph=g,
+        bags={nd["id"]: frozenset(nd["bag"]) for nd in nodes},
+        edges=[tuple(e) for e in edges],
+    )
 
 
 def verify_artifact(doc: dict) -> dict:
@@ -219,16 +266,22 @@ def verify_artifact(doc: dict) -> dict:
     """
     from .pipelines import circle_pipeline, clique_pipeline, graph_pipeline
     from .splinter import extract_canonical, map_family
-    from .treedec import TreeDecomposition, induced_uids, is_valid_tree_decomposition
+    from .treedec import induced_uids, is_valid_tree_decomposition
     from .universes import automorphisms, lift_permutation
 
+    if not isinstance(doc, dict):
+        raise VerificationError("artifact is not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise VerificationError(f"unknown schema {doc.get('schema')!r}")
     command = doc.get("command")
     diag: dict = {"command": command, "checks": []}
 
     if command in ("tot", "canonical-tot", "clique-tot"):
+        _require(doc, "graph", dict)
+        _require(doc, "nested_set", list)
         g = parse_graph_json(doc["graph"])
+        dd = doc.get("decomposition")
+        td = None if dd is None else _decomposition_of(g, dd)
         canonical = command == "canonical-tot"
         if command == "clique-tot":
             result = clique_pipeline(g, canonical=True)
@@ -245,13 +298,7 @@ def verify_artifact(doc: dict) -> dict:
                         f"{universe.side_labels(b)} cross"
                     )
         diag["checks"].append("nested")
-        dd = doc.get("decomposition")
-        if dd is not None:
-            td = TreeDecomposition(
-                graph=g,
-                bags={nd["id"]: frozenset(nd["bag"]) for nd in dd["nodes"]},
-                edges=[tuple(e) for e in dd["edges"]],
-            )
+        if td is not None:
             ok, reason = is_valid_tree_decomposition(td)
             if not ok:
                 raise VerificationError(f"decomposition invalid: {reason}")
@@ -265,10 +312,16 @@ def verify_artifact(doc: dict) -> dict:
         diag["checks"].append("display")
         if canonical or command == "clique-tot":
             if result.family is not None:
+                # only the family's support and the exported set need images
+                lifted = result.family.union_support() | nested
+                oids = [o for uid in lifted for o in universe.orientations(uid)]
                 for perm in automorphisms(g):
-                    mapping = lift_permutation(universe, perm)
+                    mapping = lift_permutation(universe, perm, oids)
                     mapped = map_family(result.family, mapping)
-                    image = extract_canonical(mapped).nested
+                    # the pipeline's extraction checked the precondition on the
+                    # original family (an empty one meets it trivially), and
+                    # the condition is invariant under isomorphisms
+                    image = extract_canonical(mapped, precheck=False).nested
                     expect = frozenset(universe.uid(mapping[uid]) for uid in nested)
                     if image != expect:
                         raise VerificationError(
@@ -278,13 +331,20 @@ def verify_artifact(doc: dict) -> dict:
         return diag
 
     if command == "circle-tangles":
-        points = doc["circle"]["points"]
-        spec = doc["params"].get("order_fn", "cycle")
+        circle_doc = _require(doc, "circle", dict)
+        params = _require(doc, "params", dict)
+        points = _require(circle_doc, "points", list)
+        spec = params.get("order_fn", "cycle")
+        m = _require(params, "m", int)
+        n = _require(params, "n", int)
+        _require(doc, "tree_set", list)
+        if not isinstance(spec, str):
+            raise VerificationError("artifact field 'order_fn' must be a string")
         if spec.startswith("cut:inline"):
-            fn = cut_order_fn(points, [tuple(e) for e in doc["circle"]["order_graph"]])
+            fn = cut_order_fn(points, _order_graph_edges(points, circle_doc.get("order_graph")))
         else:
             fn, _ = parse_order_spec(spec, points)
-        result = circle_pipeline(points, m=doc["params"]["m"], n=doc["params"]["n"], order_fn=fn)
+        result = circle_pipeline(points, m=m, n=n, order_fn=fn)
         universe = result.universe
         nested = frozenset(_find_uid(universe, p) for p in doc["tree_set"])
         vals = sorted(nested)

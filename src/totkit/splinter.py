@@ -6,8 +6,11 @@ on keys.  The two extraction routines implement the inductive arguments
 behind the two main lemmas directly:
 
 * :func:`extract_transversal` picks one element per set, pairwise nested,
-  whenever the family splinters; tie-breaking is fixed to canonical id
-  order, so runs are reproducible but not isomorphism-invariant.
+  whenever the family splinters, by a pivot scan: the first element (in
+  canonical id order) nested with some element of every set is picked and
+  the other sets are restricted to the elements nested with it, which keeps
+  the family splintering by the Fish Lemma.  It takes polynomially many
+  nested tests; runs are reproducible but not isomorphism-invariant.
 * :func:`extract_canonical` returns a nested set meeting every member set
   whenever the family splinters hierarchically; it makes no arbitrary
   choices at all, and commutes with every isomorphism of separation systems
@@ -177,74 +180,76 @@ class TransversalResult:
 def extract_transversal(fam: IndexedFamily, universe: Universe | None = None, debug: bool = False) -> TransversalResult:
     """Pick one element from each set so that the picks are pairwise nested.
 
-    Follows the inductive argument: solve the first ``n - 1`` sets, fix the
-    canonically first element of the last set, find a pivot that is nested
-    with at least one element of every other set, restrict the other sets to
-    the elements nested with the pivot, and recurse.  Requires the family to
-    splinter; with ``debug`` the restricted families are re-checked at every
-    level.
+    Follows the constructive splinter lemma with a pivot scan: while more
+    than one set remains, walk the union of the remaining sets in canonical
+    id order and take the first element nested with some element of every
+    remaining set; it becomes the pick of the first key whose set holds it,
+    and every other set is restricted to the elements nested with it.  The
+    last set left contributes its canonically first element.  By the Fish
+    Lemma (a separation nested with two crossing separations is nested with
+    all four of their corners) each restricted family still splinters, so a
+    pivot exists at every step.
+
+    Keys with identical sets are solved once and share one pick, so the
+    work is O(n * |union| * sum |A_i|) nested tests for n distinct sets,
+    and the trace has one entry per distinct set.  Requires the family to
+    splinter; with ``debug`` every restricted family is re-checked.
     """
     fam = _as_family(fam, universe)
-    ok, witness = splinters(fam)
+    first_key: dict = {}
+    for k in fam.keys:
+        first_key.setdefault(fam.sets[k], k)
+    distinct = fam.restrict(list(first_key.values()), fam.sets)
+    ok, witness = splinters(distinct)
     if not ok:
         raise SplinterConditionError(witness)
     u = fam.universe
     trace: list[dict] = []
-
-    def solve(items: list[tuple], depth: int) -> dict:
-        if not items:
-            return {}
-        if len(items) == 1:
-            k, A = items[0]
-            pick = min(A)
-            trace.append({"depth": depth, "event": "single", "key": repr(k), "pick": pick})
-            return {k: pick}
-        sub = solve(items[:-1], depth + 1)
-        kn, An = items[-1]
-        an = min(An)
-        pivot_key = None
-        pivot = None
-        via = "last"
-        for k, A in items[:-1]:
-            ai = sub[k]
-            if ai in An or (u.corner_uids(ai, an) & An):
-                pivot_key, pivot, via = k, ai, "existing"
-                break
-        if pivot_key is None:
-            pivot_key, pivot = kn, an
-        rest = []
-        for k, A in items:
-            if k == pivot_key:
-                continue
-            Ar = frozenset(x for x in A if u.nested(x, pivot))
-            if not Ar:
-                raise SplinterConditionError(
-                    (pivot_key, k, pivot, min(A)),
-                    "pivot is nested with no element of a set; family cannot splinter",
-                )
-            rest.append((k, Ar))
+    chosen: dict = {}
+    items = [(k, A) for A, k in first_key.items()]
+    while len(items) > 1:
+        union = set()
+        for _, A in items:
+            union |= A
+        pivot = next(
+            (
+                x
+                for x in sorted(union)
+                if all(any(u.nested(x, y) for y in A) for _, A in items)
+            ),
+            None,
+        )
+        if pivot is None:
+            raise InternalContradictionError(
+                "no element is nested with some element of every remaining set"
+            )
+        pivot_key = next(k for k, A in items if pivot in A)
+        chosen[pivot_key] = pivot
+        items = [
+            (k, frozenset(y for y in A if u.nested(y, pivot)))
+            for k, A in items
+            if k != pivot_key
+        ]
         trace.append(
             {
-                "depth": depth,
+                "depth": len(trace),
                 "event": "pivot",
                 "key": repr(pivot_key),
                 "pick": pivot,
-                "via": via,
-                "restricted_sizes": [len(A) for _, A in rest],
+                "restricted_sizes": [len(A) for _, A in items],
             }
         )
         if debug:
-            sub_fam = fam.restrict([k for k, _ in rest], dict(rest))
-            ok2, wit2 = splinters(sub_fam)
+            ok2, wit2 = splinters(fam.restrict([k for k, _ in items], dict(items)))
             if not ok2:
                 raise InternalContradictionError(
                     f"restricted family lost the splinter property: {wit2!r}"
                 )
-        out = solve(rest, depth + 1)
-        out[pivot_key] = pivot
-        return out
-
-    picks = solve([(k, fam.sets[k]) for k in fam.keys], 0)
+    if items:
+        k, A = items[0]
+        chosen[k] = min(A)
+        trace.append({"depth": len(trace), "event": "single", "key": repr(k), "pick": chosen[k]})
+    picks = {k: chosen[first_key[fam.sets[k]]] for k in fam.keys}
     _verify_picks(fam, picks)
     return TransversalResult(picks=picks, trace=trace)
 

@@ -385,10 +385,13 @@ def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def lift_permutation(universe: Universe, perm: tuple[int, ...]) -> dict[int, int]:
-    """Lift a ground-set permutation to a map of oriented separation ids."""
+def lift_permutation(universe: Universe, perm: tuple[int, ...], oids=None) -> dict[int, int]:
+    """Lift a ground-set permutation to a map of oriented separation ids.
+
+    ``oids`` limits the map to those oriented ids (default: all of them).
+    """
     mapping = {}
-    for oid in universe.oriented_ids():
+    for oid in universe.oriented_ids() if oids is None else oids:
         a, b = universe.sides(oid)
         img = universe.find(permute_mask(a, perm), permute_mask(b, perm))
         if img is None:

@@ -82,6 +82,41 @@ def test_verify_rejects_crossing_tamper(capsys, tmp_path, two_k4_file):
     assert "cross" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"schema": "totkit/1", "command": "canonical-tot", "nested_set": []},
+        {"schema": "totkit/1", "command": "tot", "graph": {"vertices": [1]}, "nested_set": {}},
+        {"schema": "totkit/1", "command": "circle-tangles", "params": {"m": 1, "n": 4}, "tree_set": []},
+        {"schema": "totkit/1", "command": "circle-tangles", "circle": {"points": [1, 2, 3, 4]}, "params": {"m": 1}, "tree_set": []},
+        {
+            "schema": "totkit/1",
+            "command": "tot",
+            "graph": {"vertices": [1, 2], "edges": [[1, 2]]},
+            "nested_set": [],
+            "decomposition": {"nodes": [{"id": 0}], "edges": []},
+        },
+    ],
+    ids=["array", "no-graph", "nested-set-not-list", "no-circle", "no-n", "node-without-bag"],
+)
+def test_verify_refuses_malformed_artifact(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--input", str(bad))
+    assert code == 4
+    assert json.loads(err)["error"] == "verification"
+
+
+def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "circle.json"
+    p.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "order_graph": [[1, 9, 1]]}))
+    code, _, err = run(capsys, "circle-tangles", "--input", str(p), "--m", "1", "--n", "4")
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "input" and "9" in diag["message"]
+
+
 def test_tangles_command(capsys, two_k4_file):
     code, out, _ = run(capsys, "tangles", "--input", two_k4_file)
     assert code == 0

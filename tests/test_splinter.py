@@ -10,6 +10,7 @@ from totkit.errors import (
     SeparationError,
     SplinterConditionError,
 )
+from totkit.pipelines import graph_pipeline
 from totkit.profiles import (
     build_distinguisher_family,
     enumerate_chain_profiles,
@@ -27,6 +28,7 @@ from totkit.splinter import (
 )
 from totkit.universes import (
     automorphisms,
+    bipartition_universe,
     enumerate_graph_separations,
     lift_permutation,
     slice_chain,
@@ -166,6 +168,40 @@ def test_trace_is_jsonl(bip4):
     assert lines
     for line in lines:
         assert "depth" in json.loads(line)
+
+
+def test_transversal_scales_to_45_keys():
+    """Every 1- and 2-element subset of a 9-element chain: the old recurse-twice
+    induction needed 2**45 steps here."""
+    import time
+
+    u = bipartition_universe(range(1, 11))
+    chain = [uid_of(u, range(1, i + 1), range(i + 1, 11)) for i in range(1, 10)]
+    sets = [{c} for c in chain] + [
+        {a, b} for i, a in enumerate(chain) for b in chain[i + 1 :]
+    ]
+    assert len(sets) == 45
+    start = time.perf_counter()
+    res = extract_transversal(IndexedFamily(u, sets), debug=True)
+    assert time.perf_counter() - start < 2.0
+    assert len(res.trace) <= len(sets)
+    for k, s in enumerate(sets):
+        assert res.picks[k] in s
+
+
+def test_duplicate_sets_share_one_pick(bip4, crossing_pair):
+    s, _ = crossing_pair
+    a = uid_of(bip4, [1], [2, 3, 4])
+    sets = {"x": {s, a}, "y": {a}, "z": {s, a}, "w": {a}, "v": {s, a}}
+    res = extract_transversal(IndexedFamily(bip4, sets), debug=True)
+    assert res.picks["x"] == res.picks["z"] == res.picks["v"]
+    assert res.picks["y"] == res.picks["w"] == a
+    assert len(res.trace) <= 2
+
+
+def test_transversal_trace_is_linear_on_path7():
+    res = graph_pipeline(corpus.path_graph(7), canonical=False)
+    assert len(res.extraction.trace) <= len(res.family.keys)
 
 
 # ----------------------------------------------------------------------

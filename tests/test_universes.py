@@ -369,6 +369,15 @@ def test_lifted_automorphism_preserves_structure():
                 assert mapping[u.meet(i, j)] == u.meet(mapping[i], mapping[j])
 
 
+def test_lift_permutation_on_given_ids_is_a_restriction():
+    g = corpus.cycle_graph(5)
+    u = enumerate_graph_separations(g)
+    some = list(u.oriented_ids())[::3]
+    for perm in automorphisms(g)[:4]:
+        full = lift_permutation(u, perm)
+        assert lift_permutation(u, perm, some) == {o: full[o] for o in some}
+
+
 def test_permute_mask():
     # bit 0 maps to position 1, bit 2 to position 0
     assert permute_mask(0b101, (1, 2, 0)) == 0b011
