@@ -2,7 +2,9 @@
 
 Commands: ``tangles``, ``tot``, ``canonical-tot``, ``clique-tot``,
 ``circle-tangles``, ``verify``, ``corpus``.  Exit codes: 0 success, 2 input
-error, 3 size bound exceeded, 4 verification failure.  Output is fully
+error or failed (hierarchical) splinter precondition, 3 size bound exceeded,
+4 verification failure or failed internal self-check; see ``FAILURES`` for
+the JSON diagnostic each failure writes to stderr.  Output is fully
 deterministic: identical inputs produce byte-identical artifacts.
 """
 
@@ -16,8 +18,10 @@ import sys
 from . import corpus as corpus_mod
 from .errors import (
     InputError,
+    InternalContradictionError,
     SeparationError,
     SizeBoundError,
+    SplinterConditionError,
     VerificationError,
 )
 from .graphio import (
@@ -323,19 +327,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# exception types -> ("error" field of the stderr diagnostic, exit code)
+FAILURES = (
+    ((InputError, SeparationError), "input", 2),
+    (SplinterConditionError, "precondition", 2),
+    (SizeBoundError, "size-bound", 3),
+    (VerificationError, "verification", 4),
+    (InternalContradictionError, "internal", 4),
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SeparationError) as exc:
-        sys.stderr.write(dump_json({"error": "input", "message": str(exc)}))
-        return 2
-    except SizeBoundError as exc:
-        sys.stderr.write(dump_json({"error": "size-bound", "message": str(exc)}))
-        return 3
-    except VerificationError as exc:
-        sys.stderr.write(dump_json({"error": "verification", "message": str(exc)}))
-        return 4
+    except Exception as exc:
+        for types, kind, code in FAILURES:
+            if isinstance(exc, types):
+                sys.stderr.write(dump_json({"error": kind, "message": str(exc)}))
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ class Universe:
                     raise SeparationError("order function must be symmetric under inversion")
             self._order = vals
         self._uids = tuple(i for i in range(len(plist)) if i <= self._inv[i])
-        self._corner_cache: dict[tuple[int, int], frozenset[int]] = {}
+        self._corners: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------
     # handles and lookups
@@ -182,15 +182,29 @@ class Universe:
                 out.append(((dr, ds), self.uid(self.join(i, j))))
         return out
 
-    def corner_uids(self, u: int, v: int) -> frozenset[int]:
-        key = (self.uid(u), self.uid(v))
-        if key[0] > key[1]:
-            key = (key[1], key[0])
-        got = self._corner_cache.get(key)
+    def corner_table(self, u: int, v: int) -> tuple[int, int, int, int]:
+        """The corners ``(c00, c01, c10, c11)`` tagged as in :meth:`corner_items`.
+
+        As ``meet(u0, v_j)`` is the inverse of ``join(u1, v_{1-j})``, the sides
+        of ``u`` are ``{c00, c01}`` and ``{c10, c11}``, those of ``v`` are
+        ``{c00, c10}`` and ``{c01, c11}``.  Filled lazily, one entry per
+        unoriented pair; swapping the arguments transposes the tuple.
+        """
+        inv = self._inv
+        if inv[u] < u:
+            u = inv[u]
+        if inv[v] < v:
+            v = inv[v]
+        key = (u, v) if u <= v else (v, u)
+        got = self._corners.get(key)
         if got is None:
-            got = frozenset(c for _, c in self.corner_items(*key))
-            self._corner_cache[key] = got
+            got = self._corners[key] = tuple(c for _, c in self.corner_items(*key))
+        if u > v:
+            return got[0], got[2], got[1], got[3]
         return got
+
+    def corner_uids(self, u: int, v: int) -> frozenset[int]:
+        return frozenset(self.corner_table(u, v))
 
     # ------------------------------------------------------------------
     # labels
@@ -380,10 +394,6 @@ def corners(r: UnorientedSep, s: UnorientedSep) -> list[tuple[tuple[int, int], U
     return [(tag, UnorientedSep(u, c)) for tag, c in u.corner_items(r.uid, s.uid)]
 
 
-def _meet_side(u: Universe, rho: int, s_uid: int) -> set[int]:
-    return {u.uid(u.meet(rho, sig)) for sig in u.orientations(s_uid)}
-
-
 def from_different_sides(
     r: UnorientedSep, s: UnorientedSep, c1: UnorientedSep, c2: UnorientedSep
 ) -> bool:
@@ -395,13 +405,11 @@ def from_different_sides(
     each other.  ``c1 == c2`` is allowed.
     """
     u = _check_same_universe(r, s, c1, c2)
-    cs = u.corner_uids(r.uid, s.uid)
-    if c1.uid not in cs or c2.uid not in cs:
+    c00, c01, c10, c11 = cs = u.corner_table(r.uid, s.uid)
+    x, y = c1.uid, c2.uid
+    if x not in cs or y not in cs:
         raise SeparationError("c1 and c2 must be corner separations of r and s")
-    r0, r1 = u.orientations(r.uid)
-    side0 = _meet_side(u, r0, s.uid)
-    side1 = _meet_side(u, r1, s.uid)
-    return (c1.uid in side0 and c2.uid in side1) or (c1.uid in side1 and c2.uid in side0)
+    return (x in (c00, c01) and y in (c10, c11)) or (x in (c10, c11) and y in (c00, c01))
 
 
 def is_small(s: OrientedSep) -> bool:

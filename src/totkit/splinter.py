@@ -152,7 +152,8 @@ def splinters(fam: IndexedFamily, universe: Universe | None = None):
                 for b in sorted(B - A):
                     if u.nested(a, b):
                         continue
-                    if not (u.corner_uids(a, b) & union):
+                    c00, c01, c10, c11 = u.corner_table(a, b)
+                    if not (c00 in union or c01 in union or c10 in union or c11 in union):
                         return False, (keys[ii], keys[jj], a, b)
     return True, None
 
@@ -283,79 +284,63 @@ def extremal_elements(universe: Universe, seps) -> frozenset:
     return frozenset(out)
 
 
-def _meet_side(u: Universe, rho: int, s_uid: int) -> frozenset:
-    return frozenset(u.uid(u.meet(rho, sig)) for sig in u.orientations(s_uid))
-
-
-def _different_sides(u: Universe, r: int, s: int, c1: int, c2: int) -> bool:
-    r0, r1 = u.orientations(r)
-    side0 = _meet_side(u, r0, s)
-    side1 = _meet_side(u, r1, s)
-    return (c1 in side0 and c2 in side1) or (c1 in side1 and c2 in side0)
-
-
-def _cond_comparable(u: Universe, ai: int, aj: int, Ai: frozenset, Aj: frozenset) -> bool:
-    """Condition for comparable indices i < j: a corner in A_j, or two corners
-    from different sides of a_i in A_i."""
-    corner_set = u.corner_uids(ai, aj)
-    if corner_set & Aj:
-        return True
-    in_i = sorted(corner_set & Ai)
-    for c1 in in_i:
-        for c2 in in_i:
-            if _different_sides(u, ai, aj, c1, c2):
-                return True
-    return False
-
-
-def _cond_incomparable(u: Universe, ai: int, aj: int, Ai: frozenset, Aj: frozenset) -> bool:
-    """Condition for incomparable (or equal) indices: for some anchor
-    k in {i, j}, corners from different sides of a_k with c1 in A_k and
-    c2 in the union."""
-    corner_set = u.corner_uids(ai, aj)
-    union = Ai | Aj
-    for anchor, Ak in ((ai, Ai), (aj, Aj)):
-        for c1 in sorted(corner_set & Ak):
-            for c2 in sorted(corner_set & union):
-                if _different_sides(u, anchor, aj if anchor == ai else ai, c1, c2):
-                    return True
-    return False
-
-
 def splinters_hierarchically(fam: IndexedFamily, universe: Universe | None = None):
     """The two-condition variant of the splinter predicate.
 
-    Condition (1) applies to strictly comparable index pairs, condition (2)
-    to incomparable pairs including ``i == j``; the latter is what rules out
-    a single set of two crossing separations with no corners inside.
-    Returns ``(ok, witness)``.
+    Condition (1) applies to strictly comparable index pairs ``i < j``: a
+    corner of ``a_i`` and ``a_j`` lies in ``A_j``, or two corners from
+    different sides of ``a_i`` lie in ``A_i``.  Condition (2) applies to
+    incomparable pairs including ``i == j``: for an anchor ``k`` in ``{i, j}``,
+    ``c1`` in ``A_k`` and ``c2`` in ``A_i | A_j`` are corners from different
+    sides of ``a_k``; it rules out a single set of two crossing separations
+    with no corners inside.
+
+    Corners come from :meth:`Universe.corner_table`, where each side is a
+    fixed pair of slots, so corners from different sides in X and in Y exist
+    iff X meets one side and Y the other.  A key pair whose class (A_i, A_j,
+    relation), which alone decides its verdict, has passed is skipped: the
+    cost is O(sum |A_i| |A_j|) table lookups over the distinct classes.
+    Returns ``(ok, witness)``, the first violating ``(key_i, key_j, a_i, a_j)``.
     """
     fam = _as_family(fam, universe)
-    u = fam.universe
-    keys = fam.keys
-    prec = fam.prec
-    for ii in range(len(keys)):
-        ki = keys[ii]
-        Ai = fam.sets[ki]
+    table = fam.universe.corner_table
+    keys, sets, prec = fam.keys, fam.sets, fam.prec
+    set_ids: dict = {}
+    ids = [set_ids.setdefault(sets[k], len(set_ids)) for k in keys]
+    passed = set()
+    for ii, ki in enumerate(keys):
+        Ai = sets[ki]
         for jj in range(ii, len(keys)):
             kj = keys[jj]
-            Aj = fam.sets[kj]
-            if (ki, kj) in prec:
-                rel = "ij"
-            elif (kj, ki) in prec:
-                rel = "ji"
-            else:
-                rel = "inc"
+            rel = "ij" if (ki, kj) in prec else "ji" if (kj, ki) in prec else "inc"
+            cls = (ids[ii], ids[jj], rel)
+            if cls in passed:
+                continue
+            Aj = sets[kj]
+            union = Ai | Aj
+            Bj = sorted(Aj)
             for a in sorted(Ai):
-                for b in sorted(Aj):
+                for b in Bj:
+                    # sides of a: {c00, c01}, {c10, c11}; of b: {c00, c10}, {c01, c11}
+                    c00, c01, c10, c11 = table(a, b)
                     if rel == "ij":
-                        ok = _cond_comparable(u, a, b, Ai, Aj)
+                        ok = (c00 in Aj or c01 in Aj or c10 in Aj or c11 in Aj) or (
+                            (c00 in Ai or c01 in Ai) and (c10 in Ai or c11 in Ai)
+                        )
                     elif rel == "ji":
-                        ok = _cond_comparable(u, b, a, Aj, Ai)
+                        ok = (c00 in Ai or c01 in Ai or c10 in Ai or c11 in Ai) or (
+                            (c00 in Aj or c10 in Aj) and (c01 in Aj or c11 in Aj)
+                        )
                     else:
-                        ok = _cond_incomparable(u, a, b, Ai, Aj)
+                        ok = (
+                            ((c00 in Ai or c01 in Ai) and (c10 in union or c11 in union))
+                            or ((c10 in Ai or c11 in Ai) and (c00 in union or c01 in union))
+                            or ((c00 in Aj or c10 in Aj) and (c01 in union or c11 in union))
+                            or ((c01 in Aj or c11 in Aj) and (c00 in union or c10 in union))
+                        )
                     if not ok:
                         return False, (ki, kj, a, b)
+            passed.add(cls)
     return True, None
 
 

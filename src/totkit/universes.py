@@ -317,20 +317,15 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
     u = chain.universe
     top = sorted(chain.top().members)
     level = {uid: chain.level_of(uid) for uid in top}
-
-    def corner_levels(r, s):
-        return sorted(level.get(c, len(chain.systems)) for _, c in u.corner_items(r, s))
-
-    for r in top:
-        for s in top:
-            lv = corner_levels(r, s)
-            i0 = level[r]
-            j0 = max(i0, level[s])
-            in_i = sum(1 for c in lv if c <= i0)
-            if in_i >= 2:
-                continue
-            in_j = sum(1 for c in lv if c <= j0)
-            if in_j < 3:
+    missing = len(chain.systems)
+    # One (uncached) corner computation per unordered pair serves both ordered
+    # pairs: the corner multiset is symmetric, j0 is shared, and the smaller i0
+    # binds.  With sorted corner levels, lv[1] <= i0 means two corners in i0.
+    for x, r in enumerate(top):
+        for s in top[x:]:
+            lv = sorted([level.get(c, missing) for _, c in u.corner_items(r, s)])
+            i0, j0 = sorted((level[r], level[s]))
+            if lv[1] > i0 and lv[2] > j0:
                 return False
     return True
 

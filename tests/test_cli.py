@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from totkit import cli
 from totkit.cli import main
+from totkit.errors import (
+    HierarchicalConditionError,
+    InternalContradictionError,
+    SplinterConditionError,
+)
 
 
 TWO_K4_EDGES = "\n".join(
@@ -115,6 +121,28 @@ def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "input" and "9" in diag["message"]
+
+
+@pytest.mark.parametrize(
+    "command, pipeline, exc, code, kind",
+    [
+        ("clique-tot", "clique_pipeline", HierarchicalConditionError((0, 0, 1, 2)), 2, "precondition"),
+        ("tot", "graph_pipeline", SplinterConditionError((0, 1, 1, 2)), 2, "precondition"),
+        ("canonical-tot", "graph_pipeline", InternalContradictionError("1 and 2 cross"), 4, "internal"),
+    ],
+)
+def test_pipeline_errors_map_to_exit_codes(
+    capsys, monkeypatch, two_k4_file, command, pipeline, exc, code, kind
+):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, pipeline, fail)
+    got, out, err = run(capsys, command, "--input", two_k4_file)
+    assert got == code
+    assert out == ""
+    diag = json.loads(err)
+    assert diag == {"error": kind, "message": str(exc)}
 
 
 def test_tangles_command(capsys, two_k4_file):

@@ -91,6 +91,25 @@ def test_fish_lemma_on_small_universes(u):
                     assert all(u.nested(t, c) for c in cs)
 
 
+def test_corner_table_transposes_and_matches_corner_items(bip4):
+    u = bip4
+    ids = list(u.oriented_ids())
+    for x in ids:
+        for y in ids:
+            t = u.corner_table(x, y)
+            assert t == tuple(c for _, c in u.corner_items(x, y))
+            assert u.corner_table(y, x) == (t[0], t[2], t[1], t[3])
+            assert u.corner_uids(x, y) == frozenset(t)
+            # the sides of each argument are fixed pairs of table slots
+            r, s = u.uid(x), u.uid(y)
+            for anchor, other, sides in ((r, s, {t[0:2], t[2:4]}), (s, r, {t[0::2], t[1::2]})):
+                meet_sides = {
+                    frozenset(u.uid(u.meet(rho, sig)) for sig in u.orientations(other))
+                    for rho in u.orientations(anchor)
+                }
+                assert meet_sides == {frozenset(side) for side in sides}
+
+
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
 @settings(max_examples=200, deadline=None)
 def test_bipartition_leq_matches_mask_inclusion(a, b):

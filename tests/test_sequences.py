@@ -37,6 +37,28 @@ def test_incompatible_chain_detected(bip4):
     assert is_compatible_sequence(chain) == literal_compatible(chain) == False
 
 
+def test_compatible_matches_literal_on_random_chains():
+    """Seeded ascending chains of three systems over a 4-point bipartition
+    universe: each unordered pair is checked once for both orders."""
+    from totkit.corpus import splitmix64
+    from totkit.universes import bipartition_universe
+
+    u = bipartition_universe(range(1, 5))
+    uids = sorted(u.unoriented_ids())
+    verdicts = []
+    for counter in range(1, 201):
+        h = splitmix64(counter)
+        members, systems = set(), []
+        for level in range(3):
+            size = 1 + (h >> 8 * level) % 3
+            members |= {uids[splitmix64(h + 13 * level + j) % len(uids)] for j in range(size)}
+            systems.append(SubSystem(u, frozenset(members)))
+        chain = SubsystemChain(u, tuple(systems))
+        verdicts.append(literal_compatible(chain))
+        assert is_compatible_sequence(chain) == verdicts[-1], counter
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
 def test_containment_violation_is_an_error(p4_universe):
     s1 = restrict_Sk(p4_universe, 1)
     s2 = restrict_Sk(p4_universe, 2)

@@ -10,9 +10,11 @@ from totkit.errors import (
     SeparationError,
     SplinterConditionError,
 )
-from totkit.pipelines import graph_pipeline
+from totkit.pipelines import complete_cut_order, cycle_cut_order, graph_pipeline
 from totkit.profiles import (
+    PROFILE,
     build_distinguisher_family,
+    circle_tangle_kind,
     enumerate_chain_profiles,
     graph_tangle_kind,
     maximal_profiles,
@@ -29,6 +31,8 @@ from totkit.splinter import (
 from totkit.universes import (
     automorphisms,
     bipartition_universe,
+    clique_subsystem,
+    enumerate_circle_separations,
     enumerate_graph_separations,
     lift_permutation,
     slice_chain,
@@ -264,6 +268,149 @@ def test_corpus_efficient_families_splinter_hierarchically(small_corpus):
         fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
         ok, w = splinters_hierarchically(fam)
         assert ok, (g, w)
+
+
+def reference_splinters_hierarchically(fam):
+    """The definitional predicate: every key pair and element pair in turn,
+    each corner's side read off the meets of the anchor's orientations."""
+    u = fam.universe
+
+    def different_sides(r, s, c1, c2):
+        side0, side1 = (
+            {u.uid(u.meet(rho, sig)) for sig in u.orientations(s)} for rho in u.orientations(r)
+        )
+        return (c1 in side0 and c2 in side1) or (c1 in side1 and c2 in side0)
+
+    def comparable(ai, aj, Ai, Aj):
+        cs = {c for _, c in u.corner_items(ai, aj)}
+        return bool(cs & Aj) or any(
+            different_sides(ai, aj, c1, c2) for c1 in cs & Ai for c2 in cs & Ai
+        )
+
+    def incomparable(a, b, A, B):
+        cs = {c for _, c in u.corner_items(a, b)}
+        return any(
+            different_sides(r, s, c1, c2)
+            for r, s, R in ((a, b, A), (b, a, B))
+            for c1 in cs & R
+            for c2 in cs & (A | B)
+        )
+
+    for ii, ki in enumerate(fam.keys):
+        for kj in fam.keys[ii:]:
+            A, B = fam.sets[ki], fam.sets[kj]
+            for a in sorted(A):
+                for b in sorted(B):
+                    if (ki, kj) in fam.prec:
+                        ok = comparable(a, b, A, B)
+                    elif (kj, ki) in fam.prec:
+                        ok = comparable(b, a, B, A)
+                    else:
+                        ok = incomparable(a, b, A, B)
+                    if not ok:
+                        return False, (ki, kj, a, b)
+    return True, None
+
+
+def clique_family(g):
+    """The family ``clique_pipeline`` builds, before any precheck."""
+    u = enumerate_graph_separations(g)
+    chain = slice_chain(u, within=clique_subsystem(g, u, None))
+    profiles = [p for lvl in enumerate_chain_profiles(chain, PROFILE) for p in lvl]
+    return build_distinguisher_family(profiles, mode="efficient", order_mode="by-order")
+
+
+def circle_family(npoints, order, m, n):
+    """The family ``circle_pipeline`` builds, before any precheck."""
+    points = list(range(1, npoints + 1))
+    order_fn = {"cycle": cycle_cut_order, "complete": complete_cut_order}[order](points)
+    u, circle = enumerate_circle_separations(points, order_fn)
+    chain = slice_chain(u, within=circle)
+    tangles = [p for lvl in enumerate_chain_profiles(chain, circle_tangle_kind(m, n)) for p in lvl]
+    return build_distinguisher_family(tangles, mode="efficient", order_mode="by-order")
+
+
+def test_hierarchical_matches_reference_on_corpus(small_corpus):
+    checked = 0
+    for g in small_corpus:
+        u = enumerate_graph_separations(g)
+        chain = slice_chain(u)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        top = maximal_profiles([p for l in levels for p in l])
+        if len(top) < 2:
+            continue
+        for mode in ("efficient", "all"):
+            order_mode = "by-order" if mode == "efficient" else "none"
+            fam = build_distinguisher_family(top, mode=mode, order_mode=order_mode)
+            assert splinters_hierarchically(fam) == reference_splinters_hierarchically(fam), g
+            checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "make, arg",
+    [
+        (clique_family, corpus.star_graph(5)),
+        (clique_family, corpus.path_graph(7)),
+        (clique_family, corpus.two_cliques(4)),
+        (clique_family, corpus.cycle_graph(6)),
+        (circle_family, (5, "cycle", 1, 4)),
+        (circle_family, (5, "complete", 1, 4)),
+        (circle_family, (6, "cycle", 1, 4)),
+        (circle_family, (6, "complete", 1, 5)),
+    ],
+    ids=["star5", "path7", "two_k4", "cycle6", "circle5-cycle", "circle5-complete",
+         "circle6-cycle", "circle6-complete-5"],
+)
+def test_hierarchical_matches_reference_on_clique_and_circle_families(make, arg):
+    fam = make(*arg) if isinstance(arg, tuple) else make(arg)
+    assert splinters_hierarchically(fam) == reference_splinters_hierarchically(fam)
+
+
+def test_hierarchical_matches_reference_on_random_orders():
+    """Families of an element, some of its corners with another element and
+    maybe that element, under random levels (so ``i < j``, ``j < i`` and
+    incomparable pairs all occur in key order), with repeated sets; they
+    fail at every kind of key pair."""
+    from totkit.corpus import splitmix64
+
+    u = bipartition_universe(range(1, 6), complete_cut_order(range(1, 6)))
+    uids = list(u.unoriented_ids())
+    failed_at = {"ij": 0, "ji": 0, "inc": 0}
+    for counter in range(1, 301):
+        h = splitmix64(counter)
+        nsets = 2 + h % 4
+        sets = []
+        for i in range(nsets):
+            r = splitmix64(h + 101 * i)
+            if i and r % 3 == 0:
+                sets.append(sets[(r >> 4) % i])
+                continue
+            x, y = uids[(r >> 8) % len(uids)], uids[(r >> 24) % len(uids)]
+            picked = {c for bit, c in enumerate(u.corner_table(x, y)) if r >> (40 + bit) & 1}
+            sets.append({x} | picked | ({y} if r >> 50 & 1 else set()))
+        levels = {k: splitmix64(h + 17 * k) % 3 for k in range(nsets)}
+        fam = IndexedFamily(u, sets, levels=levels)
+        got = splinters_hierarchically(fam)
+        assert got == reference_splinters_hierarchically(fam), (counter, sets, levels)
+        if not got[0]:
+            ki, kj = got[1][:2]
+            rel = "ij" if (ki, kj) in fam.prec else "ji" if (kj, ki) in fam.prec else "inc"
+            failed_at[rel] += 1
+    assert min(failed_at.values()) >= 20 and sum(failed_at.values()) <= 250
+
+
+def test_hierarchical_scales_to_512_keys():
+    """The circle family on 8 points (complete order, m=1, n=4): 512 keys but
+    only 36 distinct sets."""
+    import time
+
+    fam = circle_family(8, "complete", 1, 4)
+    assert len(fam.keys) == 512 and len(set(fam.sets.values())) == 36
+    start = time.perf_counter()
+    ok, _ = splinters_hierarchically(fam)
+    assert time.perf_counter() - start < 2.0
+    assert ok
 
 
 def test_invalid_index_order_rejected(bip4):
