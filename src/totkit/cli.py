@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import corpus as corpus_mod
@@ -32,11 +31,13 @@ from .graphio import (
     load_graph,
     nested_set_payload,
     parse_order_spec,
+    read_json,
     tangle_levels_payload,
     verify_artifact,
 )
-from .pipelines import circle_pipeline, clique_pipeline, graph_pipeline
+from .pipelines import _graph_tangles, circle_pipeline, clique_pipeline, graph_pipeline
 from .treedec import decomposition_to_dot, decomposition_to_json
+from .universes import cut_order_fn
 
 __all__ = ["main"]
 
@@ -99,7 +100,7 @@ def _format_graph_result(command, args, result):
 
 def cmd_tangles(args) -> int:
     g = load_graph(args.input)
-    result = graph_pipeline(g, max_vertices=args.max_vertices, max_order=args.k)
+    result = _graph_tangles(g, args.max_vertices, args.k)
     doc = {
         "schema": SCHEMA,
         "command": "tangles",
@@ -120,35 +121,18 @@ def _tangles_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_tot(args) -> int:
+def cmd_graph_tot(args) -> int:
+    """``tot``, ``canonical-tot`` and ``clique-tot``."""
     g = load_graph(args.input)
-    result = graph_pipeline(g, canonical=False, max_vertices=args.max_vertices, max_order=args.k)
-    _emit(args, _format_graph_result("tot", args, result))
-    return 0
-
-
-def cmd_canonical_tot(args) -> int:
-    g = load_graph(args.input)
-    result = graph_pipeline(
-        g,
-        canonical=True,
-        prune_redundant=args.prune_redundant,
-        max_vertices=args.max_vertices,
-        max_order=args.k,
-    )
-    _emit(args, _format_graph_result("canonical-tot", args, result))
-    return 0
-
-
-def cmd_clique_tot(args) -> int:
-    g = load_graph(args.input)
-    result = clique_pipeline(
-        g,
-        canonical=True,
-        prune_redundant=args.prune_redundant,
-        max_vertices=args.max_vertices,
-    )
-    _emit(args, _format_graph_result("clique-tot", args, result))
+    prune = getattr(args, "prune_redundant", False)
+    if args.command == "clique-tot":
+        result = clique_pipeline(g, canonical=True, prune_redundant=prune, max_vertices=args.max_vertices)
+    else:
+        canonical = args.command == "canonical-tot"
+        result = graph_pipeline(
+            g, canonical=canonical, prune_redundant=prune, max_vertices=args.max_vertices, max_order=args.k
+        )
+    _emit(args, _format_graph_result(args.command, args, result))
     return 0
 
 
@@ -158,7 +142,6 @@ def _parse_sep_spec(spec: str, points):
         left, right = spec.split("|")
     except ValueError:
         raise InputError(f"separation spec {spec!r} must look like 'A|B'")
-    tokens = {repr(p): p for p in points}
 
     def side(text):
         out = []
@@ -182,8 +165,6 @@ def cmd_circle_tangles(args) -> int:
     if args.m < 1 or args.n <= 3:
         raise InputError("circle tangles need --m >= 1 and --n > 3")
     if order_graph is not None and args.order_fn is None:
-        from .universes import cut_order_fn
-
         order_fn, spec = cut_order_fn(points, order_graph), "cut:inline"
     else:
         order_fn, spec = parse_order_spec(args.order_fn or "cycle", points)
@@ -225,14 +206,7 @@ def cmd_circle_tangles(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.input}: invalid JSON: {exc}") from exc
-    diag = verify_artifact(doc)
+    diag = verify_artifact(read_json(args.input))
     _emit(args, dump_json({"schema": SCHEMA, "command": "verify", "ok": True, "diagnostic": diag}))
     return 0
 
@@ -277,18 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tot", help="tree of tangles (non-canonical pipeline)")
     common(p)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_tot)
+    p.set_defaults(func=cmd_graph_tot)
 
     p = sub.add_parser("canonical-tot", help="canonical tree of tangles")
     common(p)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--prune-redundant", action="store_true")
-    p.set_defaults(func=cmd_canonical_tot)
+    p.set_defaults(func=cmd_graph_tot)
 
     p = sub.add_parser("clique-tot", help="canonical tree over clique-separation profiles")
     common(p)
     p.add_argument("--prune-redundant", action="store_true")
-    p.set_defaults(func=cmd_clique_tot)
+    p.set_defaults(func=cmd_graph_tot)
 
     p = sub.add_parser("circle-tangles", help="circle tangles and their canonical tree set")
     common(p)

@@ -16,7 +16,6 @@ __all__ = [
     "splitmix64",
     "all_connected_graphs",
     "seven_vertex_sample",
-    "is_connected",
     "is_chordal",
     "complete_graph",
     "cycle_graph",
@@ -191,23 +190,6 @@ def petersen_minus_vertex() -> Graph:
 
 # ----------------------------------------------------------------------
 # simple structure predicates
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            nxt |= g.adj[v]
-            m &= m - 1
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
 
 
 def is_chordal(g: Graph) -> bool:

@@ -12,10 +12,20 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError, SeparationError, VerificationError
+from .errors import HierarchicalConditionError, InputError, SeparationError, VerificationError
+from .pipelines import (
+    _circle_tangles,
+    _clique_profiles,
+    _graph_tangles,
+    complete_cut_order,
+    cycle_cut_order,
+    efficiently_distinguishes_all,
+)
 from .profiles import orientation_to_json
 from .sepsys import Universe
-from .universes import Graph, cut_order_fn
+from .splinter import extract_canonical, map_family, splinters_hierarchically
+from .treedec import TreeDecomposition, induced_uids, is_valid_tree_decomposition
+from .universes import Graph, automorphisms, cut_order_fn, label_key, lift_permutation
 
 SCHEMA = "totkit/1"
 
@@ -71,42 +81,49 @@ def parse_graph_json(doc) -> Graph:
         raise InputError(str(exc)) from exc
 
 
-def load_graph(path: str) -> Graph:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-        return parse_graph_json(doc)
+
+
+def read_json(path: str, text: str | None = None):
+    """The JSON document in file ``path`` (whose ``text`` may be given)."""
+    try:
+        return json.loads(_read(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_graph(path: str) -> Graph:
+    text = _read(path)
+    if text.lstrip().startswith("{"):
+        return parse_graph_json(read_json(path, text))
     return parse_graph_text(text)
 
 
 def load_circle(path: str):
     """Returns (points, order_graph-or-None)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "points" not in doc:
         raise InputError('circle JSON needs {"points": [...], "order_graph": optional}')
     points = doc["points"]
     if not isinstance(points, list):
         raise InputError('"points" must be a list')
+    _check_points(points, InputError)
     if len(set(map(repr, points))) != len(points):
         raise InputError("duplicate points in cyclic order")
     order_graph = doc.get("order_graph")
     if order_graph is not None:
         order_graph = _order_graph_edges(points, order_graph)
     return points, order_graph
+
+
+def _check_points(points: list, error: type):
+    if any(isinstance(p, (list, dict)) for p in points):
+        raise error("circle points must be numbers or strings, not lists or objects")
 
 
 def _order_graph_edges(points, order_graph) -> list:
@@ -128,13 +145,8 @@ def _order_graph_edges(points, order_graph) -> list:
 
 
 def _load_weighted_edges(path: str):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,8 +174,6 @@ def parse_order_spec(spec: str | None, points=None):
     if spec in ("cycle", "complete"):
         if points is None:
             raise InputError(f"order function {spec!r} needs a circle ground set")
-        from .pipelines import complete_cut_order, cycle_cut_order
-
         fn = cycle_cut_order(points) if spec == "cycle" else complete_cut_order(points)
         return fn, spec
     if spec.startswith("cut:"):
@@ -192,10 +202,11 @@ def _side_lists(universe: Universe, uid: int):
 
 
 def nested_set_payload(universe: Universe, nested) -> list:
-    return sorted(
-        (_side_lists(universe, uid) for uid in nested),
-        key=lambda p: (p[0], p[1]),
-    )
+    pairs = [_side_lists(universe, uid) for uid in nested]
+    try:
+        return sorted(pairs)
+    except TypeError:  # labels of mutually unordered types, as 1 and "a"
+        return sorted(pairs, key=lambda p: [[label_key(v) for v in side] for side in p])
 
 
 def graph_payload(g: Graph) -> dict:
@@ -223,7 +234,10 @@ def _find_uid(universe: Universe, pair) -> int:
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, list) for x in pair)):
         raise VerificationError(f"separation {pair!r} is not a pair of side lists")
     a, b = pair
-    oid = universe.find(universe.mask_of(a), universe.mask_of(b))
+    try:
+        oid = universe.find(universe.mask_of(a), universe.mask_of(b))
+    except SeparationError as exc:
+        raise VerificationError(f"separation {pair!r}: {exc}") from exc
     if oid is None:
         raise VerificationError(f"({a}, {b}) is not a separation of this universe")
     return universe.uid(oid)
@@ -238,8 +252,6 @@ def _require(doc: dict, key: str, kind: type):
 
 def _decomposition_of(g: Graph, dd):
     """The tree-decomposition of an artifact's ``decomposition`` block."""
-    from .treedec import TreeDecomposition
-
     if not isinstance(dd, dict):
         raise VerificationError("artifact field 'decomposition' is not an object")
     nodes = _require(dd, "nodes", list)
@@ -247,8 +259,10 @@ def _decomposition_of(g: Graph, dd):
     for nd in nodes:
         if not (isinstance(nd, dict) and isinstance(nd.get("id"), int) and isinstance(nd.get("bag"), list)):
             raise VerificationError(f"decomposition node {nd!r} needs an integer id and a bag list")
+        if any(isinstance(v, (list, dict)) for v in nd["bag"]):
+            raise VerificationError(f"decomposition node {nd!r} has a bag member that is no vertex")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2):
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
             raise VerificationError(f"decomposition edge {e!r} is not a pair of node ids")
     return TreeDecomposition(
         graph=g,
@@ -264,11 +278,6 @@ def verify_artifact(doc: dict) -> dict:
     the decomposition, display of the (recomputed) tangles, and, for
     canonical commands, equivariance under every graph automorphism.
     """
-    from .pipelines import circle_pipeline, clique_pipeline, graph_pipeline
-    from .splinter import extract_canonical, map_family
-    from .treedec import induced_uids, is_valid_tree_decomposition
-    from .universes import automorphisms, lift_permutation
-
     if not isinstance(doc, dict):
         raise VerificationError("artifact is not a JSON object")
     if doc.get("schema") != SCHEMA:
@@ -279,24 +288,27 @@ def verify_artifact(doc: dict) -> dict:
     if command in ("tot", "canonical-tot", "clique-tot"):
         _require(doc, "graph", dict)
         _require(doc, "nested_set", list)
-        g = parse_graph_json(doc["graph"])
+        try:
+            g = parse_graph_json(doc["graph"])
+        except InputError as exc:
+            raise VerificationError(f"artifact graph: {exc}") from exc
         dd = doc.get("decomposition")
         td = None if dd is None else _decomposition_of(g, dd)
-        canonical = command == "canonical-tot"
-        if command == "clique-tot":
-            result = clique_pipeline(g, canonical=True)
-        else:
-            result = graph_pipeline(g, canonical=canonical)
+        canonical = command != "tot"
+        result = _clique_profiles(g) if command == "clique-tot" else _graph_tangles(g)
+        if canonical and result.family is not None:
+            ok, witness = splinters_hierarchically(result.family)
+            if not ok:
+                raise HierarchicalConditionError(witness)
         universe = result.universe
         nested = frozenset(_find_uid(universe, p) for p in doc["nested_set"])
-        vals = sorted(nested)
-        for i, a in enumerate(vals):
-            for b in vals[i + 1 :]:
-                if not universe.nested(a, b):
-                    raise VerificationError(
-                        f"exported separations {universe.side_labels(a)} and "
-                        f"{universe.side_labels(b)} cross"
-                    )
+        crossing = universe.first_crossing(nested)
+        if crossing is not None:
+            a, b = crossing
+            raise VerificationError(
+                f"exported separations {universe.side_labels(a)} and "
+                f"{universe.side_labels(b)} cross"
+            )
         diag["checks"].append("nested")
         if td is not None:
             ok, reason = is_valid_tree_decomposition(td)
@@ -305,12 +317,10 @@ def verify_artifact(doc: dict) -> dict:
             if induced_uids(td, universe) != nested:
                 raise VerificationError("decomposition does not induce the exported set")
             diag["checks"].append("decomposition")
-        from .pipelines import efficiently_distinguishes_all
-
         if not efficiently_distinguishes_all(nested, result.profiles, universe):
             raise VerificationError("exported set does not efficiently distinguish the tangles")
         diag["checks"].append("display")
-        if canonical or command == "clique-tot":
+        if canonical:
             if result.family is not None:
                 # only the family's support and the exported set need images
                 lifted = result.family.union_support() | nested
@@ -318,9 +328,8 @@ def verify_artifact(doc: dict) -> dict:
                 for perm in automorphisms(g):
                     mapping = lift_permutation(universe, perm, oids)
                     mapped = map_family(result.family, mapping)
-                    # the pipeline's extraction checked the precondition on the
-                    # original family (an empty one meets it trivially), and
-                    # the condition is invariant under isomorphisms
+                    # the precondition was checked on the original family
+                    # above, and it is invariant under isomorphisms
                     image = extract_canonical(mapped, precheck=False).nested
                     expect = frozenset(universe.uid(mapping[uid]) for uid in nested)
                     if image != expect:
@@ -334,6 +343,7 @@ def verify_artifact(doc: dict) -> dict:
         circle_doc = _require(doc, "circle", dict)
         params = _require(doc, "params", dict)
         points = _require(circle_doc, "points", list)
+        _check_points(points, VerificationError)
         spec = params.get("order_fn", "cycle")
         m = _require(params, "m", int)
         n = _require(params, "n", int)
@@ -344,21 +354,16 @@ def verify_artifact(doc: dict) -> dict:
             fn = cut_order_fn(points, _order_graph_edges(points, circle_doc.get("order_graph")))
         else:
             fn, _ = parse_order_spec(spec, points)
-        result = circle_pipeline(points, m=m, n=n, order_fn=fn)
+        result = _circle_tangles(points, m, n, fn)
         universe = result.universe
         nested = frozenset(_find_uid(universe, p) for p in doc["tree_set"])
-        vals = sorted(nested)
-        for i, a in enumerate(vals):
-            for b in vals[i + 1 :]:
-                if not universe.nested(a, b):
-                    raise VerificationError("exported circle separations cross")
+        if universe.first_crossing(nested) is not None:
+            raise VerificationError("exported circle separations cross")
         diag["checks"].append("nested")
         circle = result.meta["circle"]
         for uid in nested:
             if uid not in circle.members:
                 raise VerificationError("exported element is not a circle separation")
-        from .pipelines import efficiently_distinguishes_all
-
         if not efficiently_distinguishes_all(nested, result.profiles, universe):
             raise VerificationError("tree set does not efficiently distinguish the tangles")
         diag["checks"].append("display")

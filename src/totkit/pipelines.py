@@ -1,24 +1,25 @@
 """End-to-end pipelines: tangles to nested sets to tree-decompositions.
 
-Each pipeline enumerates the tangles or profiles of a graph, a clique
-system, or a circle system, builds the efficient-distinguisher family over
-the distinguishable pairs, extracts a nested transversal (canonically or
-not), and, for graph separations, converts it into a tree-decomposition.
-Results carry every intermediate object so that callers and tests can
-inspect them.
+The graph, clique and circle pipelines share one core of two steps: the
+profiles of a subsystem chain and the efficient-distinguisher family over
+them, then a nested set extracted (canonically or not), checked to
+distinguish the profiles efficiently and, for graph separations, turned
+into a tree-decomposition.  They differ only in the universe, the chain,
+the profile kind and whether only the maximal profiles are kept; callers
+needing only the profiles and the family stop after the first step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .profiles import (
     PROFILE,
     Orientation,
+    ProfileKind,
     build_distinguisher_family,
     circle_tangle_kind,
-    distinguishers,
     efficient_distinguishers,
     enumerate_chain_profiles,
     graph_tangle_kind,
@@ -31,7 +32,7 @@ from .splinter import (
     extract_canonical,
     extract_transversal,
 )
-from .treedec import TreeDecomposition, build_tree_decomposition, displays
+from .treedec import TreeDecomposition, build_tree_decomposition
 from .universes import (
     DEFAULT_MAX_VERTICES,
     Graph,
@@ -83,13 +84,11 @@ def efficiently_distinguishes_all(
     distinguishable pair of ``profiles``."""
     for i, p in enumerate(profiles):
         for q in profiles[i + 1 :]:
-            if not distinguishers(p, q):
-                continue
             if chain is None:
                 eff = efficient_distinguishers(p, q)
             else:
                 eff = sequence_efficient_distinguishers(chain, p, q)
-            if not any(d in nested for d in eff):
+            if eff and not any(d in nested for d in eff):
                 return False
     return True
 
@@ -104,15 +103,53 @@ def _extract(family: IndexedFamily | None, canonical: bool, prune_redundant: boo
     return res, res.nested_set()
 
 
-def graph_pipeline(
-    g: Graph,
-    canonical: bool = False,
-    prune_redundant: bool = False,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_order: int | None = None,
+def _profiles_and_family(
+    chain: SubsystemChain,
+    kind: ProfileKind,
+    graph: Graph | None = None,
+    maximal_only: bool = False,
+    meta: dict | None = None,
 ) -> PipelineResult:
-    """Tangles of a graph, the efficient families over its maximal tangles,
-    a nested distinguishing set, and the displaying tree-decomposition."""
+    """Step one: the profiles of ``chain`` (only the maximal ones if asked)
+    and the efficient-distinguisher family over them (None for fewer than
+    two profiles).  The result has no nested set yet."""
+    levels = enumerate_chain_profiles(chain, kind, graph=graph)
+    profiles = [p for lvl in levels for p in lvl]
+    if maximal_only:
+        profiles = maximal_profiles(profiles)
+    family = (
+        build_distinguisher_family(profiles, mode="efficient", order_mode="by-order")
+        if len(profiles) > 1
+        else None
+    )
+    return PipelineResult(
+        graph=graph,
+        universe=chain.universe,
+        chain=chain,
+        levels=levels,
+        profiles=profiles,
+        family=family,
+        nested=frozenset(),
+        meta=meta or {},
+    )
+
+
+def _extract_and_check(
+    base: PipelineResult, canonical: bool, prune_redundant: bool
+) -> PipelineResult:
+    """Step two: the nested set, the tree-decomposition for graph universes,
+    and whether the set efficiently distinguishes the profiles."""
+    extraction, nested = _extract(base.family, canonical, prune_redundant)
+    td = None if base.graph is None else build_tree_decomposition(base.graph, base.universe, nested)
+    ok = efficiently_distinguishes_all(nested, base.profiles, base.universe)
+    return replace(base, nested=nested, decomposition=td, extraction=extraction, displays_ok=ok)
+
+
+def _graph_tangles(
+    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES, max_order: int | None = None
+) -> PipelineResult:
+    """The tangles of a graph, below ``max_order`` if given, and the family
+    over the maximal ones."""
     universe = enumerate_graph_separations(g, max_vertices)
     chain = slice_chain(universe)
     if max_order is not None:
@@ -122,30 +159,38 @@ def graph_pipeline(
             tuple(chain.systems[i] for i in keep),
             thresholds=tuple(chain.thresholds[i] for i in keep),
         )
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
-    tangles = [p for lvl in levels for p in lvl]
-    maximal = maximal_profiles(tangles)
-    family = (
-        build_distinguisher_family(maximal, mode="efficient", order_mode="by-order")
-        if len(maximal) > 1
-        else None
-    )
-    extraction, nested = _extract(family, canonical, prune_redundant)
-    decomposition = build_tree_decomposition(g, universe, nested)
-    ok = displays(decomposition, maximal, universe)
-    return PipelineResult(
-        graph=g,
-        universe=universe,
-        chain=chain,
-        levels=levels,
-        profiles=maximal,
-        family=family,
-        nested=nested,
-        decomposition=decomposition,
-        extraction=extraction,
-        displays_ok=ok,
-        meta={"kind": "graph-tangle", "canonical": canonical},
-    )
+    return _profiles_and_family(chain, graph_tangle_kind(), g, maximal_only=True)
+
+
+def _clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
+    """The profiles of the clique-separation slices of a graph and their family."""
+    universe = enumerate_graph_separations(g, max_vertices)
+    chain = slice_chain(universe, within=clique_subsystem(g, universe, None))
+    return _profiles_and_family(chain, PROFILE, g)
+
+
+def _circle_tangles(
+    points, m: int, n: int, order_fn: Callable[[int, int], int] | None = None
+) -> PipelineResult:
+    """The circle tangles of a cyclically ordered set and their family."""
+    universe, circle = enumerate_circle_separations(points, order_fn)
+    chain = slice_chain(universe, within=circle)
+    meta = {"kind": "circle-tangle", "m": m, "n": n, "circle": circle}
+    return _profiles_and_family(chain, circle_tangle_kind(m, n), meta=meta)
+
+
+def graph_pipeline(
+    g: Graph,
+    canonical: bool = False,
+    prune_redundant: bool = False,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    max_order: int | None = None,
+) -> PipelineResult:
+    """Tangles of a graph, the efficient families over its maximal tangles,
+    a nested distinguishing set, and the displaying tree-decomposition."""
+    base = _graph_tangles(g, max_vertices, max_order)
+    base.meta = {"kind": "graph-tangle", "canonical": canonical}
+    return _extract_and_check(base, canonical, prune_redundant)
 
 
 def clique_pipeline(
@@ -156,32 +201,9 @@ def clique_pipeline(
 ) -> PipelineResult:
     """Profiles of the clique-separation slices of a graph and a (canonical)
     nested set of clique separations distinguishing them efficiently."""
-    universe = enumerate_graph_separations(g, max_vertices)
-    cliques = clique_subsystem(g, universe, None)
-    chain = slice_chain(universe, within=cliques)
-    levels = enumerate_chain_profiles(chain, PROFILE)
-    profiles = [p for lvl in levels for p in lvl]
-    family = (
-        build_distinguisher_family(profiles, mode="efficient", order_mode="by-order")
-        if len(profiles) > 1
-        else None
-    )
-    extraction, nested = _extract(family, canonical, prune_redundant)
-    decomposition = build_tree_decomposition(g, universe, nested)
-    ok = efficiently_distinguishes_all(nested, profiles, universe)
-    return PipelineResult(
-        graph=g,
-        universe=universe,
-        chain=chain,
-        levels=levels,
-        profiles=profiles,
-        family=family,
-        nested=nested,
-        decomposition=decomposition,
-        extraction=extraction,
-        displays_ok=ok,
-        meta={"kind": "clique-profile", "canonical": canonical},
-    )
+    base = _clique_profiles(g, max_vertices)
+    base.meta = {"kind": "clique-profile", "canonical": canonical}
+    return _extract_and_check(base, canonical, prune_redundant)
 
 
 def complete_cut_order(points) -> Callable[[int, int], int]:
@@ -210,30 +232,7 @@ def circle_pipeline(
 ) -> PipelineResult:
     """Circle tangles of a cyclically ordered set and a (canonical) tree set
     of circle separations distinguishing all distinguishable tangles."""
-    universe, circle = enumerate_circle_separations(points, order_fn)
-    chain = slice_chain(universe, within=circle)
-    levels = enumerate_chain_profiles(chain, circle_tangle_kind(m, n))
-    tangles = [p for lvl in levels for p in lvl]
-    family = (
-        build_distinguisher_family(tangles, mode="efficient", order_mode="by-order")
-        if len(tangles) > 1
-        else None
-    )
-    extraction, nested = _extract(family, canonical, prune_redundant)
-    ok = efficiently_distinguishes_all(nested, tangles, universe)
-    return PipelineResult(
-        graph=None,
-        universe=universe,
-        chain=chain,
-        levels=levels,
-        profiles=tangles,
-        family=family,
-        nested=nested,
-        decomposition=None,
-        extraction=extraction,
-        displays_ok=ok,
-        meta={"kind": "circle-tangle", "m": m, "n": n, "circle": circle},
-    )
+    return _extract_and_check(_circle_tangles(points, m, n, order_fn), canonical, prune_redundant)
 
 
 def sequence_family(

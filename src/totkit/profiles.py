@@ -26,6 +26,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import SeparationError, SizeBoundError
 from .sepsys import SubSystem, Universe, UnorientedSep
+from .splinter import IndexedFamily
 from .universes import Graph, SubsystemChain
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "distinguishes",
     "efficiently_distinguishes",
     "efficient_distinguishers",
-    "sequence_level",
     "sequence_efficient_distinguishers",
     "build_distinguisher_family",
     "is_robust_set",
@@ -122,9 +122,6 @@ class Orientation:
 
     def __len__(self):
         return len(self.chosen)
-
-    def extends(self, other: "Orientation") -> bool:
-        return other.chosen <= self.chosen
 
     def __repr__(self):
         return f"Orientation({len(self.chosen)} separations)"
@@ -401,11 +398,10 @@ class _Search:
         return results
 
 
-def _sorted_members(system: SubSystem) -> list[int]:
-    u = system.universe
+def _sorted_members(u: Universe, members) -> list[int]:
     if u.has_order:
-        return sorted(system.members, key=lambda m: (u.order(m), m))
-    return sorted(system.members)
+        return sorted(members, key=lambda m: (u.order(m), m))
+    return sorted(members)
 
 
 def enumerate_profiles(
@@ -419,7 +415,7 @@ def enumerate_profiles(
     Output order is the deterministic backtracking order.
     """
     search = _Search(system.universe, kind, graph)
-    results = search.run([_sorted_members(system)], max_members)
+    results = search.run([_sorted_members(system.universe, system.members)], max_members)
     return [Orientation(system, ch) for ch in results[0]]
 
 
@@ -433,12 +429,7 @@ def enumerate_chain_profiles(
     blocks = []
     prev: frozenset = frozenset()
     for system in chain.systems:
-        delta = system.members - prev
-        u = chain.universe
-        if u.has_order:
-            blocks.append(sorted(delta, key=lambda m: (u.order(m), m)))
-        else:
-            blocks.append(sorted(delta))
+        blocks.append(_sorted_members(chain.universe, system.members - prev))
         prev = system.members
     search = _Search(chain.universe, kind, graph)
     results = search.run(blocks, max_members)
@@ -493,10 +484,6 @@ def efficient_distinguishers(p: Orientation, q: Orientation) -> list[int]:
     return [d for d in ds if u.order(d) == best]
 
 
-def sequence_level(chain: SubsystemChain, uid: int) -> int | None:
-    return chain.level_of(uid)
-
-
 def sequence_efficient_distinguishers(
     chain: SubsystemChain, p: Orientation, q: Orientation
 ) -> list[int]:
@@ -541,8 +528,6 @@ def build_distinguisher_family(
     skipped and reported on ``family.excluded``; requesting one explicitly
     via ``pairs`` is an error.
     """
-    from .splinter import IndexedFamily
-
     if not profiles:
         raise SeparationError("no profiles given")
     u = profiles[0].universe
@@ -612,10 +597,9 @@ def is_robust_set(
     u = chain.universe
     for qi, q in enumerate(profiles):
         for q2 in profiles[qi + 1 :]:
-            ds = distinguishers(q, q2)
-            if not ds:
-                continue
             eff = sequence_efficient_distinguishers(chain, q, q2)
+            if not eff:
+                continue
             shared = [
                 q.choice(r)
                 for r in (q.system.members & q2.system.members)

@@ -161,11 +161,25 @@ class Universe:
     def is_small(self, oid: int) -> bool:
         return self.leq(oid, self._inv[oid])
 
+    def is_trivial(self, oid: int, uids: Iterable[int]) -> bool:
+        """Whether ``oid`` is strictly below both orientations of some member of ``uids``."""
+        return any(self.lt(oid, w) and self.lt(oid, self._inv[w]) for w in uids)
+
     def nested(self, x: int, y: int) -> bool:
         """Whether the separations underlying ``x`` and ``y`` are nested."""
         xi = self._inv[x]
         yi = self._inv[y]
         return self.leq(x, y) or self.leq(x, yi) or self.leq(xi, y) or self.leq(xi, yi)
+
+    def first_crossing(self, ids: Iterable[int]) -> tuple[int, int] | None:
+        """The first pair ``a < b`` of the distinct ``ids``, in sorted order,
+        whose separations cross; None if they are pairwise nested."""
+        vals = sorted(set(ids))
+        for i, a in enumerate(vals):
+            for b in vals[i + 1 :]:
+                if not self.nested(a, b):
+                    return a, b
+        return None
 
     def corner_items(self, u: int, v: int) -> list[tuple[tuple[int, int], int]]:
         """The four tagged corner separations of two unoriented separations.
@@ -214,7 +228,7 @@ class Universe:
         for v in labels:
             try:
                 m |= 1 << self._label_bit[v]
-            except KeyError as exc:
+            except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
                 raise SeparationError(f"unknown ground-set label {v!r}") from exc
         return m
 
@@ -419,12 +433,7 @@ def is_small(s: OrientedSep) -> bool:
 
 def is_trivial(s: OrientedSep, system: SubSystem) -> bool:
     """Whether ``s`` is strictly below both orientations of some member of ``system``."""
-    u = _check_same_universe(s, system)
-    for w in system.members:
-        w1 = u.inv(w)
-        if u.lt(s.oid, w) and u.lt(s.oid, w1):
-            return True
-    return False
+    return _check_same_universe(s, system).is_trivial(s.oid, system.members)
 
 
 def is_regular(seps: Iterable[UnorientedSep]) -> bool:

@@ -162,8 +162,15 @@ def splinters(fam: IndexedFamily, universe: Universe | None = None):
 # non-canonical extraction
 
 
+class _Traced:
+    def trace_jsonl(self) -> str:
+        import json
+
+        return "\n".join(json.dumps(e, sort_keys=True) for e in self.trace)
+
+
 @dataclass
-class TransversalResult:
+class TransversalResult(_Traced):
     """One nested pick per family key, plus the decision trace."""
 
     picks: dict
@@ -171,11 +178,6 @@ class TransversalResult:
 
     def nested_set(self) -> frozenset:
         return frozenset(self.picks.values())
-
-    def trace_jsonl(self) -> str:
-        import json
-
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.trace)
 
 
 def extract_transversal(fam: IndexedFamily, universe: Universe | None = None, debug: bool = False) -> TransversalResult:
@@ -260,11 +262,9 @@ def _verify_picks(fam: IndexedFamily, picks: dict):
     for k in fam.keys:
         if picks.get(k) not in fam.sets[k]:
             raise InternalContradictionError(f"pick for {k!r} is not in its set")
-    vals = sorted(set(picks.values()))
-    for i, a in enumerate(vals):
-        for b in vals[i + 1 :]:
-            if not u.nested(a, b):
-                raise InternalContradictionError(f"picks {a} and {b} cross")
+    crossing = u.first_crossing(picks.values())
+    if crossing is not None:
+        raise InternalContradictionError("picks {} and {} cross".format(*crossing))
 
 
 # ----------------------------------------------------------------------
@@ -345,16 +345,11 @@ def splinters_hierarchically(fam: IndexedFamily, universe: Universe | None = Non
 
 
 @dataclass
-class CanonicalResult:
+class CanonicalResult(_Traced):
     """Canonical nested set meeting every family set, plus the recursion trace."""
 
     nested: frozenset
     trace: list = field(default_factory=list)
-
-    def trace_jsonl(self) -> str:
-        import json
-
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.trace)
 
 
 def extract_canonical(
@@ -386,27 +381,24 @@ def extract_canonical(
             raise HierarchicalConditionError(witness)
     u = fam.universe
     trace: list[dict] = []
+    preds: dict = {k: set() for k in fam.keys}
+    for a, b in fam.prec:
+        preds[b].add(a)
 
     def solve(keys: tuple, sets: dict, depth: int) -> frozenset:
         if not keys:
             return frozenset()
         keyset = set(keys)
-        minimal = [
-            k
-            for k in keys
-            if not any((k2, k) in fam.prec for k2 in keyset if k2 != k)
-        ]
+        minimal = [k for k in keys if preds[k].isdisjoint(keyset)]
         union = set()
         for k in minimal:
             union |= sets[k]
         extremal = extremal_elements(u, union)
-        vals = sorted(extremal)
-        for i, a in enumerate(vals):
-            for b in vals[i + 1 :]:
-                if not u.nested(a, b):
-                    raise InternalContradictionError(
-                        f"extremal elements {a} and {b} cross; hierarchical condition was violated"
-                    )
+        crossing = u.first_crossing(extremal)
+        if crossing is not None:
+            raise InternalContradictionError(
+                "extremal elements {} and {} cross; hierarchical condition was violated".format(*crossing)
+            )
         remaining = [k for k in keys if not (sets[k] & extremal)]
         restricted = {}
         for k in remaining:
@@ -430,11 +422,9 @@ def extract_canonical(
         return solve(tuple(remaining), restricted, depth + 1) | extremal
 
     nested = solve(fam.keys, dict(fam.sets), 0)
-    vals = sorted(nested)
-    for i, a in enumerate(vals):
-        for b in vals[i + 1 :]:
-            if not u.nested(a, b):
-                raise InternalContradictionError(f"output {a} and {b} cross")
+    crossing = u.first_crossing(nested)
+    if crossing is not None:
+        raise InternalContradictionError("output {} and {} cross".format(*crossing))
     for k in fam.keys:
         if not (fam.sets[k] & nested):
             raise InternalContradictionError(f"output misses set {k!r}")

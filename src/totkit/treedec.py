@@ -4,11 +4,13 @@ The builder inserts the separations of a nested set one at a time, in
 canonical order, each splitting the unique tree node whose region contains
 it; bags are the intersections of the big sides pointing at a node.  Every
 build is validated (decomposition validity plus an exact round trip of the
-induced separations) before it is returned.
+induced separations) before it is returned.  The induced separations come
+from one walk of the tree that yields both sides of every edge.
 
 Small or trivial members are tolerated: they produce leaf-ish bags, are
 reported in ``flags``, and ambiguous attachments are resolved towards the
-canonical orientation.  ``is_tree_set`` is the strict check.
+canonical orientation.  ``is_tree_set`` is the strict check.  ``displays``
+reads the separation each edge of a built decomposition was created by.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalContradictionError, NotNestedError, SeparationError
 from .sepsys import Universe
-from .universes import Graph
+from .universes import Graph, label_key
 
 __all__ = [
     "TreeDecomposition",
@@ -45,34 +47,19 @@ class TreeDecomposition:
     def nodes(self) -> list[int]:
         return sorted(self.bags)
 
-    def neighbors(self, x: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == x:
-                out.append(b)
-            elif b == x:
-                out.append(a)
-        return sorted(out)
-
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
+
+
+def _trivial_members(universe: Universe, uids: list) -> list:
+    """The members of ``uids`` that are trivial relative to ``uids``."""
+    return [a for a in uids if any(universe.is_trivial(o, uids) for o in universe.orientations(a))]
 
 
 def is_tree_set(universe: Universe, seps) -> bool:
     """Pairwise nested with no member trivial relative to the set."""
     uids = sorted({universe.uid(s) for s in seps})
-    for i, a in enumerate(uids):
-        for b in uids[i + 1 :]:
-            if not universe.nested(a, b):
-                return False
-    uidset = set(uids)
-    for a in uids:
-        for o in universe.orientations(a):
-            for w in uidset:
-                w1, w2 = universe.orientations(w)
-                if universe.lt(o, w1) and universe.lt(o, w2):
-                    return False
-    return True
+    return universe.first_crossing(uids) is None and not _trivial_members(universe, uids)
 
 
 def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecomposition:
@@ -80,26 +67,16 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
     if tuple(g.vertices) != tuple(universe.labels):
         raise SeparationError("universe was not built from this graph")
     uids = sorted({universe.uid(s) for s in seps})
-    for i, a in enumerate(uids):
-        for b in uids[i + 1 :]:
-            if not universe.nested(a, b):
-                raise NotNestedError(f"separations {a} and {b} cross")
+    crossing = universe.first_crossing(uids)
+    if crossing is not None:
+        raise NotNestedError("separations {} and {} cross".format(*crossing))
 
     flagged_small = [
         a
         for a in uids
         if universe.is_small(a) or universe.is_small(universe.inv(a))
     ]
-    flagged_trivial = []
-    for a in uids:
-        for o in universe.orientations(a):
-            if any(
-                universe.lt(o, w1) and universe.lt(o, w2)
-                for w in uids
-                for w1, w2 in [universe.orientations(w)]
-            ):
-                flagged_trivial.append(a)
-                break
+    flagged_trivial = _trivial_members(universe, uids)
 
     # incident[x] holds the oriented ids pointing at node x
     incident: list[list[int]] = [[]]
@@ -158,42 +135,58 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
     return td
 
 
-def _edge_split(td: TreeDecomposition, a: int, b: int) -> tuple[set, set]:
-    """Nodes on the two sides of tree edge (a, b)."""
-    adj: dict[int, set] = {x: set() for x in td.bags}
+def _walk(td: TreeDecomposition) -> tuple[dict, list]:
+    """Parent of each node reached from the first node (the first node's is
+    None), and the nodes in the order reached."""
+    adj: dict[int, list] = {x: [] for x in td.bags}
     for x, y in td.edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    side = {a}
-    stack = [a]
+        adj[x].append(y)
+        adj[y].append(x)
+    root = next(iter(td.bags))
+    parent = {root: None}
+    order = []
+    stack = [root]
     while stack:
         x = stack.pop()
+        order.append(x)
         for y in adj[x]:
-            if y not in side and not (x == a and y == b):
-                side.add(y)
+            if y not in parent:
+                parent[y] = x
                 stack.append(y)
-    return side, set(td.bags) - side
+    return parent, order
+
+
+def _edge_sides(td: TreeDecomposition) -> list[tuple[frozenset, frozenset]]:
+    """For each tree edge ``(a, b)``, the vertices in the bags on ``a``'s side
+    and on ``b``'s side, from one walk of the tree."""
+    if not td.edges:
+        return []
+    parent, order = _walk(td)
+    below = {x: {x} for x in td.bags}  # the nodes of the subtree rooted at x
+    for x in reversed(order):
+        if parent[x] is not None:
+            below[parent[x]] |= below[x]
+    nodes = set(td.bags)
+    out = []
+    for a, b in td.edges:
+        left = nodes - below[b] if parent.get(b) == a else below[a]
+        out.append(tuple(frozenset().union(*(td.bags[x] for x in side)) for side in (left, nodes - left)))
+    return out
 
 
 def induced_separations(td: TreeDecomposition) -> set[tuple[tuple, tuple]]:
     """The separations induced by the tree edges, as canonical side-label pairs."""
     out = set()
-    for a, b in td.edges:
-        left, right = _edge_split(td, a, b)
-        ua = frozenset().union(*(td.bags[x] for x in left))
-        ub = frozenset().union(*(td.bags[x] for x in right))
-        pa = tuple(sorted(ua, key=lambda v: (v.__class__.__name__, v)))
-        pb = tuple(sorted(ub, key=lambda v: (v.__class__.__name__, v)))
+    for ua, ub in _edge_sides(td):
+        pa = tuple(sorted(ua, key=label_key))
+        pb = tuple(sorted(ub, key=label_key))
         out.add(min((pa, pb), (pb, pa)))
     return out
 
 
 def induced_uids(td: TreeDecomposition, universe: Universe) -> frozenset:
     out = set()
-    for a, b in td.edges:
-        left, right = _edge_split(td, a, b)
-        ua = frozenset().union(*(td.bags[x] for x in left))
-        ub = frozenset().union(*(td.bags[x] for x in right))
+    for ua, ub in _edge_sides(td):
         oid = universe.find(universe.mask_of(ua), universe.mask_of(ub))
         if oid is None:
             raise SeparationError(
@@ -211,21 +204,10 @@ def is_valid_tree_decomposition(td: TreeDecomposition) -> tuple[bool, str]:
         return False, "no nodes"
     if len(td.edges) != len(nodes) - 1:
         return False, "edge count is not nodes - 1"
-    adj: dict[int, set] = {x: set() for x in nodes}
-    for x, y in td.edges:
-        if x not in nodes or y not in nodes:
-            return False, "edge endpoint is not a node"
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = set()
-    stack = [next(iter(nodes))]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(adj[x] - seen)
-    if seen != nodes:
+    if any(x not in nodes or y not in nodes for x, y in td.edges):
+        return False, "edge endpoint is not a node"
+    parent, order = _walk(td)
+    if len(order) != len(nodes):
         return False, "tree is not connected"
     covered = set().union(*td.bags.values()) if td.bags else set()
     if covered != set(g.vertices):
@@ -235,36 +217,21 @@ def is_valid_tree_decomposition(td: TreeDecomposition) -> tuple[bool, str]:
             return False, f"edge ({u!r}, {v!r}) is in no bag"
     for v in g.vertices:
         holding = {x for x, bag in td.bags.items() if v in bag}
-        comp = set()
-        stack = [next(iter(holding))]
-        while stack:
-            x = stack.pop()
-            if x in comp or x not in holding:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] & holding)
-        if comp != holding:
+        # a node set of a tree is connected iff it spans one edge fewer than it has nodes
+        if sum(parent[x] in holding for x in holding) != len(holding) - 1:
             return False, f"bags holding {v!r} are not connected"
     return True, "ok"
 
 
 def displays(td: TreeDecomposition, tangles, universe: Universe) -> bool:
     """Whether every distinguishable pair of tangles is efficiently
-    distinguished by some induced separation."""
-    from .profiles import distinguishers
+    distinguished by some induced separation; a built decomposition's edges
+    carry theirs, so only others walk the tree."""
+    from .pipelines import efficiently_distinguishes_all
 
-    induced = induced_uids(td, universe)
-    for i, p in enumerate(tangles):
-        for q in tangles[i + 1 :]:
-            ds = distinguishers(p, q)
-            if not ds:
-                continue
-            best = min(universe.order(d) for d in ds)
-            if not any(
-                d in induced and universe.order(d) == best for d in ds
-            ):
-                return False
-    return True
+    seps = td.flags.get("edge_separations")
+    induced = induced_uids(td, universe) if seps is None else frozenset(map(universe.uid, seps.values()))
+    return efficiently_distinguishes_all(induced, tangles, universe)
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +241,7 @@ def displays(td: TreeDecomposition, tangles, universe: Universe) -> bool:
 def decomposition_to_json(td: TreeDecomposition) -> dict:
     return {
         "nodes": [
-            {"id": x, "bag": sorted(td.bags[x], key=lambda v: (v.__class__.__name__, v))}
+            {"id": x, "bag": sorted(td.bags[x], key=label_key)}
             for x in td.nodes
         ],
         "edges": sorted([min(a, b), max(a, b)] for a, b in td.edges),
@@ -284,7 +251,7 @@ def decomposition_to_json(td: TreeDecomposition) -> dict:
 def decomposition_to_dot(td: TreeDecomposition) -> str:
     lines = ["graph treedec {", "  node [shape=box];"]
     for x in td.nodes:
-        label = ",".join(str(v) for v in sorted(td.bags[x], key=lambda v: (v.__class__.__name__, v)))
+        label = ",".join(str(v) for v in sorted(td.bags[x], key=label_key))
         lines.append(f'  n{x} [label="{{{label}}}"];')
     for a, b in sorted((min(a, b), max(a, b)) for a, b in td.edges):
         lines.append(f"  n{a} -- n{b};")

@@ -75,16 +75,6 @@ class Graph:
     def edges(self) -> list[tuple]:
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edge_indices]
 
-    def vertex_index(self, v) -> int:
-        return self._vindex[v]
-
-    def has_edge(self, u, v) -> bool:
-        iu, iv = self._vindex[u], self._vindex[v]
-        return bool(self.adj[iu] >> iv & 1)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(m.bit_count() for m in self.adj))
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

@@ -1,8 +1,12 @@
 """Command-line interface: artifacts, verification, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totkit import cli
 from totkit.cli import main
@@ -30,6 +34,9 @@ def circle_file(tmp_path):
     p = tmp_path / "circle.json"
     p.write_text(json.dumps({"points": [1, 2, 3, 4]}))
     return str(p)
+
+
+P3 = {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}
 
 
 def run(capsys, *argv):
@@ -103,8 +110,45 @@ def test_verify_rejects_crossing_tamper(capsys, tmp_path, two_k4_file):
             "nested_set": [],
             "decomposition": {"nodes": [{"id": 0}], "edges": []},
         },
+        {"schema": "totkit/1", "command": "canonical-tot", "graph": P3, "nested_set": [[[[1]], [2, 3]]]},
+        {"schema": "totkit/1", "command": "canonical-tot", "graph": P3, "nested_set": [[[1, 2], [2, 9]]]},
+        {"schema": "totkit/1", "command": "tot", "graph": {"vertices": [1, 2], "edges": [[1, 9]]}, "nested_set": []},
+        {
+            "schema": "totkit/1",
+            "command": "tot",
+            "graph": P3,
+            "nested_set": [],
+            "decomposition": {"nodes": [{"id": 0, "bag": [[1]]}], "edges": []},
+        },
+        {
+            "schema": "totkit/1",
+            "command": "tot",
+            "graph": P3,
+            "nested_set": [],
+            "decomposition": {"nodes": [{"id": 0, "bag": [1, 2, 3]}, {"id": 1, "bag": [3]}], "edges": [[0, [1]]]},
+        },
+        {
+            "schema": "totkit/1",
+            "command": "circle-tangles",
+            "circle": {"points": [1, 2, [3], 4, 5]},
+            "params": {"m": 1, "n": 4},
+            "tree_set": [],
+        },
     ],
-    ids=["array", "no-graph", "nested-set-not-list", "no-circle", "no-n", "node-without-bag"],
+    ids=[
+        "array",
+        "no-graph",
+        "nested-set-not-list",
+        "no-circle",
+        "no-n",
+        "node-without-bag",
+        "unhashable-side-member",
+        "unknown-side-vertex",
+        "unknown-graph-vertex",
+        "unhashable-bag-member",
+        "unhashable-edge-end",
+        "unhashable-point",
+    ],
 )
 def test_verify_refuses_malformed_artifact(capsys, tmp_path, doc):
     bad = tmp_path / "bad.json"
@@ -242,3 +286,162 @@ def test_k_flag_caps_levels(capsys, two_k4_file):
     assert code == 0
     doc = json.loads(out)
     assert all(lvl["max_order"] < 2 for lvl in doc["levels"])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"points": [1, 2, [3], 4, 5]}, {"points": [1, 2, {"x": 3}, 4, 5]}, {"points": [1, 2, 3, 4, 5], "order_graph": [[1, [2], 1]]}],
+    ids=["list-point", "object-point", "list-order-graph-end"],
+)
+def test_circle_values_refused_as_input(capsys, tmp_path, doc):
+    p = tmp_path / "circle.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "circle-tangles", "--input", str(p), "--m", "1", "--n", "4")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_mixed_label_types_sort_without_error(capsys, tmp_path):
+    """Side lists of mutually unordered labels (1 and "a") sort by type name first."""
+    g = tmp_path / "g.txt"
+    g.write_text("1 a\na 2\n2 b\n")
+    code, out, _ = run(capsys, "canonical-tot", "--input", str(g))
+    assert code == 0
+    assert json.loads(out)["nested_set"] == [[[1, 2, "a"], [2, "b"]], [[1, "a"], [2, "a", "b"]]]
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"points": [1, "a", 3, 4, 5]}))
+    code, out, _ = run(capsys, "circle-tangles", "--input", str(c), "--m", "1", "--n", "4")
+    assert code == 0 and json.loads(out)["efficient"] is True
+
+
+# ----------------------------------------------------------------------
+# fuzz: one leaf of a valid document replaced by an arbitrary JSON value
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, dict):
+        for k in sorted(doc):
+            yield from _leaf_paths(doc[k], path + (k,))
+    elif isinstance(doc, list) and doc:
+        for i, v in enumerate(doc):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.floats(-2, 9, allow_nan=False),
+    st.sampled_from(["", "a", "1", "cycle", "complete", "cut:inline", "tot", "totkit/1"]),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "bag"]), st.integers(0, 3), max_size=1),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """Valid documents to mutate, each with the command that reads it: a graph
+    input, a circle input, and the four artifacts made from them."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    house = {"vertices": [1, 2, 3, 4, 5], "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [3, 5]]}
+    circle = {"points": [1, 2, 3, 4, 5], "order_graph": [[1, 2, 1], [2, 3, 1], [3, 4, 2], [4, 5, 1], [5, 1, 1]]}
+    docs = [(house, ["canonical-tot"]), (circle, ["circle-tangles", "--m", "1", "--n", "4"])]
+    for doc, command in list(docs):
+        path = tmp / f"{command[0]}.json"
+        path.write_text(json.dumps(doc))
+        makes = [["tot"], ["canonical-tot"], ["clique-tot"]] if doc is house else [command]
+        for argv in makes:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([argv[0], "--input", str(path)] + argv[1:]) == 0
+            docs.append((json.loads(out.getvalue()), ["verify"]))
+    return tmp, docs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(which=st.integers(0, 5), pick=st.integers(0, 10**6), value=_LEAVES)
+def test_mutated_documents_fail_cleanly(fuzz_documents, which, pick, value):
+    tmp, docs = fuzz_documents
+    doc, command = docs[which]
+    paths = list(_leaf_paths(doc))
+    path = tmp / f"mutated{which}.json"
+    path.write_text(json.dumps(_replaced(doc, paths[pick % len(paths)], value)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], "--input", str(path)] + command[1:])
+    assert code in (0, 2, 3, 4)
+    assert isinstance(json.loads(err.getvalue() if code else out.getvalue()), dict)
+
+
+def test_verify_and_tangles_stop_after_the_family(capsys, monkeypatch, tmp_path, two_k4_file, circle_file):
+    """Neither ``verify`` nor ``tangles`` extracts or builds a decomposition."""
+    from totkit import graphio, pipelines
+
+    artifacts = []
+    for argv in (
+        ["tot", "--input", two_k4_file],
+        ["canonical-tot", "--input", two_k4_file],
+        ["clique-tot", "--input", two_k4_file],
+        ["circle-tangles", "--input", circle_file, "--m", "1", "--n", "4"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        artifacts.append(tmp_path / f"{argv[0]}.json")
+        artifacts[-1].write_text(out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("second pipeline step called")
+
+    extractions = []
+
+    def counting(*args, **kwargs):
+        extractions.append(1)
+        return extract(*args, **kwargs)
+
+    extract = graphio.extract_canonical
+    monkeypatch.setattr(pipelines, "_extract_and_check", refuse)
+    monkeypatch.setattr(graphio, "extract_canonical", counting)
+    for path in artifacts:
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0 and json.loads(out)["ok"] is True
+    # one re-extraction per automorphism, for each of the two canonical artifacts
+    from totkit.graphio import load_graph
+    from totkit.universes import automorphisms
+
+    assert len(extractions) == 2 * len(automorphisms(load_graph(two_k4_file)))
+    code, out, _ = run(capsys, "tangles", "--input", two_k4_file)
+    assert code == 0 and json.loads(out)["maximal_tangles"] == 3
+
+
+def test_verify_refuses_a_family_failing_the_hierarchical_condition(capsys, monkeypatch, tmp_path, two_k4_file):
+    from totkit import graphio
+
+    code, out, _ = run(capsys, "canonical-tot", "--input", two_k4_file)
+    artifact = tmp_path / "canonical.json"
+    artifact.write_text(out)
+    monkeypatch.setattr(graphio, "splinters_hierarchically", lambda fam: (False, (0, 1, 2, 3)))
+    code, _, err = run(capsys, "verify", "--input", str(artifact))
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "precondition" and "(0, 1, 2, 3)" in diag["message"]
+
+
+@pytest.mark.parametrize("command", ["tot", "circle-tangles", "verify"])
+def test_undecodable_input_is_exit_2(capsys, tmp_path, command):
+    p = tmp_path / "binary"
+    p.write_bytes(b"\xff\xfe\x00\x81")
+    argv = [command, "--input", str(p)] + (["--m", "1", "--n", "4"] if command == "circle-tangles" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"

@@ -1,0 +1,70 @@
+"""Byte-identity guard: sha256 digests of CLI stdout on fixed small inputs.
+
+The digests were taken before the graph, clique and circle pipelines were
+merged onto one core; any change to an artifact's bytes fails here.
+"""
+
+import hashlib
+import json
+
+from totkit.cli import main
+
+GRAPHS = {
+    "path4": "1 2\n2 3\n3 4\n",
+    "two_triangles": "1 2\n1 3\n2 3\n3 4\n4 5\n4 6\n5 6\n",
+    "cycle5": "1 2\n2 3\n3 4\n4 5\n5 1\n",
+    "star4": "0 1\n0 2\n0 3\n0 4\n",
+    "k4": "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+    "house": "1 2\n2 3\n3 4\n4 1\n3 5\n4 5\n",
+}
+CIRCLES = {"circle5-cycle": ([1, 2, 3, 4, 5], "cycle"), "circle6-complete": ([1, 2, 3, 4, 5, 6], "complete")}
+
+DIGESTS = {
+    "canonical-tot path4": "ae31b9380f38e74c8d636840056f767e0789132d05f5021aa78833c3346d064f",
+    "clique-tot path4": "e8d4dcc113f103a2725cbad40298b872daef1209d1e0c57104192bc26e5319b9",
+    "tot path4": "62876e1dc43c1a36879dc9e9b36100434031e0aabcc1d8d787190c679cb3d273",
+    "tangles path4": "b09b1bc96bf2e4afacad6b36670d40fe49fb28ebff95ee11877e505f288879da",
+    "canonical-tot two_triangles": "f39501174966cac8bc63217532b3bf675691d4b37376563334305760c230d1ba",
+    "clique-tot two_triangles": "08ce2d38bb04898064ac6feb3d0b9e619fafabc6fa8ad676aaaf63aa31757c44",
+    "tot two_triangles": "c968b68fd88d55d7e68d8e4c128bd2546e468cb538bf3a2d5419301bea349038",
+    "tangles two_triangles": "ae16bffb60a118f6eb574e065b3ec4768dce837d517686b3aa187bb315f98cc0",
+    "canonical-tot cycle5": "a469e52599ff95f4b355b15a092fcc2cf131e767074ab9840c8513c51f4c8279",
+    "clique-tot cycle5": "8134c9dd50f90c3d54484b9befe3ba9870d185e74699ff64671f24d5feeb6618",
+    "tot cycle5": "2f9934c65552e8d988bd14a2bcdd62852c908a8e30a00a57f86a108b63f53186",
+    "tangles cycle5": "a2eaece58730bbb75b560bb666886c127bf25db962bdf485d28b1b001f12f52d",
+    "canonical-tot star4": "ab4f6e024caba8d306a41be8c0a87f3b9602d146184b1cd26e9c555e922c9dab",
+    "clique-tot star4": "91c81b08a82c39301aea97351f4e8dd41e18573bedb5ec0d70afda56b34015a9",
+    "tot star4": "fbda892aab499710e73ea1dc3dd4efd389893a9c90daea8f205ba8e3337fd3bd",
+    "tangles star4": "02411fa4284c8604728877f44d3f85ae4d4b445520f63d4d2db2d0d980012da4",
+    "canonical-tot k4": "de2b3963e3201b0364b0a412c8bdd781337865197c77e347562e11da6d781645",
+    "clique-tot k4": "f1631d58895dc89ac26846ad7713d2903292a39b4cded832385cfdda0ed5845f",
+    "tot k4": "f38f91f1a20e6a458e42b8a5c26dc05656e6bfcb274a164212aba2fd14104401",
+    "tangles k4": "5180da31a0809f75c4e1c5e708259dc5471688823761b1edbadc3896c95c25f6",
+    "canonical-tot house": "1e784957c1243ab8c62c711f77014e1b70d9cfe6f5ba2efac7ac04d032ec30c0",
+    "clique-tot house": "87dd5f96ba219d6f2b87970aab5f049e0155f3f98abdfee6ed81b57acb9edde2",
+    "tot house": "cb4b8e472b6b150680da2bba2bf16aac39448c328dab79698136065225a607cd",
+    "tangles house": "d36834501e48b218dc85c004ac02e0e3c16fa0e931d678dfec4c96107ad2cfde",
+    "circle-tangles circle5-cycle": "ff40c933cb4e51c7a9c1eafb855d86579603b867e569ae04e32ed46395ba083a",
+    "circle-tangles circle6-complete": "5c5f7079819783092a2995f81d2004195fef0ba69c04c8fe39b660b5c4ffd8ae",
+}
+
+
+def _inputs(tmp_path):
+    for name, text in GRAPHS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        for command in ("canonical-tot", "clique-tot", "tot", "tangles"):
+            yield f"{command} {name}", [command, "--input", str(path)]
+    for name, (points, order) in CIRCLES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"points": points}))
+        argv = ["circle-tangles", "--input", str(path), "--order-fn", order, "--m", "1", "--n", "4"]
+        yield f"circle-tangles {name}", argv
+
+
+def test_cli_stdout_digests_are_pinned(capsys, tmp_path):
+    got = {}
+    for key, argv in _inputs(tmp_path):
+        assert main(argv) == 0, key
+        got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == DIGESTS

@@ -287,3 +287,35 @@ def test_join_outside_element_set_raises():
     b = u.find(0b010, 0b101)
     with pytest.raises(UniverseClosureError):
         u.join(a, b)
+
+
+# ----------------------------------------------------------------------
+# the one pairwise-nested check
+
+
+def _first_crossing_loop(u, ids):
+    """The pairwise loop that ``Universe.first_crossing`` replaced, kept as its oracle."""
+    vals = sorted(set(ids))
+    for i, a in enumerate(vals):
+        for b in vals[i + 1 :]:
+            if not u.nested(a, b):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("u", small_universes())
+def test_first_crossing_matches_pairwise_loop(u):
+    import random
+
+    rng = random.Random(7)
+    uids = list(u.unoriented_ids())
+    crossing_seen = nested_seen = 0
+    for _ in range(300):
+        ids = rng.sample(uids, rng.randint(0, min(6, len(uids))))
+        ids += ids[: rng.randint(0, len(ids))]  # repeated ids count once
+        got = u.first_crossing(ids)
+        assert got == _first_crossing_loop(u, ids), ids
+        crossing_seen += got is not None
+        nested_seen += got is None
+    assert nested_seen
+    assert crossing_seen or _first_crossing_loop(u, uids) is None

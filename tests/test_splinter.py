@@ -564,3 +564,33 @@ def test_map_family_requires_coverage(bip4):
     fam = IndexedFamily(bip4, [{a}])
     with pytest.raises(SeparationError):
         map_family(fam, {})
+
+
+def test_canonical_trace_takes_the_minimal_keys_left_at_each_depth(small_corpus):
+    """Each depth's ``minimal_keys`` are exactly the keys still unmet with no
+    strict predecessor still unmet; a key is met once its set meets the
+    extremal elements taken at some depth."""
+    import random
+
+    families = [graph_pipeline(g).family for g in small_corpus] + [clique_family(g) for g in small_corpus]
+    families += [circle_family(5, "complete", 1, 4), circle_family(6, "cycle", 1, 4)]
+    # sets of pairwise nested bipartitions under random levels, so that keys wait for their predecessors
+    u = bipartition_universe(range(1, 7))
+    chain = [u.uid(u.find(u.mask_of(range(1, i)), u.mask_of(range(i, 7)))) for i in range(2, 7)]
+    rng = random.Random(3)
+    for _ in range(40):
+        sets = [rng.sample(chain, rng.randint(1, 2)) for _ in range(rng.randint(2, 7))]
+        families.append(IndexedFamily(u, sets, levels={k: rng.randrange(3) for k in range(len(sets))}))
+    ordered_depths = 0
+    for fam in families:
+        if fam is None or not len(fam):
+            continue
+        left = list(fam.keys)
+        for entry in extract_canonical(fam).trace:
+            minimal = [k for k in left if not any((k2, k) in fam.prec for k2 in left if k2 != k)]
+            assert entry["minimal_keys"] == sorted(map(repr, minimal))
+            ordered_depths += len(minimal) < len(left)
+            left = [k for k in left if not (fam.sets[k] & set(entry["extremal"]))]
+            assert entry["remaining"] == len(left)
+        assert not left
+    assert ordered_depths > 20

@@ -11,6 +11,8 @@ from totkit.profiles import (
     maximal_profiles,
 )
 from totkit.treedec import (
+    TreeDecomposition,
+    _edge_sides,
     build_tree_decomposition,
     decomposition_to_dot,
     decomposition_to_json,
@@ -134,3 +136,141 @@ def test_wheel_graph_pipeline_round_trip():
     result = graph_pipeline(g)
     assert result.displays_ok
     assert induced_uids(result.decomposition, result.universe) == result.nested
+
+
+# ----------------------------------------------------------------------
+# the one-walk edge split against the per-edge walk
+
+
+def _edge_split(td, a, b):
+    """Nodes on the two sides of tree edge (a, b), by a walk of its own; the oracle."""
+    adj = {x: set() for x in td.bags}
+    for x, y in td.edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    side = {a}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in side and not (x == a and y == b):
+                side.add(y)
+                stack.append(y)
+    return side, set(td.bags) - side
+
+
+def _oracle_sides(td):
+    out = []
+    for a, b in td.edges:
+        left, right = _edge_split(td, a, b)
+        out.append(
+            (frozenset().union(*(td.bags[x] for x in left)), frozenset().union(*(td.bags[x] for x in right)))
+        )
+    return out
+
+
+def _oracle_induced_separations(td):
+    key = lambda v: (v.__class__.__name__, v)
+    out = set()
+    for ua, ub in _oracle_sides(td):
+        pa, pb = tuple(sorted(ua, key=key)), tuple(sorted(ub, key=key))
+        out.add(min((pa, pb), (pb, pa)))
+    return out
+
+
+def _oracle_induced_uids(td, u):
+    return frozenset(u.uid(u.find(u.mask_of(ua), u.mask_of(ub))) for ua, ub in _oracle_sides(td))
+
+
+def test_one_walk_matches_per_edge_walk_on_corpus():
+    checked = 0
+    for g in corpus.all_connected_graphs(6):
+        for result in (graph_pipeline(g), graph_pipeline(g, canonical=True)):
+            td = result.decomposition
+            assert _edge_sides(td) == _oracle_sides(td), g
+            assert induced_uids(td, result.universe) == _oracle_induced_uids(td, result.universe)
+            assert induced_separations(td) == _oracle_induced_separations(td)
+            checked += len(td.edges)
+    assert checked > 200
+
+
+def test_one_walk_matches_per_edge_walk_on_random_trees():
+    import random
+
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        labels = list(range(n))
+        rng.shuffle(labels)  # node ids need not follow the tree's shape
+        edges = []
+        for i in range(1, n):
+            a, b = labels[i], labels[rng.randrange(i)]
+            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+        rng.shuffle(edges)
+        bags = {x: frozenset(rng.sample("abcdefgh", rng.randint(1, 3))) for x in labels}
+        td = TreeDecomposition(graph=None, bags=bags, edges=edges)
+        assert _edge_sides(td) == _oracle_sides(td)
+        assert induced_separations(td) == _oracle_induced_separations(td)
+
+
+def _is_valid_by_search(td):
+    """Validity with its own search per vertex, as before the shared tree walk; the oracle."""
+    nodes = set(td.bags)
+    if not nodes:
+        return False, "no nodes"
+    if len(td.edges) != len(nodes) - 1:
+        return False, "edge count is not nodes - 1"
+    adj = {x: set() for x in nodes}
+    for x, y in td.edges:
+        if x not in nodes or y not in nodes:
+            return False, "edge endpoint is not a node"
+        adj[x].add(y)
+        adj[y].add(x)
+
+    def component(start, allowed):
+        seen, stack = set(), [start]
+        while stack:
+            x = stack.pop()
+            if x not in seen and x in allowed:
+                seen.add(x)
+                stack.extend(adj[x])
+        return seen
+
+    if component(next(iter(nodes)), nodes) != nodes:
+        return False, "tree is not connected"
+    if set().union(*td.bags.values()) != set(td.graph.vertices):
+        return False, "bags do not cover all vertices"
+    for u, v in td.graph.edges:
+        if not any(u in bag and v in bag for bag in td.bags.values()):
+            return False, f"edge ({u!r}, {v!r}) is in no bag"
+    for v in td.graph.vertices:
+        holding = {x for x, bag in td.bags.items() if v in bag}
+        if component(next(iter(holding)), holding) != holding:
+            return False, f"bags holding {v!r} are not connected"
+    return True, "ok"
+
+
+def test_validity_matches_search_oracle_on_random_decompositions():
+    import random
+
+    rng = random.Random(5)
+    g = Graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+    reasons = set()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        edges = [(i, rng.randrange(i)) for i in range(1, n)]
+        if rng.random() < 0.3 and n > 2:  # a cycle, a missing edge, or a stray endpoint
+            edges[rng.randrange(len(edges))] = rng.choice([(0, n - 1), (1, 1), (0, n)])
+        bags = {x: frozenset(rng.sample(g.vertices, rng.randint(1, 4))) for x in range(n)}
+        td = TreeDecomposition(graph=g, bags=bags, edges=edges)
+        got = is_valid_tree_decomposition(td)
+        assert got == _is_valid_by_search(td), (bags, edges)
+        reasons.add(" ".join(w for w in got[1].split() if w.isalpha()))
+    assert reasons == {
+        "ok",
+        "edge endpoint is not a node",
+        "tree is not connected",
+        "bags do not cover all vertices",
+        "edge is in no bag",
+        "bags holding are not connected",
+    }
