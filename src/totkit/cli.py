@@ -35,7 +35,7 @@ from .graphio import (
     tangle_levels_payload,
     verify_artifact,
 )
-from .pipelines import _graph_tangles, circle_pipeline, clique_pipeline, graph_pipeline
+from .pipelines import circle_pipeline, clique_pipeline, graph_pipeline, graph_tangles
 from .treedec import decomposition_to_dot, decomposition_to_json
 from .universes import cut_order_fn
 
@@ -100,7 +100,7 @@ def _format_graph_result(command, args, result):
 
 def cmd_tangles(args) -> int:
     g = load_graph(args.input)
-    result = _graph_tangles(g, args.max_vertices, args.k)
+    result = graph_tangles(g, args.max_vertices, args.k)
     doc = {
         "schema": SCHEMA,
         "command": "tangles",

@@ -14,9 +14,9 @@ import json
 
 from .errors import HierarchicalConditionError, InputError, SeparationError, VerificationError
 from .pipelines import (
-    _circle_tangles,
-    _clique_profiles,
-    _graph_tangles,
+    circle_tangles,
+    clique_profiles,
+    graph_tangles,
     complete_cut_order,
     cycle_cut_order,
     efficiently_distinguishes_all,
@@ -295,7 +295,7 @@ def verify_artifact(doc: dict) -> dict:
         dd = doc.get("decomposition")
         td = None if dd is None else _decomposition_of(g, dd)
         canonical = command != "tot"
-        result = _clique_profiles(g) if command == "clique-tot" else _graph_tangles(g)
+        result = clique_profiles(g) if command == "clique-tot" else graph_tangles(g)
         if canonical and result.family is not None:
             ok, witness = splinters_hierarchically(result.family)
             if not ok:
@@ -354,7 +354,7 @@ def verify_artifact(doc: dict) -> dict:
             fn = cut_order_fn(points, _order_graph_edges(points, circle_doc.get("order_graph")))
         else:
             fn, _ = parse_order_spec(spec, points)
-        result = _circle_tangles(points, m, n, fn)
+        result = circle_tangles(points, m, n, fn)
         universe = result.universe
         nested = frozenset(_find_uid(universe, p) for p in doc["tree_set"])
         if universe.first_crossing(nested) is not None:

@@ -5,8 +5,9 @@ profiles of a subsystem chain and the efficient-distinguisher family over
 them, then a nested set extracted (canonically or not), checked to
 distinguish the profiles efficiently and, for graph separations, turned
 into a tree-decomposition.  They differ only in the universe, the chain,
-the profile kind and whether only the maximal profiles are kept; callers
-needing only the profiles and the family stop after the first step.
+the profile kind and whether only the maximal profiles are kept.  Callers
+needing only the profiles and the family stop after the first step, which
+``graph_tangles``, ``clique_profiles`` and ``circle_tangles`` run alone.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ __all__ = [
     "graph_pipeline",
     "clique_pipeline",
     "circle_pipeline",
+    "graph_tangles",
+    "clique_profiles",
+    "circle_tangles",
     "sequence_family",
     "efficiently_distinguishes_all",
     "complete_cut_order",
@@ -106,13 +110,13 @@ def _extract(family: IndexedFamily | None, canonical: bool, prune_redundant: boo
 def _profiles_and_family(
     chain: SubsystemChain,
     kind: ProfileKind,
+    meta: dict,
     graph: Graph | None = None,
     maximal_only: bool = False,
-    meta: dict | None = None,
 ) -> PipelineResult:
     """Step one: the profiles of ``chain`` (only the maximal ones if asked)
     and the efficient-distinguisher family over them (None for fewer than
-    two profiles).  The result has no nested set yet."""
+    two profiles).  The result has no nested set yet; ``meta`` names its kind."""
     levels = enumerate_chain_profiles(chain, kind, graph=graph)
     profiles = [p for lvl in levels for p in lvl]
     if maximal_only:
@@ -130,7 +134,7 @@ def _profiles_and_family(
         profiles=profiles,
         family=family,
         nested=frozenset(),
-        meta=meta or {},
+        meta=meta,
     )
 
 
@@ -142,10 +146,13 @@ def _extract_and_check(
     extraction, nested = _extract(base.family, canonical, prune_redundant)
     td = None if base.graph is None else build_tree_decomposition(base.graph, base.universe, nested)
     ok = efficiently_distinguishes_all(nested, base.profiles, base.universe)
-    return replace(base, nested=nested, decomposition=td, extraction=extraction, displays_ok=ok)
+    meta = {**base.meta, "canonical": canonical}
+    return replace(
+        base, nested=nested, decomposition=td, extraction=extraction, displays_ok=ok, meta=meta
+    )
 
 
-def _graph_tangles(
+def graph_tangles(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES, max_order: int | None = None
 ) -> PipelineResult:
     """The tangles of a graph, below ``max_order`` if given, and the family
@@ -159,24 +166,25 @@ def _graph_tangles(
             tuple(chain.systems[i] for i in keep),
             thresholds=tuple(chain.thresholds[i] for i in keep),
         )
-    return _profiles_and_family(chain, graph_tangle_kind(), g, maximal_only=True)
+    meta = {"kind": "graph-tangle"}
+    return _profiles_and_family(chain, graph_tangle_kind(), meta, g, maximal_only=True)
 
 
-def _clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
+def clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
     """The profiles of the clique-separation slices of a graph and their family."""
     universe = enumerate_graph_separations(g, max_vertices)
     chain = slice_chain(universe, within=clique_subsystem(g, universe, None))
-    return _profiles_and_family(chain, PROFILE, g)
+    return _profiles_and_family(chain, PROFILE, {"kind": "clique-profile"}, g)
 
 
-def _circle_tangles(
+def circle_tangles(
     points, m: int, n: int, order_fn: Callable[[int, int], int] | None = None
 ) -> PipelineResult:
     """The circle tangles of a cyclically ordered set and their family."""
     universe, circle = enumerate_circle_separations(points, order_fn)
     chain = slice_chain(universe, within=circle)
     meta = {"kind": "circle-tangle", "m": m, "n": n, "circle": circle}
-    return _profiles_and_family(chain, circle_tangle_kind(m, n), meta=meta)
+    return _profiles_and_family(chain, circle_tangle_kind(m, n), meta)
 
 
 def graph_pipeline(
@@ -188,8 +196,7 @@ def graph_pipeline(
 ) -> PipelineResult:
     """Tangles of a graph, the efficient families over its maximal tangles,
     a nested distinguishing set, and the displaying tree-decomposition."""
-    base = _graph_tangles(g, max_vertices, max_order)
-    base.meta = {"kind": "graph-tangle", "canonical": canonical}
+    base = graph_tangles(g, max_vertices, max_order)
     return _extract_and_check(base, canonical, prune_redundant)
 
 
@@ -201,9 +208,7 @@ def clique_pipeline(
 ) -> PipelineResult:
     """Profiles of the clique-separation slices of a graph and a (canonical)
     nested set of clique separations distinguishing them efficiently."""
-    base = _clique_profiles(g, max_vertices)
-    base.meta = {"kind": "clique-profile", "canonical": canonical}
-    return _extract_and_check(base, canonical, prune_redundant)
+    return _extract_and_check(clique_profiles(g, max_vertices), canonical, prune_redundant)
 
 
 def complete_cut_order(points) -> Callable[[int, int], int]:
@@ -232,7 +237,7 @@ def circle_pipeline(
 ) -> PipelineResult:
     """Circle tangles of a cyclically ordered set and a (canonical) tree set
     of circle separations distinguishing all distinguishable tangles."""
-    return _extract_and_check(_circle_tangles(points, m, n, order_fn), canonical, prune_redundant)
+    return _extract_and_check(circle_tangles(points, m, n, order_fn), canonical, prune_redundant)
 
 
 def sequence_family(

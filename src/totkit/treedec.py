@@ -9,8 +9,7 @@ from one walk of the tree that yields both sides of every edge.
 
 Small or trivial members are tolerated: they produce leaf-ish bags, are
 reported in ``flags``, and ambiguous attachments are resolved towards the
-canonical orientation.  ``is_tree_set`` is the strict check.  ``displays``
-reads the separation each edge of a built decomposition was created by.
+canonical orientation.  ``is_tree_set`` is the strict check.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ __all__ = [
 
 @dataclass
 class TreeDecomposition:
-    """A tree plus bags; ``edges`` may carry the separation that created them."""
+    """A tree plus bags; ``flags`` lists the small and trivial members it was built from."""
 
     graph: Graph
     bags: dict
@@ -121,7 +120,6 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
         flags={
             "small_members": flagged_small,
             "trivial_members": flagged_trivial,
-            "edge_separations": {f"{a}-{b}": s for a, b, s in edges},
         },
     )
     ok, reason = is_valid_tree_decomposition(td)
@@ -225,13 +223,10 @@ def is_valid_tree_decomposition(td: TreeDecomposition) -> tuple[bool, str]:
 
 def displays(td: TreeDecomposition, tangles, universe: Universe) -> bool:
     """Whether every distinguishable pair of tangles is efficiently
-    distinguished by some induced separation; a built decomposition's edges
-    carry theirs, so only others walk the tree."""
+    distinguished by some induced separation."""
     from .pipelines import efficiently_distinguishes_all
 
-    seps = td.flags.get("edge_separations")
-    induced = induced_uids(td, universe) if seps is None else frozenset(map(universe.uid, seps.values()))
-    return efficiently_distinguishes_all(induced, tangles, universe)
+    return efficiently_distinguishes_all(induced_uids(td, universe), tangles, universe)
 
 
 # ----------------------------------------------------------------------

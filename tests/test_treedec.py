@@ -119,6 +119,36 @@ def test_displays_detects_missing_bridge(two_k4, two_k4_universe):
     assert not displays(td, result.profiles, u)
 
 
+
+def test_displays_reads_the_current_tree(two_k4):
+    result = graph_pipeline(two_k4)
+    td, u = result.decomposition, result.universe
+    assert displays(td, result.profiles, u)
+    # collapsing the built tree to one bag leaves no separation to distinguish by
+    td.bags = {0: frozenset(two_k4.vertices)}
+    td.edges = []
+    assert not displays(td, result.profiles, u)
+
+
+def test_step_one_names_the_kind_and_step_two_the_extraction(two_k4):
+    from totkit import pipelines
+
+    for step_one, run, kind in (
+        (lambda: pipelines.graph_tangles(two_k4), lambda c: graph_pipeline(two_k4, canonical=c), "graph-tangle"),
+        (lambda: pipelines.clique_profiles(two_k4), lambda c: pipelines.clique_pipeline(two_k4, c), "clique-profile"),
+        (
+            lambda: pipelines.circle_tangles(range(5), 1, 4),
+            lambda c: pipelines.circle_pipeline(range(5), 1, 4, canonical=c),
+            "circle-tangle",
+        ),
+    ):
+        base = step_one().meta
+        assert base["kind"] == kind and "canonical" not in base
+        for canonical in (False, True):
+            meta = run(canonical).meta
+            assert meta.keys() == base.keys() | {"canonical"}
+            assert meta["kind"] == kind and meta["canonical"] is canonical
+
 def test_json_and_dot_exports(two_k4):
     result = graph_pipeline(two_k4)
     doc = decomposition_to_json(result.decomposition)
