@@ -24,11 +24,8 @@ from .sepsys import (
     UnorientedSep,
     Universe,
     corners,
-    from_different_sides,
     is_nested,
-    is_regular,
     is_small,
-    is_structurally_submodular,
     is_trivial,
 )
 from .universes import (

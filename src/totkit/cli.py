@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: ``tangles``, ``tot``, ``canonical-tot``, ``clique-tot``,
-``circle-tangles``, ``verify``, ``corpus``.  Exit codes: 0 success, 2 input
-error or failed (hierarchical) splinter precondition, 3 size bound exceeded,
+``circle-tangles``, ``verify``, ``corpus``.  Exit codes: 0 success, 2 usage or
+input error or failed (hierarchical) splinter precondition, 3 size bound exceeded,
 4 verification failure or failed internal self-check; see ``FAILURES`` for
 the JSON diagnostic each failure writes to stderr.  Output is fully
 deterministic: identical inputs produce byte-identical artifacts.
@@ -35,9 +35,17 @@ from .graphio import (
     tangle_levels_payload,
     verify_artifact,
 )
-from .pipelines import circle_pipeline, clique_pipeline, graph_pipeline, graph_tangles
+from .pipelines import (
+    PipelineResult,
+    circle_pipeline,
+    circle_tangles,
+    clique_pipeline,
+    clique_profiles,
+    graph_pipeline,
+    graph_tangles,
+)
 from .treedec import decomposition_to_dot, decomposition_to_json
-from .universes import cut_order_fn
+from .universes import DEFAULT_MAX_VERTICES
 
 __all__ = ["main"]
 
@@ -50,25 +58,33 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _params(args, **extra) -> dict:
-    out = {"max_vertices": args.max_vertices}
-    out.update(extra)
-    return out
+def run_command(command: str, source, params: dict, step_two: bool = True) -> PipelineResult:
+    """The pipeline of ``command`` on its loaded input ``source`` (a graph, or
+    a circle's points and inline order graph) with the ``params`` its artifact
+    records; only step one, the profiles and their family, for ``tangles`` or
+    when not ``step_two``.
+
+    The one place that turns a command and its params into a pipeline call:
+    the command handlers run it, and ``graphio.verify_artifact`` runs its step
+    one with an artifact's own params.
+    """
+    mv = params["max_vertices"]
+    if command == "circle-tangles":
+        points, order_graph = source
+        args = (points, params["m"], params["n"], parse_order_spec(params["order_fn"], points, order_graph))
+        return circle_pipeline(*args, max_vertices=mv) if step_two else circle_tangles(*args, mv)
+    if command == "clique-tot":
+        return clique_pipeline(source, max_vertices=mv) if step_two else clique_profiles(source, mv)
+    if command == "tangles" or not step_two:
+        return graph_tangles(source, mv, params["k"])
+    return graph_pipeline(source, command == "canonical-tot", mv, params["k"])
 
 
-def _decomposition_block(result):
-    return decomposition_to_json(result.decomposition) if result.decomposition else None
-
-
-def _graph_artifact(command, args, result):
-    doc = {
+def _graph_artifact(command, params, result):
+    return {
         "schema": SCHEMA,
         "command": command,
-        "params": _params(
-            args,
-            k=getattr(args, "k", None),
-            prune_redundant=getattr(args, "prune_redundant", False),
-        ),
+        "params": params,
         "graph": graph_payload(result.graph),
         "levels": [
             {"max_order": t, "count": len(l)}
@@ -76,13 +92,12 @@ def _graph_artifact(command, args, result):
         ],
         "maximal_tangles": len(result.profiles),
         "nested_set": nested_set_payload(result.universe, result.nested),
-        "decomposition": _decomposition_block(result),
+        "decomposition": decomposition_to_json(result.decomposition),
         "displays": bool(result.displays_ok),
     }
-    return doc
 
 
-def _format_graph_result(command, args, result):
+def _format_graph_result(command, args, params, result):
     if args.format == "dot":
         return decomposition_to_dot(result.decomposition)
     if args.format == "text":
@@ -95,16 +110,17 @@ def _format_graph_result(command, args, result):
             lines.append(f"  bag {x}: {{{bag}}}")
         lines.append(f"  displays: {result.displays_ok}")
         return "\n".join(lines) + "\n"
-    return dump_json(_graph_artifact(command, args, result))
+    return dump_json(_graph_artifact(command, params, result))
 
 
 def cmd_tangles(args) -> int:
     g = load_graph(args.input)
-    result = graph_tangles(g, args.max_vertices, args.k)
+    params = {"max_vertices": args.max_vertices, "k": args.k}
+    result = run_command("tangles", g, params)
     doc = {
         "schema": SCHEMA,
         "command": "tangles",
-        "params": _params(args, k=args.k),
+        "params": params,
         "graph": graph_payload(g),
         "levels": tangle_levels_payload(result),
         "maximal_tangles": len(result.profiles),
@@ -124,15 +140,11 @@ def _tangles_text(result) -> str:
 def cmd_graph_tot(args) -> int:
     """``tot``, ``canonical-tot`` and ``clique-tot``."""
     g = load_graph(args.input)
-    prune = getattr(args, "prune_redundant", False)
-    if args.command == "clique-tot":
-        result = clique_pipeline(g, canonical=True, prune_redundant=prune, max_vertices=args.max_vertices)
-    else:
-        canonical = args.command == "canonical-tot"
-        result = graph_pipeline(
-            g, canonical=canonical, prune_redundant=prune, max_vertices=args.max_vertices, max_order=args.k
-        )
-    _emit(args, _format_graph_result(args.command, args, result))
+    # "prune_redundant" stays a constant of schema totkit/1: the canonical
+    # extraction never returns an element outside the family's sets
+    params = {"max_vertices": args.max_vertices, "k": getattr(args, "k", None), "prune_redundant": False}
+    result = run_command(args.command, g, params)
+    _emit(args, _format_graph_result(args.command, args, params, result))
     return 0
 
 
@@ -162,23 +174,16 @@ def _parse_sep_spec(spec: str, points):
 
 def cmd_circle_tangles(args) -> int:
     points, order_graph = load_circle(args.input)
-    if args.m < 1 or args.n <= 3:
-        raise InputError("circle tangles need --m >= 1 and --n > 3")
     if order_graph is not None and args.order_fn is None:
-        order_fn, spec = cut_order_fn(points, order_graph), "cut:inline"
+        spec = "cut:inline"
     else:
-        order_fn, spec = parse_order_spec(args.order_fn or "cycle", points)
-    result = circle_pipeline(
-        points,
-        m=args.m,
-        n=args.n,
-        order_fn=order_fn,
-        prune_redundant=args.prune_redundant,
-    )
+        spec = args.order_fn or "cycle"
+    params = {"max_vertices": args.max_vertices, "m": args.m, "n": args.n, "order_fn": spec}
+    result = run_command("circle-tangles", (points, order_graph), params)
     doc = {
         "schema": SCHEMA,
         "command": "circle-tangles",
-        "params": _params(args, m=args.m, n=args.n, order_fn=spec),
+        "params": params,
         "circle": {"points": list(points), "order_graph": [list(e) for e in order_graph] if order_graph else None},
         "levels": tangle_levels_payload(result),
         "tangles": sum(len(l) for l in result.levels),
@@ -229,76 +234,66 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an :class:`InputError` instead of printing usage text."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of :func:`main`, built on first use and kept for the process."""
+    parser = _Parser(
         prog="totkit",
         description="Trees of tangles for small graphs, clique systems, and circle systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def command(name, func, help, formats=(), bounded=True, needs_input=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if needs_input:
             p.add_argument("--input", required=True, help="input file")
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None, help="write output here instead of stdout")
-        p.add_argument("--max-vertices", type=int, default=10)
+        if bounded:
+            p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+        return p
 
-    p = sub.add_parser("tangles", help="list all k-tangles of a graph")
-    common(p)
+    p = command("tangles", cmd_tangles, "list all k-tangles of a graph", ["json", "text"])
     p.add_argument("--k", type=int, default=None, help="only levels of order < k")
-    p.set_defaults(func=cmd_tangles)
 
-    p = sub.add_parser("tot", help="tree of tangles (non-canonical pipeline)")
-    common(p)
+    tot_formats = ["json", "dot", "text"]
+    p = command("tot", cmd_graph_tot, "tree of tangles (non-canonical pipeline)", tot_formats)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_graph_tot)
-
-    p = sub.add_parser("canonical-tot", help="canonical tree of tangles")
-    common(p)
+    p = command("canonical-tot", cmd_graph_tot, "canonical tree of tangles", tot_formats)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--prune-redundant", action="store_true")
-    p.set_defaults(func=cmd_graph_tot)
+    command("clique-tot", cmd_graph_tot, "canonical tree over clique-separation profiles", tot_formats)
 
-    p = sub.add_parser("clique-tot", help="canonical tree over clique-separation profiles")
-    common(p)
-    p.add_argument("--prune-redundant", action="store_true")
-    p.set_defaults(func=cmd_graph_tot)
-
-    p = sub.add_parser("circle-tangles", help="circle tangles and their canonical tree set")
-    common(p)
+    p = command("circle-tangles", cmd_circle_tangles, "circle tangles and their canonical tree set")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order-fn", default=None, help="cut:FILE, cycle, or complete")
-    p.add_argument("--prune-redundant", action="store_true")
     p.add_argument(
         "--join",
         nargs=2,
         metavar=("SEP1", "SEP2"),
         help="report whether the join of two separations 'A|B' stays a circle separation",
     )
-    p.set_defaults(func=cmd_circle_tangles)
 
-    p = sub.add_parser("verify", help="re-check an exported artifact")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "re-check an exported artifact", bounded=False)
 
-    p = sub.add_parser("corpus", help="emit all connected graphs up to a vertex bound")
-    common(p, needs_input=False)
+    p = command("corpus", cmd_corpus, "emit all connected graphs up to a vertex bound", needs_input=False)
     p.add_argument(
         "--sample-seven",
         type=int,
         default=0,
         help="also emit this many deterministic 7-vertex stress graphs (counters recorded)",
     )
-    p.set_defaults(func=cmd_corpus)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on first use and kept for the process."""
-    return build_parser()
 
 
 # exception types -> ("error" field of the stderr diagnostic, exit code)
@@ -312,8 +307,8 @@ FAILURES = (
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         for types, kind, code in FAILURES:

@@ -13,19 +13,21 @@ from __future__ import annotations
 import json
 
 from .errors import HierarchicalConditionError, InputError, SeparationError, VerificationError
-from .pipelines import (
-    circle_tangles,
-    clique_profiles,
-    graph_tangles,
-    complete_cut_order,
-    cycle_cut_order,
-    efficiently_distinguishes_all,
-)
+from .pipelines import efficiently_distinguishes_all
 from .profiles import orientation_to_json
 from .sepsys import Universe
 from .splinter import extract_canonical, map_family, splinters_hierarchically
 from .treedec import TreeDecomposition, induced_uids, is_valid_tree_decomposition
-from .universes import Graph, automorphisms, cut_order_fn, label_key, lift_permutation
+from .universes import (
+    DEFAULT_MAX_VERTICES,
+    Graph,
+    automorphisms,
+    complete_cut_order,
+    cut_order_fn,
+    cycle_cut_order,
+    label_key,
+    lift_permutation,
+)
 
 SCHEMA = "totkit/1"
 
@@ -161,31 +163,27 @@ def _load_weighted_edges(path: str):
     return edges
 
 
-def parse_order_spec(spec: str | None, points=None):
-    """Resolve an order-function specification for bipartition universes.
+def parse_order_spec(spec: str, points, order_graph):
+    """The order function that ``spec`` names for the bipartitions of ``points``.
 
-    ``cut:FILE`` loads a weighted edge list; ``cycle`` and ``complete`` build
-    unit-weight cut functions on the given points; ``graph-order`` (the
-    graph-separation default) returns None so callers use the separator
-    size.
+    ``cycle`` and ``complete`` build unit-weight cut functions on the points,
+    ``cut:FILE`` loads a weighted edge list, and ``cut:inline`` takes the
+    circle's own ``order_graph`` (validated ``(u, v, weight)`` tuples, or None).
     """
-    if spec is None or spec == "graph-order":
-        return None, spec or "graph-order"
     if spec in ("cycle", "complete"):
-        if points is None:
-            raise InputError(f"order function {spec!r} needs a circle ground set")
-        fn = cycle_cut_order(points) if spec == "cycle" else complete_cut_order(points)
-        return fn, spec
-    if spec.startswith("cut:"):
-        path = spec[4:]
-        edges = _load_weighted_edges(path)
-        if points is None:
-            raise InputError("cut order functions apply to circle/bipartition inputs")
-        try:
-            return cut_order_fn(points, edges), spec
-        except (SeparationError, KeyError) as exc:
-            raise InputError(f"bad cut graph: {exc}") from exc
-    raise InputError(f"unknown order-fn spec {spec!r}")
+        return cycle_cut_order(points) if spec == "cycle" else complete_cut_order(points)
+    if spec == "cut:inline":
+        if order_graph is None:
+            raise InputError("order function 'cut:inline' needs the circle's order_graph")
+        edges = order_graph
+    elif spec.startswith("cut:"):
+        edges = _load_weighted_edges(spec[4:])
+    else:
+        raise InputError(f"unknown order-fn spec {spec!r}")
+    try:
+        return cut_order_fn(points, edges)
+    except (SeparationError, KeyError) as exc:
+        raise InputError(f"bad cut graph: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -196,13 +194,8 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _side_lists(universe: Universe, uid: int):
-    a, b = universe.side_labels(uid)
-    return [list(a), list(b)]
-
-
 def nested_set_payload(universe: Universe, nested) -> list:
-    pairs = [_side_lists(universe, uid) for uid in nested]
+    pairs = [list(map(list, universe.side_labels(uid))) for uid in nested]
     try:
         return sorted(pairs)
     except TypeError:  # labels of mutually unordered types, as 1 and "a"
@@ -271,106 +264,123 @@ def _decomposition_of(g: Graph, dd):
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _artifact_params(doc: dict, command: str, size: int) -> dict:
+    """The params ``command`` ran with, as its artifact records them (a
+    missing entry takes the command-line default).  Each must be a value the
+    command line records for a ground set of ``size``."""
+    given = doc.get("params", {})
+    if not isinstance(given, dict):
+        raise VerificationError("artifact field 'params' is not an object")
+    # key: (command-line default, whether a value is one the command line records)
+    rules = {
+        "max_vertices": (DEFAULT_MAX_VERTICES, lambda v: _is_int(v) and v >= size),
+        "k": (None, lambda v: v is None or (_is_int(v) and command != "clique-tot")),
+        "prune_redundant": (False, lambda v: v is False),
+        "m": (None, lambda v: _is_int(v) and v >= 1),
+        "n": (None, lambda v: _is_int(v) and v > 3),
+        "order_fn": ("cycle", lambda v: isinstance(v, str)),
+    }
+    keys = ["m", "n", "order_fn"] if command == "circle-tangles" else ["k", "prune_redundant"]
+    params = {}
+    for key in ["max_vertices"] + keys:
+        default, valid = rules[key]
+        params[key] = value = given.get(key, default)
+        if not valid(value):
+            raise VerificationError(f"artifact param {key!r} has the invalid value {value!r}")
+    return params
+
+
 def verify_artifact(doc: dict) -> dict:
     """Re-check an exported artifact; raises VerificationError with a diagnostic.
 
-    Checks nestedness of the exported set, validity and exact induced set of
-    the decomposition, display of the (recomputed) tangles, and, for
+    Recomputes the profiles and their family with the artifact's own params,
+    then checks nestedness of the exported set, validity and exact induced
+    set of the decomposition, display of the recomputed tangles, and, for
     canonical commands, equivariance under every graph automorphism.
     """
+    from .cli import run_command  # the front end maps a command to its pipeline call
+
     if not isinstance(doc, dict):
         raise VerificationError("artifact is not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise VerificationError(f"unknown schema {doc.get('schema')!r}")
     command = doc.get("command")
     diag: dict = {"command": command, "checks": []}
-
+    if command in ("tangles", "corpus"):
+        diag["checks"].append("schema")
+        return diag
+    td = None
     if command in ("tot", "canonical-tot", "clique-tot"):
         _require(doc, "graph", dict)
-        _require(doc, "nested_set", list)
+        exported = _require(doc, "nested_set", list)
         try:
             g = parse_graph_json(doc["graph"])
         except InputError as exc:
             raise VerificationError(f"artifact graph: {exc}") from exc
+        source = g
+        params = _artifact_params(doc, command, g.n)
         dd = doc.get("decomposition")
         td = None if dd is None else _decomposition_of(g, dd)
-        canonical = command != "tot"
-        result = clique_profiles(g) if command == "clique-tot" else graph_tangles(g)
-        if canonical and result.family is not None:
-            ok, witness = splinters_hierarchically(result.family)
-            if not ok:
-                raise HierarchicalConditionError(witness)
-        universe = result.universe
-        nested = frozenset(_find_uid(universe, p) for p in doc["nested_set"])
-        crossing = universe.first_crossing(nested)
-        if crossing is not None:
-            a, b = crossing
-            raise VerificationError(
-                f"exported separations {universe.side_labels(a)} and "
-                f"{universe.side_labels(b)} cross"
-            )
-        diag["checks"].append("nested")
-        if td is not None:
-            ok, reason = is_valid_tree_decomposition(td)
-            if not ok:
-                raise VerificationError(f"decomposition invalid: {reason}")
-            if induced_uids(td, universe) != nested:
-                raise VerificationError("decomposition does not induce the exported set")
-            diag["checks"].append("decomposition")
-        if not efficiently_distinguishes_all(nested, result.profiles, universe):
-            raise VerificationError("exported set does not efficiently distinguish the tangles")
-        diag["checks"].append("display")
-        if canonical:
-            if result.family is not None:
-                # only the family's support and the exported set need images
-                lifted = result.family.union_support() | nested
-                oids = [o for uid in lifted for o in universe.orientations(uid)]
-                for perm in automorphisms(g):
-                    mapping = lift_permutation(universe, perm, oids)
-                    mapped = map_family(result.family, mapping)
-                    # the precondition was checked on the original family
-                    # above, and it is invariant under isomorphisms
-                    image = extract_canonical(mapped, precheck=False).nested
-                    expect = frozenset(universe.uid(mapping[uid]) for uid in nested)
-                    if image != expect:
-                        raise VerificationError(
-                            f"not canonical under vertex permutation {perm}"
-                        )
-            diag["checks"].append("canonical")
-        return diag
-
-    if command == "circle-tangles":
+    elif command == "circle-tangles":
         circle_doc = _require(doc, "circle", dict)
-        params = _require(doc, "params", dict)
         points = _require(circle_doc, "points", list)
         _check_points(points, VerificationError)
-        spec = params.get("order_fn", "cycle")
-        m = _require(params, "m", int)
-        n = _require(params, "n", int)
-        _require(doc, "tree_set", list)
-        if not isinstance(spec, str):
-            raise VerificationError("artifact field 'order_fn' must be a string")
-        if spec.startswith("cut:inline"):
-            fn = cut_order_fn(points, _order_graph_edges(points, circle_doc.get("order_graph")))
-        else:
-            fn, _ = parse_order_spec(spec, points)
-        result = circle_tangles(points, m, n, fn)
-        universe = result.universe
-        nested = frozenset(_find_uid(universe, p) for p in doc["tree_set"])
-        if universe.first_crossing(nested) is not None:
-            raise VerificationError("exported circle separations cross")
-        diag["checks"].append("nested")
-        circle = result.meta["circle"]
-        for uid in nested:
-            if uid not in circle.members:
-                raise VerificationError("exported element is not a circle separation")
-        if not efficiently_distinguishes_all(nested, result.profiles, universe):
-            raise VerificationError("tree set does not efficiently distinguish the tangles")
-        diag["checks"].append("display")
-        return diag
+        params = _artifact_params(doc, command, len(points))
+        exported = _require(doc, "tree_set", list)
+        order_graph = circle_doc.get("order_graph")
+        if order_graph is not None:
+            order_graph = _order_graph_edges(points, order_graph)
+        source = (points, order_graph)
+    else:
+        raise VerificationError(f"unknown command {command!r}")
 
-    if command in ("tangles", "corpus"):
-        diag["checks"].append("schema")
-        return diag
-
-    raise VerificationError(f"unknown command {command!r}")
+    result = run_command(command, source, params, step_two=False)
+    canonical = command in ("canonical-tot", "clique-tot")
+    if canonical and result.family is not None:
+        ok, witness = splinters_hierarchically(result.family)
+        if not ok:
+            raise HierarchicalConditionError(witness)
+    universe = result.universe
+    nested = frozenset(_find_uid(universe, p) for p in exported)
+    crossing = universe.first_crossing(nested)
+    if crossing is not None:
+        a, b = crossing
+        raise VerificationError(
+            f"exported separations {universe.side_labels(a)} and "
+            f"{universe.side_labels(b)} cross"
+        )
+    diag["checks"].append("nested")
+    if command == "circle-tangles" and not nested <= result.meta["circle"].members:
+        raise VerificationError("exported element is not a circle separation")
+    if td is not None:
+        ok, reason = is_valid_tree_decomposition(td)
+        if not ok:
+            raise VerificationError(f"decomposition invalid: {reason}")
+        if induced_uids(td, universe) != nested:
+            raise VerificationError("decomposition does not induce the exported set")
+        diag["checks"].append("decomposition")
+    if not efficiently_distinguishes_all(nested, result.profiles, universe):
+        raise VerificationError("exported set does not efficiently distinguish the tangles")
+    diag["checks"].append("display")
+    if canonical:
+        if result.family is not None:
+            # only the family's support and the exported set need images
+            lifted = result.family.union_support() | nested
+            oids = [o for uid in lifted for o in universe.orientations(uid)]
+            for perm in automorphisms(g):
+                mapping = lift_permutation(universe, perm, oids)
+                mapped = map_family(result.family, mapping)
+                # the precondition was checked on the original family
+                # above, and it is invariant under isomorphisms
+                image = extract_canonical(mapped, precheck=False).nested
+                expect = frozenset(universe.uid(mapping[uid]) for uid in nested)
+                if image != expect:
+                    raise VerificationError(
+                        f"not canonical under vertex permutation {perm}"
+                    )
+        diag["checks"].append("canonical")
+    return diag

@@ -25,7 +25,6 @@ from .profiles import (
     enumerate_chain_profiles,
     graph_tangle_kind,
     maximal_profiles,
-    sequence_efficient_distinguishers,
 )
 from .sepsys import Universe
 from .splinter import (
@@ -39,7 +38,8 @@ from .universes import (
     Graph,
     SubsystemChain,
     clique_subsystem,
-    cut_order_fn,
+    complete_cut_order,
+    cycle_cut_order,
     enumerate_circle_separations,
     enumerate_graph_separations,
     slice_chain,
@@ -53,7 +53,6 @@ __all__ = [
     "graph_tangles",
     "clique_profiles",
     "circle_tangles",
-    "sequence_family",
     "efficiently_distinguishes_all",
     "complete_cut_order",
     "cycle_cut_order",
@@ -85,23 +84,21 @@ def efficiently_distinguishes_all(
     chain: SubsystemChain | None = None,
 ) -> bool:
     """Whether ``nested`` holds an efficient distinguisher for every
-    distinguishable pair of ``profiles``."""
+    distinguishable pair of ``profiles`` (of minimal chain level if ``chain``
+    is given, else of minimal order)."""
     for i, p in enumerate(profiles):
         for q in profiles[i + 1 :]:
-            if chain is None:
-                eff = efficient_distinguishers(p, q)
-            else:
-                eff = sequence_efficient_distinguishers(chain, p, q)
+            eff = efficient_distinguishers(p, q, chain)
             if eff and not any(d in nested for d in eff):
                 return False
     return True
 
 
-def _extract(family: IndexedFamily | None, canonical: bool, prune_redundant: bool):
+def _extract(family: IndexedFamily | None, canonical: bool):
     if family is None or not len(family):
         return None, frozenset()
     if canonical:
-        res = extract_canonical(family, prune_redundant=prune_redundant)
+        res = extract_canonical(family)
         return res, res.nested
     res = extract_transversal(family)
     return res, res.nested_set()
@@ -122,7 +119,7 @@ def _profiles_and_family(
     if maximal_only:
         profiles = maximal_profiles(profiles)
     family = (
-        build_distinguisher_family(profiles, mode="efficient", order_mode="by-order")
+        build_distinguisher_family(profiles, mode="efficient")
         if len(profiles) > 1
         else None
     )
@@ -138,12 +135,10 @@ def _profiles_and_family(
     )
 
 
-def _extract_and_check(
-    base: PipelineResult, canonical: bool, prune_redundant: bool
-) -> PipelineResult:
+def _extract_and_check(base: PipelineResult, canonical: bool) -> PipelineResult:
     """Step two: the nested set, the tree-decomposition for graph universes,
     and whether the set efficiently distinguishes the profiles."""
-    extraction, nested = _extract(base.family, canonical, prune_redundant)
+    extraction, nested = _extract(base.family, canonical)
     td = None if base.graph is None else build_tree_decomposition(base.graph, base.universe, nested)
     ok = efficiently_distinguishes_all(nested, base.profiles, base.universe)
     meta = {**base.meta, "canonical": canonical}
@@ -178,53 +173,40 @@ def clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pipel
 
 
 def circle_tangles(
-    points, m: int, n: int, order_fn: Callable[[int, int], int] | None = None
+    points,
+    m: int,
+    n: int,
+    order_fn: Callable[[int, int], int] | None = None,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> PipelineResult:
-    """The circle tangles of a cyclically ordered set and their family."""
-    universe, circle = enumerate_circle_separations(points, order_fn)
+    """The circle tangles of a cyclically ordered set of at most
+    ``max_vertices`` points and their family."""
+    kind = circle_tangle_kind(m, n)
+    universe, circle = enumerate_circle_separations(points, order_fn, max_vertices)
     chain = slice_chain(universe, within=circle)
     meta = {"kind": "circle-tangle", "m": m, "n": n, "circle": circle}
-    return _profiles_and_family(chain, circle_tangle_kind(m, n), meta)
+    return _profiles_and_family(chain, kind, meta)
 
 
 def graph_pipeline(
     g: Graph,
     canonical: bool = False,
-    prune_redundant: bool = False,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_order: int | None = None,
 ) -> PipelineResult:
     """Tangles of a graph, the efficient families over its maximal tangles,
     a nested distinguishing set, and the displaying tree-decomposition."""
-    base = graph_tangles(g, max_vertices, max_order)
-    return _extract_and_check(base, canonical, prune_redundant)
+    return _extract_and_check(graph_tangles(g, max_vertices, max_order), canonical)
 
 
 def clique_pipeline(
     g: Graph,
     canonical: bool = True,
-    prune_redundant: bool = False,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> PipelineResult:
     """Profiles of the clique-separation slices of a graph and a (canonical)
     nested set of clique separations distinguishing them efficiently."""
-    return _extract_and_check(clique_profiles(g, max_vertices), canonical, prune_redundant)
-
-
-def complete_cut_order(points) -> Callable[[int, int], int]:
-    points = tuple(points)
-    edges = [
-        (points[i], points[j], 1)
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-    ]
-    return cut_order_fn(points, edges)
-
-
-def cycle_cut_order(points) -> Callable[[int, int], int]:
-    points = tuple(points)
-    n = len(points)
-    return cut_order_fn(points, [(points[i], points[(i + 1) % n], 1) for i in range(n)])
+    return _extract_and_check(clique_profiles(g, max_vertices), canonical)
 
 
 def circle_pipeline(
@@ -233,25 +215,8 @@ def circle_pipeline(
     n: int,
     order_fn: Callable[[int, int], int] | None = None,
     canonical: bool = True,
-    prune_redundant: bool = False,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> PipelineResult:
     """Circle tangles of a cyclically ordered set and a (canonical) tree set
     of circle separations distinguishing all distinguishable tangles."""
-    return _extract_and_check(circle_tangles(points, m, n, order_fn), canonical, prune_redundant)
-
-
-def sequence_family(
-    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> tuple[PipelineResult, IndexedFamily | None]:
-    """The graph pipeline re-run with chain-level efficiency semantics.
-
-    Returns the order-function pipeline result plus the family built from
-    the same maximal tangles using minimal-chain-level distinguishers.
-    """
-    base = graph_pipeline(g)
-    if len(base.profiles) <= 1:
-        return base, None
-    fam = build_distinguisher_family(
-        base.profiles, mode="efficient-sequence", order_mode="by-order", chain=base.chain
-    )
-    return base, fam
+    return _extract_and_check(circle_tangles(points, m, n, order_fn, max_vertices), canonical)

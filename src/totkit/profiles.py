@@ -22,10 +22,9 @@ of that level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 
 from .errors import SeparationError, SizeBoundError
-from .sepsys import SubSystem, Universe, UnorientedSep
+from .sepsys import SubSystem, Universe
 from .splinter import IndexedFamily
 from .universes import Graph, SubsystemChain
 
@@ -35,22 +34,13 @@ __all__ = [
     "graph_tangle_kind",
     "circle_tangle_kind",
     "Orientation",
-    "is_consistent",
-    "has_profile_property",
-    "has_tangle_property",
-    "is_circle_tangle",
     "enumerate_profiles",
     "enumerate_chain_profiles",
     "maximal_profiles",
     "distinguishers",
-    "distinguishes",
-    "efficiently_distinguishes",
     "efficient_distinguishers",
-    "sequence_efficient_distinguishers",
     "build_distinguisher_family",
-    "is_robust_set",
     "orientation_to_json",
-    "orientation_from_json",
 ]
 
 DEFAULT_MAX_MEMBERS = 5000
@@ -127,36 +117,6 @@ class Orientation:
         return f"Orientation({len(self.chosen)} separations)"
 
 
-# ----------------------------------------------------------------------
-# property checks (direct definitions; enumeration uses incremental forms)
-
-
-def is_consistent(o: Orientation) -> bool:
-    """No two chosen orientations point away from each other."""
-    u = o.universe
-    ch = sorted(o.chosen)
-    for x in ch:
-        ix = u.inv(x)
-        for y in ch:
-            if u.lt(ix, y):
-                return False
-    return True
-
-
-def has_profile_property(o: Orientation) -> bool:
-    """Property (P): the meet of the inverses of two members is never chosen."""
-    u = o.universe
-    ch = sorted(o.chosen)
-    members = o.system.members
-    for x in ch:
-        ix = u.inv(x)
-        for y in ch:
-            c = u.meet(ix, u.inv(y))
-            if u.uid(c) in members and c in o.chosen:
-                return False
-    return True
-
-
 def _cover_data(g: Graph, u: Universe, oid: int) -> tuple[int, int]:
     amask, _ = u.sides(oid)
     emask = 0
@@ -164,42 +124,6 @@ def _cover_data(g: Graph, u: Universe, oid: int) -> tuple[int, int]:
         if amask >> i & 1 and amask >> j & 1:
             emask |= 1 << b
     return amask, emask
-
-
-def has_tangle_property(o: Orientation, g: Graph) -> bool:
-    """Property (T): no three chosen small sides cover all of ``g``."""
-    u = o.universe
-    if tuple(g.vertices) != tuple(u.labels):
-        raise SeparationError("orientation base does not live on this graph")
-    vfull = (1 << g.n) - 1
-    efull = (1 << g.n_edges) - 1
-    data = [_cover_data(g, u, oid) for oid in sorted(o.chosen)]
-    for (v1, e1), (v2, e2), (v3, e3) in combinations_with_replacement(data, 3):
-        if v1 | v2 | v3 == vfull and e1 | e2 | e3 == efull:
-            return False
-    return True
-
-
-def is_circle_tangle(o: Orientation, m: int, n: int) -> bool:
-    """Consistent and without a subset of fewer than ``n`` members whose
-    big-side intersection has fewer than ``m`` points."""
-    if m < 1 or n <= 3:
-        raise SeparationError("circle tangles need m >= 1 and n > 3")
-    if not is_consistent(o):
-        return False
-    u = o.universe
-    full = u.full_mask
-    if len(u.labels) < m:
-        return False  # the empty subset already has a too-small intersection
-    bsides = [u.sides(oid)[1] for oid in sorted(o.chosen)]
-    for size in range(1, n):
-        for combo in combinations(bsides, size):
-            inter = full
-            for b in combo:
-                inter &= b
-            if inter.bit_count() < m:
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -466,79 +390,44 @@ def distinguishers(p: Orientation, q: Orientation) -> list[int]:
     return sorted(u for u in common if p.choice(u) != q.choice(u))
 
 
-def distinguishes(s: UnorientedSep, p: Orientation, q: Orientation) -> bool:
-    if s.universe is not p.universe or p.universe is not q.universe:
-        raise SeparationError("mixed universes")
-    if not (p.orients(s.uid) and q.orients(s.uid)):
-        raise SeparationError(f"separation {s.uid} is not oriented by both orientations")
-    return p.choice(s.uid) != q.choice(s.uid)
-
-
-def efficient_distinguishers(p: Orientation, q: Orientation) -> list[int]:
-    """Distinguishers of minimal order (requires an order function)."""
-    ds = distinguishers(p, q)
-    if not ds:
-        return []
-    u = p.universe
-    best = min(u.order(d) for d in ds)
-    return [d for d in ds if u.order(d) == best]
-
-
-def sequence_efficient_distinguishers(
-    chain: SubsystemChain, p: Orientation, q: Orientation
+def efficient_distinguishers(
+    p: Orientation, q: Orientation, chain: SubsystemChain | None = None
 ) -> list[int]:
-    """Distinguishers lying in every chain level that contains any distinguisher."""
+    """Distinguishers of minimal order (which needs an order function), or
+    with ``chain`` of minimal chain level: those in every chain level that
+    contains any distinguisher."""
     ds = distinguishers(p, q)
     if not ds:
         return []
-    levels = [chain.level_of(d) for d in ds]
+    level = p.universe.order if chain is None else chain.level_of
+    levels = [level(d) for d in ds]
     if any(l is None for l in levels):
         raise SeparationError("distinguisher outside the chain")
     best = min(levels)
     return [d for d, l in zip(ds, levels) if l == best]
 
 
-def efficiently_distinguishes(
-    s: UnorientedSep,
-    p: Orientation,
-    q: Orientation,
-    context: SubsystemChain | None = None,
-) -> bool:
-    """Whether ``s`` distinguishes ``p`` and ``q`` at minimal order (or chain level)."""
-    if not distinguishes(s, p, q):
-        return False
-    if context is None:
-        return s.uid in efficient_distinguishers(p, q)
-    return s.uid in sequence_efficient_distinguishers(context, p, q)
-
-
 def build_distinguisher_family(
     profiles: list[Orientation],
     mode: str = "efficient",
-    order_mode: str = "by-order",
     chain: SubsystemChain | None = None,
     pairs=None,
 ):
     """Family of distinguisher sets, one per distinguishable profile pair.
 
-    ``mode`` selects the sets: all distinguishers, the minimal-order ones, or
-    the minimal-chain-level ones (which needs ``chain``).  With ``order_mode``
-    "by-order" the family carries the shared order (or level) of each set and
-    the induced strict partial order on pairs.  Indistinguishable pairs are
-    skipped and reported on ``family.excluded``; requesting one explicitly
-    via ``pairs`` is an error.
+    ``mode`` "all" takes every distinguisher of a pair; "efficient" takes
+    :func:`efficient_distinguishers` (of ``chain`` if given), and the family
+    then carries the order (or chain level) the set shares and the induced
+    strict partial order on pairs.  Indistinguishable pairs are skipped and
+    reported on ``family.excluded``; requesting one explicitly via ``pairs``
+    is an error.
     """
     if not profiles:
         raise SeparationError("no profiles given")
     u = profiles[0].universe
-    if mode not in ("all", "efficient", "efficient-sequence"):
+    if mode not in ("all", "efficient"):
         raise SeparationError(f"unknown family mode {mode!r}")
-    if order_mode not in ("none", "by-order"):
-        raise SeparationError(f"unknown order mode {order_mode!r}")
-    if mode == "all" and order_mode == "by-order":
-        raise SeparationError("all-distinguishers sets do not share one order")
-    if mode == "efficient-sequence" and chain is None:
-        raise SeparationError("sequence efficiency needs a chain")
+    level = u.order if chain is None else chain.level_of
     explicit = pairs is not None
     if pairs is None:
         n = len(profiles)
@@ -549,12 +438,7 @@ def build_distinguisher_family(
     excluded = []
     for i, j in pairs:
         p, q = profiles[i], profiles[j]
-        if mode == "all":
-            ds = distinguishers(p, q)
-        elif mode == "efficient":
-            ds = efficient_distinguishers(p, q)
-        else:
-            ds = sequence_efficient_distinguishers(chain, p, q)
+        ds = distinguishers(p, q) if mode == "all" else efficient_distinguishers(p, q, chain)
         if not ds:
             if explicit:
                 raise SeparationError(f"profiles {i} and {j} are indistinguishable")
@@ -563,76 +447,21 @@ def build_distinguisher_family(
         key = (i, j)
         keys.append(key)
         sets[key] = frozenset(ds)
-        if order_mode == "by-order":
-            if mode == "efficient-sequence":
-                levels[key] = min(chain.level_of(d) for d in ds)
-            else:
-                vals = {u.order(d) for d in ds}
-                if len(vals) != 1:
-                    raise SeparationError("efficient distinguishers must share one order")
-                levels[key] = vals.pop()
+        if mode == "efficient":
+            vals = {level(d) for d in ds}
+            if len(vals) != 1:
+                raise SeparationError("efficient distinguishers must share one order")
+            levels[key] = vals.pop()
     return IndexedFamily(
         u,
         {k: sets[k] for k in keys},
-        levels=levels if order_mode == "by-order" else None,
+        levels=levels if mode == "efficient" else None,
         excluded=tuple(excluded),
     )
 
 
 # ----------------------------------------------------------------------
-# robustness (structural form over a chain)
-
-
-def is_robust_set(
-    profiles: list[Orientation], chain: SubsystemChain, witness: list | None = None
-) -> bool:
-    """Structural robustness of a set of profiles over a chain.
-
-    For all profiles ``P, Q, Q'``: whenever both ``Q`` and ``Q'`` contain an
-    orientation ``r->`` whose inverse lies in ``P``, and ``s`` distinguishes
-    ``Q`` and ``Q'`` efficiently, then for every chain level containing ``s``
-    some orientation ``s->`` has ``(r<- v s->)`` in ``P`` or ``(r-> v s->)``
-    in that level.
-    """
-    u = chain.universe
-    for qi, q in enumerate(profiles):
-        for q2 in profiles[qi + 1 :]:
-            eff = sequence_efficient_distinguishers(chain, q, q2)
-            if not eff:
-                continue
-            shared = [
-                q.choice(r)
-                for r in (q.system.members & q2.system.members)
-                if q.choice(r) == q2.choice(r)
-            ]
-            for p in profiles:
-                for r_o in shared:
-                    r_i = u.inv(r_o)
-                    r_uid = u.uid(r_o)
-                    if not p.orients(r_uid) or p.choice(r_uid) != r_i:
-                        continue
-                    for s in eff:
-                        s_min = chain.level_of(s)
-                        for j in range(s_min, len(chain.systems)):
-                            sj = chain.systems[j].members
-                            ok = False
-                            for s_o in u.orientations(s):
-                                c1 = u.join(r_i, s_o)
-                                if u.uid(c1) in p.system.members and c1 in p.chosen:
-                                    ok = True
-                                    break
-                                if u.uid(u.join(r_o, s_o)) in sj:
-                                    ok = True
-                                    break
-                            if not ok:
-                                if witness is not None:
-                                    witness.append((p, q, q2, r_o, s, j))
-                                return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# JSON round trip for replaying counterexamples
+# JSON export
 
 
 def orientation_to_json(o: Orientation) -> dict:
@@ -647,13 +476,3 @@ def orientation_to_json(o: Orientation) -> dict:
             [uid, 0 if o.choice(uid) == uid else 1] for uid in o.system.members
         ),
     }
-
-
-def orientation_from_json(universe: Universe, doc: dict) -> Orientation:
-    if list(universe.labels) != list(doc["base"]["ground"]):
-        raise SeparationError("orientation was exported from a different ground set")
-    system = SubSystem(universe, frozenset(doc["base"]["members"]))
-    chosen = set()
-    for uid, flip in doc["choice"]:
-        chosen.add(universe.inv(uid) if flip else uid)
-    return Orientation(system, frozenset(chosen))

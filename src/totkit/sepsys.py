@@ -32,11 +32,8 @@ __all__ = [
     "SubSystem",
     "is_nested",
     "corners",
-    "from_different_sides",
     "is_small",
     "is_trivial",
-    "is_regular",
-    "is_structurally_submodular",
 ]
 
 
@@ -181,29 +178,30 @@ class Universe:
                     return a, b
         return None
 
-    def corner_items(self, u: int, v: int) -> list[tuple[tuple[int, int], int]]:
-        """The four tagged corner separations of two unoriented separations.
+    def corners(self, u: int, v: int) -> tuple[int, int, int, int]:
+        """The uids ``(c00, c01, c10, c11)`` of the four tagged corners of two
+        unoriented separations, uncached.
 
-        Tags are ``(dr, ds)`` with 0 for the canonical orientation of the
-        argument and 1 for its inverse; the value is the uid underlying the
-        join of the tagged orientations.  Duplicates are preserved.
+        ``c_{dr,ds}`` underlies the join of orientation ``dr`` of ``u`` and
+        ``ds`` of ``v``, with 0 for the canonical orientation of the argument
+        and 1 for its inverse.  As ``meet(u0, v_j)`` is the inverse of
+        ``join(u1, v_{1-j})``, the sides of ``u`` are ``{c00, c01}`` and
+        ``{c10, c11}``, those of ``v`` are ``{c00, c10}`` and ``{c01, c11}``.
         """
-        u = self.uid(u)
-        v = self.uid(v)
+        pairs, index, inv = self._pairs, self._index, self._inv
+        a, b = pairs[u if u <= inv[u] else inv[u]]
+        c, d = pairs[v if v <= inv[v] else inv[v]]
         out = []
-        for dr, i in ((0, u), (1, self._inv[u])):
-            for ds, j in ((0, v), (1, self._inv[v])):
-                out.append(((dr, ds), self.uid(self.join(i, j))))
-        return out
+        for key in ((a | c, b & d), (a | d, b & c), (b | c, a & d), (b | d, a & c)):
+            oid = index.get(key)
+            if oid is None:
+                raise UniverseClosureError(f"a corner of {u} and {v} is not in the universe")
+            out.append(oid if oid <= inv[oid] else inv[oid])
+        return tuple(out)
 
     def corner_table(self, u: int, v: int) -> tuple[int, int, int, int]:
-        """The corners ``(c00, c01, c10, c11)`` tagged as in :meth:`corner_items`.
-
-        As ``meet(u0, v_j)`` is the inverse of ``join(u1, v_{1-j})``, the sides
-        of ``u`` are ``{c00, c01}`` and ``{c10, c11}``, those of ``v`` are
-        ``{c00, c10}`` and ``{c01, c11}``.  Filled lazily, one entry per
-        unoriented pair; swapping the arguments transposes the tuple.
-        """
+        """:meth:`corners`, filled lazily into a table with one entry per
+        unoriented pair; swapping the arguments transposes the tuple."""
         inv = self._inv
         if inv[u] < u:
             u = inv[u]
@@ -212,7 +210,7 @@ class Universe:
         key = (u, v) if u <= v else (v, u)
         got = self._corners.get(key)
         if got is None:
-            got = self._corners[key] = tuple(c for _, c in self.corner_items(*key))
+            got = self._corners[key] = self.corners(*key)
         if u > v:
             return got[0], got[2], got[1], got[3]
         return got
@@ -388,9 +386,6 @@ class SubSystem:
                 out.append(j)
         return out
 
-    def seps(self) -> list[UnorientedSep]:
-        return [UnorientedSep(self.universe, m) for m in sorted(self.members)]
-
 
 # ----------------------------------------------------------------------
 # operations from the abstract layer
@@ -405,25 +400,8 @@ def is_nested(r: UnorientedSep, s: UnorientedSep) -> bool:
 def corners(r: UnorientedSep, s: UnorientedSep) -> list[tuple[tuple[int, int], UnorientedSep]]:
     """The four corner separations of ``r`` and ``s``, tagged by orientation pair."""
     u = _check_same_universe(r, s)
-    return [(tag, UnorientedSep(u, c)) for tag, c in u.corner_items(r.uid, s.uid)]
-
-
-def from_different_sides(
-    r: UnorientedSep, s: UnorientedSep, c1: UnorientedSep, c2: UnorientedSep
-) -> bool:
-    """Whether corners ``c1`` and ``c2`` of ``r`` and ``s`` lie on different sides of ``r``.
-
-    ``c1`` lies on the side of an orientation of ``r`` if it underlies a meet
-    of that orientation with an orientation of ``s``; the two corners lie on
-    different sides if such witnessing orientations of ``r`` are inverse to
-    each other.  ``c1 == c2`` is allowed.
-    """
-    u = _check_same_universe(r, s, c1, c2)
-    c00, c01, c10, c11 = cs = u.corner_table(r.uid, s.uid)
-    x, y = c1.uid, c2.uid
-    if x not in cs or y not in cs:
-        raise SeparationError("c1 and c2 must be corner separations of r and s")
-    return (x in (c00, c01) and y in (c10, c11)) or (x in (c10, c11) and y in (c00, c01))
+    tags = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return [(tag, UnorientedSep(u, c)) for tag, c in zip(tags, u.corners(r.uid, s.uid))]
 
 
 def is_small(s: OrientedSep) -> bool:
@@ -434,24 +412,3 @@ def is_small(s: OrientedSep) -> bool:
 def is_trivial(s: OrientedSep, system: SubSystem) -> bool:
     """Whether ``s`` is strictly below both orientations of some member of ``system``."""
     return _check_same_universe(s, system).is_trivial(s.oid, system.members)
-
-
-def is_regular(seps: Iterable[UnorientedSep]) -> bool:
-    """Whether no element has a small orientation."""
-    for s in seps:
-        a, b = s.universe.orientations(s.uid)
-        if s.universe.is_small(a) or s.universe.is_small(b):
-            return False
-    return True
-
-
-def is_structurally_submodular(system: SubSystem) -> bool:
-    """Whether every oriented pair of members has its join or meet in the system."""
-    u = system.universe
-    members = system.members
-    oriented = system.oriented_ids()
-    for xi, x in enumerate(oriented):
-        for y in oriented[xi:]:
-            if u.uid(u.join(x, y)) not in members and u.uid(u.meet(x, y)) not in members:
-                return False
-    return True

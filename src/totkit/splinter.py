@@ -122,25 +122,16 @@ class IndexedFamily:
         return f"IndexedFamily({len(self.keys)} sets, universe={self.universe!r})"
 
 
-def _as_family(fam, universe=None) -> IndexedFamily:
-    if isinstance(fam, IndexedFamily):
-        return fam
-    if universe is None:
-        raise SeparationError("raw families need an explicit universe")
-    return IndexedFamily(universe, list(fam))
-
-
 # ----------------------------------------------------------------------
 # the splinter predicate
 
 
-def splinters(fam: IndexedFamily, universe: Universe | None = None):
+def splinters(fam: IndexedFamily):
     """Whether every crossing cross-set pair has a corner in the sets' union.
 
     Returns ``(ok, witness)``; the witness is the first violating tuple
     ``(key_i, key_j, a_i, a_j)`` in canonical order, or None.
     """
-    fam = _as_family(fam, universe)
     u = fam.universe
     keys = fam.keys
     for ii in range(len(keys)):
@@ -180,7 +171,7 @@ class TransversalResult(_Traced):
         return frozenset(self.picks.values())
 
 
-def extract_transversal(fam: IndexedFamily, universe: Universe | None = None, debug: bool = False) -> TransversalResult:
+def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalResult:
     """Pick one element from each set so that the picks are pairwise nested.
 
     Follows the constructive splinter lemma with a pivot scan: while more
@@ -198,7 +189,6 @@ def extract_transversal(fam: IndexedFamily, universe: Universe | None = None, de
     and the trace has one entry per distinct set.  Requires the family to
     splinter; with ``debug`` every restricted family is re-checked.
     """
-    fam = _as_family(fam, universe)
     first_key: dict = {}
     for k in fam.keys:
         first_key.setdefault(fam.sets[k], k)
@@ -284,7 +274,7 @@ def extremal_elements(universe: Universe, seps) -> frozenset:
     return frozenset(out)
 
 
-def splinters_hierarchically(fam: IndexedFamily, universe: Universe | None = None):
+def splinters_hierarchically(fam: IndexedFamily):
     """The two-condition variant of the splinter predicate.
 
     Condition (1) applies to strictly comparable index pairs ``i < j``: a
@@ -302,7 +292,6 @@ def splinters_hierarchically(fam: IndexedFamily, universe: Universe | None = Non
     cost is O(sum |A_i| |A_j|) table lookups over the distinct classes.
     Returns ``(ok, witness)``, the first violating ``(key_i, key_j, a_i, a_j)``.
     """
-    fam = _as_family(fam, universe)
     table = fam.universe.corner_table
     keys, sets, prec = fam.keys, fam.sets, fam.prec
     set_ids: dict = {}
@@ -354,8 +343,6 @@ class CanonicalResult(_Traced):
 
 def extract_canonical(
     fam: IndexedFamily,
-    universe: Universe | None = None,
-    prune_redundant: bool = False,
     precheck: bool = True,
 ) -> CanonicalResult:
     """Canonical nested set meeting every set of a hierarchically splintering family.
@@ -366,15 +353,13 @@ def extract_canonical(
     a pure function of the family and commutes with isomorphisms of
     separation systems.
 
-    ``prune_redundant`` removes output elements lying in no family set; for
-    families produced by this construction that never happens, so the pass
-    is normally a no-op and is off by default.  ``precheck=False`` skips the
+    Every element taken is extremal in a union of (restricted) family sets,
+    so the output lies in ``fam.union_support()``.  ``precheck=False`` skips the
     hierarchical-splinter precondition; callers may do so when the family is
     an isomorphic image of one already checked (the condition is invariant
     under isomorphisms of separation systems).  The internal nestedness and
     coverage checks still run either way.
     """
-    fam = _as_family(fam, universe)
     if precheck:
         ok, witness = splinters_hierarchically(fam)
         if not ok:
@@ -428,9 +413,6 @@ def extract_canonical(
     for k in fam.keys:
         if not (fam.sets[k] & nested):
             raise InternalContradictionError(f"output misses set {k!r}")
-    if prune_redundant:
-        support = fam.union_support()
-        nested = frozenset(x for x in nested if x in support)
     return CanonicalResult(nested=nested, trace=trace)
 
 

@@ -46,9 +46,6 @@ class TreeDecomposition:
     def nodes(self) -> list[int]:
         return sorted(self.bags)
 
-    def width(self) -> int:
-        return max((len(b) for b in self.bags.values()), default=0) - 1
-
 
 def _trivial_members(universe: Universe, uids: list) -> list:
     """The members of ``uids`` that are trivial relative to ``uids``."""

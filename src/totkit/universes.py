@@ -22,6 +22,8 @@ __all__ = [
     "enumerate_graph_separations",
     "bipartition_universe",
     "cut_order_fn",
+    "cycle_cut_order",
+    "complete_cut_order",
     "enumerate_circle_separations",
     "is_interval_mask",
     "is_clique_separation",
@@ -150,6 +152,22 @@ def cut_order_fn(labels, weighted_edges) -> Callable[[int, int], int]:
     return order
 
 
+def complete_cut_order(points) -> Callable[[int, int], int]:
+    points = tuple(points)
+    edges = [
+        (points[i], points[j], 1)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+    ]
+    return cut_order_fn(points, edges)
+
+
+def cycle_cut_order(points) -> Callable[[int, int], int]:
+    points = tuple(points)
+    n = len(points)
+    return cut_order_fn(points, [(points[i], points[(i + 1) % n], 1) for i in range(n)])
+
+
 def bipartition_universe(
     labels,
     order_fn: Callable[[int, int], int] | None = None,
@@ -187,8 +205,7 @@ def enumerate_circle_separations(
     if n < 3:
         raise SeparationError("a circle ground set needs at least 3 points")
     if order_fn is None:
-        cycle_edges = [(points[i], points[(i + 1) % n], 1) for i in range(n)]
-        order_fn = cut_order_fn(points, cycle_edges)
+        order_fn = cycle_cut_order(points)
     universe = bipartition_universe(points, order_fn, max_points=max_points, kind="circle")
     if not check_submodular_order(universe):
         raise SeparationError("supplied order function is not submodular")
@@ -304,7 +321,7 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
     counts are monotone in the level index, so each element pair only needs
     checking at its smallest admissible level pair.
     """
-    u = chain.universe
+    corners = chain.universe.corners
     top = sorted(chain.top().members)
     level = {uid: chain.level_of(uid) for uid in top}
     missing = len(chain.systems)
@@ -313,7 +330,7 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
     # binds.  With sorted corner levels, lv[1] <= i0 means two corners in i0.
     for x, r in enumerate(top):
         for s in top[x:]:
-            lv = sorted([level.get(c, missing) for _, c in u.corner_items(r, s)])
+            lv = sorted([level.get(c, missing) for c in corners(r, s)])
             i0, j0 = sorted((level[r], level[s]))
             if lv[1] > i0 and lv[2] > j0:
                 return False

@@ -20,14 +20,12 @@ from totkit.pipelines import (
     cycle_cut_order,
     efficiently_distinguishes_all,
     graph_pipeline,
-    sequence_family,
 )
 from totkit.profiles import (
     PROFILE,
     build_distinguisher_family,
     enumerate_chain_profiles,
     graph_tangle_kind,
-    is_robust_set,
     maximal_profiles,
 )
 from totkit.splinter import (
@@ -49,6 +47,8 @@ from totkit.universes import (
     lift_permutation,
     slice_chain,
 )
+
+from oracles import is_robust_set, sequence_family
 
 
 @contextmanager
@@ -108,7 +108,7 @@ def tangle_bundles(all_graphs):
 def tangle_family(top):
     if len(top) < 2:
         return None
-    return build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+    return build_distinguisher_family(top, mode="efficient")
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_criterion_1_splinter_predicates(tangle_bundles):
             profile_levels = enumerate_chain_profiles(chain, PROFILE)
             for lvl in profile_levels:
                 if len(lvl) > 1:
-                    slice_fam = build_distinguisher_family(lvl, mode="all", order_mode="none")
+                    slice_fam = build_distinguisher_family(lvl, mode="all")
                     ok, w = splinters(slice_fam)
                     assert ok, (g, w)
                     checked["slice"] += 1
@@ -142,7 +142,7 @@ def test_criterion_1_splinter_predicates(tangle_bundles):
             prof = maximal_profiles([p for lvl in profile_levels for p in lvl])
             assert is_robust_set(prof, chain), g
             if len(prof) > 1:
-                pfam = build_distinguisher_family(prof, mode="efficient", order_mode="by-order")
+                pfam = build_distinguisher_family(prof, mode="efficient")
                 ok, w = splinters(pfam)
                 assert ok, (g, w)
                 ok, w = splinters_hierarchically(pfam)
@@ -154,7 +154,7 @@ def test_criterion_1_splinter_predicates(tangle_bundles):
             clevels = enumerate_chain_profiles(cchain, PROFILE)
             cprof = [p for lvl in clevels for p in lvl]
             if len(cprof) > 1:
-                cfam = build_distinguisher_family(cprof, mode="efficient", order_mode="by-order")
+                cfam = build_distinguisher_family(cprof, mode="efficient")
                 if len(cfam):
                     ok, w = splinters(cfam)
                     assert ok, (g, w)

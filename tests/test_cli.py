@@ -445,3 +445,180 @@ def test_undecodable_input_is_exit_2(capsys, tmp_path, command):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "input"
+
+
+def test_circle_max_vertices_bounds_the_points(capsys, tmp_path):
+    p = tmp_path / "circle7.json"
+    p.write_text(json.dumps({"points": [1, 2, 3, 4, 5, 6, 7]}))
+    argv = ["circle-tangles", "--input", str(p), "--m", "1", "--n", "4"]
+    code, out, err = run(capsys, *argv, "--max-vertices", "5")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "size-bound"
+    code, out, _ = run(capsys, *argv, "--max-vertices", "7")
+    assert code == 0 and json.loads(out)["params"]["max_vertices"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["tot"], ["nope"], ["tot", "--input"], ["tangles", "--input", "g.txt", "--k", "x"],
+     ["circle-tangles", "--input", "c.json", "--m", "1"],
+     ["corpus", "--format", "text"], ["clique-tot", "--input", "g.txt", "--k", "2"]],
+    ids=["no-command", "no-input", "unknown-command", "input-without-value", "non-integer-k",
+         "no-n", "format-on-corpus", "k-on-clique-tot"],
+)
+def test_usage_errors_are_exit_2_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "input" and diag["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tot", "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# round trip: every artifact passes verify, which recomputes with its params
+
+
+def _swap_one_side_member(pairs) -> bool:
+    """Replace, in the first side that allows it, a member only that side has
+    by one only the other side has; the result is no separation."""
+    for pair in pairs:
+        a, b = pair
+        only_a = [v for v in a if v not in b]
+        only_b = [v for v in b if v not in a]
+        if only_a and only_b:
+            pair[0] = [only_b[0] if v == only_a[0] else v for v in a]
+            return True
+    return False
+
+
+# values no command line records: mistyped, or out of range for the command
+_BAD_PARAMS = {
+    "max_vertices": ["5", 5.0, True, None],
+    "k": ["1", 1.5, True, [1]],
+    "prune_redundant": [True, "false", 0, None],
+    "m": ["1", 1.0, True, 0],
+    "n": ["4", 4.5, None, 3],
+}
+
+
+def _verify_code(capsys, tmp_path, doc) -> int:
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert isinstance(json.loads(err if code else out), dict)
+    return code
+
+
+def _round_trip(capsys, tmp_path, argv, size) -> bool:
+    """Whether a swapped side member could be tried on the artifact ``argv`` makes."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, (argv, err)
+    doc = json.loads(out)
+    assert _verify_code(capsys, tmp_path, doc) == 0, argv
+    swapped = json.loads(out)
+    key = "tree_set" if doc["command"] == "circle-tangles" else "nested_set"
+    tried = _swap_one_side_member(swapped[key])
+    if tried:
+        assert _verify_code(capsys, tmp_path, swapped) == 4, argv
+    bad = dict(_BAD_PARAMS, max_vertices=_BAD_PARAMS["max_vertices"] + [size - 1])
+    if doc["command"] == "clique-tot":
+        bad["k"] = bad["k"] + [1]
+    for name in doc["params"]:
+        for value in bad.get(name, []):
+            tampered = json.loads(out)
+            tampered["params"][name] = value
+            assert _verify_code(capsys, tmp_path, tampered) == 4, (argv, name, value)
+    return tried
+
+
+@pytest.mark.parametrize("command", ["tot", "canonical-tot", "clique-tot"])
+def test_graph_artifacts_round_trip_through_verify(capsys, tmp_path, small_corpus, command):
+    """Every k in {none, 1, 2, 3} (``tot`` and ``canonical-tot``) and a vertex
+    bound below the default, on the connected graphs with at most 5 vertices."""
+    swaps = 0
+    for i, g in enumerate(small_corpus):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps({"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}))
+        for k in [None, 1, 2, 3] if command != "clique-tot" else [None]:
+            argv = [command, "--input", str(path), "--max-vertices", str(g.n)]
+            swaps += _round_trip(capsys, tmp_path, argv + ([] if k is None else ["--k", str(k)]), g.n)
+    assert swaps >= 20
+
+
+def test_circle_artifacts_round_trip_through_verify(capsys, tmp_path):
+    """Both orders and (m, n) in (1, 4), (1, 5), (2, 4), on 3 to 5 points."""
+    swaps = 0
+    for npoints in (3, 4, 5):
+        path = tmp_path / f"circle{npoints}.json"
+        path.write_text(json.dumps({"points": list(range(1, npoints + 1))}))
+        for order in ("cycle", "complete"):
+            for m, n in ((1, 4), (1, 5), (2, 4)):
+                argv = ["circle-tangles", "--input", str(path), "--order-fn", order, "--m", str(m), "--n", str(n),
+                        "--max-vertices", str(npoints)]
+                swaps += _round_trip(capsys, tmp_path, argv, npoints)
+    assert swaps >= 10
+
+
+def test_found_artifacts_with_k_pass_verify(capsys, tmp_path, two_k4_file):
+    """``canonical-tot --k 1`` and ``tot --k 1`` on two K4s joined by an edge:
+    ``verify`` used to recompute with the default k and refuse both."""
+    for command in ("canonical-tot", "tot"):
+        code, out, _ = run(capsys, command, "--input", two_k4_file, "--k", "1")
+        assert code == 0
+        assert _verify_code(capsys, tmp_path, json.loads(out)) == 0
+
+
+# ----------------------------------------------------------------------
+# fuzz: edge-list text
+
+
+_TEXT_TOKENS = st.sampled_from(["1", "4", "a", "é", "頂", "-2", "1.5", "#", "# x é", "", "1 2 3"])
+_TEXT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "duplicate", "reverse", "loop", "comment", "insert", "drop"]),
+        st.integers(0, 10),
+        _TEXT_TOKENS,
+    ),
+    max_size=5,
+)
+
+
+def _mutated_edge_list(ops) -> str:
+    """A path on 1, 2, 3 after ``ops``: token mutations, duplicate and
+    reversed edges, self-loops, ``#`` comments, non-ASCII labels."""
+    lines = [["1", "2"], ["2", "3"]]
+    for op, i, tok in ops:
+        line = lines[i % len(lines)] if lines else [tok]
+        if op == "replace":
+            line[i % len(line)] = tok
+        elif op == "duplicate":
+            lines.append(list(line))
+        elif op == "reverse":
+            lines.append(line[::-1])
+        elif op == "loop":
+            lines.append([tok, tok])
+        elif op == "comment":
+            line.append("#" + tok)
+        elif op == "insert":
+            lines.insert(i % (len(lines) + 1), [tok])
+        elif lines:
+            del lines[i % len(lines)]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ops=_TEXT_OPS, command=st.sampled_from(["tangles", "tot", "canonical-tot", "clique-tot"]))
+def test_mutated_edge_lists_fail_cleanly(tmp_path_factory, ops, command):
+    path = tmp_path_factory.getbasetemp() / "mutated.txt"
+    path.write_text(_mutated_edge_list(ops), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert isinstance(json.loads(err.getvalue() if code else out.getvalue()), dict)

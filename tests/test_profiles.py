@@ -12,19 +12,11 @@ from totkit.profiles import (
     build_distinguisher_family,
     circle_tangle_kind,
     distinguishers,
-    distinguishes,
     efficient_distinguishers,
-    efficiently_distinguishes,
     enumerate_chain_profiles,
     enumerate_profiles,
     graph_tangle_kind,
-    has_profile_property,
-    has_tangle_property,
-    is_circle_tangle,
-    is_consistent,
-    is_robust_set,
     maximal_profiles,
-    orientation_from_json,
     orientation_to_json,
 )
 from totkit.sepsys import SubSystem
@@ -36,6 +28,17 @@ from totkit.universes import (
     enumerate_graph_separations,
     restrict_Sk,
     slice_chain,
+)
+
+from oracles import (
+    distinguishes,
+    efficiently_distinguishes,
+    has_profile_property,
+    has_tangle_property,
+    is_circle_tangle,
+    is_consistent,
+    is_robust_set,
+    orientation_from_json,
 )
 
 
@@ -364,14 +367,14 @@ def test_family_single_pair_single_distinguisher(bip4):
     system = SubSystem(bip4, frozenset({bip4.uid(r)}))
     p = Orientation(system, frozenset({r}))
     q = Orientation(system, frozenset({bip4.inv(r)}))
-    fam = build_distinguisher_family([p, q], mode="efficient", order_mode="by-order")
+    fam = build_distinguisher_family([p, q], mode="efficient")
     assert fam.keys == ((0, 1),)
     assert fam.sets[(0, 1)] == frozenset({bip4.uid(r)})
 
 
 def test_family_efficient_sets_share_one_order(two_k4, two_k4_universe):
     top = graph_pipeline_result(two_k4, two_k4_universe)
-    fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+    fam = build_distinguisher_family(top, mode="efficient")
     for key in fam.keys:
         orders = {two_k4_universe.order(d) for d in fam.sets[key]}
         assert len(orders) == 1
@@ -392,7 +395,7 @@ def test_family_auto_excludes_indistinguishable(p4_universe):
     s2 = restrict_Sk(p4_universe, 2)
     bigger = [p for p in enumerate_profiles(s2, PROFILE) if o.chosen <= p.chosen][0]
     assert not distinguishers(o, bigger)
-    fam = build_distinguisher_family([o, bigger], mode="all", order_mode="none")
+    fam = build_distinguisher_family([o, bigger], mode="all")
     assert len(fam.keys) == 0
     assert fam.excluded == (((0, 1), "indistinguishable"),)
 

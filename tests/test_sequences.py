@@ -3,12 +3,13 @@
 import pytest
 
 from totkit.errors import SeparationError
-from totkit.pipelines import graph_pipeline, sequence_family
-from totkit.profiles import efficient_distinguishers, sequence_efficient_distinguishers
+from totkit.pipelines import graph_pipeline
+from totkit.profiles import efficient_distinguishers
 from totkit.sepsys import SubSystem
 from totkit.splinter import extract_transversal, splinters
 from totkit.universes import SubsystemChain, is_compatible_sequence, restrict_Sk
 
+from oracles import sequence_family
 from test_universes import literal_compatible
 
 
@@ -75,7 +76,7 @@ def test_sequence_efficiency_equals_order_efficiency(small_corpus):
         chain = result.chain
         for i, p in enumerate(result.profiles):
             for q in result.profiles[i + 1 :]:
-                assert sorted(sequence_efficient_distinguishers(chain, p, q)) == sorted(
+                assert sorted(efficient_distinguishers(p, q, chain)) == sorted(
                     efficient_distinguishers(p, q)
                 )
 

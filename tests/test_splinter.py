@@ -38,6 +38,8 @@ from totkit.universes import (
     slice_chain,
 )
 
+from oracles import corner_items
+
 
 def uid_of(u, a, b):
     return u.uid(u.find(u.mask_of(a), u.mask_of(b)))
@@ -152,7 +154,7 @@ def test_transversal_on_tangle_families(two_k4, two_k4_universe):
     chain = slice_chain(two_k4_universe)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+    fam = build_distinguisher_family(top, mode="efficient")
     res = extract_transversal(fam, debug=True)
     sets = [fam.sets[k] for k in fam.keys]
     assert brute_force_nested_transversal(two_k4_universe, sets) is not None
@@ -265,7 +267,7 @@ def test_corpus_efficient_families_splinter_hierarchically(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+        fam = build_distinguisher_family(top, mode="efficient")
         ok, w = splinters_hierarchically(fam)
         assert ok, (g, w)
 
@@ -282,13 +284,13 @@ def reference_splinters_hierarchically(fam):
         return (c1 in side0 and c2 in side1) or (c1 in side1 and c2 in side0)
 
     def comparable(ai, aj, Ai, Aj):
-        cs = {c for _, c in u.corner_items(ai, aj)}
+        cs = {c for _, c in corner_items(u, ai, aj)}
         return bool(cs & Aj) or any(
             different_sides(ai, aj, c1, c2) for c1 in cs & Ai for c2 in cs & Ai
         )
 
     def incomparable(a, b, A, B):
-        cs = {c for _, c in u.corner_items(a, b)}
+        cs = {c for _, c in corner_items(u, a, b)}
         return any(
             different_sides(r, s, c1, c2)
             for r, s, R in ((a, b, A), (b, a, B))
@@ -317,7 +319,7 @@ def clique_family(g):
     u = enumerate_graph_separations(g)
     chain = slice_chain(u, within=clique_subsystem(g, u, None))
     profiles = [p for lvl in enumerate_chain_profiles(chain, PROFILE) for p in lvl]
-    return build_distinguisher_family(profiles, mode="efficient", order_mode="by-order")
+    return build_distinguisher_family(profiles, mode="efficient")
 
 
 def circle_family(npoints, order, m, n):
@@ -327,7 +329,7 @@ def circle_family(npoints, order, m, n):
     u, circle = enumerate_circle_separations(points, order_fn)
     chain = slice_chain(u, within=circle)
     tangles = [p for lvl in enumerate_chain_profiles(chain, circle_tangle_kind(m, n)) for p in lvl]
-    return build_distinguisher_family(tangles, mode="efficient", order_mode="by-order")
+    return build_distinguisher_family(tangles, mode="efficient")
 
 
 def test_hierarchical_matches_reference_on_corpus(small_corpus):
@@ -340,8 +342,7 @@ def test_hierarchical_matches_reference_on_corpus(small_corpus):
         if len(top) < 2:
             continue
         for mode in ("efficient", "all"):
-            order_mode = "by-order" if mode == "efficient" else "none"
-            fam = build_distinguisher_family(top, mode=mode, order_mode=order_mode)
+            fam = build_distinguisher_family(top, mode=mode)
             assert splinters_hierarchically(fam) == reference_splinters_hierarchically(fam), g
             checked += 1
     assert checked >= 20
@@ -451,7 +452,7 @@ def test_canonical_meets_every_set_and_is_nested(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+        fam = build_distinguisher_family(top, mode="efficient")
         res = extract_canonical(fam)
         for k in fam.keys:
             assert fam.sets[k] & res.nested
@@ -466,7 +467,7 @@ def test_canonical_equivariance_on_two_cliques(two_k4, two_k4_universe):
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+    fam = build_distinguisher_family(top, mode="efficient")
     base = extract_canonical(fam).nested
     for perm in automorphisms(two_k4):
         mapping = lift_permutation(u, perm)
@@ -480,7 +481,7 @@ def test_canonical_output_is_order_independent(two_k4, two_k4_universe):
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+    fam = build_distinguisher_family(top, mode="efficient")
     ref = extract_canonical(fam).nested
     rev = IndexedFamily(
         u,
@@ -500,7 +501,7 @@ def test_canonical_output_stays_within_family_support(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+        fam = build_distinguisher_family(top, mode="efficient")
         res = extract_canonical(fam)
         assert res.nested <= fam.union_support()
 
@@ -512,7 +513,7 @@ def test_canonical_trace_is_jsonl(two_k4, two_k4_universe):
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
+    fam = build_distinguisher_family(top, mode="efficient")
     res = extract_canonical(fam)
     lines = res.trace_jsonl().splitlines()
     assert lines
@@ -521,13 +522,46 @@ def test_canonical_trace_is_jsonl(two_k4, two_k4_universe):
         assert entry["event"] == "extremal"
 
 
-def test_prune_redundant_is_noop_here(two_k4, two_k4_universe):
-    u = two_k4_universe
-    chain = slice_chain(u)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
-    top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient", order_mode="by-order")
-    assert extract_canonical(fam, prune_redundant=True).nested == extract_canonical(fam).nested
+def test_canonical_output_lies_in_the_family_support(small_corpus):
+    """Every element ``extract_canonical`` returns is extremal in a union of
+    (restricted) family sets, so it lies in one of the family's sets."""
+    from totkit.corpus import splitmix64
+
+    families = [graph_pipeline(g).family for g in small_corpus] + [clique_family(g) for g in small_corpus]
+    families += [
+        circle_family(*args)
+        for args in [(5, "cycle", 1, 4), (5, "complete", 1, 4), (6, "cycle", 1, 4), (6, "complete", 1, 4),
+                     (6, "complete", 1, 5), (7, "cycle", 1, 4), (7, "cycle", 1, 5), (8, "cycle", 2, 4)]
+    ]
+    # the random families of test_hierarchical_matches_reference_on_random_orders
+    # that splinter hierarchically, the first 40 of them
+    u = bipartition_universe(range(1, 6), complete_cut_order(range(1, 6)))
+    uids = list(u.unoriented_ids())
+    random_families = []
+    counter = 0
+    while len(random_families) < 40:
+        counter += 1
+        h = splitmix64(counter)
+        nsets = 2 + h % 4
+        sets = []
+        for i in range(nsets):
+            r = splitmix64(h + 101 * i)
+            if i and r % 3 == 0:
+                sets.append(sets[(r >> 4) % i])
+                continue
+            x, y = uids[(r >> 8) % len(uids)], uids[(r >> 24) % len(uids)]
+            picked = {c for bit, c in enumerate(u.corner_table(x, y)) if r >> (40 + bit) & 1}
+            sets.append({x} | picked | ({y} if r >> 50 & 1 else set()))
+        fam = IndexedFamily(u, sets, levels={k: splitmix64(h + 17 * k) % 3 for k in range(nsets)})
+        if splinters_hierarchically(fam)[0]:
+            random_families.append(fam)
+    checked = 0
+    for fam in families + random_families:
+        if fam is None or not len(fam):
+            continue
+        assert extract_canonical(fam).nested <= fam.union_support()
+        checked += 1
+    assert checked >= 80
 
 
 # ----------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_is_tree_set_examples(p4_universe):
 
 def test_pipeline_outputs_are_regular_tree_sets(small_corpus):
     """Distinguishing separations are never small, so outputs are regular tree sets."""
-    from totkit.sepsys import is_regular
+    from oracles import is_regular
 
     for g in small_corpus:
         result = graph_pipeline(g)

@@ -25,6 +25,8 @@ from totkit.universes import (
     slice_chain,
 )
 
+from oracles import corner_items
+
 
 def brute_force_separations(g):
     """Oracle: filter all 3^|V| side assignments with plain set logic."""
@@ -293,7 +295,7 @@ def literal_compatible(chain):
         for j in range(i, n):
             for si in sorted(chain.systems[i].members):
                 for sj in sorted(chain.systems[j].members):
-                    cs = [c for _, c in u.corner_items(si, sj)]
+                    cs = [c for _, c in corner_items(u, si, sj)]
                     in_i = sum(1 for c in cs if c in chain.systems[i].members)
                     in_j = sum(1 for c in cs if c in chain.systems[j].members)
                     if in_i < 2 and in_j < 3:
