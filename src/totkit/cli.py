@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, formats=(), bounded=True, needs_input=True):
+    def command(name, func, help, formats=(), max_vertices=DEFAULT_MAX_VERTICES, needs_input=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if needs_input:
@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None, help="write output here instead of stdout")
-        if bounded:
-            p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+        if max_vertices is not None:
+            p.add_argument("--max-vertices", type=int, default=max_vertices)
         return p
 
     p = command("tangles", cmd_tangles, "list all k-tangles of a graph", ["json", "text"])
@@ -283,9 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="report whether the join of two separations 'A|B' stays a circle separation",
     )
 
-    command("verify", cmd_verify, "re-check an exported artifact", bounded=False)
+    command("verify", cmd_verify, "re-check an exported artifact", max_vertices=None)
 
-    p = command("corpus", cmd_corpus, "emit all connected graphs up to a vertex bound", needs_input=False)
+    # 6 vertices give 143 graphs at once; 7 give 996 and take tens of times as long
+    p = command(
+        "corpus",
+        cmd_corpus,
+        "emit all connected graphs up to a vertex bound",
+        max_vertices=6,
+        needs_input=False,
+    )
     p.add_argument(
         "--sample-seven",
         type=int,

@@ -363,7 +363,7 @@ def verify_artifact(doc: dict) -> dict:
         if induced_uids(td, universe) != nested:
             raise VerificationError("decomposition does not induce the exported set")
         diag["checks"].append("decomposition")
-    if not efficiently_distinguishes_all(nested, result.profiles, universe):
+    if not efficiently_distinguishes_all(nested, result.profiles):
         raise VerificationError("exported set does not efficiently distinguish the tangles")
     diag["checks"].append("display")
     if canonical:

@@ -80,7 +80,6 @@ class PipelineResult:
 def efficiently_distinguishes_all(
     nested: frozenset,
     profiles: list[Orientation],
-    universe: Universe,
     chain: SubsystemChain | None = None,
 ) -> bool:
     """Whether ``nested`` holds an efficient distinguisher for every
@@ -140,7 +139,7 @@ def _extract_and_check(base: PipelineResult, canonical: bool) -> PipelineResult:
     and whether the set efficiently distinguishes the profiles."""
     extraction, nested = _extract(base.family, canonical)
     td = None if base.graph is None else build_tree_decomposition(base.graph, base.universe, nested)
-    ok = efficiently_distinguishes_all(nested, base.profiles, base.universe)
+    ok = efficiently_distinguishes_all(nested, base.profiles)
     meta = {**base.meta, "canonical": canonical}
     return replace(
         base, nested=nested, decomposition=td, extraction=extraction, displays_ok=ok, meta=meta

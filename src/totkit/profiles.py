@@ -117,13 +117,30 @@ class Orientation:
         return f"Orientation({len(self.chosen)} separations)"
 
 
-def _cover_data(g: Graph, u: Universe, oid: int) -> tuple[int, int]:
-    amask, _ = u.sides(oid)
-    emask = 0
+def _packed_covers(g: Graph, u: Universe, oids) -> tuple[int, dict[int, int]]:
+    """The part of ``g`` that the small side ``A`` of each oid covers, as one
+    int: bit ``v`` for each vertex in ``A``, bit ``n + b`` for each edge ``b``
+    with both ends in ``A``.  What ``A`` misses is every vertex outside it
+    and every edge at such a vertex: the OR of ``inc[v]`` (bit ``v`` and the
+    bits of the edges at ``v``) over the vertices ``v`` outside ``A``.
+    Returns the all-ones mask ``full`` and the cover of each oid."""
+    n = g.n
+    inc = [1 << v for v in range(n)]
     for b, (i, j) in enumerate(g.edge_indices):
-        if amask >> i & 1 and amask >> j & 1:
-            emask |= 1 << b
-    return amask, emask
+        inc[i] |= 1 << (n + b)
+        inc[j] |= 1 << (n + b)
+    full = (1 << (n + g.n_edges)) - 1
+    vfull = (1 << n) - 1
+    covers = {}
+    for oid in oids:
+        out = vfull & ~u.sides(oid)[0]
+        missed = 0
+        while out:
+            low = out & -out
+            missed |= inc[low.bit_length() - 1]
+            out ^= low
+        covers[oid] = full & ~missed
+    return full, covers
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +155,20 @@ class _Search:
     orientation is rejected as soon as it completes a violation among decided
     members.  Each constraint only ever involves decided members, so no
     complete orientation is wrongly pruned.
+
+    Every test is a plain operation on integer masks.  A candidate
+    ``x = (a, b)`` and a chosen ``y = (c, d)`` are inconsistent when
+    ``b <= c and d <= a`` (as sets), which is both ``~x < y`` and ``~y < x``
+    (``~x`` is never ``y``: each member is oriented once); ``x`` alone is
+    inconsistent when ``~x < x``, that is ``b <= a`` and ``x != ~x``.
+    For graph tangles, each orientation's cover is one int (the vertices of
+    its small side, then the edges inside it), and each pair of chosen covers,
+    a cover with itself included, leaves one residual int: what neither
+    covers.  With ``nx`` what the candidate's cover misses, the candidate is
+    rejected when ``nx`` is empty or its cover contains a residual
+    (``r & nx == 0``).  As a chosen ``y`` leaves the residual ``ny``, this
+    scan also rejects the candidate when it covers everything with ``y``, so
+    no residual is ever empty.
     """
 
     def __init__(self, universe: Universe, kind: ProfileKind, graph: Graph | None):
@@ -157,51 +188,49 @@ class _Search:
             raise SizeBoundError(
                 f"subsystem has {len(members)} members, bound is {max_members}"
             )
-        boundaries = []
+        # member count -> the levels whose members are exactly the first that many
+        ends: dict[int, list[int]] = {}
         pos = 0
-        for block in blocks:
+        for li, block in enumerate(blocks):
             pos += len(block)
-            boundaries.append(pos)
+            ends.setdefault(pos, []).append(li)
 
         inv = u.inv
         meet = u.meet
         uid_of = u.uid
-        lt = u.lt
+        sides = u.sides
         member_set = set(members)
 
         tag = self.kind.tag
         if tag == "graph-tangle":
             g = self.graph
-            vfull = (1 << g.n) - 1
-            efull = (1 << g.n_edges) - 1
-            cover = {}
-            for uid in members:
-                for oid in u.orientations(uid):
-                    cover[oid] = _cover_data(g, u, oid)
+            full, cover = _packed_covers(g, u, [o for uid in members for o in u.orientations(uid)])
         if tag == "circle-tangle":
             m_par, n_par = self.kind.m, self.kind.n
             if len(u.labels) < m_par:
                 return [[] for _ in blocks]
 
         chosen: list[int] = []
+        chosen_sides: list[tuple[int, int]] = []
         chosen_set: set[int] = set()
         results: list[list[frozenset]] = [[] for _ in blocks]
 
         # forbidden oriented corners for (P); counts allow undo
         forbidden: dict[int, int] = {}
-        # (T): deduplicated chosen cover sides and pair residuals
-        sides: dict[tuple[int, int], int] = {}
-        residuals: dict[tuple[int, int], int] = {}
+        # (T): deduplicated chosen covers and pair residuals, with counts
+        covers: dict[int, int] = {}
+        residuals: dict[int, int] = {}
         # circle: minimal subset size per reachable big-side intersection
         inters: dict[int, int] = {u.full_mask: 0} if tag == "circle-tangle" else {}
 
         def try_add(x: int):
             """Return an undo token if x can extend the orientation, else None."""
             ix = inv(x)
-            if lt(ix, x):
+            a, b = sides(x)
+            if b & ~a == 0 and ix != x:
                 return None
-            for y in chosen:
-                if lt(ix, y) or lt(inv(y), x):
+            for c, d in chosen_sides:
+                if b & ~c == 0 and d & ~a == 0:
                     return None
             trail = []
             if tag == "profile":
@@ -222,25 +251,22 @@ class _Search:
                     forbidden[c] = forbidden.get(c, 0) + 1
                 trail.append(("P", new))
             elif tag == "graph-tangle":
-                vx, ex = cover[x]
-                for (vr, er), cnt in residuals.items():
-                    if vr & ~vx == 0 and er & ~ex == 0:
+                cx = cover[x]
+                nx = full & ~cx
+                if nx == 0:
+                    return None
+                for r in residuals:
+                    if r & nx == 0:
                         return None
-                new = []
-                for (vy, ey) in list(sides) + [(vx, ex)]:
-                    vr = vfull & ~(vx | vy)
-                    er = efull & ~(ex | ey)
-                    if vr & ~vx == 0 and er & ~ex == 0:
-                        return None
-                    new.append((vr, er))
+                new = [nx & ~cy for cy in covers]
+                new.append(nx)
                 for r in new:
                     residuals[r] = residuals.get(r, 0) + 1
-                sides[(vx, ex)] = sides.get((vx, ex), 0) + 1
-                trail.append(("T", new, (vx, ex)))
+                covers[cx] = covers.get(cx, 0) + 1
+                trail.append(("T", new, cx))
             elif tag == "circle-tangle":
-                bx = u.sides(x)[1]
                 for mask, size in inters.items():
-                    if size + 1 < n_par and (mask & bx).bit_count() < m_par:
+                    if size + 1 < n_par and (mask & b).bit_count() < m_par:
                         return None
                 # only intersections of subsets of size <= n-2 can still grow
                 # into a forbidden subset by adding one later element
@@ -249,17 +275,19 @@ class _Search:
                     ns = size + 1
                     if ns > n_par - 2:
                         continue
-                    nm = mask & bx
+                    nm = mask & b
                     if nm not in inters or inters[nm] > ns:
                         updates.append((nm, inters.get(nm)))
                         inters[nm] = ns
                 trail.append(("F", updates))
             chosen.append(x)
+            chosen_sides.append((a, b))
             chosen_set.add(x)
             return trail
 
         def undo(trail):
             x = chosen.pop()
+            chosen_sides.pop()
             chosen_set.discard(x)
             for item in trail:
                 if item[0] == "P":
@@ -277,11 +305,11 @@ class _Search:
                         else:
                             del residuals[r]
                     key = item[2]
-                    cnt = sides[key] - 1
+                    cnt = covers[key] - 1
                     if cnt:
-                        sides[key] = cnt
+                        covers[key] = cnt
                     else:
-                        del sides[key]
+                        del covers[key]
                 elif item[0] == "F":
                     for mask, prev in reversed(item[1]):
                         if prev is None:
@@ -292,16 +320,12 @@ class _Search:
         # iterative DFS: stack of (position, pending orientation choices, token)
         total = len(members)
 
-        def record_boundaries(pos):
-            for li, b in enumerate(boundaries):
-                if b == pos:
-                    results[li].append(frozenset(chosen))
-
         stack = [(0, None, None)]
         while stack:
             pos, pending, token = stack.pop()
             if pending is None:
-                record_boundaries(pos)
+                for li in ends.get(pos, ()):
+                    results[li].append(frozenset(chosen))
                 if pos == total:
                     continue
                 uid = members[pos]

@@ -83,6 +83,7 @@ class Universe:
                     raise SeparationError("order function must be symmetric under inversion")
             self._order = vals
         self._uids = tuple(i for i in range(len(plist)) if i <= self._inv[i])
+        self._uid_set = frozenset(self._uids)
         self._corners: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -353,9 +354,8 @@ class SubSystem:
     members: frozenset
 
     def __post_init__(self):
-        for m in self.members:
-            if not 0 <= m < self.universe.n_oriented or self.universe.uid(m) != m:
-                raise SeparationError(f"{m} is not a canonical separation id of this universe")
+        for m in self.members - self.universe._uid_set:
+            raise SeparationError(f"{m} is not a canonical separation id of this universe")
 
     @classmethod
     def from_seps(cls, universe: Universe, seps: Iterable) -> "SubSystem":

@@ -223,7 +223,7 @@ def displays(td: TreeDecomposition, tangles, universe: Universe) -> bool:
     distinguished by some induced separation."""
     from .pipelines import efficiently_distinguishes_all
 
-    return efficiently_distinguishes_all(induced_uids(td, universe), tangles, universe)
+    return efficiently_distinguishes_all(induced_uids(td, universe), tangles)
 
 
 # ----------------------------------------------------------------------

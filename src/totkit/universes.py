@@ -302,13 +302,17 @@ class SubsystemChain:
 
 def slice_chain(universe: Universe, within: SubSystem | None = None) -> SubsystemChain:
     """Chain of order slices at every distinct order value of the members."""
-    members = within.members if within is not None else frozenset(universe.unoriented_ids())
-    values = sorted({universe.order(u) for u in members})
+    members = within.members if within is not None else universe.unoriented_ids()
+    order = universe.order
+    ranked = sorted((order(u), u) for u in members)
+    values = []
     systems = []
-    for v in values:
-        systems.append(
-            SubSystem(universe, frozenset(u for u in members if universe.order(u) <= v))
-        )
+    prefix = []
+    for i, (v, u) in enumerate(ranked):
+        prefix.append(u)
+        if i + 1 == len(ranked) or ranked[i + 1][0] != v:
+            values.append(v)
+            systems.append(SubSystem(universe, frozenset(prefix)))
     return SubsystemChain(universe, tuple(systems), thresholds=tuple(values))
 
 

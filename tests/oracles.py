@@ -13,7 +13,6 @@ from totkit.errors import SeparationError
 from totkit.pipelines import graph_pipeline
 from totkit.profiles import (
     Orientation,
-    _cover_data,
     build_distinguisher_family,
     efficient_distinguishers,
 )
@@ -109,6 +108,17 @@ def has_profile_property(o):
     return True
 
 
+def cover_data(g, u, oid):
+    """The vertices of the small side ``A`` of ``oid`` and the edges of ``g``
+    with both ends in ``A``, as a vertex mask and an edge mask."""
+    amask, _ = u.sides(oid)
+    emask = 0
+    for b, (i, j) in enumerate(g.edge_indices):
+        if amask >> i & 1 and amask >> j & 1:
+            emask |= 1 << b
+    return amask, emask
+
+
 def has_tangle_property(o, g):
     """Property (T): no three chosen small sides cover all of ``g``."""
     u = o.universe
@@ -116,7 +126,7 @@ def has_tangle_property(o, g):
         raise SeparationError("orientation base does not live on this graph")
     vfull = (1 << g.n) - 1
     efull = (1 << g.n_edges) - 1
-    data = [_cover_data(g, u, oid) for oid in sorted(o.chosen)]
+    data = [cover_data(g, u, oid) for oid in sorted(o.chosen)]
     for (v1, e1), (v2, e2), (v3, e3) in combinations_with_replacement(data, 3):
         if v1 | v2 | v3 == vfull and e1 | e2 | e3 == efull:
             return False

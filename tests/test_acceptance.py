@@ -385,7 +385,7 @@ def test_criterion_6_circle_theorem():
                         for x in result.nested:
                             assert x in circle.members
                         assert efficiently_distinguishes_all(
-                            result.nested, result.profiles, u
+                            result.nested, result.profiles
                         ), (npts, m, n)
                         if result.family is None or not len(result.family):
                             continue
@@ -435,5 +435,5 @@ def test_criterion_8_compatible_sequences(tangle_bundles):
                 assert seq_fam.sets[k] == ord_fam.sets[k], (g, k)
             res = extract_transversal(seq_fam)
             nested = res.nested_set()
-            assert efficiently_distinguishes_all(nested, top, u, chain=base.chain), g
-            assert efficiently_distinguishes_all(nested, top, u), g
+            assert efficiently_distinguishes_all(nested, top, chain=base.chain), g
+            assert efficiently_distinguishes_all(nested, top), g

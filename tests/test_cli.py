@@ -246,6 +246,14 @@ def test_corpus_command(capsys):
     assert all("vertices" in g for g in doc["graphs"])
 
 
+def test_corpus_without_flags_emits_the_six_vertex_corpus(capsys):
+    code, out, _ = run(capsys, "corpus")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 143
+    assert doc["params"]["max_vertices"] == 6
+
+
 def test_corpus_stress_sample_records_counters(capsys):
     code, out, _ = run(capsys, "corpus", "--max-vertices", "2", "--sample-seven", "3")
     assert code == 0

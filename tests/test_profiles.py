@@ -1,5 +1,6 @@
 """Orientations, profiles, tangles, distinguishers, robustness."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +10,7 @@ from totkit.errors import SeparationError
 from totkit.profiles import (
     PROFILE,
     Orientation,
+    _packed_covers,
     build_distinguisher_family,
     circle_tangle_kind,
     distinguishers,
@@ -24,6 +26,7 @@ from totkit.universes import (
     Graph,
     SubsystemChain,
     bipartition_universe,
+    complete_cut_order,
     enumerate_circle_separations,
     enumerate_graph_separations,
     restrict_Sk,
@@ -31,6 +34,7 @@ from totkit.universes import (
 )
 
 from oracles import (
+    cover_data,
     distinguishes,
     efficiently_distinguishes,
     has_profile_property,
@@ -142,6 +146,16 @@ def test_empty_subsystem_tangle_is_vacuous(p4, p4_universe):
     ]
 
 
+def test_packed_cover_unpacks_to_the_definitional_cover():
+    for g in corpus.all_connected_graphs(6):
+        u = enumerate_graph_separations(g)
+        _, covers = _packed_covers(g, u, u.oriented_ids())
+        vertices = (1 << g.n) - 1
+        for oid in u.oriented_ids():
+            c = covers[oid]
+            assert (c & vertices, c >> g.n) == cover_data(g, u, oid), (g, oid)
+
+
 def test_orientation_with_full_side_violates_tangle_property(p4, p4_universe):
     top = p4_universe.find(p4_universe.full_mask, p4_universe.mask_of(["a"]))
     system = SubSystem(p4_universe, frozenset({p4_universe.uid(top)}))
@@ -190,22 +204,55 @@ def test_circle_tangle_brute_subset_scan():
 # enumeration vs unpruned oracle (pruning soundness)
 
 
+def satisfies(o, kind, graph=None):
+    """Whether ``o`` is consistent and has the property ``kind`` names."""
+    if not is_consistent(o):
+        return False
+    if kind.tag == "profile":
+        return has_profile_property(o)
+    if kind.tag == "graph-tangle":
+        return has_tangle_property(o, graph)
+    return is_circle_tangle(o, kind.m, kind.n)
+
+
 def naive_enumerate(system, kind, graph=None):
     u = system.universe
     members = sorted(system.members)
     out = []
     for choice in product(*[u.orientations(m) for m in members]):
         o = Orientation(system, frozenset(choice))
-        if not is_consistent(o):
-            continue
-        if kind.tag == "profile" and not has_profile_property(o):
-            continue
-        if kind.tag == "graph-tangle" and not has_tangle_property(o, graph):
-            continue
-        if kind.tag == "circle-tangle" and not is_circle_tangle(o, kind.m, kind.n):
-            continue
-        out.append(o.chosen)
+        if satisfies(o, kind, graph):
+            out.append(o.chosen)
     return sorted(out, key=sorted)
+
+
+def backtrack_chain(chain, kind, graph=None):
+    """The chain profiles of every level, by a backtracking that checks the
+    definitional predicates on each partial orientation, in the order of
+    ``enumerate_chain_profiles``: levels ascending, each new member by
+    (order, id), its canonical orientation tried before its inverse."""
+    u = chain.universe
+    members, ends = [], []
+    for system in chain.systems:
+        new = system.members.difference(members)
+        members += sorted(new, key=lambda m: (u.order(m), m))
+        ends.append(len(members))
+    levels = [[] for _ in chain.systems]
+
+    def grow(chosen):
+        pos = len(chosen)
+        for level, end in zip(levels, ends):
+            if end == pos:
+                level.append(frozenset(chosen))
+        if pos == len(members):
+            return
+        decided = SubSystem(u, frozenset(members[: pos + 1]))
+        for x in dict.fromkeys(u.orientations(members[pos])):
+            if satisfies(Orientation(decided, frozenset(chosen + [x])), kind, graph):
+                grow(chosen + [x])
+
+    grow([])
+    return levels
 
 
 @pytest.mark.parametrize("gname,k", [("P3", 2), ("K3", 2), ("K3", 3), ("paw", 2)])
@@ -245,6 +292,54 @@ def test_circle_enumeration_matches_naive():
     kind = circle_tangle_kind(1, 4)
     got = sorted((o.chosen for o in enumerate_profiles(sk, kind)), key=sorted)
     assert got == naive_enumerate(sk, kind)
+
+
+def test_tangle_search_needs_the_graph_of_its_universe(p4, p4_universe):
+    sk = restrict_Sk(p4_universe, 2)
+    for other in (None, corpus.path_graph(4)):
+        with pytest.raises(SeparationError):
+            enumerate_profiles(sk, graph_tangle_kind(), graph=other)
+    assert enumerate_profiles(sk, graph_tangle_kind(), graph=p4)
+
+
+def test_chain_search_matches_definitional_backtracking(small_corpus):
+    """Same orientations in the same order as checking the definitions on
+    every partial orientation, over whole chains (and over chains that repeat
+    their first level, whose profiles are recorded twice)."""
+    cases = []
+    for g in small_corpus:
+        chain = slice_chain(enumerate_graph_separations(g))
+        stutter = SubsystemChain(chain.universe, chain.systems[:1] + chain.systems)
+        cases += [(chain, graph_tangle_kind(), g), (chain, PROFILE, None)]
+        cases.append((stutter, graph_tangle_kind(), g))
+    for npts in (5, 6):
+        pts = list(range(npts))
+        for order_fn in (None, complete_cut_order(pts)):
+            u, circle = enumerate_circle_separations(pts, order_fn)
+            chain = slice_chain(u, within=circle)
+            for m, n in ((1, 4), (1, 5), (2, 4)):
+                cases.append((chain, circle_tangle_kind(m, n), None))
+    assert len(cases) == 3 * 31 + 12
+    for chain, kind, g in cases:
+        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
+        assert got == backtrack_chain(chain, kind, g), (kind, g)
+
+
+def test_search_matches_naive_on_arbitrary_subsystems(p4):
+    """Subsystems that are not order slices miss the corners that make some
+    pruning tests redundant on slices, so each test has to hold on its own."""
+    rng = random.Random(7)
+    paw = Graph([1, 2, 3, 4], [(1, 2), (1, 3), (2, 3), (3, 4)])
+    for g in (p4, paw):
+        u = enumerate_graph_separations(g)
+        uids = u.unoriented_ids()
+        subsets = [set(c) for size in (1, 2) for c in combinations(uids, size)]
+        subsets += [rng.sample(uids, rng.randint(3, 7)) for _ in range(60)]
+        for members in subsets:
+            system = SubSystem(u, frozenset(members))
+            for kind in (PROFILE, graph_tangle_kind()):
+                got = sorted((o.chosen for o in enumerate_profiles(system, kind, g)), key=sorted)
+                assert got == naive_enumerate(system, kind, g), (g, kind, sorted(members))
 
 
 def test_chain_profiles_restrict_downwards(two_k4, two_k4_universe):

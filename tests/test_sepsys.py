@@ -147,6 +147,15 @@ def test_is_nested_crossing_pair(bip4):
     assert not is_nested(r, s)
 
 
+def test_subsystem_rejects_non_canonical_ids(p4_universe):
+    u = p4_universe
+    uid = next(m for m in u.unoriented_ids() if u.inv(m) != m)
+    assert SubSystem(u, frozenset(u.unoriented_ids())).members == frozenset(u.unoriented_ids())
+    for bad in (u.inv(uid), u.n_oriented, -1):
+        with pytest.raises(SeparationError, match=f"^{bad} is not a canonical separation id"):
+            SubSystem(u, frozenset({uid, bad}))
+
+
 def test_is_nested_rejects_foreign_universe(bip4, p4_universe):
     r = usep(bip4, [1], [2, 3, 4])
     s = p4_universe.usep(p4_universe.unoriented_ids()[0])
