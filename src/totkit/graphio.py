@@ -140,8 +140,11 @@ def _order_graph_edges(points, order_graph) -> list:
         for end in (u, v):
             if end not in points:
                 raise InputError(f"order_graph edge {e!r} names unknown point {end!r}")
-        if not isinstance(w, (int, float)):
-            raise InputError(f"order_graph edge {e!r} has a non-numeric weight")
+        # Integer weights keep every order value, and so the submodularity
+        # verdict, exact; a float sum can round a submodular cut order into
+        # a false refusal.
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise InputError(f"order_graph edge {e!r} needs an integer weight")
         edges.append((u, v, w))
     return edges
 

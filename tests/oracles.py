@@ -3,7 +3,8 @@
 Each function here follows a definition from the paper directly and is
 only used by the tests: the tangle properties against ``_Search``'s
 incremental rules, the corner tags and sides against
-``Universe.corners``/``corner_table``, and chain-level efficiency against
+``Universe.corners``/``corner_table``, the all-pairs submodularity of an
+order against ``check_submodular_order``, and chain-level efficiency against
 the order-level families the pipelines build.
 """
 
@@ -74,6 +75,20 @@ def is_structurally_submodular(system):
     for xi, x in enumerate(oriented):
         for y in oriented[xi:]:
             if u.uid(u.join(x, y)) not in members and u.uid(u.meet(x, y)) not in members:
+                return False
+    return True
+
+
+def is_submodular_order(universe):
+    """Whether ``|r| + |s| >= |r v s| + |r ^ s|`` for all oriented pairs."""
+    order = universe.order
+    join = universe.join
+    meet = universe.meet
+    ids = list(universe.oriented_ids())
+    for xi, x in enumerate(ids):
+        ox = order(x)
+        for y in ids[xi:]:
+            if ox + order(y) < order(join(x, y)) + order(meet(x, y)):
                 return False
     return True
 

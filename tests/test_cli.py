@@ -167,6 +167,18 @@ def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
     assert diag["error"] == "input" and "9" in diag["message"]
 
 
+@pytest.mark.parametrize("weight", [0.5, True, float("nan"), float("inf")], ids=["0.5", "true", "NaN", "Infinity"])
+def test_circle_order_graph_non_integer_weight_is_exit_2(capsys, tmp_path, weight):
+    edges = [[i, i % 5 + 1, 1] for i in range(1, 6)]
+    edges[2][2] = weight
+    p = tmp_path / "circle.json"
+    p.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "order_graph": edges}))
+    code, out, err = run(capsys, "circle-tangles", "--input", str(p), "--m", "1", "--n", "4")
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "input" and "integer weight" in diag["message"]
+
+
 @pytest.mark.parametrize(
     "command, pipeline, exc, code, kind",
     [

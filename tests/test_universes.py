@@ -1,11 +1,13 @@
 """Concrete universes: graph separations, cliques, circles, chains, automorphisms."""
 
+import random
 from itertools import permutations, product
 
 import pytest
 
 from totkit import corpus
 from totkit.errors import SeparationError, SizeBoundError
+from totkit.sepsys import Universe
 from totkit.universes import (
     Graph,
     SubsystemChain,
@@ -13,7 +15,9 @@ from totkit.universes import (
     bipartition_universe,
     check_submodular_order,
     clique_subsystem,
+    complete_cut_order,
     cut_order_fn,
+    cycle_cut_order,
     enumerate_circle_separations,
     enumerate_graph_separations,
     is_clique_separation,
@@ -25,7 +29,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items
+from oracles import corner_items, is_submodular_order
 
 
 def brute_force_separations(g):
@@ -54,15 +58,23 @@ def brute_force_separations(g):
         corpus.cycle_graph(5),
         corpus.complete_graph(4),
         corpus.star_graph(4),
+        Graph([]),
+        Graph([1]),
+        Graph([1, 2, 3, 4]),
+        Graph([1, 2, 3, 4, 5], [(1, 2), (3, 4)]),
+        corpus.complete_graph(5),
+        corpus.two_cliques(3),
+        "small_corpus",
     ],
 )
-def test_enumeration_matches_brute_force(g):
-    u = enumerate_graph_separations(g)
-    got = {
-        (frozenset(u.side_labels(i)[0]), frozenset(u.side_labels(i)[1]))
-        for i in u.oriented_ids()
-    }
-    assert got == brute_force_separations(g)
+def test_enumeration_matches_brute_force(request, g):
+    for h in request.getfixturevalue(g) if isinstance(g, str) else [g]:
+        u = enumerate_graph_separations(h)
+        got = {
+            (frozenset(u.side_labels(i)[0]), frozenset(u.side_labels(i)[1]))
+            for i in u.oriented_ids()
+        }
+        assert got == brute_force_separations(h)
 
 
 def test_edgeless_two_vertices_has_nine_oriented_separations():
@@ -243,9 +255,56 @@ def test_graph_order_is_submodular(small_corpus):
     """Exhaustive pairwise check on all graphs up to 5 vertices plus two
     named 6-vertex graphs; larger graphs are covered by slice compatibility."""
     for g in small_corpus:
-        assert check_submodular_order(enumerate_graph_separations(g))
+        assert is_submodular_order(enumerate_graph_separations(g))
     for g in (corpus.cycle_graph(6), corpus.complete_bipartite(3, 3)):
-        assert check_submodular_order(enumerate_graph_separations(g))
+        assert is_submodular_order(enumerate_graph_separations(g))
+
+
+def _moved_pair_order(order_fn, full, mask, delta):
+    """``order_fn`` with the value of ``mask`` and its complement moved by ``delta``."""
+
+    def order(a, b):
+        value = order_fn(a, b)
+        return value + delta if a in (mask, full & ~mask) else value
+
+    return order
+
+
+def test_local_submodularity_check_matches_the_definition():
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(40):
+        pts = list(range(1, rng.randint(1, 5) + 1))
+        full = (1 << len(pts)) - 1
+        edges = [(p, q, rng.randint(0, 3)) for i, p in enumerate(pts) for q in pts[i + 1 :]]
+        cut = cut_order_fn(pts, edges)
+        mask = rng.randint(0, full)
+        delta = 1 if cut(mask, full & ~mask) == 0 else rng.choice((-1, 1))
+        for order_fn in (cut, _moved_pair_order(cut, full, mask, delta)):
+            u = bipartition_universe(pts, order_fn)
+            verdicts.append(check_submodular_order(u))
+            assert verdicts[-1] == is_submodular_order(u)
+    assert True in verdicts and False in verdicts
+    for n in (5, 6, 7):
+        pts = list(range(n))
+        for order_fn in (cycle_cut_order(pts), complete_cut_order(pts)):
+            u = bipartition_universe(pts, order_fn)
+            assert check_submodular_order(u) and is_submodular_order(u)
+
+
+@pytest.mark.parametrize(
+    "g", [Graph([1]), Graph([1, 2, 3]), corpus.path_graph(3), corpus.complete_graph(3)]
+)
+def test_submodularity_check_refuses_graph_universes(g):
+    with pytest.raises(SeparationError):
+        check_submodular_order(enumerate_graph_separations(g))
+
+
+def test_submodularity_check_refuses_universes_missing_a_bipartition():
+    # 2^2 oriented separations, but ({1}, {2}) and ({2}, {1}) are absent.
+    u = Universe((1, 2), [(0, 3), (3, 0), (1, 3), (3, 1)], order_fn=lambda a, b: 0)
+    with pytest.raises(SeparationError):
+        check_submodular_order(u)
 
 
 def test_cut_order_is_submodular():
