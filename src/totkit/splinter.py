@@ -1,9 +1,9 @@
 """Splinter predicates and nested-transversal extraction.
 
 An indexed family assigns a non-empty set of separations of one universe to
-each key, optionally with a level value per key and a strict partial order
-on keys.  The two extraction routines implement the inductive arguments
-behind the two main lemmas directly:
+each key, optionally with a level value per key that orders the keys.  The
+two extraction routines implement the inductive arguments behind the two
+main lemmas directly:
 
 * :func:`extract_transversal` picks one element per set, pairwise nested,
   whenever the family splinters, by a pivot scan: the first element (in
@@ -23,6 +23,7 @@ instead of returning an unverified result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     HierarchicalConditionError,
@@ -30,7 +31,7 @@ from .errors import (
     SeparationError,
     SplinterConditionError,
 )
-from .sepsys import Universe
+from .sepsys import Universe, bits
 
 __all__ = [
     "IndexedFamily",
@@ -47,19 +48,18 @@ __all__ = [
 class IndexedFamily:
     """Finite family of non-empty separation sets, indexed by hashable keys.
 
-    ``levels`` optionally assigns a comparable value to each key; the strict
-    partial order ``prec`` may be given explicitly as ordered key pairs or
-    derived from the levels (smaller level strictly precedes larger).
+    ``levels`` optionally maps every key to a value of one total order
+    (numbers, in practice).  Key ``a`` strictly precedes key ``b`` when
+    ``levels[a] < levels[b]``, so the order is strict and transitive by
+    construction; without levels no two keys are comparable.
     """
 
-    def __init__(self, universe: Universe, sets, levels=None, prec=None, excluded=()):
+    def __init__(self, universe: Universe, sets, levels=None, excluded=()):
         self.universe = universe
         if isinstance(sets, dict):
             items = list(sets.items())
         else:
             items = list(enumerate(sets))
-        if not items and prec:
-            raise SeparationError("order given for an empty family")
         self.keys = tuple(k for k, _ in items)
         if len(set(self.keys)) != len(self.keys):
             raise SeparationError("duplicate family keys")
@@ -70,31 +70,20 @@ class IndexedFamily:
                 raise SeparationError(f"family set {k!r} is empty")
             self.sets[k] = members
         self.levels = dict(levels) if levels else None
-        if prec is not None:
-            self.prec = frozenset(prec)
-        elif self.levels:
-            self.prec = frozenset(
-                (a, b)
-                for a in self.keys
-                for b in self.keys
-                if a != b and self.levels[a] < self.levels[b]
-            )
-        else:
-            self.prec = frozenset()
-        self._check_strict_order()
+        if self.levels is not None:
+            for k in self.keys:
+                if k not in self.levels:
+                    raise SeparationError(f"family key {k!r} has no level")
         self.excluded = tuple(excluded)
 
-    def _check_strict_order(self):
-        keys = set(self.keys)
-        for a, b in self.prec:
-            if a not in keys or b not in keys:
-                raise SeparationError(f"order references unknown key {(a, b)!r}")
-            if a == b or (b, a) in self.prec:
-                raise SeparationError("index order is not a strict partial order")
-        for a, b in self.prec:
-            for c in self.keys:
-                if (b, c) in self.prec and (a, c) not in self.prec:
-                    raise SeparationError("index order is not transitive")
+    @cached_property
+    def prec(self) -> frozenset:
+        """The strict order as ordered key pairs: O(K²), built on first read
+        and kept; nothing in the package reads it."""
+        L = self.levels
+        if not L:
+            return frozenset()
+        return frozenset((a, b) for a in self.keys for b in self.keys if L[a] < L[b])
 
     def __len__(self):
         return len(self.keys)
@@ -104,11 +93,9 @@ class IndexedFamily:
         sub.universe = self.universe
         sub.keys = tuple(keys)
         sub.sets = {k: sets[k] for k in keys}
-        keyset = set(keys)
         sub.levels = (
             {k: self.levels[k] for k in keys} if self.levels is not None else None
         )
-        sub.prec = frozenset((a, b) for a, b in self.prec if a in keyset and b in keyset)
         sub.excluded = ()
         return sub
 
@@ -287,50 +274,100 @@ def splinters_hierarchically(fam: IndexedFamily):
 
     Corners come from :meth:`Universe.corner_table`, where each side is a
     fixed pair of slots, so corners from different sides in X and in Y exist
-    iff X meets one side and Y the other.  A key pair whose class (A_i, A_j,
-    relation), which alone decides its verdict, has passed is skipped: the
-    cost is O(sum |A_i| |A_j|) table lookups over the distinct classes.
-    Returns ``(ok, witness)``, the first violating ``(key_i, key_j, a_i, a_j)``.
+    iff X meets one side and Y the other.  Keys with equal set and level form
+    one group, and a key pair's verdict depends only on its two groups.  A
+    nested pair ``a, b`` always passes, since ``a`` and ``b`` fill a diagonal
+    of their corner table.  So one pass visits each crossing pair of support
+    elements once, looks up its corners once, and settles every group pair
+    holding it with bitmasks over the groups: O(support² + crossing pairs ×
+    groups) int operations, and no key pair is visited unless one fails.
+    Returns ``(ok, witness)``, the first violating ``(key_i, key_j, a_i, a_j)``
+    in key order (``i <= j``), then in sorted element order.
     """
-    table = fam.universe.corner_table
-    keys, sets, prec = fam.keys, fam.sets, fam.prec
-    set_ids: dict = {}
-    ids = [set_ids.setdefault(sets[k], len(set_ids)) for k in keys]
-    passed = set()
-    for ii, ki in enumerate(keys):
-        Ai = sets[ki]
-        for jj in range(ii, len(keys)):
-            kj = keys[jj]
-            rel = "ij" if (ki, kj) in prec else "ji" if (kj, ki) in prec else "inc"
-            cls = (ids[ii], ids[jj], rel)
-            if cls in passed:
+    u = fam.universe
+    table, nested = u.corner_table, u.nested
+    keys, sets, levels = fam.keys, fam.sets, fam.levels
+    group_of: dict = {}
+    key_group = [
+        group_of.setdefault((sets[k], levels[k] if levels else None), len(group_of))
+        for k in keys
+    ]
+    at_level: dict = {}
+    holds: dict = {}
+    for g, (A, level) in enumerate(group_of):
+        at_level[level] = at_level.get(level, 0) | 1 << g
+        for x in A:
+            holds[x] = holds.get(x, 0) | 1 << g
+    below: dict = {}
+    acc = 0
+    for level in sorted(at_level):
+        below[level] = acc
+        acc |= at_level[level]
+    # groups of strictly higher (rule "ij") and lower (rule "ji") level
+    higher = [acc & ~below[level] & ~at_level[level] for _, level in group_of]
+    lower = [below[level] for _, level in group_of]
+
+    def failing(a, b, gs):
+        """``(g, hs)`` for each group ``g`` in ``gs`` (whose sets hold ``a``):
+        the groups ``hs`` holding ``b`` whose key pairs with ``g`` fail at
+        ``(a, b)``; ``a`` and ``b`` must cross."""
+        c00, c01, c10, c11 = table(a, b)
+        h00, h01 = holds.get(c00, 0), holds.get(c01, 0)
+        h10, h11 = holds.get(c10, 0), holds.get(c11, 0)
+        # groups holding a corner on side 0 / 1 of a, and of b
+        a0, a1, b0, b1 = h00 | h01, h10 | h11, h00 | h10, h01 | h11
+        any_corner, both_b = a0 | a1, b0 & b1
+        hb = holds[b]
+        out = []
+        for g in bits(gs):
+            bit = 1 << g
+            if a0 & a1 & bit:
                 continue
-            Aj = sets[kj]
-            union = Ai | Aj
-            Bj = sorted(Aj)
-            for a in sorted(Ai):
-                for b in Bj:
-                    # sides of a: {c00, c01}, {c10, c11}; of b: {c00, c10}, {c01, c11}
-                    c00, c01, c10, c11 = table(a, b)
-                    if rel == "ij":
-                        ok = (c00 in Aj or c01 in Aj or c10 in Aj or c11 in Aj) or (
-                            (c00 in Ai or c01 in Ai) and (c10 in Ai or c11 in Ai)
-                        )
-                    elif rel == "ji":
-                        ok = (c00 in Ai or c01 in Ai or c10 in Ai or c11 in Ai) or (
-                            (c00 in Aj or c10 in Aj) and (c01 in Aj or c11 in Aj)
-                        )
-                    else:
-                        ok = (
-                            ((c00 in Ai or c01 in Ai) and (c10 in union or c11 in union))
-                            or ((c10 in Ai or c11 in Ai) and (c00 in union or c01 in union))
-                            or ((c00 in Aj or c10 in Aj) and (c01 in union or c11 in union))
-                            or ((c01 in Aj or c11 in Aj) and (c00 in union or c10 in union))
-                        )
-                    if not ok:
-                        return False, (ki, kj, a, b)
-            passed.add(cls)
-    return True, None
+            hi, lo = higher[g], lower[g]
+            ok = both_b
+            if a0 & bit:
+                ok |= a1
+            if a1 & bit:
+                ok |= a0
+            if b0 & bit:
+                ok |= b1
+            if b1 & bit:
+                ok |= b0
+            bad = (hi & ~any_corner) | ~(hi | lo | ok)
+            if not any_corner & bit:
+                bad |= lo & ~both_b
+            bad &= hb
+            if bad:
+                out.append((g, bad))
+        return out
+
+    fails = [0] * len(group_of)
+    support = sorted(holds)
+    for i, x in enumerate(support):
+        gx = holds[x]
+        for y in support[i + 1 :]:
+            if not nested(x, y):
+                for g, hs in failing(x, y, gx):
+                    fails[g] |= hs
+    if not any(fails):
+        return True, None
+    for g, hs in enumerate(fails):
+        for h in bits(hs):
+            fails[h] |= 1 << g
+    last = {g: jj for jj, g in enumerate(key_group)}
+    for ii, g in enumerate(key_group):
+        bad = fails[g]
+        if not (bad and any(last[h] >= ii for h in bits(bad))):
+            continue
+        jj = next(jj for jj in range(ii, len(keys)) if bad >> key_group[jj] & 1)
+        ki, kj = keys[ii], keys[jj]
+        for a in sorted(sets[ki]):
+            for b in sorted(sets[kj]):
+                if not nested(a, b) and any(
+                    hs >> key_group[jj] & 1 for _, hs in failing(a, b, 1 << g)
+                ):
+                    return False, (ki, kj, a, b)
+    raise InternalContradictionError("a failing group pair has no failing element pair")
 
 
 @dataclass
@@ -347,9 +384,10 @@ def extract_canonical(
 ) -> CanonicalResult:
     """Canonical nested set meeting every set of a hierarchically splintering family.
 
-    Repeatedly takes the extremal elements of the union of the sets with
-    minimal index, drops the sets already met, restricts the remaining sets
-    to the elements nested with what was taken, and recurses.  The result is
+    Repeatedly takes the extremal elements of the union of the sets at the
+    lowest remaining level (all sets, without levels), drops the sets already
+    met, restricts the remaining sets to the elements nested with what was
+    taken, and recurses.  The result is
     a pure function of the family and commutes with isomorphisms of
     separation systems.
 
@@ -365,16 +403,17 @@ def extract_canonical(
         if not ok:
             raise HierarchicalConditionError(witness)
     u = fam.universe
+    levels = fam.levels
     trace: list[dict] = []
-    preds: dict = {k: set() for k in fam.keys}
-    for a, b in fam.prec:
-        preds[b].add(a)
 
     def solve(keys: tuple, sets: dict, depth: int) -> frozenset:
         if not keys:
             return frozenset()
-        keyset = set(keys)
-        minimal = [k for k in keys if preds[k].isdisjoint(keyset)]
+        if levels:
+            low = min(levels[k] for k in keys)
+            minimal = [k for k in keys if levels[k] == low]
+        else:
+            minimal = list(keys)
         union = set()
         for k in minimal:
             union |= sets[k]
@@ -450,4 +489,4 @@ def map_family(fam: IndexedFamily, mapping: dict, target: Universe | None = None
     new_sets = {
         k: frozenset(t.uid(mapping[uid]) for uid in s) for k, s in fam.sets.items()
     }
-    return IndexedFamily(t, new_sets, levels=fam.levels, prec=fam.prec)
+    return IndexedFamily(t, new_sets, levels=fam.levels)

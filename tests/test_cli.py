@@ -83,6 +83,57 @@ def test_artifacts_pass_their_own_verify(capsys, tmp_path, two_k4_file, circle_f
         assert json.loads(vout)["ok"] is True
 
 
+def _cycle8_with_chords():
+    """8-point cycle weighted [1, 2, 1, 1, 1, 2, 1, 2] plus the unit chords i-(i+4)."""
+    points = list(range(1, 9))
+    weights = [1, 2, 1, 1, 1, 2, 1, 2]
+    edges = [[p, points[(i + 1) % 8], w] for i, (p, w) in enumerate(zip(points, weights))]
+    return {"points": points, "order_graph": edges + [[i, i + 4, 1] for i in range(1, 5)]}
+
+
+def _complete7_random():
+    """7 points, the complete order graph weighted Random(0).randint(1, 1000) in pair order."""
+    import random
+
+    rng = random.Random(0)
+    points = list(range(1, 8))
+    edges = [[i, j, rng.randint(1, 1000)] for i in points for j in points if i < j]
+    return {"points": points, "order_graph": edges}
+
+
+CYCLE8_WITH_CHORDS_SHA256 = "800a216643fbee37f915feee43061e6de7e5d2d5ecb1feea5a5e9e405b1c132a"
+
+
+def test_many_key_circle_families_finish_and_verify(capsys, tmp_path):
+    """Circle families with many keys at few levels (825 keys in 24 distinct
+    sets; 7,154 keys in 7): both runs finish, their artifacts verify, the
+    8-point stdout keeps its bytes, and no O(K^2) key-order relation is built."""
+    import hashlib
+    import time
+
+    from totkit.graphio import parse_order_spec
+    from totkit.pipelines import circle_pipeline
+
+    for name, doc in (("cycle8", _cycle8_with_chords()), ("complete7", _complete7_random())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "circle-tangles", "--input", str(path), "--m", "1", "--n", "4")
+        assert code == 0, err
+        assert time.perf_counter() - start < 20.0
+        if name == "cycle8":
+            assert hashlib.sha256(out.encode()).hexdigest() == CYCLE8_WITH_CHORDS_SHA256
+        artifact = tmp_path / f"{name}.out.json"
+        artifact.write_text(out)
+        code, vout, _ = run(capsys, "verify", "--input", str(artifact))
+        assert code == 0 and json.loads(vout)["ok"] is True, vout
+    doc = _complete7_random()
+    points, edges = doc["points"], [tuple(e) for e in doc["order_graph"]]
+    family = circle_pipeline(points, 1, 4, parse_order_spec("cut:inline", points, edges)).family
+    assert len(family.keys) == 7154
+    assert "prec" not in family.__dict__
+
+
 def test_verify_rejects_crossing_tamper(capsys, tmp_path, two_k4_file):
     code, out, _ = run(capsys, "tot", "--input", two_k4_file)
     doc = json.loads(out)

@@ -272,10 +272,11 @@ def test_corpus_efficient_families_splinter_hierarchically(small_corpus):
         assert ok, (g, w)
 
 
-def reference_splinters_hierarchically(fam):
-    """The definitional predicate: every key pair and element pair in turn,
-    each corner's side read off the meets of the anchor's orientations."""
-    u = fam.universe
+def reference_rule_passes(u, rel, a, b, A, B):
+    """Whether element pair ``(a, b)`` of key pair ``(A, B)`` passes rule
+    ``rel`` ("ij": the key of ``A`` precedes that of ``B``; "ji": the reverse;
+    "inc": incomparable), each corner's side read off the meets of the
+    anchor's orientations."""
 
     def different_sides(r, s, c1, c2):
         side0, side1 = (
@@ -298,18 +299,22 @@ def reference_splinters_hierarchically(fam):
             for c2 in cs & (A | B)
         )
 
+    if rel == "ij":
+        return comparable(a, b, A, B)
+    if rel == "ji":
+        return comparable(b, a, B, A)
+    return incomparable(a, b, A, B)
+
+
+def reference_splinters_hierarchically(fam):
+    """The definitional predicate: every key pair and element pair in turn."""
     for ii, ki in enumerate(fam.keys):
         for kj in fam.keys[ii:]:
             A, B = fam.sets[ki], fam.sets[kj]
+            rel = "ij" if (ki, kj) in fam.prec else "ji" if (kj, ki) in fam.prec else "inc"
             for a in sorted(A):
                 for b in sorted(B):
-                    if (ki, kj) in fam.prec:
-                        ok = comparable(a, b, A, B)
-                    elif (kj, ki) in fam.prec:
-                        ok = comparable(b, a, B, A)
-                    else:
-                        ok = incomparable(a, b, A, B)
-                    if not ok:
+                    if not reference_rule_passes(fam.universe, rel, a, b, A, B):
                         return False, (ki, kj, a, b)
     return True, None
 
@@ -372,12 +377,16 @@ def test_hierarchical_matches_reference_on_random_orders():
     """Families of an element, some of its corners with another element and
     maybe that element, under random levels (so ``i < j``, ``j < i`` and
     incomparable pairs all occur in key order), with repeated sets; they
-    fail at every kind of key pair."""
+    fail at every kind of key pair.  Each family is also checked in shuffled
+    key order, with one set repeated at another level, and without levels."""
+    import random
+
     from totkit.corpus import splitmix64
 
     u = bipartition_universe(range(1, 6), complete_cut_order(range(1, 6)))
     uids = list(u.unoriented_ids())
     failed_at = {"ij": 0, "ji": 0, "inc": 0}
+    variant_verdicts = set()
     for counter in range(1, 301):
         h = splitmix64(counter)
         nsets = 2 + h % 4
@@ -398,7 +407,50 @@ def test_hierarchical_matches_reference_on_random_orders():
             ki, kj = got[1][:2]
             rel = "ij" if (ki, kj) in fam.prec else "ji" if (kj, ki) in fam.prec else "inc"
             failed_at[rel] += 1
+        # the same sets in shuffled key order, with one set repeated at
+        # another level, and without levels
+        order = list(range(nsets))
+        random.Random(counter).shuffle(order)
+        r = h >> 32
+        again = {**levels, nsets: (levels[r % nsets] + 1 + (r >> 8) % 2) % 3}
+        variants = [
+            IndexedFamily(u, {k: sets[k] for k in order}, levels=levels),
+            IndexedFamily(u, sets + [sets[r % nsets]], levels=again),
+            IndexedFamily(u, sets),
+        ]
+        for variant in variants:
+            got = splinters_hierarchically(variant)
+            assert got == reference_splinters_hierarchically(variant), (counter, sets, variant.levels)
+            variant_verdicts.add(got[0])
     assert min(failed_at.values()) >= 20 and sum(failed_at.values()) <= 250
+    assert variant_verdicts == {True, False}
+
+
+def test_nested_pairs_fill_a_corner_diagonal_and_pass_every_rule(small_corpus):
+    """The lemma behind the precheck's skip of nested pairs: ``a`` and ``b``
+    fill a diagonal of their corner table, so rules "ij", "ji" and "inc" all
+    pass with ``A_i = {a}`` and ``A_j = {b}``.  Every nested pair (``a == b``
+    included) of the corpus universes and of the 5- and 6-point circles under
+    the cycle and the complete order, in both argument orders."""
+    universes = [enumerate_graph_separations(g) for g in small_corpus]
+    for n in (5, 6):
+        points = list(range(1, n + 1))
+        for order in (cycle_cut_order, complete_cut_order):
+            universes.append(enumerate_circle_separations(points, order(points))[0])
+    checked = 0
+    for u in universes:
+        ids = u.unoriented_ids()
+        for i, a in enumerate(ids):
+            for b in ids[i:]:
+                if not u.nested(a, b):
+                    continue
+                for x, y in ((a, b), (b, a)):
+                    c00, c01, c10, c11 = u.corner_table(x, y)
+                    assert {c00, c11} == {x, y} or {c01, c10} == {x, y}, (u, x, y)
+                    for rel in ("ij", "ji", "inc"):
+                        assert reference_rule_passes(u, rel, x, y, {x}, {y}), (u, rel, x, y)
+                checked += 1
+    assert checked > 15000
 
 
 def test_hierarchical_scales_to_512_keys():
@@ -415,9 +467,16 @@ def test_hierarchical_scales_to_512_keys():
 
 
 def test_invalid_index_order_rejected(bip4):
+    """The order comes from levels alone: a key without a level is refused by
+    name, and ``prec`` is exactly the pairs of strictly increasing level."""
     a = uid_of(bip4, [1], [2, 3, 4])
-    with pytest.raises(SeparationError):
-        IndexedFamily(bip4, {0: {a}, 1: {a}}, prec=[(0, 1), (1, 0)])
+    b = uid_of(bip4, [1, 2], [3, 4])
+    with pytest.raises(SeparationError, match="key 1 has no level"):
+        IndexedFamily(bip4, [[a], [b]], levels={0: 1})
+    L = {"p": 2, "q": 1, "r": 2, "s": 0}
+    fam = IndexedFamily(bip4, {k: [a] for k in L}, levels=L)
+    assert fam.prec == {(x, y) for x in L for y in L if L[x] < L[y]}
+    assert IndexedFamily(bip4, [[a], [b]]).prec == frozenset()
 
 
 # ----------------------------------------------------------------------
