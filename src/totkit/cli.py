@@ -217,6 +217,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.sample_seven < 0:
+        raise InputError(f"--sample-seven must be >= 0, got {args.sample_seven}")
     graphs = corpus_mod.all_connected_graphs(args.max_vertices)
     doc = {
         "schema": SCHEMA,

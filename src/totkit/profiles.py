@@ -22,6 +22,7 @@ of that level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import SeparationError, SizeBoundError
 from .sepsys import SubSystem, Universe
@@ -435,16 +436,13 @@ def build_distinguisher_family(
     profiles: list[Orientation],
     mode: str = "efficient",
     chain: SubsystemChain | None = None,
-    pairs=None,
 ):
     """Family of distinguisher sets, one per distinguishable profile pair.
 
     ``mode`` "all" takes every distinguisher of a pair; "efficient" takes
     :func:`efficient_distinguishers` (of ``chain`` if given), and the family
     then carries the order (or chain level) the set shares and the induced
-    strict partial order on pairs.  Indistinguishable pairs are skipped and
-    reported on ``family.excluded``; requesting one explicitly via ``pairs``
-    is an error.
+    strict partial order on pairs.  Indistinguishable pairs are skipped.
     """
     if not profiles:
         raise SeparationError("no profiles given")
@@ -452,36 +450,20 @@ def build_distinguisher_family(
     if mode not in ("all", "efficient"):
         raise SeparationError(f"unknown family mode {mode!r}")
     level = u.order if chain is None else chain.level_of
-    explicit = pairs is not None
-    if pairs is None:
-        n = len(profiles)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keys = []
     sets = {}
     levels = {}
-    excluded = []
-    for i, j in pairs:
+    for i, j in combinations(range(len(profiles)), 2):
         p, q = profiles[i], profiles[j]
         ds = distinguishers(p, q) if mode == "all" else efficient_distinguishers(p, q, chain)
         if not ds:
-            if explicit:
-                raise SeparationError(f"profiles {i} and {j} are indistinguishable")
-            excluded.append(((i, j), "indistinguishable"))
             continue
-        key = (i, j)
-        keys.append(key)
-        sets[key] = frozenset(ds)
+        sets[i, j] = frozenset(ds)
         if mode == "efficient":
             vals = {level(d) for d in ds}
             if len(vals) != 1:
                 raise SeparationError("efficient distinguishers must share one order")
-            levels[key] = vals.pop()
-    return IndexedFamily(
-        u,
-        {k: sets[k] for k in keys},
-        levels=levels if mode == "efficient" else None,
-        excluded=tuple(excluded),
-    )
+            levels[i, j] = vals.pop()
+    return IndexedFamily(u, sets, levels=levels if mode == "efficient" else None)
 
 
 # ----------------------------------------------------------------------

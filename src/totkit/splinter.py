@@ -2,8 +2,11 @@
 
 An indexed family assigns a non-empty set of separations of one universe to
 each key, optionally with a level value per key that orders the keys.  The
-two extraction routines implement the inductive arguments behind the two
-main lemmas directly:
+two splinter predicates, :func:`splinters` and
+:func:`splinters_hierarchically`, share one pass over the crossing pairs of
+support elements, :func:`_first_failure`; each supplies only its per-pair
+rule on which family sets hold which corners.  The two extraction routines
+implement the inductive arguments behind the two main lemmas directly:
 
 * :func:`extract_transversal` picks one element per set, pairwise nested,
   whenever the family splinters, by a pivot scan: the first element (in
@@ -54,7 +57,7 @@ class IndexedFamily:
     construction; without levels no two keys are comparable.
     """
 
-    def __init__(self, universe: Universe, sets, levels=None, excluded=()):
+    def __init__(self, universe: Universe, sets, levels=None):
         self.universe = universe
         if isinstance(sets, dict):
             items = list(sets.items())
@@ -74,7 +77,6 @@ class IndexedFamily:
             for k in self.keys:
                 if k not in self.levels:
                     raise SeparationError(f"family key {k!r} has no level")
-        self.excluded = tuple(excluded)
 
     @cached_property
     def prec(self) -> frozenset:
@@ -88,17 +90,6 @@ class IndexedFamily:
     def __len__(self):
         return len(self.keys)
 
-    def restrict(self, keys, sets) -> "IndexedFamily":
-        sub = IndexedFamily.__new__(IndexedFamily)
-        sub.universe = self.universe
-        sub.keys = tuple(keys)
-        sub.sets = {k: sets[k] for k in keys}
-        sub.levels = (
-            {k: self.levels[k] for k in keys} if self.levels is not None else None
-        )
-        sub.excluded = ()
-        return sub
-
     def union_support(self) -> frozenset:
         out = set()
         for s in self.sets.values():
@@ -110,30 +101,104 @@ class IndexedFamily:
 
 
 # ----------------------------------------------------------------------
-# the splinter predicate
+# the splinter predicates
+
+
+def _first_failure(fam: IndexedFamily, levels, rule):
+    """``(ok, witness)`` of a splinter predicate from its per-pair ``rule``.
+
+    Keys with an equal set (and level, when ``levels`` is given) form one
+    group, and a key pair's verdict depends only on its two groups;
+    ``holds[x]`` is the bitmask of the groups whose set holds ``x``.  A nested
+    pair passes both predicates, since ``a`` and ``b`` fill a diagonal of
+    their corner table.  So one pass visits each crossing pair ``a < b`` of
+    support elements once, looks up its corners once in
+    :meth:`Universe.corner_table`, whose slots ``(c00, c01)`` and ``(c10,
+    c11)`` are the two sides of ``a`` and ``(c00, c10)`` and ``(c01, c11)``
+    those of ``b``, and calls ``rule(gs, ha, hb, a0, a1, b0, b1, higher,
+    lower)`` on bitmasks of groups: ``gs`` to settle (they hold ``a``), those
+    holding ``a`` and ``b``, those holding a corner on side 0 or 1 of ``a``
+    and of ``b``, and per group ``g`` those of strictly higher and lower
+    level.  The rule returns ``(g, hs)`` for each ``g`` in ``gs`` whose key
+    pairs with the groups ``hs`` fail at ``(a, b)``.  Verdicts are symmetric,
+    so this finds every failing group pair in O(support² + crossing pairs ×
+    groups) int operations.  Key pairs are scanned only to name the witness:
+    the first failing ``(key_i, key_j, a_i, a_j)`` in key order (``i <= j``),
+    then in sorted element order.
+    """
+    u = fam.universe
+    table, nested = u.corner_table, u.nested
+    keys, sets = fam.keys, fam.sets
+    group_of: dict = {}
+    key_group = [
+        group_of.setdefault((sets[k], levels[k] if levels else None), len(group_of))
+        for k in keys
+    ]
+    at_level: dict = {}
+    holds: dict = {}
+    for g, (A, level) in enumerate(group_of):
+        at_level[level] = at_level.get(level, 0) | 1 << g
+        for x in A:
+            holds[x] = holds.get(x, 0) | 1 << g
+    below: dict = {}
+    acc = 0
+    for level in sorted(at_level):
+        below[level] = acc
+        acc |= at_level[level]
+    higher = [acc & ~below[level] & ~at_level[level] for _, level in group_of]
+    lower = [below[level] for _, level in group_of]
+
+    def failing(a, b, gs):
+        c00, c01, c10, c11 = table(a, b)
+        h00, h01 = holds.get(c00, 0), holds.get(c01, 0)
+        h10, h11 = holds.get(c10, 0), holds.get(c11, 0)
+        return rule(gs, holds[a], holds[b], h00 | h01, h10 | h11, h00 | h10, h01 | h11,
+                    higher, lower)
+
+    fails = [0] * len(group_of)
+    support = sorted(holds)
+    for i, x in enumerate(support):
+        gx = holds[x]
+        for y in support[i + 1 :]:
+            if not nested(x, y):
+                for g, hs in failing(x, y, gx):
+                    fails[g] |= hs
+    if not any(fails):
+        return True, None
+    for g, hs in enumerate(fails):
+        for h in bits(hs):
+            fails[h] |= 1 << g
+    last = {g: jj for jj, g in enumerate(key_group)}
+    for ii, g in enumerate(key_group):
+        bad = fails[g]
+        if not (bad and any(last[h] >= ii for h in bits(bad))):
+            continue
+        jj = next(jj for jj in range(ii, len(keys)) if bad >> key_group[jj] & 1)
+        ki, kj = keys[ii], keys[jj]
+        for a in sorted(sets[ki]):
+            for b in sorted(sets[kj]):
+                if not nested(a, b) and any(
+                    hs >> key_group[jj] & 1 for _, hs in failing(a, b, 1 << g)
+                ):
+                    return False, (ki, kj, a, b)
+    raise InternalContradictionError("a failing group pair has no failing element pair")
+
+
+def _splinter_rule(gs, ha, hb, a0, a1, b0, b1, higher, lower):
+    # a in A_g - A_h, b in A_h - A_g, and neither set holds a corner
+    free = ~(a0 | a1)
+    bad = hb & ~ha & free
+    return [(g, bad) for g in bits(gs & ~hb & free)] if bad else ()
 
 
 def splinters(fam: IndexedFamily):
     """Whether every crossing cross-set pair has a corner in the sets' union.
 
-    Returns ``(ok, witness)``; the witness is the first violating tuple
-    ``(key_i, key_j, a_i, a_j)`` in canonical order, or None.
+    For keys ``i < j``, ``a`` in ``A_i - A_j`` and ``b`` in ``A_j - A_i``
+    crossing, some corner of ``a`` and ``b`` lies in ``A_i | A_j``; levels
+    are ignored.  Returns ``(ok, witness)`` as :func:`_first_failure` does.
     """
-    u = fam.universe
-    keys = fam.keys
-    for ii in range(len(keys)):
-        A = fam.sets[keys[ii]]
-        for jj in range(ii + 1, len(keys)):
-            B = fam.sets[keys[jj]]
-            union = A | B
-            for a in sorted(A - B):
-                for b in sorted(B - A):
-                    if u.nested(a, b):
-                        continue
-                    c00, c01, c10, c11 = u.corner_table(a, b)
-                    if not (c00 in union or c01 in union or c10 in union or c11 in union):
-                        return False, (keys[ii], keys[jj], a, b)
-    return True, None
+    return _first_failure(fam, None, _splinter_rule)
 
 
 # ----------------------------------------------------------------------
@@ -176,13 +241,12 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
     and the trace has one entry per distinct set.  Requires the family to
     splinter; with ``debug`` every restricted family is re-checked.
     """
+    ok, witness = splinters(fam)
+    if not ok:
+        raise SplinterConditionError(witness)
     first_key: dict = {}
     for k in fam.keys:
         first_key.setdefault(fam.sets[k], k)
-    distinct = fam.restrict(list(first_key.values()), fam.sets)
-    ok, witness = splinters(distinct)
-    if not ok:
-        raise SplinterConditionError(witness)
     u = fam.universe
     trace: list[dict] = []
     chosen: dict = {}
@@ -220,7 +284,7 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
             }
         )
         if debug:
-            ok2, wit2 = splinters(fam.restrict([k for k, _ in items], dict(items)))
+            ok2, wit2 = splinters(IndexedFamily(u, dict(items)))
             if not ok2:
                 raise InternalContradictionError(
                     f"restricted family lost the splinter property: {wit2!r}"
@@ -261,6 +325,35 @@ def extremal_elements(universe: Universe, seps) -> frozenset:
     return frozenset(out)
 
 
+def _hierarchical_rule(gs, ha, hb, a0, a1, b0, b1, higher, lower):
+    # rule "ij" against higher groups, "ji" against lower ones, "inc" against
+    # the rest; corners from different sides of a in X and in Y exist iff X
+    # meets one side and Y the other
+    any_corner, both_b = a0 | a1, b0 & b1
+    out = []
+    for g in bits(gs):
+        bit = 1 << g
+        if a0 & a1 & bit:
+            continue
+        hi, lo = higher[g], lower[g]
+        ok = both_b
+        if a0 & bit:
+            ok |= a1
+        if a1 & bit:
+            ok |= a0
+        if b0 & bit:
+            ok |= b1
+        if b1 & bit:
+            ok |= b0
+        bad = (hi & ~any_corner) | ~(hi | lo | ok)
+        if not any_corner & bit:
+            bad |= lo & ~both_b
+        bad &= hb
+        if bad:
+            out.append((g, bad))
+    return out
+
+
 def splinters_hierarchically(fam: IndexedFamily):
     """The two-condition variant of the splinter predicate.
 
@@ -270,104 +363,10 @@ def splinters_hierarchically(fam: IndexedFamily):
     incomparable pairs including ``i == j``: for an anchor ``k`` in ``{i, j}``,
     ``c1`` in ``A_k`` and ``c2`` in ``A_i | A_j`` are corners from different
     sides of ``a_k``; it rules out a single set of two crossing separations
-    with no corners inside.
-
-    Corners come from :meth:`Universe.corner_table`, where each side is a
-    fixed pair of slots, so corners from different sides in X and in Y exist
-    iff X meets one side and Y the other.  Keys with equal set and level form
-    one group, and a key pair's verdict depends only on its two groups.  A
-    nested pair ``a, b`` always passes, since ``a`` and ``b`` fill a diagonal
-    of their corner table.  So one pass visits each crossing pair of support
-    elements once, looks up its corners once, and settles every group pair
-    holding it with bitmasks over the groups: O(support² + crossing pairs ×
-    groups) int operations, and no key pair is visited unless one fails.
-    Returns ``(ok, witness)``, the first violating ``(key_i, key_j, a_i, a_j)``
-    in key order (``i <= j``), then in sorted element order.
+    with no corners inside.  Returns ``(ok, witness)`` as
+    :func:`_first_failure` does.
     """
-    u = fam.universe
-    table, nested = u.corner_table, u.nested
-    keys, sets, levels = fam.keys, fam.sets, fam.levels
-    group_of: dict = {}
-    key_group = [
-        group_of.setdefault((sets[k], levels[k] if levels else None), len(group_of))
-        for k in keys
-    ]
-    at_level: dict = {}
-    holds: dict = {}
-    for g, (A, level) in enumerate(group_of):
-        at_level[level] = at_level.get(level, 0) | 1 << g
-        for x in A:
-            holds[x] = holds.get(x, 0) | 1 << g
-    below: dict = {}
-    acc = 0
-    for level in sorted(at_level):
-        below[level] = acc
-        acc |= at_level[level]
-    # groups of strictly higher (rule "ij") and lower (rule "ji") level
-    higher = [acc & ~below[level] & ~at_level[level] for _, level in group_of]
-    lower = [below[level] for _, level in group_of]
-
-    def failing(a, b, gs):
-        """``(g, hs)`` for each group ``g`` in ``gs`` (whose sets hold ``a``):
-        the groups ``hs`` holding ``b`` whose key pairs with ``g`` fail at
-        ``(a, b)``; ``a`` and ``b`` must cross."""
-        c00, c01, c10, c11 = table(a, b)
-        h00, h01 = holds.get(c00, 0), holds.get(c01, 0)
-        h10, h11 = holds.get(c10, 0), holds.get(c11, 0)
-        # groups holding a corner on side 0 / 1 of a, and of b
-        a0, a1, b0, b1 = h00 | h01, h10 | h11, h00 | h10, h01 | h11
-        any_corner, both_b = a0 | a1, b0 & b1
-        hb = holds[b]
-        out = []
-        for g in bits(gs):
-            bit = 1 << g
-            if a0 & a1 & bit:
-                continue
-            hi, lo = higher[g], lower[g]
-            ok = both_b
-            if a0 & bit:
-                ok |= a1
-            if a1 & bit:
-                ok |= a0
-            if b0 & bit:
-                ok |= b1
-            if b1 & bit:
-                ok |= b0
-            bad = (hi & ~any_corner) | ~(hi | lo | ok)
-            if not any_corner & bit:
-                bad |= lo & ~both_b
-            bad &= hb
-            if bad:
-                out.append((g, bad))
-        return out
-
-    fails = [0] * len(group_of)
-    support = sorted(holds)
-    for i, x in enumerate(support):
-        gx = holds[x]
-        for y in support[i + 1 :]:
-            if not nested(x, y):
-                for g, hs in failing(x, y, gx):
-                    fails[g] |= hs
-    if not any(fails):
-        return True, None
-    for g, hs in enumerate(fails):
-        for h in bits(hs):
-            fails[h] |= 1 << g
-    last = {g: jj for jj, g in enumerate(key_group)}
-    for ii, g in enumerate(key_group):
-        bad = fails[g]
-        if not (bad and any(last[h] >= ii for h in bits(bad))):
-            continue
-        jj = next(jj for jj in range(ii, len(keys)) if bad >> key_group[jj] & 1)
-        ki, kj = keys[ii], keys[jj]
-        for a in sorted(sets[ki]):
-            for b in sorted(sets[kj]):
-                if not nested(a, b) and any(
-                    hs >> key_group[jj] & 1 for _, hs in failing(a, b, 1 << g)
-                ):
-                    return False, (ki, kj, a, b)
-    raise InternalContradictionError("a failing group pair has no failing element pair")
+    return _first_failure(fam, fam.levels, _hierarchical_rule)
 
 
 @dataclass

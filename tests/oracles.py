@@ -4,8 +4,9 @@ Each function here follows a definition from the paper directly and is
 only used by the tests: the tangle properties against ``_Search``'s
 incremental rules, the corner tags and sides against
 ``Universe.corners``/``corner_table``, the all-pairs submodularity of an
-order against ``check_submodular_order``, and chain-level efficiency against
-the order-level families the pipelines build.
+order against ``check_submodular_order``, the splinter condition key pair by
+key pair against ``splinters``, and chain-level efficiency against the
+order-level families the pipelines build.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -91,6 +92,34 @@ def is_submodular_order(universe):
             if ox + order(y) < order(join(x, y)) + order(meet(x, y)):
                 return False
     return True
+
+
+# ----------------------------------------------------------------------
+# the splinter condition
+
+
+def reference_splinters(fam):
+    """Whether every crossing cross-set pair has a corner in the sets' union.
+
+    Every key pair ``i < j`` and element pair ``a`` in ``A_i - A_j``, ``b``
+    in ``A_j - A_i`` in turn; returns ``(ok, witness)`` with the first
+    violating tuple ``(key_i, key_j, a_i, a_j)`` in canonical order, or None.
+    """
+    u = fam.universe
+    keys = fam.keys
+    for ii in range(len(keys)):
+        A = fam.sets[keys[ii]]
+        for jj in range(ii + 1, len(keys)):
+            B = fam.sets[keys[jj]]
+            union = A | B
+            for a in sorted(A - B):
+                for b in sorted(B - A):
+                    if u.nested(a, b):
+                        continue
+                    c00, c01, c10, c11 = u.corner_table(a, b)
+                    if not (c00 in union or c01 in union or c10 in union or c11 in union):
+                        return False, (keys[ii], keys[jj], a, b)
+    return True, None
 
 
 # ----------------------------------------------------------------------

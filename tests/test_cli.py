@@ -326,6 +326,13 @@ def test_corpus_stress_sample_records_counters(capsys):
     assert all("counter" in g and len(g["vertices"]) == 7 for g in sample)
 
 
+def test_corpus_refuses_a_negative_sample_count(capsys):
+    code, out, err = run(capsys, "corpus", "--max-vertices", "2", "--sample-seven", "-1")
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "input" and "--sample-seven" in diag["message"]
+
+
 def test_json_graph_input(capsys, tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}))

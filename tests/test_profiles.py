@@ -476,14 +476,6 @@ def test_family_efficient_sets_share_one_order(two_k4, two_k4_universe):
         assert orders.pop() == fam.levels[key]
 
 
-def test_family_explicit_indistinguishable_pair_errors(p4_universe):
-    s1 = restrict_Sk(p4_universe, 1)
-    o = enumerate_profiles(s1, PROFILE)
-    assert len(o) == 1
-    with pytest.raises(SeparationError):
-        build_distinguisher_family([o[0], o[0]], pairs=[(0, 1)])
-
-
 def test_family_auto_excludes_indistinguishable(p4_universe):
     s1 = restrict_Sk(p4_universe, 1)
     o = enumerate_profiles(s1, PROFILE)[0]
@@ -492,7 +484,6 @@ def test_family_auto_excludes_indistinguishable(p4_universe):
     assert not distinguishers(o, bigger)
     fam = build_distinguisher_family([o, bigger], mode="all")
     assert len(fam.keys) == 0
-    assert fam.excluded == (((0, 1), "indistinguishable"),)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from totkit.errors import (
     SeparationError,
     SplinterConditionError,
 )
-from totkit.pipelines import complete_cut_order, cycle_cut_order, graph_pipeline
+from totkit.pipelines import complete_cut_order, cycle_cut_order, graph_pipeline, graph_tangles
 from totkit.profiles import (
     PROFILE,
     build_distinguisher_family,
@@ -38,7 +38,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items
+from oracles import corner_items, reference_splinters
 
 
 def uid_of(u, a, b):
@@ -77,6 +77,115 @@ def test_two_crossing_singletons_fail(bip4, crossing_pair):
 def test_empty_set_rejected(bip4):
     with pytest.raises(SeparationError):
         IndexedFamily(bip4, [set()])
+
+
+def random_corner_sets(u, uids, h):
+    """2-5 sets, each an element, some of its corners with another element
+    and maybe that element, or a repeat of an earlier set."""
+    sets = []
+    for i in range(2 + h % 4):
+        r = corpus.splitmix64(h + 101 * i)
+        if i and r % 3 == 0:
+            sets.append(sets[(r >> 4) % i])
+            continue
+        x, y = uids[(r >> 8) % len(uids)], uids[(r >> 24) % len(uids)]
+        picked = {c for bit, c in enumerate(u.corner_table(x, y)) if r >> (40 + bit) & 1}
+        sets.append({x} | picked | ({y} if r >> 50 & 1 else set()))
+    return sets
+
+
+@pytest.mark.parametrize("npoints", [4, 5, 6])
+def test_splinters_matches_reference_on_random_families(npoints):
+    """100 families per universe, each also checked in shuffled key order,
+    with one set repeated under a new key, and with random levels, which
+    the predicate ignores."""
+    import random
+
+    points = range(1, npoints + 1)
+    u = bipartition_universe(points, complete_cut_order(points))
+    uids = list(u.unoriented_ids())
+    verdicts = set()
+    for counter in range(1, 101):
+        h = corpus.splitmix64(1000 * npoints + counter)
+        sets = random_corner_sets(u, uids, h)
+        nsets = len(sets)
+        order = list(range(nsets))
+        random.Random(counter).shuffle(order)
+        levels = {k: corpus.splitmix64(h + 17 * k) % 3 for k in range(nsets)}
+        variants = [
+            IndexedFamily(u, sets),
+            IndexedFamily(u, {k: sets[k] for k in order}),
+            IndexedFamily(u, sets + [sets[(h >> 32) % nsets]]),
+            IndexedFamily(u, sets, levels=levels),
+        ]
+        for fam in variants:
+            got = splinters(fam)
+            assert got == reference_splinters(fam), (npoints, counter, fam.sets, fam.levels)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_splinters_matches_reference_on_corpus_families(small_corpus):
+    """The tangle families of the corpus graphs, and the ``mode="all"``
+    families of every profile of their slice chains."""
+    checked = 0
+    for g in small_corpus:
+        u = enumerate_graph_separations(g)
+        chain = slice_chain(u)
+        tangles = [p for l in enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g) for p in l]
+        top = maximal_profiles(tangles)
+        profiles = [p for l in enumerate_chain_profiles(chain, PROFILE) for p in l]
+        families = [build_distinguisher_family(profiles, mode="all")]
+        if len(top) >= 2:
+            families += [build_distinguisher_family(top, mode=m) for m in ("efficient", "all")]
+        for fam in families:
+            if not len(fam):
+                continue
+            got = splinters(fam)
+            assert got == reference_splinters(fam), g
+            checked += 1
+    assert checked >= 50, checked
+
+
+def test_transversal_witness_is_the_reference_witness_on_repeated_sets():
+    """``extract_transversal`` prechecks the family itself, repeated sets
+    included, and names the oracle's witness on the full family."""
+    points = range(1, 6)
+    u = bipartition_universe(points, complete_cut_order(points))
+    uids = list(u.unoriented_ids())
+    refused = 0
+    for counter in range(1, 201):
+        h = corpus.splitmix64(counter)
+        sets = random_corner_sets(u, uids, h)
+        sets = sets + [sets[(h >> 32) % len(sets)], sets[0]]
+        fam = IndexedFamily(u, sets)
+        ok, witness = reference_splinters(fam)
+        if ok:
+            assert extract_transversal(fam).picks.keys() == set(fam.keys)
+            continue
+        with pytest.raises(SplinterConditionError) as exc:
+            extract_transversal(fam)
+        assert exc.value.witness == witness, (counter, sets)
+        refused += 1
+    assert refused >= 20, refused
+
+
+def test_precheck_makes_one_corner_lookup_per_crossing_support_pair(monkeypatch):
+    """Both predicates look up the corners of each crossing pair of support
+    elements at most once (the key-pair scan of ``reference_splinters`` makes
+    278,208 lookups on this family)."""
+    fam = graph_tangles(corpus.star_graph(8)).family
+    u = fam.universe
+    support = sorted(fam.union_support())
+    crossing = sum(not u.nested(x, y) for i, x in enumerate(support) for y in support[i + 1 :])
+    assert crossing == 5103
+    table = u.corner_table
+    calls = []
+    monkeypatch.setattr(u, "corner_table", lambda a, b: calls.append(1) or table(a, b))
+    for predicate in (splinters, splinters_hierarchically):
+        calls.clear()
+        assert predicate(fam) == (True, None)
+        assert 0 < len(calls) <= crossing, (predicate.__name__, len(calls))
 
 
 # ----------------------------------------------------------------------
