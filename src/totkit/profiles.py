@@ -118,32 +118,6 @@ class Orientation:
         return f"Orientation({len(self.chosen)} separations)"
 
 
-def _packed_covers(g: Graph, u: Universe, oids) -> tuple[int, dict[int, int]]:
-    """The part of ``g`` that the small side ``A`` of each oid covers, as one
-    int: bit ``v`` for each vertex in ``A``, bit ``n + b`` for each edge ``b``
-    with both ends in ``A``.  What ``A`` misses is every vertex outside it
-    and every edge at such a vertex: the OR of ``inc[v]`` (bit ``v`` and the
-    bits of the edges at ``v``) over the vertices ``v`` outside ``A``.
-    Returns the all-ones mask ``full`` and the cover of each oid."""
-    n = g.n
-    inc = [1 << v for v in range(n)]
-    for b, (i, j) in enumerate(g.edge_indices):
-        inc[i] |= 1 << (n + b)
-        inc[j] |= 1 << (n + b)
-    full = (1 << (n + g.n_edges)) - 1
-    vfull = (1 << n) - 1
-    covers = {}
-    for oid in oids:
-        out = vfull & ~u.sides(oid)[0]
-        missed = 0
-        while out:
-            low = out & -out
-            missed |= inc[low.bit_length() - 1]
-            out ^= low
-        covers[oid] = full & ~missed
-    return full, covers
-
-
 # ----------------------------------------------------------------------
 # enumeration
 
@@ -162,14 +136,22 @@ class _Search:
     ``b <= c and d <= a`` (as sets), which is both ``~x < y`` and ``~y < x``
     (``~x`` is never ``y``: each member is oriented once); ``x`` alone is
     inconsistent when ``~x < x``, that is ``b <= a`` and ``x != ~x``.
-    For graph tangles, each orientation's cover is one int (the vertices of
-    its small side, then the edges inside it), and each pair of chosen covers,
-    a cover with itself included, leaves one residual int: what neither
-    covers.  With ``nx`` what the candidate's cover misses, the candidate is
-    rejected when ``nx`` is empty or its cover contains a residual
-    (``r & nx == 0``).  As a chosen ``y`` leaves the residual ``ny``, this
-    scan also rejects the candidate when it covers everything with ``y``, so
-    no residual is ever empty.
+    For graph tangles, no three chosen small sides may cover ``g``, vertices
+    and edges (a side repeated included).  A side ``Z`` covers a set of
+    vertices and edges exactly when it contains the set's hull: its vertices
+    and the ends of its edges.  Of what neither ``X`` nor ``Y`` covers, the
+    hull is ``O | (X & Y & nbr[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
+    ``O = V - (X | Y)``, ``nbr[S]`` is the neighbourhood mask of ``S``
+    and ``rim(A) = A & nbr[V - A]``, both tables over all ``2^n`` vertex
+    masks, built once per search.  ``sup[h]`` counts the chosen small sides
+    that contain ``h``: choosing ``A`` adds 1 on all ``2^|A|`` submasks of
+    ``A``, and undo subtracts it on the same submasks.  A candidate with
+    small side ``X`` is rejected when ``X`` is ``V``, or when for some chosen
+    small side ``Y`` it has ``sup[hull] > 0``; an empty hull is caught there
+    too, as ``sup[0]`` counts every chosen side.  That is every triple
+    through ``X``: with ``Y = X`` the hull is ``(V - X) | rim(X)``, empty
+    only when ``X`` is ``V``, and a side ``Z`` containing it leaves the pair
+    ``X, Z`` an empty hull.
     """
 
     def __init__(self, universe: Universe, kind: ProfileKind, graph: Graph | None):
@@ -204,8 +186,21 @@ class _Search:
 
         tag = self.kind.tag
         if tag == "graph-tangle":
-            g = self.graph
-            full, cover = _packed_covers(g, u, [o for uid in members for o in u.orientations(uid)])
+            vfull = u.full_mask
+            nbr = [0] * (vfull + 1)
+            for s in range(1, vfull + 1):
+                low = s & -s
+                nbr[s] = nbr[s ^ low] | self.graph.adj[low.bit_length() - 1]
+            rim = [s & nbr[vfull ^ s] for s in range(vfull + 1)]
+            sup = [0] * (vfull + 1)
+
+            def tally(a: int, step: int):
+                s = a
+                while True:
+                    sup[s] += step
+                    if not s:
+                        return
+                    s = (s - 1) & a
         if tag == "circle-tangle":
             m_par, n_par = self.kind.m, self.kind.n
             if len(u.labels) < m_par:
@@ -218,9 +213,6 @@ class _Search:
 
         # forbidden oriented corners for (P); counts allow undo
         forbidden: dict[int, int] = {}
-        # (T): deduplicated chosen covers and pair residuals, with counts
-        covers: dict[int, int] = {}
-        residuals: dict[int, int] = {}
         # circle: minimal subset size per reachable big-side intersection
         inters: dict[int, int] = {u.full_mask: 0} if tag == "circle-tangle" else {}
 
@@ -252,19 +244,16 @@ class _Search:
                     forbidden[c] = forbidden.get(c, 0) + 1
                 trail.append(("P", new))
             elif tag == "graph-tangle":
-                cx = cover[x]
-                nx = full & ~cx
-                if nx == 0:
+                if a == vfull:
                     return None
-                for r in residuals:
-                    if r & nx == 0:
+                ra = rim[a]
+                for c, _ in chosen_sides:
+                    o = vfull ^ (a | c)
+                    h = o | (a & c & nbr[o]) | (ra & ~c) | (rim[c] & ~a)
+                    if sup[h]:
                         return None
-                new = [nx & ~cy for cy in covers]
-                new.append(nx)
-                for r in new:
-                    residuals[r] = residuals.get(r, 0) + 1
-                covers[cx] = covers.get(cx, 0) + 1
-                trail.append(("T", new, cx))
+                tally(a, 1)
+                trail.append(("T", a))
             elif tag == "circle-tangle":
                 for mask, size in inters.items():
                     if size + 1 < n_par and (mask & b).bit_count() < m_par:
@@ -299,18 +288,7 @@ class _Search:
                         else:
                             del forbidden[c]
                 elif item[0] == "T":
-                    for r in item[1]:
-                        cnt = residuals[r] - 1
-                        if cnt:
-                            residuals[r] = cnt
-                        else:
-                            del residuals[r]
-                    key = item[2]
-                    cnt = covers[key] - 1
-                    if cnt:
-                        covers[key] = cnt
-                    else:
-                        del covers[key]
+                    tally(item[1], -1)
                 elif item[0] == "F":
                     for mask, prev in reversed(item[1]):
                         if prev is None:

@@ -26,7 +26,6 @@ instead of returning an unverified result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     HierarchicalConditionError,
@@ -77,15 +76,6 @@ class IndexedFamily:
             for k in self.keys:
                 if k not in self.levels:
                     raise SeparationError(f"family key {k!r} has no level")
-
-    @cached_property
-    def prec(self) -> frozenset:
-        """The strict order as ordered key pairs: O(K²), built on first read
-        and kept; nothing in the package reads it."""
-        L = self.levels
-        if not L:
-            return frozenset()
-        return frozenset((a, b) for a in self.keys for b in self.keys if L[a] < L[b])
 
     def __len__(self):
         return len(self.keys)

@@ -5,7 +5,8 @@ only used by the tests: the tangle properties against ``_Search``'s
 incremental rules, the corner tags and sides against
 ``Universe.corners``/``corner_table``, the all-pairs submodularity of an
 order against ``check_submodular_order``, the splinter condition key pair by
-key pair against ``splinters``, and chain-level efficiency against the
+key pair against ``splinters``, the key order as pairs against the levels of
+``IndexedFamily``, and chain-level efficiency against the
 order-level families the pipelines build.
 """
 
@@ -96,6 +97,15 @@ def is_submodular_order(universe):
 
 # ----------------------------------------------------------------------
 # the splinter condition
+
+
+def prec(fam):
+    """The strict key order of ``fam`` as ordered key pairs: ``(a, b)`` when
+    ``levels[a] < levels[b]``, none without levels."""
+    L = fam.levels
+    if not L:
+        return frozenset()
+    return frozenset((a, b) for a in fam.keys for b in fam.keys if L[a] < L[b])
 
 
 def reference_splinters(fam):

@@ -7,10 +7,10 @@ import pytest
 
 from totkit import corpus
 from totkit.errors import SeparationError
+from totkit.pipelines import graph_tangles
 from totkit.profiles import (
     PROFILE,
     Orientation,
-    _packed_covers,
     build_distinguisher_family,
     circle_tangle_kind,
     distinguishers,
@@ -34,7 +34,6 @@ from totkit.universes import (
 )
 
 from oracles import (
-    cover_data,
     distinguishes,
     efficiently_distinguishes,
     has_profile_property,
@@ -130,6 +129,31 @@ def test_k4_tangle_towards_clique():
     assert has_tangle_property(tangles[0], g)
 
 
+def test_tangles_at_the_size_bound_satisfy_the_definitions():
+    """Every tangle of K8 and K4,4, at every level, against the oracles."""
+    for g in (corpus.complete_graph(8), corpus.complete_bipartite(4, 4)):
+        chain = slice_chain(enumerate_graph_separations(g))
+        for level in enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g):
+            for t in level:
+                assert is_consistent(t), g
+                assert has_tangle_property(t, g), g
+
+
+def test_tangle_counts_at_the_size_bound():
+    """Tangles per chain level of 8- to 10-vertex graphs.  The values were
+    counted by the earlier pair-residual form of rule (T), so they do not
+    come from the table form under test."""
+    cases = [
+        (corpus.complete_graph(8), [1, 1, 1, 1, 1, 1, 0, 0, 0]),
+        (corpus.complete_bipartite(4, 4), [1, 1, 1, 1, 0, 0, 0, 0, 0]),
+        (corpus.complete_graph(10), [1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0]),
+        (corpus.complete_bipartite(5, 5), [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]),
+        (corpus.petersen_graph(), [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
+    ]
+    for g, counts in cases:
+        assert graph_tangles(g).tangle_counts() == counts, g
+
+
 def test_p4_has_one_order2_tangle_per_edge(p4, p4_universe):
     """Under the literal tangle property every edge induces an order-2 tangle."""
     s2 = restrict_Sk(p4_universe, 2)
@@ -144,16 +168,6 @@ def test_empty_subsystem_tangle_is_vacuous(p4, p4_universe):
     assert enumerate_profiles(s0, graph_tangle_kind(), graph=p4) == [
         Orientation(s0, frozenset())
     ]
-
-
-def test_packed_cover_unpacks_to_the_definitional_cover():
-    for g in corpus.all_connected_graphs(6):
-        u = enumerate_graph_separations(g)
-        _, covers = _packed_covers(g, u, u.oriented_ids())
-        vertices = (1 << g.n) - 1
-        for oid in u.oriented_ids():
-            c = covers[oid]
-            assert (c & vertices, c >> g.n) == cover_data(g, u, oid), (g, oid)
 
 
 def test_orientation_with_full_side_violates_tangle_property(p4, p4_universe):
@@ -340,6 +354,43 @@ def test_search_matches_naive_on_arbitrary_subsystems(p4):
             for kind in (PROFILE, graph_tangle_kind()):
                 got = sorted((o.chosen for o in enumerate_profiles(system, kind, g)), key=sorted)
                 assert got == naive_enumerate(system, kind, g), (g, kind, sorted(members))
+
+
+def test_tangle_search_matches_oracles_off_the_connected_corpus():
+    """Disconnected graphs, isolated vertices and edgeless graphs have small
+    sides other than the empty set and ``V`` with an empty rim, and pairs of
+    sides that leave vertices but no edges uncovered, which no connected
+    graph on two or more vertices has; the search must still equal both
+    oracles on them."""
+    rng = random.Random(5)
+
+    def connected(g):
+        seen, todo = 1, 1
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = g.adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            todo |= new
+        return seen == (1 << g.n) - 1
+
+    graphs = [Graph(range(n), []) for n in (4, 5)]
+    graphs.append(Graph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    while len(graphs) < 12:
+        n = rng.randint(4, 6)
+        g = Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        if not connected(g):
+            graphs.append(g)
+    kind = graph_tangle_kind()
+    for g in graphs:
+        chain = slice_chain(enumerate_graph_separations(g))
+        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
+        assert got == backtrack_chain(chain, kind, g), g
+        uids = chain.universe.unoriented_ids()
+        for _ in range(8):
+            system = SubSystem(chain.universe, frozenset(rng.sample(uids, min(len(uids), 6))))
+            got = sorted((o.chosen for o in enumerate_profiles(system, kind, g)), key=sorted)
+            assert got == naive_enumerate(system, kind, g), (g, sorted(system.members))
 
 
 def test_chain_profiles_restrict_downwards(two_k4, two_k4_universe):

@@ -38,7 +38,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, reference_splinters
+from oracles import corner_items, prec, reference_splinters
 
 
 def uid_of(u, a, b):
@@ -417,10 +417,11 @@ def reference_rule_passes(u, rel, a, b, A, B):
 
 def reference_splinters_hierarchically(fam):
     """The definitional predicate: every key pair and element pair in turn."""
+    order = prec(fam)
     for ii, ki in enumerate(fam.keys):
         for kj in fam.keys[ii:]:
             A, B = fam.sets[ki], fam.sets[kj]
-            rel = "ij" if (ki, kj) in fam.prec else "ji" if (kj, ki) in fam.prec else "inc"
+            rel = "ij" if (ki, kj) in order else "ji" if (kj, ki) in order else "inc"
             for a in sorted(A):
                 for b in sorted(B):
                     if not reference_rule_passes(fam.universe, rel, a, b, A, B):
@@ -514,7 +515,8 @@ def test_hierarchical_matches_reference_on_random_orders():
         assert got == reference_splinters_hierarchically(fam), (counter, sets, levels)
         if not got[0]:
             ki, kj = got[1][:2]
-            rel = "ij" if (ki, kj) in fam.prec else "ji" if (kj, ki) in fam.prec else "inc"
+            order = prec(fam)
+            rel = "ij" if (ki, kj) in order else "ji" if (kj, ki) in order else "inc"
             failed_at[rel] += 1
         # the same sets in shuffled key order, with one set repeated at
         # another level, and without levels
@@ -584,8 +586,8 @@ def test_invalid_index_order_rejected(bip4):
         IndexedFamily(bip4, [[a], [b]], levels={0: 1})
     L = {"p": 2, "q": 1, "r": 2, "s": 0}
     fam = IndexedFamily(bip4, {k: [a] for k in L}, levels=L)
-    assert fam.prec == {(x, y) for x in L for y in L if L[x] < L[y]}
-    assert IndexedFamily(bip4, [[a], [b]]).prec == frozenset()
+    assert prec(fam) == {(x, y) for x in L for y in L if L[x] < L[y]}
+    assert prec(IndexedFamily(bip4, [[a], [b]])) == frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -788,8 +790,9 @@ def test_canonical_trace_takes_the_minimal_keys_left_at_each_depth(small_corpus)
         if fam is None or not len(fam):
             continue
         left = list(fam.keys)
+        order = prec(fam)
         for entry in extract_canonical(fam).trace:
-            minimal = [k for k in left if not any((k2, k) in fam.prec for k2 in left if k2 != k)]
+            minimal = [k for k in left if not any((k2, k) in order for k2 in left if k2 != k)]
             assert entry["minimal_keys"] == sorted(map(repr, minimal))
             ordered_depths += len(minimal) < len(left)
             left = [k for k in left if not (fam.sets[k] & set(entry["extremal"]))]
