@@ -18,16 +18,7 @@ from .errors import (
     UniverseClosureError,
     VerificationError,
 )
-from .sepsys import (
-    OrientedSep,
-    SubSystem,
-    UnorientedSep,
-    Universe,
-    corners,
-    is_nested,
-    is_small,
-    is_trivial,
-)
+from .sepsys import SubSystem, Universe
 from .universes import (
     Graph,
     SubsystemChain,

@@ -52,8 +52,11 @@ __all__ = ["main"]
 
 def _emit(args, text: str):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -2,7 +2,7 @@
 
 
 class SeparationError(ValueError):
-    """Invalid separation data, or handles from a foreign universe."""
+    """Invalid separation data, or objects from different universes."""
 
 
 class UniverseClosureError(SeparationError):

@@ -185,7 +185,7 @@ def parse_order_spec(spec: str, points, order_graph):
         raise InputError(f"unknown order-fn spec {spec!r}")
     try:
         return cut_order_fn(points, edges)
-    except (SeparationError, KeyError) as exc:
+    except SeparationError as exc:
         raise InputError(f"bad cut graph: {exc}") from exc
 
 

@@ -105,12 +105,6 @@ class Orientation:
         except KeyError as exc:
             raise SeparationError(f"separation {uid} is not oriented here") from exc
 
-    def orients(self, uid: int) -> bool:
-        return uid in self._by_uid
-
-    def __contains__(self, oid: int) -> bool:
-        return oid in self.chosen
-
     def __len__(self):
         return len(self.chosen)
 

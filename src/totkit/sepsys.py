@@ -1,4 +1,4 @@
-"""Abstract separation systems: oriented separations, universes, subsystems.
+"""Abstract separation systems: universes of oriented separations, subsystems.
 
 A :class:`Universe` holds finitely many bipartition-style separations over a
 ground set.  An oriented separation is a pair ``(A, B)`` of subsets of the
@@ -10,12 +10,12 @@ DeMorgan dual ``(A n C, B u D)``.
 Orientations are addressed by integer ids ("oids"), assigned in sorted order
 of the side-mask pairs and therefore deterministic.  The unoriented
 separation underlying an oid is addressed by the smaller id of its two
-orientations (its "uid").  Thin value types :class:`OrientedSep` and
-:class:`UnorientedSep` wrap a universe reference and an id and support the
-usual operators (``<=``, ``~``, ``|``, ``&``).
+orientations (its "uid").  Every operation of the abstract layer (``leq``,
+``inv``, ``join``, ``meet``, ``nested``, ``corners``, ``is_small``,
+``is_trivial``) is a :class:`Universe` method on these ids.
 
-Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+A universe's separations, ids and orders are fixed at construction; only
+``corner_table`` fills a cache lazily, and a filled entry never changes.
 """
 
 from __future__ import annotations
@@ -25,16 +25,7 @@ from typing import Callable, Iterable
 
 from .errors import SeparationError, UniverseClosureError
 
-__all__ = [
-    "Universe",
-    "OrientedSep",
-    "UnorientedSep",
-    "SubSystem",
-    "is_nested",
-    "corners",
-    "is_small",
-    "is_trivial",
-]
+__all__ = ["Universe", "SubSystem"]
 
 
 def bits(mask: int):
@@ -87,7 +78,7 @@ class Universe:
         self._corners: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------
-    # handles and lookups
+    # lookups
 
     def __len__(self) -> int:
         return len(self._uids)
@@ -238,112 +229,8 @@ class Universe:
         a, b = self._pairs[oid]
         return self.labels_of(a), self.labels_of(b)
 
-    def sep_from_sides(self, side_a: Iterable, side_b: Iterable) -> "OrientedSep":
-        oid = self.find(self.mask_of(side_a), self.mask_of(side_b))
-        if oid is None:
-            raise SeparationError("no such separation in this universe")
-        return OrientedSep(self, oid)
-
-    def osep(self, oid: int) -> "OrientedSep":
-        return OrientedSep(self, oid)
-
-    def usep(self, uid: int) -> "UnorientedSep":
-        return UnorientedSep(self, self.uid(uid))
-
     def __repr__(self):
         return f"Universe(kind={self.kind!r}, ground={len(self.labels)}, seps={len(self)})"
-
-
-def _check_same_universe(*objs) -> Universe:
-    u = objs[0].universe
-    for o in objs[1:]:
-        if o.universe is not u:
-            raise SeparationError("separations belong to different universes")
-    return u
-
-
-@dataclass(frozen=True)
-class OrientedSep:
-    """Handle to one orientation of a separation in a universe."""
-
-    universe: Universe
-    oid: int
-
-    def __post_init__(self):
-        if not 0 <= self.oid < self.universe.n_oriented:
-            raise SeparationError(f"oid {self.oid} out of range")
-
-    @property
-    def inverse(self) -> "OrientedSep":
-        return OrientedSep(self.universe, self.universe.inv(self.oid))
-
-    @property
-    def underlying(self) -> "UnorientedSep":
-        return UnorientedSep(self.universe, self.universe.uid(self.oid))
-
-    @property
-    def sides(self) -> tuple[tuple, tuple]:
-        return self.universe.side_labels(self.oid)
-
-    @property
-    def order(self):
-        return self.universe.order(self.oid)
-
-    def __invert__(self) -> "OrientedSep":
-        return self.inverse
-
-    def __le__(self, other: "OrientedSep") -> bool:
-        u = _check_same_universe(self, other)
-        return u.leq(self.oid, other.oid)
-
-    def __lt__(self, other: "OrientedSep") -> bool:
-        u = _check_same_universe(self, other)
-        return u.lt(self.oid, other.oid)
-
-    def __ge__(self, other):
-        return other.__le__(self)
-
-    def __gt__(self, other):
-        return other.__lt__(self)
-
-    def __or__(self, other: "OrientedSep") -> "OrientedSep":
-        u = _check_same_universe(self, other)
-        return OrientedSep(u, u.join(self.oid, other.oid))
-
-    def __and__(self, other: "OrientedSep") -> "OrientedSep":
-        u = _check_same_universe(self, other)
-        return OrientedSep(u, u.meet(self.oid, other.oid))
-
-    def __repr__(self):
-        a, b = self.sides
-        return f"({set(a) or '{}'}|{set(b) or '{}'})"
-
-
-@dataclass(frozen=True)
-class UnorientedSep:
-    """Handle to an unoriented separation (a pair of inverse orientations)."""
-
-    universe: Universe
-    uid: int
-
-    def __post_init__(self):
-        if not 0 <= self.uid < self.universe.n_oriented:
-            raise SeparationError(f"uid {self.uid} out of range")
-        if self.universe.uid(self.uid) != self.uid:
-            raise SeparationError(f"{self.uid} is not a canonical orientation id")
-
-    @property
-    def orientations(self) -> tuple[OrientedSep, OrientedSep]:
-        a, b = self.universe.orientations(self.uid)
-        return OrientedSep(self.universe, a), OrientedSep(self.universe, b)
-
-    @property
-    def order(self):
-        return self.universe.order(self.uid)
-
-    def __repr__(self):
-        a, b = self.universe.side_labels(self.uid)
-        return f"{{{set(a) or '{}'},{set(b) or '{}'}}}"
 
 
 @dataclass(frozen=True)
@@ -357,58 +244,5 @@ class SubSystem:
         for m in self.members - self.universe._uid_set:
             raise SeparationError(f"{m} is not a canonical separation id of this universe")
 
-    @classmethod
-    def from_seps(cls, universe: Universe, seps: Iterable) -> "SubSystem":
-        ids = set()
-        for s in seps:
-            if isinstance(s, UnorientedSep):
-                if s.universe is not universe:
-                    raise SeparationError("separations belong to different universes")
-                ids.add(s.uid)
-            else:
-                ids.add(universe.uid(int(s)))
-        return cls(universe, frozenset(ids))
-
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, UnorientedSep):
-            return item.universe is self.universe and item.uid in self.members
-        return self.universe.uid(int(item)) in self.members
-
-    def oriented_ids(self) -> list[int]:
-        out = []
-        for m in sorted(self.members):
-            out.append(m)
-            j = self.universe.inv(m)
-            if j != m:
-                out.append(j)
-        return out
-
-
-# ----------------------------------------------------------------------
-# operations from the abstract layer
-
-
-def is_nested(r: UnorientedSep, s: UnorientedSep) -> bool:
-    """Whether some orientations of ``r`` and ``s`` are comparable."""
-    u = _check_same_universe(r, s)
-    return u.nested(r.uid, s.uid)
-
-
-def corners(r: UnorientedSep, s: UnorientedSep) -> list[tuple[tuple[int, int], UnorientedSep]]:
-    """The four corner separations of ``r`` and ``s``, tagged by orientation pair."""
-    u = _check_same_universe(r, s)
-    tags = ((0, 0), (0, 1), (1, 0), (1, 1))
-    return [(tag, UnorientedSep(u, c)) for tag, c in zip(tags, u.corners(r.uid, s.uid))]
-
-
-def is_small(s: OrientedSep) -> bool:
-    """Whether ``s <= ~s``."""
-    return s.universe.is_small(s.oid)
-
-
-def is_trivial(s: OrientedSep, system: SubSystem) -> bool:
-    """Whether ``s`` is strictly below both orientations of some member of ``system``."""
-    return _check_same_universe(s, system).is_trivial(s.oid, system.members)

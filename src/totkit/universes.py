@@ -135,6 +135,9 @@ def cut_order_fn(labels, weighted_edges) -> Callable[[int, int], int]:
     for u, v, w in weighted_edges:
         if w < 0:
             raise SeparationError("cut weights must be non-negative")
+        for end in (u, v):
+            if end not in idx:
+                raise SeparationError(f"cut edge ({u!r}, {v!r}) names unknown point {end!r}")
         items.append((1 << idx[u], 1 << idx[v], w))
 
     def order(a: int, b: int):

@@ -19,10 +19,14 @@ from totkit.profiles import (
     build_distinguisher_family,
     efficient_distinguishers,
 )
-from totkit.sepsys import SubSystem, _check_same_universe
+from totkit.sepsys import SubSystem
 
 # ----------------------------------------------------------------------
 # corners and separation systems
+
+
+def oid(u, a, b):
+    return u.find(u.mask_of(a), u.mask_of(b))
 
 
 def corner_items(u, x, y):
@@ -41,30 +45,28 @@ def corner_items(u, x, y):
     return out
 
 
-def from_different_sides(r, s, c1, c2):
+def from_different_sides(u, r, s, c1, c2):
     """Whether corners ``c1`` and ``c2`` of ``r`` and ``s`` lie on different sides of ``r``.
 
     ``c1`` lies on the side of an orientation of ``r`` if it underlies a meet
     of that orientation with an orientation of ``s``; the two corners lie on
     different sides if such witnessing orientations of ``r`` are inverse to
-    each other.  ``c1 == c2`` is allowed.
+    each other.  All four are uids of ``u``; ``c1 == c2`` is allowed.
     """
-    u = _check_same_universe(r, s, c1, c2)
     side0, side1 = (
-        {u.uid(u.meet(rho, sigma)) for sigma in u.orientations(s.uid)}
-        for rho in u.orientations(r.uid)
+        {u.uid(u.meet(rho, sigma)) for sigma in u.orientations(s)}
+        for rho in u.orientations(r)
     )
-    x, y = c1.uid, c2.uid
-    if not {x, y} <= side0 | side1:
+    if not {c1, c2} <= side0 | side1:
         raise SeparationError("c1 and c2 must be corner separations of r and s")
-    return (x in side0 and y in side1) or (x in side1 and y in side0)
+    return (c1 in side0 and c2 in side1) or (c1 in side1 and c2 in side0)
 
 
-def is_regular(seps):
-    """Whether no element has a small orientation."""
-    for s in seps:
-        a, b = s.universe.orientations(s.uid)
-        if s.universe.is_small(a) or s.universe.is_small(b):
+def is_regular(u, uids):
+    """Whether no element of ``uids`` has a small orientation."""
+    for x in uids:
+        a, b = u.orientations(x)
+        if u.is_small(a) or u.is_small(b):
             return False
     return True
 
@@ -73,7 +75,7 @@ def is_structurally_submodular(system):
     """Whether every oriented pair of members has its join or meet in the system."""
     u = system.universe
     members = system.members
-    oriented = system.oriented_ids()
+    oriented = sorted({o for m in members for o in u.orientations(m)})
     for xi, x in enumerate(oriented):
         for y in oriented[xi:]:
             if u.uid(u.join(x, y)) not in members and u.uid(u.meet(x, y)) not in members:
@@ -224,19 +226,20 @@ def orientation_from_json(universe, doc):
 # distinguishing and robustness
 
 
-def distinguishes(s, p, q):
-    if s.universe is not p.universe or p.universe is not q.universe:
+def distinguishes(u, s, p, q):
+    """Whether ``p`` and ``q`` orient the separation with uid ``s`` differently."""
+    if p.universe is not u or q.universe is not u:
         raise SeparationError("mixed universes")
-    if not (p.orients(s.uid) and q.orients(s.uid)):
-        raise SeparationError(f"separation {s.uid} is not oriented by both orientations")
-    return p.choice(s.uid) != q.choice(s.uid)
+    if not (s in p.system.members and s in q.system.members):
+        raise SeparationError(f"separation {s} is not oriented by both orientations")
+    return p.choice(s) != q.choice(s)
 
 
-def efficiently_distinguishes(s, p, q, context=None):
+def efficiently_distinguishes(u, s, p, q, context=None):
     """Whether ``s`` distinguishes ``p`` and ``q`` at minimal order (or chain level)."""
-    if not distinguishes(s, p, q):
+    if not distinguishes(u, s, p, q):
         return False
-    return s.uid in efficient_distinguishers(p, q, context)
+    return s in efficient_distinguishers(p, q, context)
 
 
 def is_robust_set(profiles, chain, witness=None):
@@ -263,7 +266,7 @@ def is_robust_set(profiles, chain, witness=None):
                 for r_o in shared:
                     r_i = u.inv(r_o)
                     r_uid = u.uid(r_o)
-                    if not p.orients(r_uid) or p.choice(r_uid) != r_i:
+                    if r_uid not in p.system.members or p.choice(r_uid) != r_i:
                         continue
                     for s in eff:
                         s_min = chain.level_of(s)

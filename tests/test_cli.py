@@ -13,8 +13,10 @@ from totkit.cli import main
 from totkit.errors import (
     HierarchicalConditionError,
     InternalContradictionError,
+    SeparationError,
     SplinterConditionError,
 )
+from totkit.universes import cut_order_fn
 
 
 TWO_K4_EDGES = "\n".join(
@@ -216,6 +218,27 @@ def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "input" and "9" in diag["message"]
+
+
+def test_cut_file_unknown_point_is_exit_2(capsys, tmp_path, circle_file):
+    cut = tmp_path / "weights.txt"
+    cut.write_text("1 2 1\n1 9 1\n")
+    argv = ["circle-tangles", "--input", circle_file, "--m", "1", "--n", "4", "--order-fn", f"cut:{cut}"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "input" and "unknown point 9" in diag["message"]
+    with pytest.raises(SeparationError, match="unknown point 9"):
+        cut_order_fn([1, 2, 3, 4], [(1, 2, 1), (1, 9, 1)])
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_is_exit_2(capsys, tmp_path, two_k4_file, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "tot", "--input", two_k4_file, "--output", str(target))
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "input" and diag["message"].startswith(f"cannot write {target}")
 
 
 @pytest.mark.parametrize("weight", [0.5, True, float("nan"), float("inf")], ids=["0.5", "true", "NaN", "Infinity"])

@@ -439,7 +439,7 @@ def test_identical_profiles_distinguish_nothing(p4_universe):
     s2 = restrict_Sk(p4_universe, 2)
     o = orient_towards(p4_universe, s2, "d")
     for uid in sorted(s2.members):
-        assert not distinguishes(p4_universe.usep(uid), o, o)
+        assert not distinguishes(p4_universe, uid, o, o)
 
 
 def test_distinguish_error_when_not_in_both_bases(p4_universe):
@@ -449,7 +449,7 @@ def test_distinguish_error_when_not_in_both_bases(p4_universe):
     o2 = orient_towards(p4_universe, s2, "d")
     outside = sorted(s2.members - s1.members)[0]
     with pytest.raises(SeparationError):
-        distinguishes(p4_universe.usep(outside), o1, o2)
+        distinguishes(p4_universe, outside, o1, o2)
 
 
 def test_bridge_separation_distinguishes_the_two_clique_tangles(two_k4, two_k4_universe):
@@ -458,8 +458,8 @@ def test_bridge_separation_distinguishes_the_two_clique_tangles(two_k4, two_k4_u
     top = sorted(graph_pipeline_result(two_k4, u), key=len)[-2:]
     assert len(top) == 2
     b = bridge_uid(u)
-    assert distinguishes(u.usep(b), top[0], top[1])
-    assert efficiently_distinguishes(u.usep(b), top[0], top[1])
+    assert distinguishes(u, b, top[0], top[1])
+    assert efficiently_distinguishes(u, b, top[0], top[1])
 
 
 def bridge_uid(u):
@@ -480,7 +480,7 @@ def test_higher_order_distinguisher_is_not_efficient(two_k4, two_k4_universe):
     best = min(u.order(d) for d in ds)
     worse = [d for d in ds if u.order(d) > best]
     assert worse, "expected some non-minimal distinguisher"
-    assert not efficiently_distinguishes(u.usep(worse[0]), p, q)
+    assert not efficiently_distinguishes(u, worse[0], p, q)
     for d in efficient_distinguishers(p, q):
         assert u.order(d) == best
 
@@ -490,7 +490,7 @@ def test_unique_distinguisher_is_efficient(bip4):
     system = SubSystem(bip4, frozenset({bip4.uid(r)}))
     p = Orientation(system, frozenset({r}))
     q = Orientation(system, frozenset({bip4.inv(r)}))
-    assert efficiently_distinguishes(bip4.usep(bip4.uid(r)), p, q)
+    assert efficiently_distinguishes(bip4, bip4.uid(r), p, q)
 
 
 def test_sequence_context_singleton_every_distinguisher_efficient(p4_universe):
@@ -501,7 +501,7 @@ def test_sequence_context_singleton_every_distinguisher_efficient(p4_universe):
     ))
     p, q = tangles[0], tangles[1]
     for d in distinguishers(p, q):
-        assert efficiently_distinguishes(p4_universe.usep(d), p, q, context=chain)
+        assert efficiently_distinguishes(p4_universe, d, p, q, context=chain)
 
 
 # ----------------------------------------------------------------------

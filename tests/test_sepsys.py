@@ -5,24 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totkit.errors import SeparationError
-from totkit.sepsys import (
-    SubSystem,
-    corners,
-    is_nested,
-    is_small,
-    is_trivial,
-)
+from totkit.sepsys import SubSystem
 from totkit.universes import Graph, bipartition_universe, enumerate_graph_separations
 
-from oracles import corner_items, from_different_sides, is_regular, is_structurally_submodular
-
-
-def usep(u, a, b):
-    return u.sep_from_sides(a, b).underlying
-
-
-def osep(u, a, b):
-    return u.sep_from_sides(a, b)
+from oracles import corner_items, from_different_sides, is_regular, is_structurally_submodular, oid
 
 
 # ----------------------------------------------------------------------
@@ -120,21 +106,21 @@ def test_bipartition_leq_matches_mask_inclusion(a, b):
 
 
 # ----------------------------------------------------------------------
-# is_nested
+# nested
 
 
 def test_is_nested_reflexive(bip4):
-    s = usep(bip4, [1], [2, 3, 4])
-    assert is_nested(s, s)
+    s = oid(bip4, [1], [2, 3, 4])
+    assert bip4.nested(s, s)
 
 
 def test_is_nested_chain(bip4):
-    assert is_nested(usep(bip4, [1], [2, 3, 4]), usep(bip4, [1, 2], [3, 4]))
+    assert bip4.nested(oid(bip4, [1], [2, 3, 4]), oid(bip4, [1, 2], [3, 4]))
 
 
 def test_is_nested_crossing_pair(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    s = usep(bip4, [2, 3], [4, 1])
+    r = oid(bip4, [1, 2], [3, 4])
+    s = oid(bip4, [2, 3], [4, 1])
     # oracle: all four orientation pairs by set inclusion
     def inc(x, y):
         return set(x[0]) <= set(y[0]) and set(x[1]) >= set(y[1])
@@ -144,7 +130,7 @@ def test_is_nested_crossing_pair(bip4):
     rn = (rp[1], rp[0])
     sn = (sp[1], sp[0])
     assert not any(inc(x, y) for x in (rp, rn) for y in (sp, sn))
-    assert not is_nested(r, s)
+    assert not bip4.nested(r, s)
 
 
 def test_subsystem_rejects_non_canonical_ids(p4_universe):
@@ -156,40 +142,33 @@ def test_subsystem_rejects_non_canonical_ids(p4_universe):
             SubSystem(u, frozenset({uid, bad}))
 
 
-def test_is_nested_rejects_foreign_universe(bip4, p4_universe):
-    r = usep(bip4, [1], [2, 3, 4])
-    s = p4_universe.usep(p4_universe.unoriented_ids()[0])
-    with pytest.raises(SeparationError):
-        is_nested(r, s)
-
-
 # ----------------------------------------------------------------------
 # corners
 
 
 def test_corners_of_nested_pair_contain_both(bip4):
-    r = usep(bip4, [1], [2, 3, 4])
-    s = usep(bip4, [1, 2], [3, 4])
-    got = {c.uid for _, c in corners(r, s)}
-    assert r.uid in got and s.uid in got
+    r = bip4.uid(oid(bip4, [1], [2, 3, 4]))
+    s = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    got = set(bip4.corners(r, s))
+    assert r in got and s in got
 
 
 def test_corners_of_equal_pair_all_underlie_it(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    tagged = corners(r, r)
+    r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    tagged = bip4.corners(r, r)  # (c00, c01, c10, c11)
     assert len(tagged) == 4
-    assert {c.uid for tag, c in tagged if tag in ((0, 0), (1, 1))} == {r.uid}
+    assert {tagged[0], tagged[3]} == {r}
 
 
 def test_corner_join_convention(bip4):
-    r = osep(bip4, [1, 2], [3, 4])
-    s = osep(bip4, [2, 3], [4, 1])
-    assert (r | s).sides == ((1, 2, 3), (4,))
+    r = oid(bip4, [1, 2], [3, 4])
+    s = oid(bip4, [2, 3], [4, 1])
+    assert bip4.side_labels(bip4.join(r, s)) == ((1, 2, 3), (4,))
 
 
 def test_corners_tagged_duplicates_preserved(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    assert len(corners(r, r)) == 4
+    r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    assert len(bip4.corners(r, r)) == 4
 
 
 # ----------------------------------------------------------------------
@@ -197,28 +176,28 @@ def test_corners_tagged_duplicates_preserved(bip4):
 
 
 def test_different_sides_edge_case_all_equal(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    assert from_different_sides(r, r, r, r)
+    r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    assert from_different_sides(bip4, r, r, r, r)
 
 
 def test_different_sides_examples(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    s = usep(bip4, [2, 3], [4, 1])
-    c_rs = usep(bip4, [2], [1, 3, 4])  # r> ^ s>
-    c_rs2 = usep(bip4, [1], [2, 3, 4])  # r> ^ s<
-    c_nn = usep(bip4, [4], [1, 2, 3])  # r< ^ s<
-    assert not from_different_sides(r, s, c_rs, c_rs2)
-    assert from_different_sides(r, s, c_rs, c_nn)
+    r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    s = bip4.uid(oid(bip4, [2, 3], [4, 1]))
+    c_rs = bip4.uid(oid(bip4, [2], [1, 3, 4]))  # r> ^ s>
+    c_rs2 = bip4.uid(oid(bip4, [1], [2, 3, 4]))  # r> ^ s<
+    c_nn = bip4.uid(oid(bip4, [4], [1, 2, 3]))  # r< ^ s<
+    assert not from_different_sides(bip4, r, s, c_rs, c_rs2)
+    assert from_different_sides(bip4, r, s, c_rs, c_nn)
 
 
 def test_different_sides_rejects_non_corner(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    s = usep(bip4, [2, 3], [4, 1])
-    outsider = usep(bip4, [1, 2, 3], [4])
+    r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    s = bip4.uid(oid(bip4, [2, 3], [4, 1]))
+    outsider = bip4.uid(oid(bip4, [1, 2, 3], [4]))
     # {1,2,3}|{4} is a corner of (r, s); {1,3}|{2,4} is not
-    bad = usep(bip4, [1, 3], [2, 4])
+    bad = bip4.uid(oid(bip4, [1, 3], [2, 4]))
     with pytest.raises(SeparationError):
-        from_different_sides(r, s, bad, outsider)
+        from_different_sides(bip4, r, s, bad, outsider)
 
 
 # ----------------------------------------------------------------------
@@ -226,41 +205,38 @@ def test_different_sides_rejects_non_corner(bip4):
 
 
 def test_empty_side_is_small(bip4):
-    assert is_small(osep(bip4, [], [1, 2, 3, 4]))
-    assert not is_small(osep(bip4, [1, 2, 3, 4], []))
+    assert bip4.is_small(oid(bip4, [], [1, 2, 3, 4]))
+    assert not bip4.is_small(oid(bip4, [1, 2, 3, 4], []))
 
 
 def test_proper_bipartition_not_small(bip4):
-    assert not is_small(osep(bip4, [1, 2], [3, 4]))
+    assert not bip4.is_small(oid(bip4, [1, 2], [3, 4]))
 
 
 def test_small_but_not_trivial():
     """A single small separation is small but not trivial in {s}."""
     u = bipartition_universe([1, 2])
-    s = u.sep_from_sides([], [1, 2])
-    assert is_small(s)
-    system = SubSystem.from_seps(u, [s.underlying])
-    assert not is_trivial(s, system)
+    s = oid(u, [], [1, 2])
+    assert u.is_small(s)
+    assert not u.is_trivial(s, [u.uid(s)])
 
 
 def test_bottom_is_trivial_in_full_universe():
     u = bipartition_universe([1, 2])
-    s = u.sep_from_sides([], [1, 2])
-    system = SubSystem(u, frozenset(u.unoriented_ids()))
-    assert is_trivial(s, system)
+    s = oid(u, [], [1, 2])
+    assert u.is_trivial(s, u.unoriented_ids())
 
 
 def test_maximal_orientation_never_trivial(bip4):
-    system = SubSystem(bip4, frozenset(bip4.unoriented_ids()))
-    top = osep(bip4, [1, 2, 3, 4], [])
-    assert not is_trivial(top, system)
+    top = oid(bip4, [1, 2, 3, 4], [])
+    assert not bip4.is_trivial(top, bip4.unoriented_ids())
 
 
 def test_is_regular():
     u = bipartition_universe([1, 2, 3, 4])
-    assert is_regular([])
-    assert not is_regular([usep(u, [], [1, 2, 3, 4])])
-    assert is_regular([usep(u, [1, 2], [3, 4])])
+    assert is_regular(u, [])
+    assert not is_regular(u, [u.uid(oid(u, [], [1, 2, 3, 4]))])
+    assert is_regular(u, [u.uid(oid(u, [1, 2], [3, 4]))])
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +255,9 @@ def test_order_slice_is_structurally_submodular(p4_universe):
 
 
 def test_two_crossing_bipartitions_not_structurally_submodular(bip4):
-    r = usep(bip4, [1, 2], [3, 4])
-    s = usep(bip4, [2, 3], [4, 1])
-    assert not is_structurally_submodular(SubSystem(bip4, frozenset({r.uid, s.uid})))
+    r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
+    s = bip4.uid(oid(bip4, [2, 3], [4, 1]))
+    assert not is_structurally_submodular(SubSystem(bip4, frozenset({r, s})))
 
 
 def test_join_outside_element_set_raises():

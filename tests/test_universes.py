@@ -29,7 +29,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, is_submodular_order
+from oracles import corner_items, is_submodular_order, oid
 
 
 def brute_force_separations(g):
@@ -89,9 +89,9 @@ def test_k2_excludes_the_split_pair():
 
 def test_join_convention_on_graph_separations():
     u = enumerate_graph_separations(Graph([1, 2, 3, 4]))
-    a = u.sep_from_sides([1, 2], [2, 3, 4])
-    b = u.sep_from_sides([1, 2, 3], [3, 4])
-    assert (a | b).sides == ((1, 2, 3), (3, 4))
+    a = oid(u, [1, 2], [2, 3, 4])
+    b = oid(u, [1, 2, 3], [3, 4])
+    assert u.side_labels(u.join(a, b)) == ((1, 2, 3), (3, 4))
 
 
 def test_size_bound_is_enforced():
@@ -101,8 +101,8 @@ def test_size_bound_is_enforced():
 
 def test_separation_order_is_separator_size(p4_universe):
     u = p4_universe
-    s = u.sep_from_sides(["a", "b"], ["b", "c", "d"])
-    assert s.order == 1
+    s = oid(u, ["a", "b"], ["b", "c", "d"])
+    assert u.order(s) == 1
 
 
 # ----------------------------------------------------------------------
