@@ -24,7 +24,7 @@ levels = enumerate_chain_profiles(slice_chain(u), graph_tangle_kind(), graph=g)
 tangles = maximal_profiles([t for lvl in levels for t in lvl])
 print(f"maximal tangles: {len(tangles)} (one per triangle)")
 
-family = build_distinguisher_family(tangles, mode="efficient")
+family = build_distinguisher_family(tangles)
 base = extract_canonical(family).nested
 print("canonical nested set:")
 for uid in sorted(base):

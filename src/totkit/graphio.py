@@ -115,8 +115,6 @@ def load_circle(path: str):
     if not isinstance(points, list):
         raise InputError('"points" must be a list')
     _check_points(points, InputError)
-    if len(set(map(repr, points))) != len(points):
-        raise InputError("duplicate points in cyclic order")
     order_graph = doc.get("order_graph")
     if order_graph is not None:
         order_graph = _order_graph_edges(points, order_graph)
@@ -126,6 +124,8 @@ def load_circle(path: str):
 def _check_points(points: list, error: type):
     if any(isinstance(p, (list, dict)) for p in points):
         raise error("circle points must be numbers or strings, not lists or objects")
+    if len(set(map(repr, points))) != len(points):
+        raise error("duplicate points in cyclic order")
 
 
 def _order_graph_edges(points, order_graph) -> list:
@@ -366,7 +366,7 @@ def verify_artifact(doc: dict) -> dict:
         if induced_uids(td, universe) != nested:
             raise VerificationError("decomposition does not induce the exported set")
         diag["checks"].append("decomposition")
-    if not efficiently_distinguishes_all(nested, result.profiles):
+    if not efficiently_distinguishes_all(nested, result.family):
         raise VerificationError("exported set does not efficiently distinguish the tangles")
     diag["checks"].append("display")
     if canonical:

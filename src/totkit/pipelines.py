@@ -17,11 +17,9 @@ from typing import Callable
 
 from .profiles import (
     PROFILE,
-    Orientation,
     ProfileKind,
     build_distinguisher_family,
     circle_tangle_kind,
-    efficient_distinguishers,
     enumerate_chain_profiles,
     graph_tangle_kind,
     maximal_profiles,
@@ -77,20 +75,11 @@ class PipelineResult:
         return [len(l) for l in self.levels]
 
 
-def efficiently_distinguishes_all(
-    nested: frozenset,
-    profiles: list[Orientation],
-    chain: SubsystemChain | None = None,
-) -> bool:
-    """Whether ``nested`` holds an efficient distinguisher for every
-    distinguishable pair of ``profiles`` (of minimal chain level if ``chain``
-    is given, else of minimal order)."""
-    for i, p in enumerate(profiles):
-        for q in profiles[i + 1 :]:
-            eff = efficient_distinguishers(p, q, chain)
-            if eff and not any(d in nested for d in eff):
-                return False
-    return True
+def efficiently_distinguishes_all(nested: frozenset, family: IndexedFamily | None) -> bool:
+    """Whether ``nested`` meets every set of the efficient-distinguisher
+    ``family``, so holds an efficient distinguisher of every distinguishable
+    profile pair; vacuously so without a family (fewer than two profiles)."""
+    return family is None or all(not s.isdisjoint(nested) for s in family.sets.values())
 
 
 def _extract(family: IndexedFamily | None, canonical: bool):
@@ -117,11 +106,7 @@ def _profiles_and_family(
     profiles = [p for lvl in levels for p in lvl]
     if maximal_only:
         profiles = maximal_profiles(profiles)
-    family = (
-        build_distinguisher_family(profiles, mode="efficient")
-        if len(profiles) > 1
-        else None
-    )
+    family = build_distinguisher_family(profiles) if len(profiles) > 1 else None
     return PipelineResult(
         graph=graph,
         universe=chain.universe,
@@ -139,7 +124,7 @@ def _extract_and_check(base: PipelineResult, canonical: bool) -> PipelineResult:
     and whether the set efficiently distinguishes the profiles."""
     extraction, nested = _extract(base.family, canonical)
     td = None if base.graph is None else build_tree_decomposition(base.graph, base.universe, nested)
-    ok = efficiently_distinguishes_all(nested, base.profiles)
+    ok = efficiently_distinguishes_all(nested, base.family)
     meta = {**base.meta, "canonical": canonical}
     return replace(
         base, nested=nested, decomposition=td, extraction=extraction, displays_ok=ok, meta=meta

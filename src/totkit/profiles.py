@@ -38,8 +38,6 @@ __all__ = [
     "enumerate_profiles",
     "enumerate_chain_profiles",
     "maximal_profiles",
-    "distinguishers",
-    "efficient_distinguishers",
     "build_distinguisher_family",
     "orientation_to_json",
 ]
@@ -93,17 +91,10 @@ class Orientation:
             by_uid[uid] = oid
         if len(by_uid) != len(self.system.members):
             raise SeparationError("orientation must orient every member exactly once")
-        object.__setattr__(self, "_by_uid", by_uid)
 
     @property
     def universe(self) -> Universe:
         return self.system.universe
-
-    def choice(self, uid: int) -> int:
-        try:
-            return self._by_uid[uid]
-        except KeyError as exc:
-            raise SeparationError(f"separation {uid} is not oriented here") from exc
 
     def __len__(self):
         return len(self.chosen)
@@ -379,63 +370,30 @@ def maximal_profiles(profiles: list[Orientation]) -> list[Orientation]:
 # distinguishing
 
 
-def distinguishers(p: Orientation, q: Orientation) -> list[int]:
-    """Separations oriented by both and oriented differently, ascending."""
-    if p.universe is not q.universe:
-        raise SeparationError("orientations live in different universes")
-    common = p.system.members & q.system.members
-    return sorted(u for u in common if p.choice(u) != q.choice(u))
+def build_distinguisher_family(profiles: list[Orientation]) -> IndexedFamily:
+    """Family of efficient distinguisher sets, one per distinguishable pair
+    ``i < j`` of ``profiles``, keyed ``(i, j)``.
 
-
-def efficient_distinguishers(
-    p: Orientation, q: Orientation, chain: SubsystemChain | None = None
-) -> list[int]:
-    """Distinguishers of minimal order (which needs an order function), or
-    with ``chain`` of minimal chain level: those in every chain level that
-    contains any distinguisher."""
-    ds = distinguishers(p, q)
-    if not ds:
-        return []
-    level = p.universe.order if chain is None else chain.level_of
-    levels = [level(d) for d in ds]
-    if any(l is None for l in levels):
-        raise SeparationError("distinguisher outside the chain")
-    best = min(levels)
-    return [d for d, l in zip(ds, levels) if l == best]
-
-
-def build_distinguisher_family(
-    profiles: list[Orientation],
-    mode: str = "efficient",
-    chain: SubsystemChain | None = None,
-):
-    """Family of distinguisher sets, one per distinguishable profile pair.
-
-    ``mode`` "all" takes every distinguisher of a pair; "efficient" takes
-    :func:`efficient_distinguishers` (of ``chain`` if given), and the family
-    then carries the order (or chain level) the set shares and the induced
-    strict partial order on pairs.  Indistinguishable pairs are skipped.
+    A separation distinguishes two orientations when both orient it, and
+    differently; the efficient ones are the distinguishers of minimal order,
+    which is the key's level.  Indistinguishable pairs are skipped.
     """
     if not profiles:
         raise SeparationError("no profiles given")
     u = profiles[0].universe
-    if mode not in ("all", "efficient"):
-        raise SeparationError(f"unknown family mode {mode!r}")
-    level = u.order if chain is None else chain.level_of
+    if any(p.universe is not u for p in profiles):
+        raise SeparationError("orientations live in different universes")
+    uid, order = u.uid, u.order
     sets = {}
     levels = {}
     for i, j in combinations(range(len(profiles)), 2):
-        p, q = profiles[i], profiles[j]
-        ds = distinguishers(p, q) if mode == "all" else efficient_distinguishers(p, q, chain)
-        if not ds:
-            continue
-        sets[i, j] = frozenset(ds)
-        if mode == "efficient":
-            vals = {level(d) for d in ds}
-            if len(vals) != 1:
-                raise SeparationError("efficient distinguishers must share one order")
-            levels[i, j] = vals.pop()
-    return IndexedFamily(u, sets, levels=levels if mode == "efficient" else None)
+        q = profiles[j]
+        # q orients a member of both once, so it chose the inverse of p's choice
+        ds = [d for d in map(uid, profiles[i].chosen - q.chosen) if d in q.system.members]
+        if ds:
+            levels[i, j] = best = min(map(order, ds))
+            sets[i, j] = frozenset(d for d in ds if order(d) == best)
+    return IndexedFamily(u, sets, levels=levels)
 
 
 # ----------------------------------------------------------------------
@@ -451,6 +409,6 @@ def orientation_to_json(o: Orientation) -> dict:
             "members": sorted(o.system.members),
         },
         "choice": sorted(
-            [uid, 0 if o.choice(uid) == uid else 1] for uid in o.system.members
+            [uid, 0 if uid in o.chosen else 1] for uid in o.system.members
         ),
     }

@@ -218,12 +218,12 @@ def is_valid_tree_decomposition(td: TreeDecomposition) -> tuple[bool, str]:
     return True, "ok"
 
 
-def displays(td: TreeDecomposition, tangles, universe: Universe) -> bool:
-    """Whether every distinguishable pair of tangles is efficiently
-    distinguished by some induced separation."""
+def displays(td: TreeDecomposition, family, universe: Universe) -> bool:
+    """Whether the induced separations meet every set of the tangles'
+    efficient-distinguisher ``family`` (None for fewer than two tangles)."""
     from .pipelines import efficiently_distinguishes_all
 
-    return efficiently_distinguishes_all(induced_uids(td, universe), tangles)
+    return efficiently_distinguishes_all(induced_uids(td, universe), family)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,10 @@ incremental rules, the corner tags and sides against
 ``Universe.corners``/``corner_table``, the all-pairs submodularity of an
 order against ``check_submodular_order``, the splinter condition key pair by
 key pair against ``splinters``, the key order as pairs against the levels of
-``IndexedFamily``, and chain-level efficiency against the
+``IndexedFamily``, the distinguishers of each profile pair (all, efficient
+by order, or efficient by chain level) and the family and verdict built
+from them pair by pair against ``build_distinguisher_family`` and
+``efficiently_distinguishes_all``, and chain-level efficiency against the
 order-level families the pipelines build.
 """
 
@@ -14,12 +17,9 @@ from itertools import combinations, combinations_with_replacement
 
 from totkit.errors import SeparationError
 from totkit.pipelines import graph_pipeline
-from totkit.profiles import (
-    Orientation,
-    build_distinguisher_family,
-    efficient_distinguishers,
-)
+from totkit.profiles import Orientation
 from totkit.sepsys import SubSystem
+from totkit.splinter import IndexedFamily
 
 # ----------------------------------------------------------------------
 # corners and separation systems
@@ -226,13 +226,42 @@ def orientation_from_json(universe, doc):
 # distinguishing and robustness
 
 
+def choice(p, uid):
+    """The orientation of the member ``uid`` that ``p`` chose."""
+    if uid not in p.system.members:
+        raise SeparationError(f"separation {uid} is not oriented here")
+    return uid if uid in p.chosen else p.universe.inv(uid)
+
+
 def distinguishes(u, s, p, q):
     """Whether ``p`` and ``q`` orient the separation with uid ``s`` differently."""
     if p.universe is not u or q.universe is not u:
         raise SeparationError("mixed universes")
     if not (s in p.system.members and s in q.system.members):
         raise SeparationError(f"separation {s} is not oriented by both orientations")
-    return p.choice(s) != q.choice(s)
+    return choice(p, s) != choice(q, s)
+
+
+def distinguishers(p, q):
+    """Separations oriented by both and oriented differently, ascending."""
+    if p.universe is not q.universe:
+        raise SeparationError("orientations live in different universes")
+    common = p.system.members & q.system.members
+    return sorted(s for s in common if choice(p, s) != choice(q, s))
+
+
+def efficient_distinguishers(p, q, chain=None):
+    """Distinguishers of minimal order, or with ``chain`` of minimal chain
+    level: those in every chain level that contains any distinguisher."""
+    ds = distinguishers(p, q)
+    if not ds:
+        return []
+    level = p.universe.order if chain is None else chain.level_of
+    levels = [level(d) for d in ds]
+    if any(l is None for l in levels):
+        raise SeparationError("distinguisher outside the chain")
+    best = min(levels)
+    return [d for d, l in zip(ds, levels) if l == best]
 
 
 def efficiently_distinguishes(u, s, p, q, context=None):
@@ -240,6 +269,40 @@ def efficiently_distinguishes(u, s, p, q, context=None):
     if not distinguishes(u, s, p, q):
         return False
     return s in efficient_distinguishers(p, q, context)
+
+
+def pairwise_family(profiles, mode="efficient", chain=None):
+    """The distinguisher family built pair by pair, one set per
+    distinguishable pair ``i < j``: with ``mode`` "all" every distinguisher
+    and no levels; with "efficient" :func:`efficient_distinguishers` (of
+    ``chain`` if given) and the order (or chain level) they share as level."""
+    u = profiles[0].universe
+    level = u.order if chain is None else chain.level_of
+    sets = {}
+    levels = {}
+    for i, j in combinations(range(len(profiles)), 2):
+        p, q = profiles[i], profiles[j]
+        ds = distinguishers(p, q) if mode == "all" else efficient_distinguishers(p, q, chain)
+        if not ds:
+            continue
+        sets[i, j] = frozenset(ds)
+        if mode == "efficient":
+            vals = {level(d) for d in ds}
+            assert len(vals) == 1, "efficient distinguishers must share one level"
+            levels[i, j] = vals.pop()
+    return IndexedFamily(u, sets, levels=levels if mode == "efficient" else None)
+
+
+def pairwise_distinguishes_all(nested, profiles, chain=None):
+    """Whether ``nested`` holds an efficient distinguisher for every
+    distinguishable pair of ``profiles`` (of minimal chain level if ``chain``
+    is given, else of minimal order)."""
+    for i, p in enumerate(profiles):
+        for q in profiles[i + 1 :]:
+            eff = efficient_distinguishers(p, q, chain)
+            if eff and not any(d in nested for d in eff):
+                return False
+    return True
 
 
 def is_robust_set(profiles, chain, witness=None):
@@ -258,15 +321,15 @@ def is_robust_set(profiles, chain, witness=None):
             if not eff:
                 continue
             shared = [
-                q.choice(r)
+                choice(q, r)
                 for r in (q.system.members & q2.system.members)
-                if q.choice(r) == q2.choice(r)
+                if choice(q, r) == choice(q2, r)
             ]
             for p in profiles:
                 for r_o in shared:
                     r_i = u.inv(r_o)
                     r_uid = u.uid(r_o)
-                    if r_uid not in p.system.members or p.choice(r_uid) != r_i:
+                    if r_uid not in p.system.members or choice(p, r_uid) != r_i:
                         continue
                     for s in eff:
                         s_min = chain.level_of(s)
@@ -297,4 +360,4 @@ def sequence_family(g):
     base = graph_pipeline(g)
     if len(base.profiles) <= 1:
         return base, None
-    return base, build_distinguisher_family(base.profiles, mode="efficient", chain=base.chain)
+    return base, pairwise_family(base.profiles, chain=base.chain)

@@ -18,7 +18,6 @@ from totkit.pipelines import (
     clique_pipeline,
     complete_cut_order,
     cycle_cut_order,
-    efficiently_distinguishes_all,
     graph_pipeline,
 )
 from totkit.profiles import (
@@ -48,7 +47,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import is_robust_set, sequence_family
+from oracles import is_robust_set, pairwise_distinguishes_all, pairwise_family, sequence_family
 
 
 @contextmanager
@@ -108,7 +107,7 @@ def tangle_bundles(all_graphs):
 def tangle_family(top):
     if len(top) < 2:
         return None
-    return build_distinguisher_family(top, mode="efficient")
+    return build_distinguisher_family(top)
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_criterion_1_splinter_predicates(tangle_bundles):
             profile_levels = enumerate_chain_profiles(chain, PROFILE)
             for lvl in profile_levels:
                 if len(lvl) > 1:
-                    slice_fam = build_distinguisher_family(lvl, mode="all")
+                    slice_fam = pairwise_family(lvl, mode="all")
                     ok, w = splinters(slice_fam)
                     assert ok, (g, w)
                     checked["slice"] += 1
@@ -142,7 +141,7 @@ def test_criterion_1_splinter_predicates(tangle_bundles):
             prof = maximal_profiles([p for lvl in profile_levels for p in lvl])
             assert is_robust_set(prof, chain), g
             if len(prof) > 1:
-                pfam = build_distinguisher_family(prof, mode="efficient")
+                pfam = build_distinguisher_family(prof)
                 ok, w = splinters(pfam)
                 assert ok, (g, w)
                 ok, w = splinters_hierarchically(pfam)
@@ -154,7 +153,7 @@ def test_criterion_1_splinter_predicates(tangle_bundles):
             clevels = enumerate_chain_profiles(cchain, PROFILE)
             cprof = [p for lvl in clevels for p in lvl]
             if len(cprof) > 1:
-                cfam = build_distinguisher_family(cprof, mode="efficient")
+                cfam = build_distinguisher_family(cprof)
                 if len(cfam):
                     ok, w = splinters(cfam)
                     assert ok, (g, w)
@@ -384,7 +383,7 @@ def test_criterion_6_circle_theorem():
                         assert is_tree_set(u, result.nested), (npts, m, n)
                         for x in result.nested:
                             assert x in circle.members
-                        assert efficiently_distinguishes_all(
+                        assert pairwise_distinguishes_all(
                             result.nested, result.profiles
                         ), (npts, m, n)
                         if result.family is None or not len(result.family):
@@ -435,5 +434,5 @@ def test_criterion_8_compatible_sequences(tangle_bundles):
                 assert seq_fam.sets[k] == ord_fam.sets[k], (g, k)
             res = extract_transversal(seq_fam)
             nested = res.nested_set()
-            assert efficiently_distinguishes_all(nested, top, chain=base.chain), g
-            assert efficiently_distinguishes_all(nested, top), g
+            assert pairwise_distinguishes_all(nested, top, chain=base.chain), g
+            assert pairwise_distinguishes_all(nested, top), g

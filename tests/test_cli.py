@@ -382,6 +382,44 @@ def test_order_fn_cut_file(capsys, tmp_path, circle_file):
     assert json.loads(out)["params"]["order_fn"].startswith("cut:")
 
 
+def test_verify_reads_a_cut_file_again_from_the_working_directory(capsys, tmp_path, monkeypatch):
+    """A ``cut:FILE`` artifact records the spec, not the weights: ``verify``
+    re-reads FILE relative to its own working directory."""
+    made, elsewhere = tmp_path / "made", tmp_path / "elsewhere"
+    made.mkdir()
+    elsewhere.mkdir()
+    (made / "c.json").write_text(json.dumps({"points": [1, 2, 3, 4, 5, 6]}))
+    (made / "w.txt").write_text("1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n6 1 1\n")
+    monkeypatch.chdir(made)
+    code, out, _ = run(capsys, "circle-tangles", "--input", "c.json", "--m", "1", "--n", "4", "--order-fn", "cut:w.txt")
+    assert code == 0
+    artifact = str(made / "art.json")
+    (made / "art.json").write_text(out)
+    assert run(capsys, "verify", "--input", artifact)[0] == 0
+    monkeypatch.chdir(elsewhere)
+    code, _, err = run(capsys, "verify", "--input", artifact)
+    assert code == 2 and json.loads(err)["message"].startswith("cannot read w.txt")
+    monkeypatch.chdir(made)
+    (made / "w.txt").write_text("1 2 1\n2 3 5\n3 4 1\n4 5 1\n5 6 5\n6 1 1\n")
+    code, _, err = run(capsys, "verify", "--input", artifact)
+    assert code == 4 and json.loads(err)["error"] == "verification"
+
+
+def test_duplicate_points_are_input_to_the_command_and_a_verify_failure(capsys, tmp_path, circle_file):
+    code, out, _ = run(capsys, "circle-tangles", "--input", circle_file, "--m", "1", "--n", "4")
+    doc = json.loads(out)
+    doc["circle"]["points"] = [1, 2, 2, 4]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--input", str(bad))
+    assert code == 4
+    assert json.loads(err) == {"error": "verification", "message": "duplicate points in cyclic order"}
+    bad.write_text(json.dumps({"points": [1, 2, 2, 4]}))
+    code, _, err = run(capsys, "circle-tangles", "--input", str(bad), "--m", "1", "--n", "4")
+    assert code == 2
+    assert json.loads(err) == {"error": "input", "message": "duplicate points in cyclic order"}
+
+
 def test_k_flag_caps_levels(capsys, two_k4_file):
     code, out, _ = run(capsys, "tangles", "--input", two_k4_file, "--k", "2")
     assert code == 0

@@ -7,14 +7,19 @@ import pytest
 
 from totkit import corpus
 from totkit.errors import SeparationError
-from totkit.pipelines import graph_tangles
+from totkit.pipelines import (
+    circle_pipeline,
+    clique_pipeline,
+    cycle_cut_order,
+    efficiently_distinguishes_all,
+    graph_pipeline,
+    graph_tangles,
+)
 from totkit.profiles import (
     PROFILE,
     Orientation,
     build_distinguisher_family,
     circle_tangle_kind,
-    distinguishers,
-    efficient_distinguishers,
     enumerate_chain_profiles,
     enumerate_profiles,
     graph_tangle_kind,
@@ -34,7 +39,9 @@ from totkit.universes import (
 )
 
 from oracles import (
+    distinguishers,
     distinguishes,
+    efficient_distinguishers,
     efficiently_distinguishes,
     has_profile_property,
     has_tangle_property,
@@ -42,6 +49,8 @@ from oracles import (
     is_consistent,
     is_robust_set,
     orientation_from_json,
+    pairwise_distinguishes_all,
+    pairwise_family,
 )
 
 
@@ -513,14 +522,14 @@ def test_family_single_pair_single_distinguisher(bip4):
     system = SubSystem(bip4, frozenset({bip4.uid(r)}))
     p = Orientation(system, frozenset({r}))
     q = Orientation(system, frozenset({bip4.inv(r)}))
-    fam = build_distinguisher_family([p, q], mode="efficient")
+    fam = build_distinguisher_family([p, q])
     assert fam.keys == ((0, 1),)
     assert fam.sets[(0, 1)] == frozenset({bip4.uid(r)})
 
 
 def test_family_efficient_sets_share_one_order(two_k4, two_k4_universe):
     top = graph_pipeline_result(two_k4, two_k4_universe)
-    fam = build_distinguisher_family(top, mode="efficient")
+    fam = build_distinguisher_family(top)
     for key in fam.keys:
         orders = {two_k4_universe.order(d) for d in fam.sets[key]}
         assert len(orders) == 1
@@ -533,8 +542,47 @@ def test_family_auto_excludes_indistinguishable(p4_universe):
     s2 = restrict_Sk(p4_universe, 2)
     bigger = [p for p in enumerate_profiles(s2, PROFILE) if o.chosen <= p.chosen][0]
     assert not distinguishers(o, bigger)
-    fam = build_distinguisher_family([o, bigger], mode="all")
-    assert len(fam.keys) == 0
+    for fam in (build_distinguisher_family([o, bigger]), pairwise_family([o, bigger], mode="all")):
+        assert len(fam.keys) == 0
+
+
+def _oracle_inputs():
+    """Pipeline results over the 143 connected graphs on at most 6 vertices
+    (tangles by both extractions, and clique profiles), Petersen,
+    ``two_cliques(5)``, and circles of 5 to 8 points under both unit cut
+    orders at (m, n) = (1, 4) and (2, 5)."""
+    graphs = corpus.all_connected_graphs(6) + [corpus.petersen_graph(), corpus.two_cliques(5)]
+    for g in graphs:
+        yield graph_pipeline(g)
+        yield graph_pipeline(g, canonical=True)
+        yield clique_pipeline(g)
+    for npts in (5, 6, 7, 8):
+        pts = list(range(1, npts + 1))
+        for order in (cycle_cut_order, complete_cut_order):
+            for m, n in ((1, 4), (2, 5)):
+                yield circle_pipeline(pts, m, n, order(pts))
+
+
+def test_family_and_verdict_match_the_pairwise_oracles():
+    """The one-pass family equals the family built pair by pair from
+    ``efficient_distinguishers``, skipping exactly the indistinguishable
+    pairs; its verdict equals the pairwise one on the extracted set and on
+    every subset one element smaller."""
+    families = verdicts = 0
+    for result in _oracle_inputs():
+        profiles, fam, nested = result.profiles, result.family, result.nested
+        if fam is not None:
+            oracle = pairwise_family(profiles)
+            assert fam.keys == oracle.keys
+            assert fam.sets == oracle.sets and fam.levels == oracle.levels
+            skipped = set(combinations(range(len(profiles)), 2)) - set(fam.keys)
+            assert all(not distinguishers(profiles[i], profiles[j]) for i, j in skipped)
+            families += 1
+        for sub in [nested] + [nested - {x} for x in nested]:
+            got = efficiently_distinguishes_all(sub, fam)
+            assert got == pairwise_distinguishes_all(sub, profiles)
+            verdicts += not got
+    assert families >= 300 and verdicts >= 400, (families, verdicts)
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,11 @@ import pytest
 
 from totkit.errors import SeparationError
 from totkit.pipelines import graph_pipeline
-from totkit.profiles import efficient_distinguishers
 from totkit.sepsys import SubSystem
 from totkit.splinter import extract_transversal, splinters
 from totkit.universes import SubsystemChain, is_compatible_sequence, restrict_Sk
 
-from oracles import sequence_family
+from oracles import efficient_distinguishers, sequence_family
 from test_universes import literal_compatible
 
 

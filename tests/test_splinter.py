@@ -38,7 +38,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, prec, reference_splinters
+from oracles import corner_items, pairwise_family, prec, reference_splinters
 
 
 def uid_of(u, a, b):
@@ -135,9 +135,9 @@ def test_splinters_matches_reference_on_corpus_families(small_corpus):
         tangles = [p for l in enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g) for p in l]
         top = maximal_profiles(tangles)
         profiles = [p for l in enumerate_chain_profiles(chain, PROFILE) for p in l]
-        families = [build_distinguisher_family(profiles, mode="all")]
+        families = [pairwise_family(profiles, mode="all")]
         if len(top) >= 2:
-            families += [build_distinguisher_family(top, mode=m) for m in ("efficient", "all")]
+            families += [build_distinguisher_family(top), pairwise_family(top, mode="all")]
         for fam in families:
             if not len(fam):
                 continue
@@ -263,7 +263,7 @@ def test_transversal_on_tangle_families(two_k4, two_k4_universe):
     chain = slice_chain(two_k4_universe)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient")
+    fam = build_distinguisher_family(top)
     res = extract_transversal(fam, debug=True)
     sets = [fam.sets[k] for k in fam.keys]
     assert brute_force_nested_transversal(two_k4_universe, sets) is not None
@@ -376,7 +376,7 @@ def test_corpus_efficient_families_splinter_hierarchically(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        fam = build_distinguisher_family(top, mode="efficient")
+        fam = build_distinguisher_family(top)
         ok, w = splinters_hierarchically(fam)
         assert ok, (g, w)
 
@@ -434,7 +434,7 @@ def clique_family(g):
     u = enumerate_graph_separations(g)
     chain = slice_chain(u, within=clique_subsystem(g, u, None))
     profiles = [p for lvl in enumerate_chain_profiles(chain, PROFILE) for p in lvl]
-    return build_distinguisher_family(profiles, mode="efficient")
+    return build_distinguisher_family(profiles)
 
 
 def circle_family(npoints, order, m, n):
@@ -444,7 +444,7 @@ def circle_family(npoints, order, m, n):
     u, circle = enumerate_circle_separations(points, order_fn)
     chain = slice_chain(u, within=circle)
     tangles = [p for lvl in enumerate_chain_profiles(chain, circle_tangle_kind(m, n)) for p in lvl]
-    return build_distinguisher_family(tangles, mode="efficient")
+    return build_distinguisher_family(tangles)
 
 
 def test_hierarchical_matches_reference_on_corpus(small_corpus):
@@ -456,8 +456,7 @@ def test_hierarchical_matches_reference_on_corpus(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        for mode in ("efficient", "all"):
-            fam = build_distinguisher_family(top, mode=mode)
+        for fam in (build_distinguisher_family(top), pairwise_family(top, mode="all")):
             assert splinters_hierarchically(fam) == reference_splinters_hierarchically(fam), g
             checked += 1
     assert checked >= 20
@@ -622,7 +621,7 @@ def test_canonical_meets_every_set_and_is_nested(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        fam = build_distinguisher_family(top, mode="efficient")
+        fam = build_distinguisher_family(top)
         res = extract_canonical(fam)
         for k in fam.keys:
             assert fam.sets[k] & res.nested
@@ -637,7 +636,7 @@ def test_canonical_equivariance_on_two_cliques(two_k4, two_k4_universe):
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient")
+    fam = build_distinguisher_family(top)
     base = extract_canonical(fam).nested
     for perm in automorphisms(two_k4):
         mapping = lift_permutation(u, perm)
@@ -651,7 +650,7 @@ def test_canonical_output_is_order_independent(two_k4, two_k4_universe):
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient")
+    fam = build_distinguisher_family(top)
     ref = extract_canonical(fam).nested
     rev = IndexedFamily(
         u,
@@ -671,7 +670,7 @@ def test_canonical_output_stays_within_family_support(small_corpus):
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
-        fam = build_distinguisher_family(top, mode="efficient")
+        fam = build_distinguisher_family(top)
         res = extract_canonical(fam)
         assert res.nested <= fam.union_support()
 
@@ -683,7 +682,7 @@ def test_canonical_trace_is_jsonl(two_k4, two_k4_universe):
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
-    fam = build_distinguisher_family(top, mode="efficient")
+    fam = build_distinguisher_family(top)
     res = extract_canonical(fam)
     lines = res.trace_jsonl().splitlines()
     assert lines

@@ -6,6 +6,7 @@ from totkit import corpus
 from totkit.errors import NotNestedError
 from totkit.pipelines import graph_pipeline
 from totkit.profiles import (
+    build_distinguisher_family,
     enumerate_chain_profiles,
     graph_tangle_kind,
     maximal_profiles,
@@ -106,7 +107,7 @@ def test_displays_single_tangle_vacuous(p4, p4_universe):
     chain = slice_chain(p4_universe)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=p4)
     one = maximal_profiles([p for l in levels for p in l])[:1]
-    assert displays(td, one, p4_universe)
+    assert displays(td, build_distinguisher_family(one), p4_universe)
 
 
 def test_displays_detects_missing_bridge(two_k4, two_k4_universe):
@@ -116,18 +117,18 @@ def test_displays_detects_missing_bridge(two_k4, two_k4_universe):
     u = result.universe
     reduced = [x for x in result.nested if u.order(x) > 1]
     td = build_tree_decomposition(two_k4, u, reduced)
-    assert not displays(td, result.profiles, u)
+    assert not displays(td, result.family, u)
 
 
 
 def test_displays_reads_the_current_tree(two_k4):
     result = graph_pipeline(two_k4)
     td, u = result.decomposition, result.universe
-    assert displays(td, result.profiles, u)
+    assert displays(td, result.family, u)
     # collapsing the built tree to one bag leaves no separation to distinguish by
     td.bags = {0: frozenset(two_k4.vertices)}
     td.edges = []
-    assert not displays(td, result.profiles, u)
+    assert not displays(td, result.family, u)
 
 
 def test_step_one_names_the_kind_and_step_two_the_extraction(two_k4):
