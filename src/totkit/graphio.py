@@ -117,7 +117,7 @@ def load_circle(path: str):
     _check_points(points, InputError)
     order_graph = doc.get("order_graph")
     if order_graph is not None:
-        order_graph = _order_graph_edges(points, order_graph)
+        order_graph = _order_graph_edges(points, order_graph, InputError)
     return points, order_graph
 
 
@@ -128,23 +128,23 @@ def _check_points(points: list, error: type):
         raise error("duplicate points in cyclic order")
 
 
-def _order_graph_edges(points, order_graph) -> list:
+def _order_graph_edges(points, order_graph, error: type) -> list:
     """Validated ``(u, v, weight)`` tuples of a circle's inline order graph."""
     if not isinstance(order_graph, list):
-        raise InputError("order_graph must be a list of [u, v, weight]")
+        raise error("order_graph must be a list of [u, v, weight]")
     edges = []
     for e in order_graph:
         if not isinstance(e, list) or len(e) != 3:
-            raise InputError("order_graph entries must be [u, v, weight]")
+            raise error("order_graph entries must be [u, v, weight]")
         u, v, w = e
         for end in (u, v):
             if end not in points:
-                raise InputError(f"order_graph edge {e!r} names unknown point {end!r}")
+                raise error(f"order_graph edge {e!r} names unknown point {end!r}")
         # Integer weights keep every order value, and so the submodularity
         # verdict, exact; a float sum can round a submodular cut order into
         # a false refusal.
         if not isinstance(w, int) or isinstance(w, bool):
-            raise InputError(f"order_graph edge {e!r} needs an integer weight")
+            raise error(f"order_graph edge {e!r} needs an integer weight")
         edges.append((u, v, w))
     return edges
 
@@ -336,7 +336,7 @@ def verify_artifact(doc: dict) -> dict:
         exported = _require(doc, "tree_set", list)
         order_graph = circle_doc.get("order_graph")
         if order_graph is not None:
-            order_graph = _order_graph_edges(points, order_graph)
+            order_graph = _order_graph_edges(points, order_graph, VerificationError)
         source = (points, order_graph)
     else:
         raise VerificationError(f"unknown command {command!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SeparationError, SizeBoundError
+from .errors import SeparationError
 from .sepsys import SubSystem, Universe
 from .splinter import IndexedFamily
 from .universes import Graph, SubsystemChain
@@ -41,8 +41,6 @@ __all__ = [
     "build_distinguisher_family",
     "orientation_to_json",
 ]
-
-DEFAULT_MAX_MEMBERS = 5000
 
 
 @dataclass(frozen=True)
@@ -121,11 +119,18 @@ class _Search:
     ``b <= c and d <= a`` (as sets), which is both ``~x < y`` and ``~y < x``
     (``~x`` is never ``y``: each member is oriented once); ``x`` alone is
     inconsistent when ``~x < x``, that is ``b <= a`` and ``x != ~x``.
-    For graph tangles, no three chosen small sides may cover ``g``, vertices
-    and edges (a side repeated included).  A side ``Z`` covers a set of
-    vertices and edges exactly when it contains the set's hull: its vertices
-    and the ends of its edges.  Of what neither ``X`` nor ``Y`` covers, the
-    hull is ``O | (X & Y & nbr[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
+    For profiles (rule (P)), the corner ``~x & ~y = (b & d, a | c)`` of a
+    candidate and a chosen ``y`` counts only when it orients a member: one
+    lookup in a dict from the side pairs of the members' orientations to
+    their oids, built once per search.  ``x`` is rejected when it is the
+    corner of two chosen separations, when one of its own corners is chosen
+    or is ``x``, or when ``x == ~x`` (its corner with itself).
+    For graph tangles (rule (T)), no three chosen small sides may cover
+    ``g``, vertices and edges (a side repeated included).  A side ``Z``
+    covers a set of vertices and edges exactly when it contains the set's
+    hull: its vertices and the ends of its edges.  Of what neither ``X`` nor
+    ``Y`` covers, the hull is
+    ``O | (X & Y & nbr[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
     ``O = V - (X | Y)``, ``nbr[S]`` is the neighbourhood mask of ``S``
     and ``rim(A) = A & nbr[V - A]``, both tables over all ``2^n`` vertex
     masks, built once per search.  ``sup[h]`` counts the chosen small sides
@@ -149,13 +154,9 @@ class _Search:
             if tuple(graph.vertices) != tuple(universe.labels):
                 raise SeparationError("universe was not built from this graph")
 
-    def run(self, blocks: list[list[int]], max_members: int):
+    def run(self, blocks: list[list[int]]):
         u = self.u
         members = [uid for block in blocks for uid in block]
-        if len(members) > max_members:
-            raise SizeBoundError(
-                f"subsystem has {len(members)} members, bound is {max_members}"
-            )
         # member count -> the levels whose members are exactly the first that many
         ends: dict[int, list[int]] = {}
         pos = 0
@@ -164,12 +165,13 @@ class _Search:
             ends.setdefault(pos, []).append(li)
 
         inv = u.inv
-        meet = u.meet
-        uid_of = u.uid
         sides = u.sides
-        member_set = set(members)
 
         tag = self.kind.tag
+        if tag == "profile":
+            member_oid = {sides(o): o for uid in members for o in u.orientations(uid)}
+            # forbidden oriented corners; counts allow undo
+            forbidden: dict[int, int] = {}
         if tag == "graph-tangle":
             vfull = u.full_mask
             nbr = [0] * (vfull + 1)
@@ -190,19 +192,16 @@ class _Search:
             m_par, n_par = self.kind.m, self.kind.n
             if len(u.labels) < m_par:
                 return [[] for _ in blocks]
+            # minimal subset size per reachable big-side intersection
+            inters: dict[int, int] = {u.full_mask: 0}
 
         chosen: list[int] = []
         chosen_sides: list[tuple[int, int]] = []
         chosen_set: set[int] = set()
         results: list[list[frozenset]] = [[] for _ in blocks]
 
-        # forbidden oriented corners for (P); counts allow undo
-        forbidden: dict[int, int] = {}
-        # circle: minimal subset size per reachable big-side intersection
-        inters: dict[int, int] = {u.full_mask: 0} if tag == "circle-tangle" else {}
-
         def try_add(x: int):
-            """Return an undo token if x can extend the orientation, else None."""
+            """Return the rule's undo payload if x can extend the orientation, else None."""
             ix = inv(x)
             a, b = sides(x)
             if b & ~a == 0 and ix != x:
@@ -210,24 +209,18 @@ class _Search:
             for c, d in chosen_sides:
                 if b & ~c == 0 and d & ~a == 0:
                     return None
-            trail = []
             if tag == "profile":
-                if x in forbidden:
+                if x == ix or x in forbidden:
                     return None
-                new = []
-                for y in chosen:
-                    c = meet(ix, inv(y))
-                    if uid_of(c) in member_set:
-                        new.append(c)
-                c = meet(ix, ix)
-                if uid_of(c) in member_set:
-                    new.append(c)
-                for c in new:
-                    if c in chosen_set or c == x:
-                        return None
-                for c in new:
-                    forbidden[c] = forbidden.get(c, 0) + 1
-                trail.append(("P", new))
+                token = []
+                for c, d in chosen_sides:
+                    k = member_oid.get((b & d, a | c))
+                    if k is not None:
+                        if k in chosen_set or k == x:
+                            return None
+                        token.append(k)
+                for k in token:
+                    forbidden[k] = forbidden.get(k, 0) + 1
             elif tag == "graph-tangle":
                 if a == vfull:
                     return None
@@ -238,48 +231,45 @@ class _Search:
                     if sup[h]:
                         return None
                 tally(a, 1)
-                trail.append(("T", a))
-            elif tag == "circle-tangle":
+                token = a
+            else:
                 for mask, size in inters.items():
                     if size + 1 < n_par and (mask & b).bit_count() < m_par:
                         return None
                 # only intersections of subsets of size <= n-2 can still grow
                 # into a forbidden subset by adding one later element
-                updates = []
+                token = []
                 for mask, size in list(inters.items()):
                     ns = size + 1
                     if ns > n_par - 2:
                         continue
                     nm = mask & b
                     if nm not in inters or inters[nm] > ns:
-                        updates.append((nm, inters.get(nm)))
+                        token.append((nm, inters.get(nm)))
                         inters[nm] = ns
-                trail.append(("F", updates))
             chosen.append(x)
             chosen_sides.append((a, b))
             chosen_set.add(x)
-            return trail
+            return token
 
-        def undo(trail):
-            x = chosen.pop()
+        def undo(token):
+            chosen_set.discard(chosen.pop())
             chosen_sides.pop()
-            chosen_set.discard(x)
-            for item in trail:
-                if item[0] == "P":
-                    for c in item[1]:
-                        cnt = forbidden[c] - 1
-                        if cnt:
-                            forbidden[c] = cnt
-                        else:
-                            del forbidden[c]
-                elif item[0] == "T":
-                    tally(item[1], -1)
-                elif item[0] == "F":
-                    for mask, prev in reversed(item[1]):
-                        if prev is None:
-                            del inters[mask]
-                        else:
-                            inters[mask] = prev
+            if tag == "profile":
+                for k in token:
+                    cnt = forbidden[k] - 1
+                    if cnt:
+                        forbidden[k] = cnt
+                    else:
+                        del forbidden[k]
+            elif tag == "graph-tangle":
+                tally(token, -1)
+            else:
+                for mask, prev in reversed(token):
+                    if prev is None:
+                        del inters[mask]
+                    else:
+                        inters[mask] = prev
 
         # iterative DFS: stack of (position, pending orientation choices, token)
         total = len(members)
@@ -320,14 +310,13 @@ def enumerate_profiles(
     system: SubSystem,
     kind: ProfileKind,
     graph: Graph | None = None,
-    max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> list[Orientation]:
     """All orientations of ``system`` that are consistent and satisfy ``kind``.
 
     Output order is the deterministic backtracking order.
     """
     search = _Search(system.universe, kind, graph)
-    results = search.run([_sorted_members(system.universe, system.members)], max_members)
+    results = search.run([_sorted_members(system.universe, system.members)])
     return [Orientation(system, ch) for ch in results[0]]
 
 
@@ -335,7 +324,6 @@ def enumerate_chain_profiles(
     chain: SubsystemChain,
     kind: ProfileKind,
     graph: Graph | None = None,
-    max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> list[list[Orientation]]:
     """Profiles of every chain level, found in one backtracking pass."""
     blocks = []
@@ -344,7 +332,7 @@ def enumerate_chain_profiles(
         blocks.append(_sorted_members(chain.universe, system.members - prev))
         prev = system.members
     search = _Search(chain.universe, kind, graph)
-    results = search.run(blocks, max_members)
+    results = search.run(blocks)
     return [
         [Orientation(system, ch) for ch in level]
         for system, level in zip(chain.systems, results)

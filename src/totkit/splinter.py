@@ -448,15 +448,14 @@ def extract_canonical(
 # isomorphisms
 
 
-def map_family(fam: IndexedFamily, mapping: dict, target: Universe | None = None) -> IndexedFamily:
-    """Image of a family under an isomorphism of separation systems.
+def map_family(fam: IndexedFamily, mapping: dict) -> IndexedFamily:
+    """Image of a family under an automorphism of its separation system.
 
-    ``mapping`` sends oriented ids to oriented ids (of ``target``, defaulting
-    to the family's universe) and must be injective, commute with the
-    involution, and preserve the order relation on the family's support.
+    ``mapping`` sends oriented ids of the family's universe to oriented ids
+    of the same universe and must be injective, commute with the involution,
+    and preserve the order relation on the family's support.
     """
     u = fam.universe
-    t = target if target is not None else u
     support = set()
     for s in fam.sets.values():
         for uid in s:
@@ -469,13 +468,13 @@ def map_family(fam: IndexedFamily, mapping: dict, target: Universe | None = None
         raise SeparationError("mapping is not injective on the family's support")
     sup = sorted(support)
     for x in sup:
-        if t.inv(mapping[x]) != mapping[u.inv(x)]:
+        if u.inv(mapping[x]) != mapping[u.inv(x)]:
             raise SeparationError("mapping does not commute with the involution")
     for x in sup:
         for y in sup:
-            if u.leq(x, y) != t.leq(mapping[x], mapping[y]):
+            if u.leq(x, y) != u.leq(mapping[x], mapping[y]):
                 raise SeparationError("mapping does not preserve the partial order")
     new_sets = {
-        k: frozenset(t.uid(mapping[uid]) for uid in s) for k, s in fam.sets.items()
+        k: frozenset(u.uid(mapping[uid]) for uid in s) for k, s in fam.sets.items()
     }
-    return IndexedFamily(t, new_sets, levels=fam.levels)
+    return IndexedFamily(u, new_sets, levels=fam.levels)

@@ -151,15 +151,16 @@ def is_consistent(o):
 
 
 def has_profile_property(o):
-    """Property (P): the meet of the inverses of two members is never chosen."""
+    """Property (P): the meet of the inverses of two members is never chosen.
+    A meet that the universe does not hold is not in the system, so it
+    forbids nothing."""
     u = o.universe
     ch = sorted(o.chosen)
-    members = o.system.members
     for x in ch:
-        ix = u.inv(x)
+        a, b = u.sides(x)
         for y in ch:
-            c = u.meet(ix, u.inv(y))
-            if u.uid(c) in members and c in o.chosen:
+            c, d = u.sides(y)
+            if u.find(b & d, a | c) in o.chosen:
                 return False
     return True
 

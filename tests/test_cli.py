@@ -220,6 +220,33 @@ def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
     assert diag["error"] == "input" and "9" in diag["message"]
 
 
+@pytest.mark.parametrize(
+    "order_graph, message",
+    [([[1, 9, 1]], "names unknown point 9"), ([[1, 2, 1], [2, 3, 1.5]], "needs an integer weight")],
+    ids=["unknown-point", "float-weight"],
+)
+def test_malformed_order_graph_is_input_to_the_command_and_a_verify_failure(capsys, tmp_path, order_graph, message):
+    circle = {"points": [1, 2, 3, 4, 5], "order_graph": [[i, i % 5 + 1, 1] for i in range(1, 6)]}
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(circle))
+    argv = ["--input", str(path), "--m", "1", "--n", "4", "--order-fn", "cut:inline"]
+    code, out, _ = run(capsys, "circle-tangles", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    doc["circle"]["order_graph"] = order_graph
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--input", str(bad))
+    assert code == 4
+    diag = json.loads(err)
+    assert diag["error"] == "verification" and message in diag["message"]
+    path.write_text(json.dumps(dict(circle, order_graph=order_graph)))
+    code, out, err = run(capsys, "circle-tangles", *argv)
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "input" and message in diag["message"]
+
+
 def test_cut_file_unknown_point_is_exit_2(capsys, tmp_path, circle_file):
     cut = tmp_path / "weights.txt"
     cut.write_text("1 2 1\n1 9 1\n")
@@ -322,6 +349,16 @@ def test_size_bound_is_exit_3(capsys, tmp_path):
     big.write_text("\n".join(f"{u} {v}" for u, v in edges))
     code, _, err = run(capsys, "tot", "--input", str(big))
     assert code == 3
+
+
+def test_graph_with_more_than_5000_separations_is_searched(capsys, tmp_path):
+    """Two disjoint K1,4 graphs: 6,385 separations, within the vertex bound."""
+    edges = [(c, c + i) for c in (1, 6) for i in range(1, 5)]
+    path = tmp_path / "two-stars.txt"
+    path.write_text("\n".join(f"{u} {v}" for u, v in edges))
+    code, out, err = run(capsys, "tangles", "--input", str(path))
+    assert code == 0, err
+    assert json.loads(out)["maximal_tangles"] == 8
 
 
 def test_corpus_command(capsys):

@@ -26,7 +26,7 @@ from totkit.profiles import (
     maximal_profiles,
     orientation_to_json,
 )
-from totkit.sepsys import SubSystem
+from totkit.sepsys import SubSystem, Universe
 from totkit.universes import (
     Graph,
     SubsystemChain,
@@ -621,12 +621,16 @@ def test_synthetic_robustness_violation():
     assert witness
 
 
-def test_enumeration_size_bound(p4, p4_universe):
-    from totkit.errors import SizeBoundError
-
-    s2 = restrict_Sk(p4_universe, 2)
-    with pytest.raises(SizeBoundError):
-        enumerate_profiles(s2, graph_tangle_kind(), graph=p4, max_members=3)
+def test_profiles_of_a_universe_not_closed_under_meets():
+    """A corner outside the universe forbids nothing: {1}|{2,3} and
+    {2}|{1,3} without their corners have three consistent orientations,
+    all of them profiles."""
+    pairs = [(0b001, 0b110), (0b110, 0b001), (0b010, 0b101), (0b101, 0b010)]
+    u = Universe([1, 2, 3], pairs)
+    system = SubSystem(u, frozenset(u.unoriented_ids()))
+    got = sorted((o.chosen for o in enumerate_profiles(system, PROFILE)), key=sorted)
+    assert len(got) == 3
+    assert got == naive_enumerate(system, PROFILE)
 
 
 def test_circle_tangles_empirically_satisfy_profile_property():
