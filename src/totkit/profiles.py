@@ -119,12 +119,14 @@ class _Search:
     ``b <= c and d <= a`` (as sets), which is both ``~x < y`` and ``~y < x``
     (``~x`` is never ``y``: each member is oriented once); ``x`` alone is
     inconsistent when ``~x < x``, that is ``b <= a`` and ``x != ~x``.
+    Rule (P) tests consistency; rules (T) and (F) imply it.
     For profiles (rule (P)), the corner ``~x & ~y = (b & d, a | c)`` of a
     candidate and a chosen ``y`` counts only when it orients a member: one
     lookup in a dict from the side pairs of the members' orientations to
-    their oids, built once per search.  ``x`` is rejected when it is the
-    corner of two chosen separations, when one of its own corners is chosen
-    or is ``x``, or when ``x == ~x`` (its corner with itself).
+    their oids, built once per search.  ``x`` is rejected when ``b <= a``
+    (or ``x == ~x``, its corner with itself), when it is the corner of two
+    chosen separations, or when a chosen ``y`` is inconsistent with it or
+    has a corner with it that is chosen or is ``x``: one walk over them.
     For graph tangles (rule (T)), no three chosen small sides may cover
     ``g``, vertices and edges (a side repeated included).  A side ``Z``
     covers a set of vertices and edges exactly when it contains the set's
@@ -141,7 +143,11 @@ class _Search:
     too, as ``sup[0]`` counts every chosen side.  That is every triple
     through ``X``: with ``Y = X`` the hull is ``(V - X) | rim(X)``, empty
     only when ``X`` is ``V``, and a side ``Z`` containing it leaves the pair
-    ``X, Z`` an empty hull.
+    ``X, Z`` an empty hull.  It implies consistency: ``b <= a`` means
+    ``a = V``, and ``b <= c``, ``d <= a`` leave ``a, c`` covering ``g``.
+    Rule (F) implies it on bipartitions: ``b <= a`` is ``b = 0``, rejected by
+    ``inters[V] = 0``, and ``b <= c`` is ``d & b = 0``, by ``inters[d] <= 1``
+    (kept, as ``n > 3``).
     """
 
     def __init__(self, universe: Universe, kind: ProfileKind, graph: Graph | None):
@@ -189,6 +195,8 @@ class _Search:
                         return
                     s = (s - 1) & a
         if tag == "circle-tangle":
+            if any(a & b for a, b in map(sides, members)):
+                raise SeparationError("circle tangles need members whose sides are disjoint")
             m_par, n_par = self.kind.m, self.kind.n
             if len(u.labels) < m_par:
                 return [[] for _ in blocks]
@@ -202,18 +210,14 @@ class _Search:
 
         def try_add(x: int):
             """Return the rule's undo payload if x can extend the orientation, else None."""
-            ix = inv(x)
             a, b = sides(x)
-            if b & ~a == 0 and ix != x:
-                return None
-            for c, d in chosen_sides:
-                if b & ~c == 0 and d & ~a == 0:
-                    return None
             if tag == "profile":
-                if x == ix or x in forbidden:
+                if b & ~a == 0 or x in forbidden:
                     return None
                 token = []
                 for c, d in chosen_sides:
+                    if b & ~c == 0 and d & ~a == 0:
+                        return None
                     k = member_oid.get((b & d, a | c))
                     if k is not None:
                         if k in chosen_set or k == x:

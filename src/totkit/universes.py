@@ -363,9 +363,9 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, as index tuples.
 
-    Found by pruned backtracking: vertices are assigned images one at a time
-    and a partial map is abandoned as soon as it disagrees with adjacency on
-    the assigned set.
+    Found by pruned backtracking, in lexicographic order (the identity
+    first): vertices get images one at a time, ascending, and a partial map
+    is abandoned as soon as it disagrees with adjacency on the assigned set.
     """
     if g.n > max_vertices:
         raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
@@ -396,7 +396,7 @@ def automorphisms(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[tu
                 perm[i] = -1
 
     backtrack(0)
-    return sorted(out)
+    return out
 
 
 def permute_mask(mask: int, perm: tuple[int, ...]) -> int:

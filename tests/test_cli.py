@@ -591,13 +591,37 @@ def test_verify_and_tangles_stop_after_the_family(capsys, monkeypatch, tmp_path,
     for path in artifacts:
         code, out, _ = run(capsys, "verify", "--input", str(path))
         assert code == 0 and json.loads(out)["ok"] is True
-    # one re-extraction per automorphism, for each of the two canonical artifacts
-    from totkit.graphio import load_graph
-    from totkit.universes import automorphisms
-
-    assert len(extractions) == 2 * len(automorphisms(load_graph(two_k4_file)))
+    # one extraction for each of the two canonical artifacts
+    assert len(extractions) == 2
     code, out, _ = run(capsys, "tangles", "--input", two_k4_file)
     assert code == 0 and json.loads(out)["maximal_tangles"] == 3
+
+
+@pytest.mark.parametrize("command", ["canonical-tot", "clique-tot"])
+def test_verify_refuses_a_nested_superset_of_the_canonical_set(capsys, tmp_path, two_k4_file, command):
+    """One more separation, nested with every exported one, keeps the set
+    nested and displaying, but it is no longer the canonical extraction: the
+    identity, the first automorphism checked, refuses it."""
+    from totkit.graphio import _find_uid, parse_graph_json
+    from totkit.universes import enumerate_graph_separations
+
+    code, out, _ = run(capsys, command, "--input", two_k4_file)
+    assert code == 0
+    doc = json.loads(out)
+    del doc["decomposition"]
+    u = enumerate_graph_separations(parse_graph_json(doc["graph"]))
+    exported = {_find_uid(u, p) for p in doc["nested_set"]}
+    extra = next(
+        x for x in u.unoriented_ids() if x not in exported and all(u.nested(x, y) for y in exported)
+    )
+    doc["nested_set"].append([list(side) for side in u.side_labels(extra)])
+    artifact = tmp_path / "superset.json"
+    artifact.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(artifact))
+    assert code == 4 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "verification"
+    assert diag["message"] == "not canonical under vertex permutation (0, 1, 2, 3, 4, 5, 6, 7)"
 
 
 def test_verify_refuses_a_family_failing_the_hierarchical_condition(capsys, monkeypatch, tmp_path, two_k4_file):

@@ -317,6 +317,13 @@ def test_circle_enumeration_matches_naive():
     assert got == naive_enumerate(sk, kind)
 
 
+def test_circle_tangle_search_refuses_members_whose_sides_meet(p4_universe):
+    """Rule (F) implies consistency only on bipartitions, so a circle-tangle
+    search refuses a member whose sides share a vertex."""
+    with pytest.raises(SeparationError):
+        enumerate_profiles(restrict_Sk(p4_universe, 2), circle_tangle_kind(1, 4))
+
+
 def test_tangle_search_needs_the_graph_of_its_universe(p4, p4_universe):
     sk = restrict_Sk(p4_universe, 2)
     for other in (None, corpus.path_graph(4)):

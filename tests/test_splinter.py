@@ -645,7 +645,14 @@ def test_canonical_equivariance_on_two_cliques(two_k4, two_k4_universe):
         assert image == frozenset(u.uid(mapping[x]) for x in base)
 
 
-def test_canonical_output_is_order_independent(two_k4, two_k4_universe):
+def test_canonical_output_is_order_independent(two_k4, two_k4_universe, small_corpus):
+    """``extract_canonical`` reads a family only through its pairs
+    ``(level, set)``: keys in another order, or renamed and shuffled, each
+    carrying its level, give the same nested set.  ``verify`` extracts once
+    per artifact on the strength of this, as a graph automorphism permutes
+    those pairs among the keys."""
+    import random
+
     u = two_k4_universe
     chain = slice_chain(u)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
@@ -658,6 +665,22 @@ def test_canonical_output_is_order_independent(two_k4, two_k4_universe):
         levels=fam.levels,
     )
     assert extract_canonical(rev).nested == ref
+    rng = random.Random(15)
+    families = [graph_pipeline(g).family for g in small_corpus] + [clique_family(g) for g in small_corpus]
+    families = [f for f in families if f is not None]
+    assert len(families) >= 30
+    for fam in families:
+        ref = extract_canonical(fam).nested
+        for _ in range(3):
+            keys = list(fam.keys)
+            rng.shuffle(keys)
+            names = {k: f"key{i}" for i, k in enumerate(rng.sample(keys, len(keys)))}
+            renamed = IndexedFamily(
+                fam.universe,
+                {names[k]: fam.sets[k] for k in keys},
+                levels={names[k]: fam.levels[k] for k in keys},
+            )
+            assert extract_canonical(renamed).nested == ref
 
 
 def test_canonical_output_stays_within_family_support(small_corpus):

@@ -414,6 +414,15 @@ def test_automorphism_counts(g, count):
     assert auts == brute_force_automorphisms(g)
 
 
+def test_automorphisms_come_in_lexicographic_order(small_corpus):
+    """The backtracking assigns images in ascending order, so its output is
+    already sorted, the identity first (``verify`` relies on this)."""
+    for g in small_corpus + [corpus.star_graph(6)]:
+        auts = automorphisms(g)
+        assert auts == sorted(auts)
+        assert auts[0] == tuple(range(g.n))
+
+
 def test_lifted_automorphism_preserves_structure():
     g = corpus.cycle_graph(5)
     u = enumerate_graph_separations(g)
