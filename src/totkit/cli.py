@@ -160,16 +160,13 @@ def _parse_sep_spec(spec: str, points):
 
     def side(text):
         out = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            for p in points:
-                if str(p) == tok:
-                    out.append(p)
-                    break
-            else:
+        for tok in filter(None, map(str.strip, text.split(","))):
+            match = [p for p in points if str(p) == tok]
+            if not match:
                 raise InputError(f"unknown point {tok!r} in separation spec")
+            if len(match) > 1:
+                raise InputError(f"ambiguous point {tok!r} in separation spec")
+            out += match
         return out
 
     return side(left), side(right)

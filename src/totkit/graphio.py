@@ -375,7 +375,9 @@ def verify_artifact(doc: dict) -> dict:
             # extraction reads the family only through its (level, set) pairs,
             # which every graph automorphism fixes: one extraction serves all
             image = extract_canonical(result.family, precheck=False).nested
-            for perm in automorphisms(g):
+            if image != nested:  # under the identity, the first automorphism
+                raise VerificationError(f"not canonical under vertex permutation {tuple(range(g.n))}")
+            for perm in automorphisms(g) if nested else ():  # all fix the empty set
                 mapping = lift_permutation(universe, perm, nested)
                 if image != frozenset(universe.uid(mapping[uid]) for uid in nested):
                     raise VerificationError(f"not canonical under vertex permutation {perm}")

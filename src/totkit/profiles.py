@@ -319,9 +319,7 @@ def enumerate_profiles(
 
     Output order is the deterministic backtracking order.
     """
-    search = _Search(system.universe, kind, graph)
-    results = search.run([_sorted_members(system.universe, system.members)])
-    return [Orientation(system, ch) for ch in results[0]]
+    return enumerate_chain_profiles(SubsystemChain(system.universe, (system,)), kind, graph)[0]
 
 
 def enumerate_chain_profiles(

@@ -14,8 +14,8 @@ orientations (its "uid").  Every operation of the abstract layer (``leq``,
 ``inv``, ``join``, ``meet``, ``nested``, ``corners``, ``is_small``,
 ``is_trivial``) is a :class:`Universe` method on these ids.
 
-A universe's separations, ids and orders are fixed at construction; only
-``corner_table`` fills a cache lazily, and a filled entry never changes.
+A universe is fixed at construction: its separations, ids and orders never
+change, and no method caches anything on it.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class Universe:
             self._order = vals
         self._uids = tuple(i for i in range(len(plist)) if i <= self._inv[i])
         self._uid_set = frozenset(self._uids)
-        self._corners: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------
     # lookups
@@ -172,7 +171,7 @@ class Universe:
 
     def corners(self, u: int, v: int) -> tuple[int, int, int, int]:
         """The uids ``(c00, c01, c10, c11)`` of the four tagged corners of two
-        unoriented separations, uncached.
+        unoriented separations; swapping the arguments transposes the tuple.
 
         ``c_{dr,ds}`` underlies the join of orientation ``dr`` of ``u`` and
         ``ds`` of ``v``, with 0 for the canonical orientation of the argument
@@ -191,24 +190,8 @@ class Universe:
             out.append(oid if oid <= inv[oid] else inv[oid])
         return tuple(out)
 
-    def corner_table(self, u: int, v: int) -> tuple[int, int, int, int]:
-        """:meth:`corners`, filled lazily into a table with one entry per
-        unoriented pair; swapping the arguments transposes the tuple."""
-        inv = self._inv
-        if inv[u] < u:
-            u = inv[u]
-        if inv[v] < v:
-            v = inv[v]
-        key = (u, v) if u <= v else (v, u)
-        got = self._corners.get(key)
-        if got is None:
-            got = self._corners[key] = self.corners(*key)
-        if u > v:
-            return got[0], got[2], got[1], got[3]
-        return got
-
     def corner_uids(self, u: int, v: int) -> frozenset[int]:
-        return frozenset(self.corner_table(u, v))
+        return frozenset(self.corners(u, v))
 
     # ------------------------------------------------------------------
     # labels

@@ -5,19 +5,21 @@ each key, optionally with a level value per key that orders the keys.  The
 two splinter predicates, :func:`splinters` and
 :func:`splinters_hierarchically`, share one pass over the crossing pairs of
 support elements, :func:`_first_failure`; each supplies only its per-pair
-rule on which family sets hold which corners.  The two extraction routines
-implement the inductive arguments behind the two main lemmas directly:
+rule on which family sets hold which corners.  Predicates and extractions
+read nestedness and maximality from one order table of bitmasks over the
+family's support.  The extractions implement the inductive arguments behind
+the two main lemmas directly:
 
 * :func:`extract_transversal` picks one element per set, pairwise nested,
   whenever the family splinters, by a pivot scan: the first element (in
   canonical id order) nested with some element of every set is picked and
   the other sets are restricted to the elements nested with it, which keeps
   the family splintering by the Fish Lemma.  It takes polynomially many
-  nested tests; runs are reproducible but not isomorphism-invariant.
+  mask operations; runs are reproducible but not isomorphism-invariant.
 * :func:`extract_canonical` returns a nested set meeting every member set
   whenever the family splinters hierarchically; it makes no arbitrary
   choices at all, and commutes with every isomorphism of separation systems
-  that preserves the family.
+  that preserves the family.  A round costs O(|union|) mask operations.
 
 Every run re-verifies its own output (nested, meets every set) and raises
 instead of returning an unverified result.
@@ -26,6 +28,8 @@ instead of returning an unverified result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_
 
 from .errors import (
     HierarchicalConditionError,
@@ -81,13 +85,56 @@ class IndexedFamily:
         return len(self.keys)
 
     def union_support(self) -> frozenset:
-        out = set()
-        for s in self.sets.values():
-            out |= s
-        return frozenset(out)
+        return frozenset().union(*self.sets.values())
+
+    @cached_property
+    def order_table(self) -> _OrderTable:
+        """The :class:`_OrderTable` of the family's support, built on first use."""
+        return _OrderTable(self.universe, self.union_support())
 
     def __repr__(self):
         return f"IndexedFamily({len(self.keys)} sets, universe={self.universe!r})"
+
+
+class _OrderTable:
+    """The order on a set of separations, as bitmasks over their positions.
+
+    ``support`` lists the uids ascending, ``pos`` maps each to its position,
+    ``up[2 * i + e]`` masks the positions with an orientation strictly above
+    orientation ``e`` of ``support[i]`` (0: the uid, 1: its inverse), and
+    ``nest[i]``, which is ``up[2 * i] | up[2 * i + 1]`` and ``i``, those
+    nested with ``support[i]``.  ``(c, d)`` is above ``(a, b)`` iff each
+    ground element of ``a`` is in ``c`` and, unless also in ``b``, not in ``d``.
+    """
+
+    def __init__(self, universe: Universe, uids):
+        self.support = support = sorted(uids)
+        self.pos = {x: i for i, x in enumerate(support)}
+        sides = [universe.sides(x) for x in support]
+        ground, full = range(len(universe.labels)), (1 << len(support)) - 1
+        on_a, on_b = [0] * len(ground), [0] * len(ground)  # positions holding v on side 0, 1
+        for i, (a, b) in enumerate(sides):
+            for v in ground:
+                on_a[v] |= (a >> v & 1) << i
+                on_b[v] |= (b >> v & 1) << i
+        self.up = up = []
+        for i, (a0, b0) in enumerate(sides):
+            for a, b in ((a0, b0), (b0, a0)):
+                above0 = above1 = full  # orientation 0, 1 of each position
+                for v in bits(a):
+                    above0 &= on_a[v] if b >> v & 1 else on_a[v] & ~on_b[v]
+                    above1 &= on_b[v] if b >> v & 1 else on_b[v] & ~on_a[v]
+                # (a, b) is below itself, and strictly below (b, a) iff a < b
+                up.append((above0 | above1) ^ (a & ~b != 0 or a == b) << i)
+        self.nest = [up[2 * i] | up[2 * i + 1] | 1 << i for i in range(len(support))]
+
+    def uids(self, mask: int) -> list[int]:
+        return [self.support[i] for i in bits(mask)]
+
+    def extremal(self, union: int) -> int:
+        """The positions of ``union`` with an orientation below none of ``union``'s."""
+        up = self.up
+        return sum(1 << i for i in bits(union) if not (up[2 * i] & union and up[2 * i + 1] & union))
 
 
 # ----------------------------------------------------------------------
@@ -102,22 +149,23 @@ def _first_failure(fam: IndexedFamily, levels, rule):
     ``holds[x]`` is the bitmask of the groups whose set holds ``x``.  A nested
     pair passes both predicates, since ``a`` and ``b`` fill a diagonal of
     their corner table.  So one pass visits each crossing pair ``a < b`` of
-    support elements once, looks up its corners once in
-    :meth:`Universe.corner_table`, whose slots ``(c00, c01)`` and ``(c10,
-    c11)`` are the two sides of ``a`` and ``(c00, c10)`` and ``(c01, c11)``
-    those of ``b``, and calls ``rule(gs, ha, hb, a0, a1, b0, b1, higher,
-    lower)`` on bitmasks of groups: ``gs`` to settle (they hold ``a``), those
-    holding ``a`` and ``b``, those holding a corner on side 0 or 1 of ``a``
-    and of ``b``, and per group ``g`` those of strictly higher and lower
-    level.  The rule returns ``(g, hs)`` for each ``g`` in ``gs`` whose key
+    support elements once, read off the family's order table, computes its
+    corners once with :meth:`Universe.corners`, whose slots ``(c00, c01)``
+    and ``(c10, c11)`` are the two sides of ``a`` and ``(c00, c10)`` and
+    ``(c01, c11)`` those of ``b``, and calls ``rule(gs, ha, hb, a0, a1, b0,
+    b1, higher, lower)`` on bitmasks of groups: ``gs`` to settle (they hold
+    ``a``), those holding ``a`` and ``b``, those holding a corner on side 0
+    or 1 of ``a`` and of ``b``, and per group ``g`` those of strictly higher
+    and lower level.  The rule returns ``(g, hs)`` for each ``g`` in ``gs`` whose key
     pairs with the groups ``hs`` fail at ``(a, b)``.  Verdicts are symmetric,
     so this finds every failing group pair in O(support² + crossing pairs ×
     groups) int operations.  Key pairs are scanned only to name the witness:
     the first failing ``(key_i, key_j, a_i, a_j)`` in key order (``i <= j``),
     then in sorted element order.
     """
-    u = fam.universe
-    table, nested = u.corner_table, u.nested
+    corners = fam.universe.corners
+    table = fam.order_table
+    support, pos, nest = table.support, table.pos, table.nest
     keys, sets = fam.keys, fam.sets
     group_of: dict = {}
     key_group = [
@@ -139,20 +187,19 @@ def _first_failure(fam: IndexedFamily, levels, rule):
     lower = [below[level] for _, level in group_of]
 
     def failing(a, b, gs):
-        c00, c01, c10, c11 = table(a, b)
+        c00, c01, c10, c11 = corners(a, b)
         h00, h01 = holds.get(c00, 0), holds.get(c01, 0)
         h10, h11 = holds.get(c10, 0), holds.get(c11, 0)
         return rule(gs, holds[a], holds[b], h00 | h01, h10 | h11, h00 | h10, h01 | h11,
                     higher, lower)
 
     fails = [0] * len(group_of)
-    support = sorted(holds)
+    full = (1 << len(support)) - 1
     for i, x in enumerate(support):
         gx = holds[x]
-        for y in support[i + 1 :]:
-            if not nested(x, y):
-                for g, hs in failing(x, y, gx):
-                    fails[g] |= hs
+        for j in bits(~nest[i] & (full >> i + 1 << i + 1)):
+            for g, hs in failing(x, support[j], gx):
+                fails[g] |= hs
     if not any(fails):
         return True, None
     for g, hs in enumerate(fails):
@@ -167,7 +214,7 @@ def _first_failure(fam: IndexedFamily, levels, rule):
         ki, kj = keys[ii], keys[jj]
         for a in sorted(sets[ki]):
             for b in sorted(sets[kj]):
-                if not nested(a, b) and any(
+                if not nest[pos[a]] >> pos[b] & 1 and any(
                     hs >> key_group[jj] & 1 for _, hs in failing(a, b, 1 << g)
                 ):
                     return False, (ki, kj, a, b)
@@ -226,10 +273,10 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
     all four of their corners) each restricted family still splinters, so a
     pivot exists at every step.
 
-    Keys with identical sets are solved once and share one pick, so the
-    work is O(n * |union| * sum |A_i|) nested tests for n distinct sets,
-    and the trace has one entry per distinct set.  Requires the family to
-    splinter; with ``debug`` every restricted family is re-checked.
+    Sets are bitmasks over the family's order table and keys with identical
+    sets share one pick, so the work is O(n² * |union|) mask operations for
+    n distinct sets, and the trace has one entry per distinct set.  Requires
+    the family to splinter; with ``debug`` every restricted family is re-checked.
     """
     ok, witness = splinters(fam)
     if not ok:
@@ -237,51 +284,42 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
     first_key: dict = {}
     for k in fam.keys:
         first_key.setdefault(fam.sets[k], k)
-    u = fam.universe
+    table = fam.order_table
+    pos, nest = table.pos, table.nest
     trace: list[dict] = []
     chosen: dict = {}
-    items = [(k, A) for A, k in first_key.items()]
+    items = [(k, sum(1 << pos[x] for x in A)) for A, k in first_key.items()]
     while len(items) > 1:
-        union = set()
+        union = 0
         for _, A in items:
             union |= A
-        pivot = next(
-            (
-                x
-                for x in sorted(union)
-                if all(any(u.nested(x, y) for y in A) for _, A in items)
-            ),
-            None,
-        )
+        pivot = next((p for p in bits(union) if all(nest[p] & A for _, A in items)), None)
         if pivot is None:
             raise InternalContradictionError(
                 "no element is nested with some element of every remaining set"
             )
-        pivot_key = next(k for k, A in items if pivot in A)
-        chosen[pivot_key] = pivot
-        items = [
-            (k, frozenset(y for y in A if u.nested(y, pivot)))
-            for k, A in items
-            if k != pivot_key
-        ]
+        pivot_key = next(k for k, A in items if A >> pivot & 1)
+        chosen[pivot_key] = table.support[pivot]
+        items = [(k, A & nest[pivot]) for k, A in items if k != pivot_key]
         trace.append(
             {
                 "depth": len(trace),
                 "event": "pivot",
                 "key": repr(pivot_key),
-                "pick": pivot,
-                "restricted_sizes": [len(A) for _, A in items],
+                "pick": chosen[pivot_key],
+                "restricted_sizes": [A.bit_count() for _, A in items],
             }
         )
         if debug:
-            ok2, wit2 = splinters(IndexedFamily(u, dict(items)))
+            restricted = {k: table.uids(A) for k, A in items}
+            ok2, wit2 = splinters(IndexedFamily(fam.universe, restricted))
             if not ok2:
                 raise InternalContradictionError(
                     f"restricted family lost the splinter property: {wit2!r}"
                 )
     if items:
         k, A = items[0]
-        chosen[k] = min(A)
+        chosen[k] = min(table.uids(A))
         trace.append({"depth": len(trace), "event": "single", "key": repr(k), "pick": chosen[k]})
     picks = {k: chosen[first_key[fam.sets[k]]] for k in fam.keys}
     _verify_picks(fam, picks)
@@ -289,11 +327,10 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
 
 
 def _verify_picks(fam: IndexedFamily, picks: dict):
-    u = fam.universe
     for k in fam.keys:
         if picks.get(k) not in fam.sets[k]:
             raise InternalContradictionError(f"pick for {k!r} is not in its set")
-    crossing = u.first_crossing(picks.values())
+    crossing = fam.universe.first_crossing(picks.values())
     if crossing is not None:
         raise InternalContradictionError("picks {} and {} cross".format(*crossing))
 
@@ -304,15 +341,8 @@ def _verify_picks(fam: IndexedFamily, picks: dict):
 
 def extremal_elements(universe: Universe, seps) -> frozenset:
     """Members with an orientation that is maximal among all orientations of the set."""
-    A = [universe.uid(x) for x in seps]
-    oriented = sorted({o for uid in A for o in universe.orientations(uid)})
-    out = set()
-    for uid in A:
-        for o in universe.orientations(uid):
-            if not any(universe.lt(o, y) for y in oriented):
-                out.add(uid)
-                break
-    return frozenset(out)
+    table = _OrderTable(universe, {universe.uid(x) for x in seps})
+    return frozenset(table.uids(table.extremal((1 << len(table.support)) - 1)))
 
 
 def _hierarchical_rule(gs, ha, hb, a0, a1, b0, b1, higher, lower):
@@ -367,10 +397,7 @@ class CanonicalResult(_Traced):
     trace: list = field(default_factory=list)
 
 
-def extract_canonical(
-    fam: IndexedFamily,
-    precheck: bool = True,
-) -> CanonicalResult:
+def extract_canonical(fam: IndexedFamily, precheck: bool = True) -> CanonicalResult:
     """Canonical nested set meeting every set of a hierarchically splintering family.
 
     Repeatedly takes the extremal elements of the union of the sets at the
@@ -391,50 +418,43 @@ def extract_canonical(
         ok, witness = splinters_hierarchically(fam)
         if not ok:
             raise HierarchicalConditionError(witness)
-    u = fam.universe
-    levels = fam.levels
+    u, levels, table = fam.universe, fam.levels, fam.order_table
+    pos, nest = table.pos, table.nest
     trace: list[dict] = []
 
-    def solve(keys: tuple, sets: dict, depth: int) -> frozenset:
+    def solve(keys: tuple, sets: dict, depth: int) -> int:
         if not keys:
-            return frozenset()
-        if levels:
-            low = min(levels[k] for k in keys)
-            minimal = [k for k in keys if levels[k] == low]
-        else:
-            minimal = list(keys)
-        union = set()
+            return 0
+        low = min(levels[k] for k in keys) if levels else None
+        minimal = [k for k in keys if not levels or levels[k] == low]
+        union = 0
         for k in minimal:
             union |= sets[k]
-        extremal = extremal_elements(u, union)
-        crossing = u.first_crossing(extremal)
+        extremal = table.extremal(union)
+        crossing = u.first_crossing(table.uids(extremal))
         if crossing is not None:
             raise InternalContradictionError(
                 "extremal elements {} and {} cross; hierarchical condition was violated".format(*crossing)
             )
         remaining = [k for k in keys if not (sets[k] & extremal)]
-        restricted = {}
-        for k in remaining:
-            Ar = frozenset(
-                x for x in sets[k] if all(u.nested(x, e) for e in extremal)
-            )
+        common = reduce(and_, [nest[e] for e in bits(extremal)], -1)
+        restricted = {k: sets[k] & common for k in remaining}
+        for k, Ar in restricted.items():
             if not Ar:
-                raise InternalContradictionError(
-                    f"set {k!r} has no element nested with the extremal set"
-                )
-            restricted[k] = Ar
+                raise InternalContradictionError(f"set {k!r} has no element nested with the extremal set")
         trace.append(
             {
                 "depth": depth,
                 "event": "extremal",
                 "minimal_keys": sorted(repr(k) for k in minimal),
-                "extremal": sorted(extremal),
+                "extremal": table.uids(extremal),
                 "remaining": len(remaining),
             }
         )
         return solve(tuple(remaining), restricted, depth + 1) | extremal
 
-    nested = solve(fam.keys, dict(fam.sets), 0)
+    masks = {k: sum(1 << pos[x] for x in A) for k, A in fam.sets.items()}
+    nested = frozenset(table.uids(solve(fam.keys, masks, 0)))
     crossing = u.first_crossing(nested)
     if crossing is not None:
         raise InternalContradictionError("output {} and {} cross".format(*crossing))

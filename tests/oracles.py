@@ -2,15 +2,14 @@
 
 Each function here follows a definition from the paper directly and is
 only used by the tests: the tangle properties against ``_Search``'s
-incremental rules, the corner tags and sides against
-``Universe.corners``/``corner_table``, the all-pairs submodularity of an
-order against ``check_submodular_order``, the splinter condition key pair by
-key pair against ``splinters``, the key order as pairs against the levels of
-``IndexedFamily``, the distinguishers of each profile pair (all, efficient
-by order, or efficient by chain level) and the family and verdict built
-from them pair by pair against ``build_distinguisher_family`` and
-``efficiently_distinguishes_all``, and chain-level efficiency against the
-order-level families the pipelines build.
+incremental rules, the corner tags and sides against ``Universe.corners``,
+the all-pairs submodularity of an order against ``check_submodular_order``,
+the splinter condition key pair by key pair against ``splinters``, the key
+order as pairs against the levels of ``IndexedFamily``, the distinguishers
+of each profile pair (all, efficient by order, or efficient by chain level)
+and the family and verdict built from them pair by pair against
+``build_distinguisher_family`` and ``efficiently_distinguishes_all``, and
+chain-level efficiency against the order-level families the pipelines build.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -128,7 +127,7 @@ def reference_splinters(fam):
                 for b in sorted(B - A):
                     if u.nested(a, b):
                         continue
-                    c00, c01, c10, c11 = u.corner_table(a, b)
+                    c00, c01, c10, c11 = u.corners(a, b)
                     if not (c00 in union or c01 in union or c10 in union or c11 in union):
                         return False, (keys[ii], keys[jj], a, b)
     return True, None

@@ -331,6 +331,19 @@ def test_circle_join_check(capsys, circle_file):
     assert doc["join_check"]["in_circle_subsystem"] is False
 
 
+def test_circle_join_refuses_an_ambiguous_point(capsys, tmp_path):
+    """Points ``1`` and ``"1"`` both read as the token ``1``."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"points": [1, "1", 2, 3, 4]}))
+    argv = ["circle-tangles", "--input", str(path), "--m", "1", "--n", "4", "--join"]
+    code, out, err = run(capsys, *argv, "1,2|3,4", "2|3,4")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": "ambiguous point '1' in separation spec"}
+    code, _, err = run(capsys, *argv, "2|3,4", "5|2")
+    assert code == 2
+    assert json.loads(err)["message"] == "unknown point '5' in separation spec"
+
+
 def test_circle_parameter_validation(capsys, circle_file):
     code, _, err = run(capsys, "circle-tangles", "--input", circle_file, "--m", "0", "--n", "4")
     assert code == 2
@@ -622,6 +635,39 @@ def test_verify_refuses_a_nested_superset_of_the_canonical_set(capsys, tmp_path,
     diag = json.loads(err)
     assert diag["error"] == "verification"
     assert diag["message"] == "not canonical under vertex permutation (0, 1, 2, 3, 4, 5, 6, 7)"
+
+
+def test_verify_of_an_empty_canonical_set_checks_the_identity_only(capsys, monkeypatch, tmp_path):
+    """Every permutation fixes the empty set, so ``verify`` of the empty
+    ``clique-tot`` set of K5 lists no automorphism; one appended separation
+    is still refused at the identity."""
+    from totkit import graphio
+
+    k5 = {"vertices": list(range(5)), "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
+    graph = tmp_path / "k5.json"
+    graph.write_text(json.dumps(k5))
+    code, out, _ = run(capsys, "clique-tot", "--input", str(graph))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nested_set"] == []
+
+    def refuse(g):
+        raise AssertionError("automorphisms listed")
+
+    monkeypatch.setattr(graphio, "automorphisms", refuse)
+    artifact = tmp_path / "clique.json"
+    artifact.write_text(out)
+    code, out, _ = run(capsys, "verify", "--input", str(artifact))
+    assert code == 0 and json.loads(out)["ok"] is True
+    del doc["decomposition"]
+    doc["nested_set"].append([[0, 1, 2, 3], [0, 1, 2, 3, 4]])
+    artifact.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(artifact))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "verification",
+        "message": "not canonical under vertex permutation (0, 1, 2, 3, 4)",
+    }
 
 
 def test_verify_refuses_a_family_failing_the_hierarchical_condition(capsys, monkeypatch, tmp_path, two_k4_file):

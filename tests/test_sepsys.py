@@ -81,9 +81,9 @@ def test_corner_table_transposes_and_matches_corner_items(bip4):
     ids = list(u.oriented_ids())
     for x in ids:
         for y in ids:
-            t = u.corner_table(x, y)
+            t = u.corners(x, y)
             assert t == tuple(c for _, c in corner_items(u, x, y))
-            assert u.corner_table(y, x) == (t[0], t[2], t[1], t[3])
+            assert u.corners(y, x) == (t[0], t[2], t[1], t[3])
             assert u.corner_uids(x, y) == frozenset(t)
             # the sides of each argument are fixed pairs of table slots
             r, s = u.uid(x), u.uid(y)

@@ -89,7 +89,7 @@ def random_corner_sets(u, uids, h):
             sets.append(sets[(r >> 4) % i])
             continue
         x, y = uids[(r >> 8) % len(uids)], uids[(r >> 24) % len(uids)]
-        picked = {c for bit, c in enumerate(u.corner_table(x, y)) if r >> (40 + bit) & 1}
+        picked = {c for bit, c in enumerate(u.corners(x, y)) if r >> (40 + bit) & 1}
         sets.append({x} | picked | ({y} if r >> 50 & 1 else set()))
     return sets
 
@@ -179,13 +179,34 @@ def test_precheck_makes_one_corner_lookup_per_crossing_support_pair(monkeypatch)
     support = sorted(fam.union_support())
     crossing = sum(not u.nested(x, y) for i, x in enumerate(support) for y in support[i + 1 :])
     assert crossing == 5103
-    table = u.corner_table
+    corners = u.corners
     calls = []
-    monkeypatch.setattr(u, "corner_table", lambda a, b: calls.append(1) or table(a, b))
+    monkeypatch.setattr(u, "corners", lambda a, b: calls.append(1) or corners(a, b))
     for predicate in (splinters, splinters_hierarchically):
         calls.clear()
         assert predicate(fam) == (True, None)
         assert 0 < len(calls) <= crossing, (predicate.__name__, len(calls))
+
+
+def test_universe_is_unchanged_by_a_pipeline_run_and_both_predicates(monkeypatch):
+    """A universe is fixed at construction: a canonical run and both
+    predicates on its family leave every attribute as it was made."""
+    from copy import deepcopy
+
+    from totkit import pipelines
+
+    made = []
+
+    def enumerate_and_copy(g, *args):
+        u = enumerate_graph_separations(g, *args)
+        made.append((u, deepcopy(vars(u))))
+        return u
+
+    monkeypatch.setattr(pipelines, "enumerate_graph_separations", enumerate_and_copy)
+    res = graph_pipeline(corpus.star_graph(6), canonical=True)
+    assert splinters(res.family) == splinters_hierarchically(res.family) == (True, None)
+    [(u, before)] = made
+    assert u is res.universe and vars(u) == before
 
 
 # ----------------------------------------------------------------------
@@ -334,19 +355,60 @@ def test_extremal_chain_contains_both_ends(bip4):
     assert extremal_elements(bip4, {r, s}) == frozenset({r, s})
 
 
-def test_extremal_matches_brute_scan():
-    g = corpus.star_graph(4)
-    u = enumerate_graph_separations(g)
-    A = [m for m in u.unoriented_ids() if u.order(m) < 1]
-    got = extremal_elements(u, A)
-    oriented = {o for uid in A for o in u.orientations(uid)}
-    expect = set()
-    for uid in A:
-        for o in u.orientations(uid):
-            if not any(u.lt(o, y) for y in oriented):
-                expect.add(uid)
-                break
-    assert got == frozenset(expect)
+def order_table_cases(small_corpus, bip4):
+    """``(universe, uids)``: the supports of the corpus tangle and clique
+    families, and seeded random id sets of ``bip4`` and of the universe of
+    all separations of P4, which hold small separations and the degenerate
+    ``(V, V)``."""
+    cases = []
+    for g in small_corpus:
+        for fam in (graph_tangles(g).family, clique_family(g)):
+            if fam is not None and len(fam):
+                cases.append((fam.universe, fam.union_support()))
+    p4 = enumerate_graph_separations(corpus.path_graph(4))
+    assert p4.find(p4.full_mask, p4.full_mask) is not None
+    for u in (bip4, p4):
+        uids = u.unoriented_ids()
+        cases.append((u, uids))
+        for counter in range(1, 31):
+            h = corpus.splitmix64(counter)
+            cases.append((u, [x for i, x in enumerate(uids) if h >> i % 64 & 1] or uids[:1]))
+    return cases
+
+
+def test_order_table_matches_leq_and_nested(small_corpus, bip4):
+    """Every ``up`` bit is the strict order between orientations, and every
+    ``nest`` bit the nested relation."""
+    checked = 0
+    for u, uids in order_table_cases(small_corpus, bip4):
+        table = IndexedFamily(u, [uids]).order_table
+        support = table.support
+        assert support == sorted(uids) and table.pos == {x: i for i, x in enumerate(support)}
+        for i, x in enumerate(support):
+            for e, o in enumerate(u.orientations(x)):
+                above = [any(u.lt(o, w) for w in u.orientations(y)) for y in support]
+                assert table.up[2 * i + e] == sum(1 << j for j, b in enumerate(above) if b), (u, x, e)
+            nested = [u.nested(x, y) for y in support]
+            assert table.nest[i] == sum(1 << j for j, b in enumerate(nested) if b), (u, x)
+            checked += 1
+    assert checked >= 500, checked
+
+
+def test_extremal_matches_brute_scan(small_corpus, bip4):
+    """On a level of ``star_graph(4)`` and on every id set of
+    :func:`order_table_cases`."""
+    u = enumerate_graph_separations(corpus.star_graph(4))
+    cases = [(u, [m for m in u.unoriented_ids() if u.order(m) < 1])]
+    for u, A in cases + order_table_cases(small_corpus, bip4):
+        got = extremal_elements(u, A)
+        oriented = {o for uid in A for o in u.orientations(uid)}
+        expect = set()
+        for uid in A:
+            for o in u.orientations(uid):
+                if not any(u.lt(o, y) for y in oriented):
+                    expect.add(uid)
+                    break
+        assert got == frozenset(expect)
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +568,7 @@ def test_hierarchical_matches_reference_on_random_orders():
                 sets.append(sets[(r >> 4) % i])
                 continue
             x, y = uids[(r >> 8) % len(uids)], uids[(r >> 24) % len(uids)]
-            picked = {c for bit, c in enumerate(u.corner_table(x, y)) if r >> (40 + bit) & 1}
+            picked = {c for bit, c in enumerate(u.corners(x, y)) if r >> (40 + bit) & 1}
             sets.append({x} | picked | ({y} if r >> 50 & 1 else set()))
         levels = {k: splitmix64(h + 17 * k) % 3 for k in range(nsets)}
         fam = IndexedFamily(u, sets, levels=levels)
@@ -555,7 +617,7 @@ def test_nested_pairs_fill_a_corner_diagonal_and_pass_every_rule(small_corpus):
                 if not u.nested(a, b):
                     continue
                 for x, y in ((a, b), (b, a)):
-                    c00, c01, c10, c11 = u.corner_table(x, y)
+                    c00, c01, c10, c11 = u.corners(x, y)
                     assert {c00, c11} == {x, y} or {c01, c10} == {x, y}, (u, x, y)
                     for rel in ("ij", "ji", "inc"):
                         assert reference_rule_passes(u, rel, x, y, {x}, {y}), (u, rel, x, y)
@@ -742,7 +804,7 @@ def test_canonical_output_lies_in_the_family_support(small_corpus):
                 sets.append(sets[(r >> 4) % i])
                 continue
             x, y = uids[(r >> 8) % len(uids)], uids[(r >> 24) % len(uids)]
-            picked = {c for bit, c in enumerate(u.corner_table(x, y)) if r >> (40 + bit) & 1}
+            picked = {c for bit, c in enumerate(u.corners(x, y)) if r >> (40 + bit) & 1}
             sets.append({x} | picked | ({y} if r >> 50 & 1 else set()))
         fam = IndexedFamily(u, sets, levels={k: splitmix64(h + 17 * k) % 3 for k in range(nsets)})
         if splinters_hierarchically(fam)[0]:
