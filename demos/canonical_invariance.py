@@ -34,7 +34,7 @@ for uid in sorted(base):
 # commutes with every automorphism, exactly
 for perm in automorphisms(g):
     mapping = lift_permutation(u, perm)
-    image = extract_canonical(map_family(family, mapping), precheck=False).nested
+    image = extract_canonical(map_family(family, mapping)).nested
     assert image == frozenset(u.uid(mapping[x]) for x in base)
 print("N(alpha(family)) == alpha(N(family)) for every automorphism: ok")
 

@@ -132,15 +132,16 @@ class _Search:
     covers a set of vertices and edges exactly when it contains the set's
     hull: its vertices and the ends of its edges.  Of what neither ``X`` nor
     ``Y`` covers, the hull is
-    ``O | (X & Y & nbr[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
-    ``O = V - (X | Y)``, ``nbr[S]`` is the neighbourhood mask of ``S``
-    and ``rim(A) = A & nbr[V - A]``, both tables over all ``2^n`` vertex
-    masks, built once per search.  ``sup[h]`` counts the chosen small sides
-    that contain ``h``: choosing ``A`` adds 1 on all ``2^|A|`` submasks of
-    ``A``, and undo subtracts it on the same submasks.  A candidate with
-    small side ``X`` is rejected when ``X`` is ``V``, or when for some chosen
-    small side ``Y`` it has ``sup[hull] > 0``; an empty hull is caught there
-    too, as ``sup[0]`` counts every chosen side.  That is every triple
+    ``O | (X & Y & nbhd[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
+    ``O = V - (X | Y)``, ``nbhd[S]`` is the neighbourhood mask of ``S``
+    (``Graph.nbhd``, built once per graph) and ``rim(A) = A & nbhd[V - A]``
+    (built once per search), both tables over all ``2^n`` vertex masks.
+    ``sup[h]`` counts the chosen small sides that contain ``h``: choosing
+    ``A`` adds 1 on all ``2^|A|`` submasks of ``A``, and undo subtracts it on
+    the same submasks.  A candidate with small side ``X`` is rejected when
+    ``X`` is ``V``, or when for some chosen small side ``Y`` it has
+    ``sup[hull] > 0``; an empty hull is caught there too, as ``sup[0]``
+    counts every chosen side.  That is every triple
     through ``X``: with ``Y = X`` the hull is ``(V - X) | rim(X)``, empty
     only when ``X`` is ``V``, and a side ``Z`` containing it leaves the pair
     ``X, Z`` an empty hull.  It implies consistency: ``b <= a`` means
@@ -180,11 +181,8 @@ class _Search:
             forbidden: dict[int, int] = {}
         if tag == "graph-tangle":
             vfull = u.full_mask
-            nbr = [0] * (vfull + 1)
-            for s in range(1, vfull + 1):
-                low = s & -s
-                nbr[s] = nbr[s ^ low] | self.graph.adj[low.bit_length() - 1]
-            rim = [s & nbr[vfull ^ s] for s in range(vfull + 1)]
+            nbhd = self.graph.nbhd
+            rim = [s & nbhd[vfull ^ s] for s in range(vfull + 1)]
             sup = [0] * (vfull + 1)
 
             def tally(a: int, step: int):
@@ -231,7 +229,7 @@ class _Search:
                 ra = rim[a]
                 for c, _ in chosen_sides:
                     o = vfull ^ (a | c)
-                    h = o | (a & c & nbr[o]) | (ra & ~c) | (rim[c] & ~a)
+                    h = o | (a & c & nbhd[o]) | (ra & ~c) | (rim[c] & ~a)
                     if sup[h]:
                         return None
                 tally(a, 1)

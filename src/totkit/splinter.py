@@ -397,7 +397,7 @@ class CanonicalResult(_Traced):
     trace: list = field(default_factory=list)
 
 
-def extract_canonical(fam: IndexedFamily, precheck: bool = True) -> CanonicalResult:
+def extract_canonical(fam: IndexedFamily) -> CanonicalResult:
     """Canonical nested set meeting every set of a hierarchically splintering family.
 
     Repeatedly takes the extremal elements of the union of the sets at the
@@ -408,16 +408,13 @@ def extract_canonical(fam: IndexedFamily, precheck: bool = True) -> CanonicalRes
     separation systems.
 
     Every element taken is extremal in a union of (restricted) family sets,
-    so the output lies in ``fam.union_support()``.  ``precheck=False`` skips the
-    hierarchical-splinter precondition; callers may do so when the family is
-    an isomorphic image of one already checked (the condition is invariant
-    under isomorphisms of separation systems).  The internal nestedness and
-    coverage checks still run either way.
+    so the output lies in ``fam.union_support()``.  The family is first
+    checked to splinter hierarchically (``HierarchicalConditionError``
+    otherwise), and the output to be nested and to meet every set.
     """
-    if precheck:
-        ok, witness = splinters_hierarchically(fam)
-        if not ok:
-            raise HierarchicalConditionError(witness)
+    ok, witness = splinters_hierarchically(fam)
+    if not ok:
+        raise HierarchicalConditionError(witness)
     u, levels, table = fam.universe, fam.levels, fam.order_table
     pos, nest = table.pos, table.nest
     trace: list[dict] = []

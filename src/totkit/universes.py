@@ -11,7 +11,9 @@ are the bipartitions of a cyclically ordered ground set into two intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from .errors import SeparationError, SizeBoundError
 from .sepsys import SubSystem, Universe, bits
@@ -33,6 +35,7 @@ __all__ = [
     "slice_chain",
     "is_compatible_sequence",
     "automorphisms",
+    "automorphism_generators",
     "lift_permutation",
     "permute_mask",
 ]
@@ -64,6 +67,15 @@ class Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj = tuple(adj)
+
+    @cached_property
+    def nbhd(self) -> list[int]:
+        """``nbhd[x]``: the vertices adjacent to some vertex of the vertex mask ``x``."""
+        nbhd = [0] * (1 << self.n)
+        for x in range(1, len(nbhd)):
+            low = x & -x
+            nbhd[x] = nbhd[x ^ low] | self.adj[low.bit_length() - 1]
+        return nbhd
 
     @property
     def n(self) -> int:
@@ -100,12 +112,7 @@ def enumerate_graph_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTIC
     if g.n > max_vertices:
         raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
     full = (1 << g.n) - 1
-    adj = g.adj
-    # nbhd[x]: the vertices adjacent to some vertex of x, by the lowest bit of x.
-    nbhd = [0] * (full + 1)
-    for x in range(1, full + 1):
-        low = x & -x
-        nbhd[x] = nbhd[x ^ low] | adj[low.bit_length() - 1]
+    nbhd = g.nbhd
     # x = A - B and y = B - A are disjoint with no edge between them, so y
     # ranges over the subsets of the vertices neither in x nor next to it.
     pairs = []
@@ -361,42 +368,61 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
 
 
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, as index tuples.
+    """All adjacency-preserving vertex permutations, as index tuples, in
+    lexicographic order (the identity first)."""
+    return list(_automorphisms(g, (), max_vertices))
 
-    Found by pruned backtracking, in lexicographic order (the identity
-    first): vertices get images one at a time, ascending, and a partial map
-    is abandoned as soon as it disagrees with adjacency on the assigned set.
+
+def automorphism_generators(g: Graph) -> Iterator[tuple[int, ...]]:
+    """A generating set of the automorphism group, the identity first.
+
+    For each vertex pair ``i < j`` of equal degree, the first automorphism
+    that fixes ``0 .. i-1`` and sends ``i`` to ``j``, if there is one: a
+    transversal of each stabiliser in the chain fixing ``0, 1, ...`` in
+    turn, so at most ``n(n-1)/2 + 1`` permutations (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).  Each comes from one
+    pruned search, stopped at its first leaf.
+    """
+    yield tuple(range(g.n))
+    degs = [m.bit_count() for m in g.adj]
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if degs[j] == degs[i]:
+                yield from islice(_automorphisms(g, tuple(range(i)) + (j,), DEFAULT_MAX_VERTICES), 1)
+
+
+def _automorphisms(g: Graph, prefix: tuple[int, ...], max_vertices: int) -> Iterator[tuple[int, ...]]:
+    """The automorphisms sending vertex ``i`` to ``prefix[i]`` for each ``i``
+    the prefix covers, lazily and in lexicographic order.
+
+    Found by pruned backtracking: vertices get images one at a time,
+    ascending, and a partial map is abandoned as soon as it disagrees with
+    adjacency on the assigned set.
     """
     if g.n > max_vertices:
         raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
-    n = g.n
-    adj = g.adj
+    n, adj = g.n, g.adj
     degs = [m.bit_count() for m in adj]
-    out = []
-    perm = [-1] * n
-    used = [False] * n
+    perm, used = [-1] * n, [False] * n
 
     def backtrack(i):
         if i == n:
-            out.append(tuple(perm))
+            yield tuple(perm)
             return
-        for img in range(n):
+        for img in (prefix[i],) if i < len(prefix) else range(n):
             if used[img] or degs[img] != degs[i]:
                 continue
-            ok = True
             for j in range(i):
                 if (adj[i] >> j & 1) != (adj[img] >> perm[j] & 1):
-                    ok = False
                     break
-            if ok:
+            else:
                 perm[i] = img
                 used[img] = True
-                backtrack(i + 1)
+                yield from backtrack(i + 1)
                 used[img] = False
                 perm[i] = -1
 
-    backtrack(0)
-    return out
+    return backtrack(0)
 
 
 def permute_mask(mask: int, perm: tuple[int, ...]) -> int:

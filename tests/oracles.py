@@ -8,8 +8,10 @@ the splinter condition key pair by key pair against ``splinters``, the key
 order as pairs against the levels of ``IndexedFamily``, the distinguishers
 of each profile pair (all, efficient by order, or efficient by chain level)
 and the family and verdict built from them pair by pair against
-``build_distinguisher_family`` and ``efficiently_distinguishes_all``, and
-chain-level efficiency against the order-level families the pipelines build.
+``build_distinguisher_family`` and ``efficiently_distinguishes_all``,
+chain-level efficiency against the order-level families the pipelines build,
+and canonicity under every graph automorphism against ``verify``'s check of
+a generating set.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -19,6 +21,7 @@ from totkit.pipelines import graph_pipeline
 from totkit.profiles import Orientation
 from totkit.sepsys import SubSystem
 from totkit.splinter import IndexedFamily
+from totkit.universes import automorphisms, lift_permutation
 
 # ----------------------------------------------------------------------
 # corners and separation systems
@@ -361,3 +364,18 @@ def sequence_family(g):
     if len(base.profiles) <= 1:
         return base, None
     return base, pairwise_family(base.profiles, chain=base.chain)
+
+
+# ----------------------------------------------------------------------
+# canonicity
+
+
+def first_moving_automorphism(g, universe, nested, canonical):
+    """The first automorphism of ``g`` in lexicographic order (the identity
+    first) whose lift maps ``nested`` to a set other than ``canonical``, or
+    None when every automorphism maps it onto ``canonical``."""
+    for perm in automorphisms(g):
+        mapping = lift_permutation(universe, perm, nested)
+        if frozenset(universe.uid(mapping[x]) for x in nested) != canonical:
+            return perm
+    return None

@@ -220,7 +220,7 @@ def test_criterion_3_canonicity(tangle_bundles, named_graphs):
             for perm in auts:
                 mapping = lift_permutation(u, perm)
                 mapped = map_family(fam, mapping)
-                image = extract_canonical(mapped, precheck=False).nested
+                image = extract_canonical(mapped).nested
                 assert image == frozenset(u.uid(mapping[x]) for x in base), (g, perm)
         assert high_symmetry >= 5
         assert nontrivial >= 30
@@ -324,7 +324,7 @@ def test_criterion_5_clique_theorems(tangle_bundles):
                 for perm in automorphisms(g):
                     mapping = lift_permutation(u, perm)
                     mapped = map_family(result.family, mapping)
-                    image = extract_canonical(mapped, precheck=False).nested
+                    image = extract_canonical(mapped).nested
                     assert image == frozenset(u.uid(mapping[x]) for x in base), (g, perm)
         assert chordal_seen >= 20 and nonchordal_seen >= 20
 
@@ -392,7 +392,7 @@ def test_criterion_6_circle_theorem():
                         for perm in _dihedral_perms(npts):
                             mapping = lift_permutation(u, perm)
                             mapped = map_family(result.family, mapping)
-                            image = extract_canonical(mapped, precheck=False).nested
+                            image = extract_canonical(mapped).nested
                             assert image == frozenset(
                                 u.uid(mapping[x]) for x in base
                             ), (npts, m, n, perm)

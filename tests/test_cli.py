@@ -639,8 +639,8 @@ def test_verify_refuses_a_nested_superset_of_the_canonical_set(capsys, tmp_path,
 
 def test_verify_of_an_empty_canonical_set_checks_the_identity_only(capsys, monkeypatch, tmp_path):
     """Every permutation fixes the empty set, so ``verify`` of the empty
-    ``clique-tot`` set of K5 lists no automorphism; one appended separation
-    is still refused at the identity."""
+    ``clique-tot`` set of K5 builds no automorphism generator; one appended
+    separation is still refused at the identity, before any other generator."""
     from totkit import graphio
 
     k5 = {"vertices": list(range(5)), "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
@@ -652,9 +652,10 @@ def test_verify_of_an_empty_canonical_set_checks_the_identity_only(capsys, monke
     assert doc["nested_set"] == []
 
     def refuse(g):
-        raise AssertionError("automorphisms listed")
+        yield tuple(range(g.n))
+        raise AssertionError("automorphism generators built")
 
-    monkeypatch.setattr(graphio, "automorphisms", refuse)
+    monkeypatch.setattr(graphio, "automorphism_generators", refuse)
     artifact = tmp_path / "clique.json"
     artifact.write_text(out)
     code, out, _ = run(capsys, "verify", "--input", str(artifact))
@@ -671,16 +672,116 @@ def test_verify_of_an_empty_canonical_set_checks_the_identity_only(capsys, monke
 
 
 def test_verify_refuses_a_family_failing_the_hierarchical_condition(capsys, monkeypatch, tmp_path, two_k4_file):
-    from totkit import graphio
+    from totkit import splinter
 
     code, out, _ = run(capsys, "canonical-tot", "--input", two_k4_file)
     artifact = tmp_path / "canonical.json"
     artifact.write_text(out)
-    monkeypatch.setattr(graphio, "splinters_hierarchically", lambda fam: (False, (0, 1, 2, 3)))
+    monkeypatch.setattr(splinter, "splinters_hierarchically", lambda fam: (False, (0, 1, 2, 3)))
     code, _, err = run(capsys, "verify", "--input", str(artifact))
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "precondition" and "(0, 1, 2, 3)" in diag["message"]
+
+
+def test_verify_refuses_an_appended_separation_without_a_family(capsys, tmp_path):
+    """K3 has one maximal tangle, so no family and the empty canonical set;
+    ``verify`` used to skip the canonical check there and pass the tamper."""
+    graph = tmp_path / "k3.json"
+    graph.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [1, 3], [2, 3]]}))
+    code, out, _ = run(capsys, "canonical-tot", "--input", str(graph))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nested_set"] == []
+    del doc["decomposition"]
+    doc["nested_set"].append([[3], [1, 2, 3]])
+    artifact = tmp_path / "k3.artifact.json"
+    artifact.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(artifact))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "verification",
+        "message": "not canonical under vertex permutation (0, 1, 2)",
+    }
+
+
+def test_verify_checks_a_generating_set_not_the_whole_group(capsys, monkeypatch, tmp_path):
+    """``star_graph(6)`` has 6! automorphisms; ``verify`` of its
+    ``canonical-tot`` artifact lists none of them and lifts the exported set
+    under at most ``n(n-1)/2 + 1`` permutations."""
+    from totkit import corpus, graphio, universes
+
+    g = corpus.star_graph(6)
+    graph = tmp_path / "star6.json"
+    graph.write_text(json.dumps({"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}))
+    code, out, _ = run(capsys, "canonical-tot", "--input", str(graph))
+    assert code == 0 and json.loads(out)["nested_set"]
+    artifact = tmp_path / "star6.artifact.json"
+    artifact.write_text(out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms listed")
+
+    lifts = []
+    lift = graphio.lift_permutation
+
+    def counting(universe, perm, oids=None):
+        lifts.append(perm)
+        return lift(universe, perm, oids)
+
+    monkeypatch.setattr(universes, "automorphisms", refuse)
+    monkeypatch.setattr(graphio, "automorphisms", refuse, raising=False)
+    monkeypatch.setattr(graphio, "lift_permutation", counting)
+    code, out, _ = run(capsys, "verify", "--input", str(artifact))
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert lifts[0] == tuple(range(g.n)) and len(lifts) <= g.n * (g.n - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("command", ["canonical-tot", "clique-tot"])
+def test_verify_agrees_with_a_check_of_every_automorphism(capsys, tmp_path, small_corpus, command):
+    """On each artifact, and on its tampers with the decomposition dropped
+    (the first member dropped; the first separation nested with every member
+    appended), ``verify``'s verdict and message are those of the oracle that
+    lifts the exported set under every automorphism in lexicographic order,
+    once the nested and display checks pass."""
+    from oracles import first_moving_automorphism, pairwise_distinguishes_all
+    from totkit.graphio import _find_uid
+    from totkit.pipelines import clique_pipeline, graph_pipeline
+
+    moved = 0
+    for i, g in enumerate(small_corpus):
+        graph = tmp_path / f"g{i}.json"
+        graph.write_text(json.dumps({"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}))
+        code, out, _ = run(capsys, command, "--input", str(graph))
+        assert code == 0
+        res = clique_pipeline(g) if command == "clique-tot" else graph_pipeline(g, canonical=True)
+        u = res.universe
+        doc = json.loads(out)
+        exported = [_find_uid(u, p) for p in doc["nested_set"]]
+        extra = next(x for x in u.unoriented_ids() if x not in exported and all(u.nested(x, y) for y in exported))
+        tampers = [doc, {**doc, "nested_set": doc["nested_set"][1:]} if exported else None,
+                   {**doc, "nested_set": doc["nested_set"] + [[list(side) for side in u.side_labels(extra)]]}]
+        for tampered in filter(None, tampers):
+            if tampered is not doc:
+                tampered = {k: v for k, v in tampered.items() if k != "decomposition"}
+            nested = frozenset(_find_uid(u, p) for p in tampered["nested_set"])
+            artifact = tmp_path / "artifact.json"
+            artifact.write_text(json.dumps(tampered))
+            code, out, err = run(capsys, "verify", "--input", str(artifact))
+            if not pairwise_distinguishes_all(nested, res.profiles):
+                assert code == 4
+                assert json.loads(err)["message"] == "exported set does not efficiently distinguish the tangles"
+                continue
+            perm = first_moving_automorphism(g, u, nested, res.nested)
+            if perm is None:
+                assert code == 0 and json.loads(out)["ok"] is True, (g, tampered)
+            else:
+                moved += 1
+                assert code == 4 and json.loads(err) == {
+                    "error": "verification",
+                    "message": f"not canonical under vertex permutation {perm}",
+                }, (g, tampered)
+    assert moved >= len(small_corpus)
 
 
 @pytest.mark.parametrize("command", ["tot", "circle-tangles", "verify"])

@@ -11,6 +11,7 @@ from totkit.sepsys import Universe
 from totkit.universes import (
     Graph,
     SubsystemChain,
+    automorphism_generators,
     automorphisms,
     bipartition_universe,
     check_submodular_order,
@@ -75,6 +76,16 @@ def test_enumeration_matches_brute_force(request, g):
             for i in u.oriented_ids()
         }
         assert got == brute_force_separations(h)
+
+
+def test_neighbourhood_table_matches_the_definition(small_corpus):
+    """``Graph.nbhd[x]`` is the set of vertices adjacent to a vertex of ``x``;
+    built once per graph, then read by enumeration and rule (T) alike."""
+    for g in small_corpus + [Graph([]), Graph([1, 2, 3])]:
+        assert g.nbhd is g.nbhd
+        for x in range(1 << g.n):
+            inside = [i for i in range(g.n) if x >> i & 1]
+            assert g.nbhd[x] == sum(1 << j for j in range(g.n) if any(g.adj[i] >> j & 1 for i in inside))
 
 
 def test_edgeless_two_vertices_has_nine_oriented_separations():
@@ -416,11 +427,46 @@ def test_automorphism_counts(g, count):
 
 def test_automorphisms_come_in_lexicographic_order(small_corpus):
     """The backtracking assigns images in ascending order, so its output is
-    already sorted, the identity first (``verify`` relies on this)."""
+    already sorted, the identity first (the oracle ``first_moving_automorphism``
+    relies on this)."""
     for g in small_corpus + [corpus.star_graph(6)]:
         auts = automorphisms(g)
         assert auts == sorted(auts)
         assert auts[0] == tuple(range(g.n))
+
+
+def _closure(gens):
+    """The permutation group the index tuples ``gens`` generate, sorted."""
+    gens = list(gens)
+    group = {gens[0]}
+    frontier = [gens[0]]
+    while frontier:
+        p = frontier.pop()
+        for q in gens:
+            pq = tuple(q[i] for i in p)
+            if pq not in group:
+                group.add(pq)
+                frontier.append(pq)
+    return sorted(group)
+
+
+def test_automorphism_generators_generate_the_group(small_corpus):
+    """The identity first, at most ``n(n-1)/2 + 1`` permutations, each an
+    automorphism, and their closure under composition is the whole group."""
+    for g in small_corpus + [corpus.star_graph(6), Graph(range(7))]:
+        gens = list(automorphism_generators(g))
+        assert gens[0] == tuple(range(g.n))
+        assert len(gens) <= g.n * (g.n - 1) // 2 + 1
+        auts = automorphisms(g)
+        assert set(gens) <= set(auts)
+        assert _closure(gens) == auts, g
+
+
+def test_automorphism_generators_refuse_a_graph_over_the_bound():
+    gens = automorphism_generators(Graph(range(11)))
+    assert next(gens) == tuple(range(11))
+    with pytest.raises(SizeBoundError):
+        next(gens)
 
 
 def test_lifted_automorphism_preserves_structure():
