@@ -131,20 +131,35 @@ class _Search:
     ``g``, vertices and edges (a side repeated included).  A side ``Z``
     covers a set of vertices and edges exactly when it contains the set's
     hull: its vertices and the ends of its edges.  Of what neither ``X`` nor
-    ``Y`` covers, the hull is
+    ``Y`` covers, the hull ``H(X, Y)`` is
     ``O | (X & Y & nbhd[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
     ``O = V - (X | Y)``, ``nbhd[S]`` is the neighbourhood mask of ``S``
     (``Graph.nbhd``, built once per graph) and ``rim(A) = A & nbhd[V - A]``
     (built once per search), both tables over all ``2^n`` vertex masks.
-    ``sup[h]`` counts the chosen small sides that contain ``h``: choosing
-    ``A`` adds 1 on all ``2^|A|`` submasks of ``A``, and undo subtracts it on
-    the same submasks.  A candidate with small side ``X`` is rejected when
-    ``X`` is ``V``, or when for some chosen small side ``Y`` it has
-    ``sup[hull] > 0``; an empty hull is caught there too, as ``sup[0]``
-    counts every chosen side.  That is every triple
-    through ``X``: with ``Y = X`` the hull is ``(V - X) | rim(X)``, empty
-    only when ``X`` is ``V``, and a side ``Z`` containing it leaves the pair
-    ``X, Z`` an empty hull.  It implies consistency: ``b <= a`` means
+    ``H`` shrinks when ``X`` or ``Y`` grows.  Some chosen small sides are
+    tallied: ``sup[h]`` counts the tallied sides that contain ``h``;
+    tallying ``A`` adds 1 on all ``2^|A|`` submasks of ``A``, and undo
+    subtracts it on the same submasks.  Every chosen small side lies inside
+    a tallied one, so ``sup[h] > 0`` exactly when some chosen small side
+    contains ``h``.  A candidate ``x = (a, b)`` is rejected when ``a`` is
+    ``V``, or when for some chosen small side ``Y`` it has
+    ``sup[H(a, Y)] > 0``; an empty hull is caught there too, as ``sup[0]``
+    counts every tallied side.  That is every triple through ``a``: with
+    ``Y = a`` the hull is ``(V - a) | rim(a)``, empty only when ``a`` is
+    ``V``, and a side ``Z`` containing it leaves the pair ``a, Z`` an empty
+    hull.  Three facts make most of these tests O(1):
+
+    * (i) ``x`` is rejected when ``sup[b] > 0``: a chosen ``c`` containing
+      ``b`` gives ``G[a] | G[c] = g``.
+    * (ii) ``x`` is accepted when ``sup[a] > 0``, with no walk and no tally:
+      every triple through ``a`` lies inside the same triple with a chosen
+      ``c`` containing ``a`` in ``a``'s place, which does not cover ``g``,
+      and every later test that ``a`` could fail, ``c`` fails as well.
+    * (iii) The walk over ``Y`` takes only the tallied sides: rejection
+      through ``Y`` implies rejection through any chosen ``Y'`` containing
+      ``Y``.
+
+    Rule (T) implies consistency: ``b <= a`` means
     ``a = V``, and ``b <= c``, ``d <= a`` leave ``a, c`` covering ``g``.
     Rule (F) implies it on bipartitions: ``b <= a`` is ``b = 0``, rejected by
     ``inters[V] = 0``, and ``b <= c`` is ``d & b = 0``, by ``inters[d] <= 1``
@@ -179,11 +194,15 @@ class _Search:
             member_oid = {sides(o): o for uid in members for o in u.orientations(uid)}
             # forbidden oriented corners; counts allow undo
             forbidden: dict[int, int] = {}
+            chosen_sides: list[tuple[int, int]] = []
+            chosen_set: set[int] = set()
         if tag == "graph-tangle":
             vfull = u.full_mask
             nbhd = self.graph.nbhd
             rim = [s & nbhd[vfull ^ s] for s in range(vfull + 1)]
             sup = [0] * (vfull + 1)
+            # the tallied chosen small sides, the only ones the walk takes
+            cover: list[int] = []
 
             def tally(a: int, step: int):
                 s = a
@@ -202,8 +221,6 @@ class _Search:
             inters: dict[int, int] = {u.full_mask: 0}
 
         chosen: list[int] = []
-        chosen_sides: list[tuple[int, int]] = []
-        chosen_set: set[int] = set()
         results: list[list[frozenset]] = [[] for _ in blocks]
 
         def try_add(x: int):
@@ -223,17 +240,23 @@ class _Search:
                         token.append(k)
                 for k in token:
                     forbidden[k] = forbidden.get(k, 0) + 1
+                chosen_sides.append((a, b))
+                chosen_set.add(x)
             elif tag == "graph-tangle":
-                if a == vfull:
+                if a == vfull or sup[b]:
                     return None
-                ra = rim[a]
-                for c, _ in chosen_sides:
-                    o = vfull ^ (a | c)
-                    h = o | (a & c & nbhd[o]) | (ra & ~c) | (rim[c] & ~a)
-                    if sup[h]:
-                        return None
-                tally(a, 1)
-                token = a
+                if sup[a]:
+                    token = -1  # not a side mask: a lies inside a tallied side
+                else:
+                    ra = rim[a]
+                    for c in cover:
+                        o = vfull ^ (a | c)
+                        h = o | (a & c & nbhd[o]) | (ra & ~c) | (rim[c] & ~a)
+                        if sup[h]:
+                            return None
+                    tally(a, 1)
+                    cover.append(a)
+                    token = a
             else:
                 for mask, size in inters.items():
                     if size + 1 < n_par and (mask & b).bit_count() < m_par:
@@ -250,14 +273,13 @@ class _Search:
                         token.append((nm, inters.get(nm)))
                         inters[nm] = ns
             chosen.append(x)
-            chosen_sides.append((a, b))
-            chosen_set.add(x)
             return token
 
         def undo(token):
-            chosen_set.discard(chosen.pop())
-            chosen_sides.pop()
+            x = chosen.pop()
             if tag == "profile":
+                chosen_set.discard(x)
+                chosen_sides.pop()
                 for k in token:
                     cnt = forbidden[k] - 1
                     if cnt:
@@ -265,7 +287,9 @@ class _Search:
                     else:
                         del forbidden[k]
             elif tag == "graph-tangle":
-                tally(token, -1)
+                if token >= 0:
+                    tally(token, -1)
+                    cover.pop()
             else:
                 for mask, prev in reversed(token):
                     if prev is None:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .errors import SeparationError, SizeBoundError
+from .errors import SeparationError, SizeBoundError, UniverseClosureError
 from .sepsys import SubSystem, Universe, bits
 
 __all__ = [
@@ -347,18 +347,34 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
     counts are monotone in the level index, so each element pair only needs
     checking at its smallest admissible level pair.
     """
-    corners = chain.universe.corners
+    u = chain.universe
+    sides, find = u.sides, u.find
     top = sorted(chain.top().members)
-    level = {uid: chain.level_of(uid) for uid in top}
     missing = len(chain.systems)
-    # One (uncached) corner computation per unordered pair serves both ordered
-    # pairs: the corner multiset is symmetric, j0 is shared, and the smaller i0
-    # binds.  With sorted corner levels, lv[1] <= i0 means two corners in i0.
+    # one level per oriented id, so a corner's oid needs no uid
+    level = [missing] * u.n_oriented
+    for i in reversed(range(missing)):
+        for r in chain.systems[i].members:
+            level[r] = level[u.inv(r)] = i
+    # One corner computation per unordered pair serves both ordered pairs:
+    # the corner multiset is symmetric, j0 is shared, and the smaller i0 binds.
     for x, r in enumerate(top):
+        a, b = sides(r)
+        lr = level[r]
         for s in top[x:]:
-            lv = sorted([level.get(c, missing) for c in corners(r, s)])
-            i0, j0 = sorted((level[r], level[s]))
-            if lv[1] > i0 and lv[2] > j0:
+            c, d = sides(s)
+            ls = level[s]
+            i0, j0 = (ls, lr) if ls < lr else (lr, ls)
+            try:
+                l1 = level[find(a | c, b & d)]
+                l2 = level[find(a | d, b & c)]
+                l3 = level[find(b | c, a & d)]
+                l4 = level[find(b | d, a & c)]
+            except TypeError:  # find gave None
+                raise UniverseClosureError(f"a corner of {r} and {s} is not in the universe") from None
+            if (l1 <= i0) + (l2 <= i0) + (l3 <= i0) + (l4 <= i0) < 2 and (
+                (l1 <= j0) + (l2 <= j0) + (l3 <= j0) + (l4 <= j0) < 3
+            ):
                 return False
     return True
 

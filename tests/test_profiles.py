@@ -150,14 +150,22 @@ def test_tangles_at_the_size_bound_satisfy_the_definitions():
 
 def test_tangle_counts_at_the_size_bound():
     """Tangles per chain level of 8- to 10-vertex graphs.  The values were
-    counted by the earlier pair-residual form of rule (T), so they do not
-    come from the table form under test."""
+    counted by earlier forms of rule (T), so they do not come from the form
+    under test: the dense graphs by the pair-residual form, the sparse
+    10-vertex graphs (edgeless, perfect matching, ``star_graph(9)``,
+    2 K1,4), where most chosen small sides lie inside others, by the form
+    that walked every chosen side."""
+    v = range(10)
     cases = [
         (corpus.complete_graph(8), [1, 1, 1, 1, 1, 1, 0, 0, 0]),
         (corpus.complete_bipartite(4, 4), [1, 1, 1, 1, 0, 0, 0, 0, 0]),
         (corpus.complete_graph(10), [1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0]),
         (corpus.complete_bipartite(5, 5), [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]),
         (corpus.petersen_graph(), [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
+        (Graph(v), [10] + [0] * 10),
+        (Graph(v, [(i, i + 1) for i in range(0, 10, 2)]), [5, 5] + [0] * 9),
+        (corpus.star_graph(9), [1, 9] + [0] * 9),
+        (Graph(v, [(0, i) for i in range(1, 5)] + [(5, i) for i in range(6, 10)]), [2, 8] + [0] * 9),
     ]
     for g, counts in cases:
         assert graph_tangles(g).tangle_counts() == counts, g

@@ -2,11 +2,20 @@
 
 import pytest
 
-from totkit.errors import SeparationError
+from totkit.corpus import splitmix64
+from totkit.errors import SeparationError, UniverseClosureError
 from totkit.pipelines import graph_pipeline
-from totkit.sepsys import SubSystem
+from totkit.sepsys import SubSystem, Universe
 from totkit.splinter import extract_transversal, splinters
-from totkit.universes import SubsystemChain, is_compatible_sequence, restrict_Sk
+from totkit.universes import (
+    SubsystemChain,
+    bipartition_universe,
+    check_submodular_order,
+    cut_order_fn,
+    is_compatible_sequence,
+    restrict_Sk,
+    slice_chain,
+)
 
 from oracles import efficient_distinguishers, sequence_family
 from test_universes import literal_compatible
@@ -40,9 +49,6 @@ def test_incompatible_chain_detected(bip4):
 def test_compatible_matches_literal_on_random_chains():
     """Seeded ascending chains of three systems over a 4-point bipartition
     universe: each unordered pair is checked once for both orders."""
-    from totkit.corpus import splitmix64
-    from totkit.universes import bipartition_universe
-
     u = bipartition_universe(range(1, 5))
     uids = sorted(u.unoriented_ids())
     verdicts = []
@@ -57,6 +63,36 @@ def test_compatible_matches_literal_on_random_chains():
         verdicts.append(literal_compatible(chain))
         assert is_compatible_sequence(chain) == verdicts[-1], counter
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_slice_chains_of_submodular_orders_are_compatible():
+    """For ``r`` in ``S_i`` and ``s`` in ``S_j``, ``i <= j``, opposite corners
+    ``x, y`` have ``|x| + |y| <= |r| + |s|`` under a submodular order, so
+    each opposite pair has a corner in ``S_i`` or both in ``S_j``: the slice
+    chain is compatible.  Seeded random cut orders of weighted graphs on 4
+    to 6 points, zero weights included."""
+    for counter in range(1, 19):
+        h = splitmix64(counter)
+        points = range(1, 5 + counter % 3)
+        edges = [
+            (p, q, splitmix64(h + 11 * p + q) % 4)
+            for p in points
+            for q in points
+            if p < q
+        ]
+        u = bipartition_universe(points, cut_order_fn(points, edges))
+        assert check_submodular_order(u), counter
+        chain = slice_chain(u)
+        assert is_compatible_sequence(chain) and literal_compatible(chain), counter
+
+
+def test_missing_corner_is_an_error():
+    """Two crossing bipartitions without their corners."""
+    full = 0b1111
+    u = Universe(range(4), [(m, full ^ m) for m in (0b0011, 0b1100, 0b0110, 0b1001)])
+    chain = SubsystemChain(u, (SubSystem(u, frozenset(u.unoriented_ids())),))
+    with pytest.raises(UniverseClosureError):
+        is_compatible_sequence(chain)
 
 
 def test_containment_violation_is_an_error(p4_universe):
