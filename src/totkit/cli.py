@@ -184,7 +184,10 @@ def cmd_circle_tangles(args) -> int:
         "schema": SCHEMA,
         "command": "circle-tangles",
         "params": params,
-        "circle": {"points": list(points), "order_graph": [list(e) for e in order_graph] if order_graph else None},
+        "circle": {
+            "points": list(points),
+            "order_graph": None if order_graph is None else [list(e) for e in order_graph],
+        },
         "levels": tangle_levels_payload(result),
         "tangles": sum(len(l) for l in result.levels),
         "tree_set": nested_set_payload(result.universe, result.nested),

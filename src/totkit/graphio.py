@@ -145,6 +145,8 @@ def _order_graph_edges(points, order_graph, error: type) -> list:
         # a false refusal.
         if not isinstance(w, int) or isinstance(w, bool):
             raise error(f"order_graph edge {e!r} needs an integer weight")
+        if w < 0:
+            raise error(f"order_graph edge {e!r} needs a non-negative weight")
         edges.append((u, v, w))
     return edges
 
@@ -285,7 +287,10 @@ def _artifact_params(doc: dict, command: str, size: int) -> dict:
         "prune_redundant": (False, lambda v: v is False),
         "m": (None, lambda v: _is_int(v) and v >= 1),
         "n": (None, lambda v: _is_int(v) and v > 3),
-        "order_fn": ("cycle", lambda v: isinstance(v, str)),
+        # "cut:inline" needs the circle's own order graph; "cut:FILE" is read on the run
+        "order_fn": ("cycle", lambda v: v in ("cycle", "complete") or (
+            isinstance(v, str) and v.startswith("cut:")
+            and (v != "cut:inline" or doc["circle"].get("order_graph") is not None))),
     }
     keys = ["m", "n", "order_fn"] if command == "circle-tangles" else ["k", "prune_redundant"]
     params = {}

@@ -11,12 +11,9 @@ kinds of "tangle-like" orientations are supported:
   small subset whose big sides have a small common intersection (the
   forbidden-family condition with parameters ``m`` and ``n``).
 
-Enumeration walks the members sorted by (order, id) and prunes on violations
-that are already visible on the partial orientation; every pruning rule is
-exact for complete orientations, so the enumeration is exhaustive.  Walking
-an ascending chain of subsystems in one pass yields the profiles of every
-level: a profile of a later level restricted to an earlier one is a profile
-of that level.
+One exhaustive backtracking pass over an ascending chain of subsystems
+yields the profiles of every level: a profile of a later level restricted
+to an earlier one is a profile of that level.
 """
 
 from __future__ import annotations
@@ -105,34 +102,60 @@ class Orientation:
 # enumeration
 
 
-class _Search:
-    """Backtracking enumeration of chain profiles with exact pruning.
+def _profile_rule(u: Universe, members: list[int]):
+    """Rule (P) for profiles, as ``(try_add, undo)`` closures.
 
-    Members are processed in a fixed order (ascending level, then id).  The
-    partial orientation is extended one member at a time; a candidate
-    orientation is rejected as soon as it completes a violation among decided
-    members.  Each constraint only ever involves decided members, so no
-    complete orientation is wrongly pruned.
-
-    Every test is a plain operation on integer masks.  A candidate
-    ``x = (a, b)`` and a chosen ``y = (c, d)`` are inconsistent when
-    ``b <= c and d <= a`` (as sets), which is both ``~x < y`` and ``~y < x``
-    (``~x`` is never ``y``: each member is oriented once); ``x`` alone is
-    inconsistent when ``~x < x``, that is ``b <= a`` and ``x != ~x``.
-    Rule (P) tests consistency; rules (T) and (F) imply it.
-    For profiles (rule (P)), the corner ``~x & ~y = (b & d, a | c)`` of a
-    candidate and a chosen ``y`` counts only when it orients a member: one
-    lookup in a dict from the side pairs of the members' orientations to
-    their oids, built once per search.  ``x`` is rejected when ``b <= a``
-    (or ``x == ~x``, its corner with itself), when it is the corner of two
+    The corner ``~x & ~y = (b & d, a | c)`` of a candidate ``x = (a, b)`` and
+    a chosen ``y`` counts only when it orients a member: one lookup in a
+    dict from the side pairs of the members' orientations to their oids,
+    built once per search.  ``x`` is rejected when ``b <= a`` (or
+    ``x == ~x``, its corner with itself), when it is the corner of two
     chosen separations, or when a chosen ``y`` is inconsistent with it or
     has a corner with it that is chosen or is ``x``: one walk over them.
-    For graph tangles (rule (T)), no three chosen small sides may cover
-    ``g``, vertices and edges (a side repeated included).  A side ``Z``
-    covers a set of vertices and edges exactly when it contains the set's
-    hull: its vertices and the ends of its edges.  Of what neither ``X`` nor
-    ``Y`` covers, the hull ``H(X, Y)`` is
-    ``O | (X & Y & nbhd[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
+    """
+    sides = u.sides
+    member_oid = {sides(o): o for uid in members for o in u.orientations(uid)}
+    # how often each oriented corner is forbidden; counts allow undo
+    forbidden: dict[int, int] = {}
+    chosen_sides: list[tuple[int, int]] = []
+    chosen_set: set[int] = set()
+
+    def try_add(x: int):
+        a, b = sides(x)
+        if b & ~a == 0 or forbidden.get(x):
+            return None
+        token = []
+        for c, d in chosen_sides:
+            if b & ~c == 0 and d & ~a == 0:
+                return None
+            k = member_oid.get((b & d, a | c))
+            if k is not None:
+                if k in chosen_set or k == x:
+                    return None
+                token.append(k)
+        for k in token:
+            forbidden[k] = forbidden.get(k, 0) + 1
+        chosen_sides.append((a, b))
+        chosen_set.add(x)
+        return token
+
+    def undo(x: int, token):
+        chosen_set.discard(x)
+        chosen_sides.pop()
+        for k in token:
+            forbidden[k] -= 1
+
+    return try_add, undo
+
+
+def _tangle_rule(u: Universe, graph: Graph | None):
+    """Rule (T) for tangles of ``graph``, as ``(try_add, undo)`` closures.
+
+    No three chosen small sides may cover ``g``, vertices and edges (a side
+    repeated included).  A side ``Z`` covers a set of vertices and edges
+    exactly when it contains the set's hull: its vertices and the ends of
+    its edges.  Of what neither ``X`` nor ``Y`` covers, the hull ``H(X, Y)``
+    is ``O | (X & Y & nbhd[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
     ``O = V - (X | Y)``, ``nbhd[S]`` is the neighbourhood mask of ``S``
     (``Graph.nbhd``, built once per graph) and ``rim(A) = A & nbhd[V - A]``
     (built once per search), both tables over all ``2^n`` vertex masks.
@@ -159,177 +182,96 @@ class _Search:
       through ``Y`` implies rejection through any chosen ``Y'`` containing
       ``Y``.
 
-    Rule (T) implies consistency: ``b <= a`` means
-    ``a = V``, and ``b <= c``, ``d <= a`` leave ``a, c`` covering ``g``.
-    Rule (F) implies it on bipartitions: ``b <= a`` is ``b = 0``, rejected by
-    ``inters[V] = 0``, and ``b <= c`` is ``d & b = 0``, by ``inters[d] <= 1``
-    (kept, as ``n > 3``).
+    Rule (T) implies consistency: ``b <= a`` means ``a = V``, and
+    ``b <= c``, ``d <= a`` leave ``a, c`` covering ``g``.
     """
+    if graph is None:
+        raise SeparationError("graph tangles need the underlying graph")
+    if tuple(graph.vertices) != tuple(u.labels):
+        raise SeparationError("universe was not built from this graph")
+    sides = u.sides
+    vfull = u.full_mask
+    nbhd = graph.nbhd
+    rim = [s & nbhd[vfull ^ s] for s in range(vfull + 1)]
+    sup = [0] * (vfull + 1)
+    # the tallied chosen small sides, the only ones the walk takes
+    cover: list[int] = []
 
-    def __init__(self, universe: Universe, kind: ProfileKind, graph: Graph | None):
-        self.u = universe
-        self.kind = kind
-        self.graph = graph
-        if kind.tag == "graph-tangle":
-            if graph is None:
-                raise SeparationError("graph tangles need the underlying graph")
-            if tuple(graph.vertices) != tuple(universe.labels):
-                raise SeparationError("universe was not built from this graph")
+    def tally(a: int, step: int):
+        s = a
+        while True:
+            sup[s] += step
+            if not s:
+                return
+            s = (s - 1) & a
 
-    def run(self, blocks: list[list[int]]):
-        u = self.u
-        members = [uid for block in blocks for uid in block]
-        # member count -> the levels whose members are exactly the first that many
-        ends: dict[int, list[int]] = {}
-        pos = 0
-        for li, block in enumerate(blocks):
-            pos += len(block)
-            ends.setdefault(pos, []).append(li)
+    def try_add(x: int):
+        a, b = sides(x)
+        if a == vfull or sup[b]:
+            return None
+        if sup[a]:
+            return -1  # not a side mask: a lies inside a tallied side
+        ra = rim[a]
+        for c in cover:
+            o = vfull ^ (a | c)
+            h = o | (a & c & nbhd[o]) | (ra & ~c) | (rim[c] & ~a)
+            if sup[h]:
+                return None
+        tally(a, 1)
+        cover.append(a)
+        return a
 
-        inv = u.inv
-        sides = u.sides
+    def undo(x: int, token: int):
+        if token >= 0:
+            tally(token, -1)
+            cover.pop()
 
-        tag = self.kind.tag
-        if tag == "profile":
-            member_oid = {sides(o): o for uid in members for o in u.orientations(uid)}
-            # forbidden oriented corners; counts allow undo
-            forbidden: dict[int, int] = {}
-            chosen_sides: list[tuple[int, int]] = []
-            chosen_set: set[int] = set()
-        if tag == "graph-tangle":
-            vfull = u.full_mask
-            nbhd = self.graph.nbhd
-            rim = [s & nbhd[vfull ^ s] for s in range(vfull + 1)]
-            sup = [0] * (vfull + 1)
-            # the tallied chosen small sides, the only ones the walk takes
-            cover: list[int] = []
+    return try_add, undo
 
-            def tally(a: int, step: int):
-                s = a
-                while True:
-                    sup[s] += step
-                    if not s:
-                        return
-                    s = (s - 1) & a
-        if tag == "circle-tangle":
-            if any(a & b for a, b in map(sides, members)):
-                raise SeparationError("circle tangles need members whose sides are disjoint")
-            m_par, n_par = self.kind.m, self.kind.n
-            if len(u.labels) < m_par:
-                return [[] for _ in blocks]
-            # minimal subset size per reachable big-side intersection
-            inters: dict[int, int] = {u.full_mask: 0}
 
-        chosen: list[int] = []
-        results: list[list[frozenset]] = [[] for _ in blocks]
+def _circle_rule(u: Universe, members: list[int], m: int, n: int):
+    """Rule (F) for circle tangles, as ``(try_add, undo)`` closures: no set
+    of fewer than ``n`` chosen members whose big sides meet in fewer than
+    ``m`` points; None when the circle has fewer than ``m`` points, as then
+    not even the empty orientation is one.  Rule (F) implies consistency on
+    bipartitions only, so members whose sides meet are refused: ``b <= a``
+    is ``b = 0``, rejected by ``inters[V] = 0``, and ``b <= c`` is
+    ``d & b = 0``, by ``inters[d] <= 1`` (kept, as ``n > 3``).
+    """
+    sides = u.sides
+    if any(a & b for a, b in map(sides, members)):
+        raise SeparationError("circle tangles need members whose sides are disjoint")
+    if len(u.labels) < m:
+        return None
+    # minimal subset size per reachable big-side intersection
+    inters: dict[int, int] = {u.full_mask: 0}
 
-        def try_add(x: int):
-            """Return the rule's undo payload if x can extend the orientation, else None."""
-            a, b = sides(x)
-            if tag == "profile":
-                if b & ~a == 0 or x in forbidden:
-                    return None
-                token = []
-                for c, d in chosen_sides:
-                    if b & ~c == 0 and d & ~a == 0:
-                        return None
-                    k = member_oid.get((b & d, a | c))
-                    if k is not None:
-                        if k in chosen_set or k == x:
-                            return None
-                        token.append(k)
-                for k in token:
-                    forbidden[k] = forbidden.get(k, 0) + 1
-                chosen_sides.append((a, b))
-                chosen_set.add(x)
-            elif tag == "graph-tangle":
-                if a == vfull or sup[b]:
-                    return None
-                if sup[a]:
-                    token = -1  # not a side mask: a lies inside a tallied side
-                else:
-                    ra = rim[a]
-                    for c in cover:
-                        o = vfull ^ (a | c)
-                        h = o | (a & c & nbhd[o]) | (ra & ~c) | (rim[c] & ~a)
-                        if sup[h]:
-                            return None
-                    tally(a, 1)
-                    cover.append(a)
-                    token = a
-            else:
-                for mask, size in inters.items():
-                    if size + 1 < n_par and (mask & b).bit_count() < m_par:
-                        return None
-                # only intersections of subsets of size <= n-2 can still grow
-                # into a forbidden subset by adding one later element
-                token = []
-                for mask, size in list(inters.items()):
-                    ns = size + 1
-                    if ns > n_par - 2:
-                        continue
-                    nm = mask & b
-                    if nm not in inters or inters[nm] > ns:
-                        token.append((nm, inters.get(nm)))
-                        inters[nm] = ns
-            chosen.append(x)
-            return token
-
-        def undo(token):
-            x = chosen.pop()
-            if tag == "profile":
-                chosen_set.discard(x)
-                chosen_sides.pop()
-                for k in token:
-                    cnt = forbidden[k] - 1
-                    if cnt:
-                        forbidden[k] = cnt
-                    else:
-                        del forbidden[k]
-            elif tag == "graph-tangle":
-                if token >= 0:
-                    tally(token, -1)
-                    cover.pop()
-            else:
-                for mask, prev in reversed(token):
-                    if prev is None:
-                        del inters[mask]
-                    else:
-                        inters[mask] = prev
-
-        # iterative DFS: stack of (position, pending orientation choices, token)
-        total = len(members)
-
-        stack = [(0, None, None)]
-        while stack:
-            pos, pending, token = stack.pop()
-            if pending is None:
-                for li in ends.get(pos, ()):
-                    results[li].append(frozenset(chosen))
-                if pos == total:
-                    continue
-                uid = members[pos]
-                pending = [inv(uid), uid] if inv(uid) != uid else [uid]
-                stack.append((pos, pending, None))
+    def try_add(x: int):
+        b = sides(x)[1]
+        for mask, size in inters.items():
+            if size + 1 < n and (mask & b).bit_count() < m:
+                return None
+        # only intersections of subsets of size <= n-2 can still grow
+        # into a forbidden subset by adding one later element
+        token = []
+        for mask, size in list(inters.items()):
+            ns = size + 1
+            if ns > n - 2:
                 continue
-            if token is not None:
-                undo(token)
-            if not pending:
-                continue
-            x = pending.pop()
-            tok = try_add(x)
-            if tok is None:
-                stack.append((pos, pending, None))
+            nm = mask & b
+            if nm not in inters or inters[nm] > ns:
+                token.append((nm, inters.get(nm)))
+                inters[nm] = ns
+        return token
+
+    def undo(x: int, token):
+        for mask, prev in reversed(token):
+            if prev is None:
+                del inters[mask]
             else:
-                stack.append((pos, pending, tok))
-                stack.append((pos + 1, None, None))
-        return results
+                inters[mask] = prev
 
-
-def _sorted_members(u: Universe, members) -> list[int]:
-    if u.has_order:
-        return sorted(members, key=lambda m: (u.order(m), m))
-    return sorted(members)
+    return try_add, undo
 
 
 def enumerate_profiles(
@@ -349,17 +291,74 @@ def enumerate_chain_profiles(
     kind: ProfileKind,
     graph: Graph | None = None,
 ) -> list[list[Orientation]]:
-    """Profiles of every chain level, found in one backtracking pass."""
-    blocks = []
+    """Profiles of every chain level, found in one backtracking pass.
+
+    Members are taken by ascending level, then order and id, each with its
+    canonical orientation tried first; a partial orientation reaching a
+    level's last member is one of its profiles.  The kind's rule, built once
+    per search, keeps its own state: ``try_add(x)`` returns an undo token
+    when ``x`` may extend the partial orientation, else None, and
+    ``undo(x, token)`` takes ``x`` back.  A rule rejects ``x`` only for a
+    violation among decided members, so no orientation is wrongly pruned.
+
+    Every test is a plain operation on integer masks.  A candidate
+    ``x = (a, b)`` and a chosen ``y = (c, d)`` are inconsistent when
+    ``b <= c and d <= a`` (as sets), which is both ``~x < y`` and
+    ``~y < x`` (``~x`` is never ``y``: each member is oriented once); ``x``
+    alone is inconsistent when ``~x < x``, that is ``b <= a`` and
+    ``x != ~x``.  Rule (P) tests consistency; rules (T) and (F) imply it.
+    """
+    u = chain.universe
+    key = (lambda m: (u.order(m), m)) if u.has_order else None
+    members: list[int] = []
+    # member count -> the levels whose members are exactly the first that many
+    ends: dict[int, list[int]] = {}
     prev: frozenset = frozenset()
-    for system in chain.systems:
-        blocks.append(_sorted_members(chain.universe, system.members - prev))
+    for li, system in enumerate(chain.systems):
+        members += sorted(system.members - prev, key=key)
         prev = system.members
-    search = _Search(chain.universe, kind, graph)
-    results = search.run(blocks)
+        ends.setdefault(len(members), []).append(li)
+    if kind.tag == "profile":
+        rule = _profile_rule(u, members)
+    elif kind.tag == "graph-tangle":
+        rule = _tangle_rule(u, graph)
+    else:
+        rule = _circle_rule(u, members, kind.m, kind.n)
+    if rule is None:
+        return [[] for _ in chain.systems]
+    try_add, undo = rule
+    inv = u.inv
+    total = len(members)
+    nxt = [0] * (total + 1)  # per depth, how many orientations of its member were tried
+    levels: list[list[frozenset]] = [[] for _ in chain.systems]
+    chosen, tokens = [], []
+    depth = 0
+    while True:
+        i = nxt[depth]
+        if not i:
+            for li in ends.get(depth, ()):
+                levels[li].append(frozenset(chosen))
+        if depth < total and i < 2:
+            nxt[depth] = i + 1
+            x = uid = members[depth]
+            if i:
+                x = inv(uid)
+                if x == uid:  # a member that is its own inverse has one orientation
+                    continue
+            token = try_add(x)
+            if token is not None:
+                chosen.append(x)
+                tokens.append(token)
+                depth += 1
+        else:
+            nxt[depth] = 0
+            if not depth:
+                break
+            depth -= 1
+            undo(chosen.pop(), tokens.pop())
     return [
         [Orientation(system, ch) for ch in level]
-        for system, level in zip(chain.systems, results)
+        for system, level in zip(chain.systems, levels)
     ]
 
 

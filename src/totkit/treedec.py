@@ -7,14 +7,14 @@ build is validated (decomposition validity plus an exact round trip of the
 induced separations) before it is returned.  The induced separations come
 from one walk of the tree that yields both sides of every edge.
 
-Small or trivial members are tolerated: they produce leaf-ish bags, are
-reported in ``flags``, and ambiguous attachments are resolved towards the
-canonical orientation.  ``is_tree_set`` is the strict check.
+Small or trivial members are tolerated: they produce leaf-ish bags, and
+ambiguous attachments are resolved towards the canonical orientation.
+``is_tree_set`` is the strict check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalContradictionError, NotNestedError, SeparationError
 from .sepsys import Universe
@@ -35,12 +35,11 @@ __all__ = [
 
 @dataclass
 class TreeDecomposition:
-    """A tree plus bags; ``flags`` lists the small and trivial members it was built from."""
+    """A tree plus bags."""
 
     graph: Graph
     bags: dict
     edges: list
-    flags: dict = field(default_factory=dict)
 
     @property
     def nodes(self) -> list[int]:
@@ -66,13 +65,6 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
     crossing = universe.first_crossing(uids)
     if crossing is not None:
         raise NotNestedError("separations {} and {} cross".format(*crossing))
-
-    flagged_small = [
-        a
-        for a in uids
-        if universe.is_small(a) or universe.is_small(universe.inv(a))
-    ]
-    flagged_trivial = _trivial_members(universe, uids)
 
     # incident[x] holds the oriented ids pointing at node x
     incident: list[list[int]] = [[]]
@@ -110,15 +102,7 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
             m &= universe.sides(t)[1]
         bags[x] = frozenset(universe.labels_of(m))
 
-    td = TreeDecomposition(
-        graph=g,
-        bags=bags,
-        edges=[(a, b) for a, b, _ in edges],
-        flags={
-            "small_members": flagged_small,
-            "trivial_members": flagged_trivial,
-        },
-    )
+    td = TreeDecomposition(graph=g, bags=bags, edges=[(a, b) for a, b, _ in edges])
     ok, reason = is_valid_tree_decomposition(td)
     if not ok:
         raise InternalContradictionError(f"built decomposition is invalid: {reason}")

@@ -1,17 +1,17 @@
 """Definitional predicates, kept as test oracles for the fast paths in ``src/``.
 
-Each function here follows a definition from the paper directly and is
-only used by the tests: the tangle properties against ``_Search``'s
-incremental rules, the corner tags and sides against ``Universe.corners``,
-the all-pairs submodularity of an order against ``check_submodular_order``,
-the splinter condition key pair by key pair against ``splinters``, the key
-order as pairs against the levels of ``IndexedFamily``, the distinguishers
-of each profile pair (all, efficient by order, or efficient by chain level)
-and the family and verdict built from them pair by pair against
-``build_distinguisher_family`` and ``efficiently_distinguishes_all``,
-chain-level efficiency against the order-level families the pipelines build,
-and canonicity under every graph automorphism against ``verify``'s check of
-a generating set.
+Each function here follows a definition from the paper directly and is only
+used by the tests: the tangle properties against the incremental rules of
+``enumerate_chain_profiles``, the corner tags and sides against
+``Universe.corners``, the all-pairs submodularity of an order against
+``check_submodular_order``, the splinter condition key pair by key pair
+against ``splinters``, the key order as pairs against the levels of
+``IndexedFamily``, the distinguishers of each profile pair (all, efficient
+by order, or efficient by chain level) and the family and verdict built
+from them pair by pair against ``build_distinguisher_family`` and
+``efficiently_distinguishes_all``, chain-level efficiency against the
+order-level families the pipelines build, and canonicity under every graph
+automorphism against ``verify``'s check of a generating set.
 """
 
 from itertools import combinations, combinations_with_replacement

@@ -222,8 +222,12 @@ def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "order_graph, message",
-    [([[1, 9, 1]], "names unknown point 9"), ([[1, 2, 1], [2, 3, 1.5]], "needs an integer weight")],
-    ids=["unknown-point", "float-weight"],
+    [
+        ([[1, 9, 1]], "names unknown point 9"),
+        ([[1, 2, 1], [2, 3, 1.5]], "needs an integer weight"),
+        ([[1, 2, -1]], "needs a non-negative weight"),
+    ],
+    ids=["unknown-point", "float-weight", "negative-weight"],
 )
 def test_malformed_order_graph_is_input_to_the_command_and_a_verify_failure(capsys, tmp_path, order_graph, message):
     circle = {"points": [1, 2, 3, 4, 5], "order_graph": [[i, i % 5 + 1, 1] for i in range(1, 6)]}
@@ -851,6 +855,7 @@ _BAD_PARAMS = {
     "prune_redundant": [True, "false", 0, None],
     "m": ["1", 1.0, True, 0],
     "n": ["4", 4.5, None, 3],
+    "order_fn": ["bogus", 7, "cut:inline"],
 }
 
 
@@ -910,6 +915,18 @@ def test_circle_artifacts_round_trip_through_verify(capsys, tmp_path):
                         "--max-vertices", str(npoints)]
                 swaps += _round_trip(capsys, tmp_path, argv, npoints)
     assert swaps >= 10
+
+
+def test_empty_inline_order_graph_round_trips_through_verify(capsys, tmp_path):
+    """The artifact records an empty ``order_graph`` as empty, not as null,
+    so that its recorded ``cut:inline`` still finds the graph."""
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "order_graph": []}))
+    code, out, _ = run(capsys, "circle-tangles", "--input", str(path), "--m", "1", "--n", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["order_fn"] == "cut:inline" and doc["circle"]["order_graph"] == []
+    assert _verify_code(capsys, tmp_path, doc) == 0
 
 
 def test_found_artifacts_with_k_pass_verify(capsys, tmp_path, two_k4_file):

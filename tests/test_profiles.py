@@ -363,6 +363,27 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
         assert got == backtrack_chain(chain, kind, g), (kind, g)
 
 
+def test_empty_first_level_holds_the_empty_orientation_exactly_when_the_oracle_accepts_it(p4):
+    """Each kind on a slice chain with an empty level prepended; on 5 points
+    a circle with ``m`` above the point count has no circle tangle on any
+    level, the empty one included."""
+    cases = [(slice_chain(enumerate_graph_separations(p4)), kind, p4) for kind in (PROFILE, graph_tangle_kind())]
+    u, circle = enumerate_circle_separations([1, 2, 3, 4, 5])
+    cases += [(slice_chain(u, within=circle), circle_tangle_kind(m, n), None) for m, n in ((1, 4), (5, 4), (6, 4))]
+    counts = {}
+    for chain, kind, g in cases:
+        empty = SubSystem(chain.universe, frozenset())
+        padded = SubsystemChain(chain.universe, (empty,) + tuple(chain.systems))
+        levels = enumerate_chain_profiles(padded, kind, g)
+        nothing = Orientation(empty, frozenset())
+        assert levels[0] == ([nothing] if satisfies(nothing, kind, g) else []), kind
+        assert levels[1:] == enumerate_chain_profiles(chain, kind, g), kind
+        counts[kind] = [len(level) for level in levels]
+    assert counts[circle_tangle_kind(5, 4)][0] == 1
+    too_few = counts[circle_tangle_kind(6, 4)]
+    assert len(too_few) > 1 and not any(too_few)
+
+
 def test_search_matches_naive_on_arbitrary_subsystems(p4):
     """Subsystems that are not order slices miss the corners that make some
     pruning tests redundant on slices, so each test has to hold on its own."""
