@@ -32,6 +32,7 @@ from .graphio import (
     nested_set_payload,
     parse_order_spec,
     read_json,
+    step_one_payload,
     tangle_levels_payload,
     verify_artifact,
 )
@@ -89,11 +90,7 @@ def _graph_artifact(command, params, result):
         "command": command,
         "params": params,
         "graph": graph_payload(result.graph),
-        "levels": [
-            {"max_order": t, "count": len(l)}
-            for t, l in zip(result.chain.thresholds, result.levels)
-        ],
-        "maximal_tangles": len(result.profiles),
+        **step_one_payload(command, result),
         "nested_set": nested_set_payload(result.universe, result.nested),
         "decomposition": decomposition_to_json(result.decomposition),
         "displays": bool(result.displays_ok),
@@ -188,8 +185,7 @@ def cmd_circle_tangles(args) -> int:
             "points": list(points),
             "order_graph": None if order_graph is None else [list(e) for e in order_graph],
         },
-        "levels": tangle_levels_payload(result),
-        "tangles": sum(len(l) for l in result.levels),
+        **step_one_payload("circle-tangles", result),
         "tree_set": nested_set_payload(result.universe, result.nested),
         "efficient": bool(result.displays_ok),
     }

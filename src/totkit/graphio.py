@@ -224,6 +224,16 @@ def tangle_levels_payload(result) -> list:
     return out
 
 
+def step_one_payload(command: str, result) -> dict:
+    """The artifact fields of ``command`` that record its step one: the
+    levels, then the number of maximal tangles (graphs) or of all tangles
+    (circles).  ``verify`` recomputes them and compares."""
+    if command == "circle-tangles":
+        return {"levels": tangle_levels_payload(result), "tangles": sum(map(len, result.levels))}
+    levels = [{"max_order": t, "count": len(l)} for t, l in zip(result.chain.thresholds, result.levels)]
+    return {"levels": levels, "maximal_tangles": len(result.profiles)}
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -305,8 +315,9 @@ def _artifact_params(doc: dict, command: str, size: int) -> dict:
 def verify_artifact(doc: dict) -> dict:
     """Re-check an exported artifact; raises VerificationError with a diagnostic.
 
-    Recomputes the profiles and their family with the artifact's own params
-    and, for canonical commands, extracts the canonical set of that family
+    Recomputes the profiles and their family with the artifact's own params,
+    compares the recorded levels and tangle count with them and, for
+    canonical commands, extracts the canonical set of that family
     (empty without one), which first checks the hierarchical condition.  Then
     checks nestedness of the exported set, validity and exact induced set of
     the decomposition, display of the recomputed tangles, and, for canonical
@@ -353,6 +364,9 @@ def verify_artifact(doc: dict) -> dict:
         raise VerificationError(f"unknown command {command!r}")
 
     result = run_command(command, source, params, step_two=False)
+    for key, value in step_one_payload(command, result).items():
+        if doc.get(key) != value:
+            raise VerificationError(f"artifact field {key!r} does not match the recomputed profiles")
     canonical = command in ("canonical-tot", "clique-tot")
     if canonical:
         image = extract_canonical(result.family).nested if result.family else frozenset()

@@ -309,13 +309,13 @@ def enumerate_chain_profiles(
     ``x != ~x``.  Rule (P) tests consistency; rules (T) and (F) imply it.
     """
     u = chain.universe
-    key = (lambda m: (u.order(m), m)) if u.has_order else None
+    key = u.order if u.has_order else None
     members: list[int] = []
     # member count -> the levels whose members are exactly the first that many
     ends: dict[int, list[int]] = {}
     prev: frozenset = frozenset()
     for li, system in enumerate(chain.systems):
-        members += sorted(system.members - prev, key=key)
+        members += sorted(sorted(system.members - prev), key=key)
         prev = system.members
         ends.setdefault(len(members), []).append(li)
     if kind.tag == "profile":

@@ -15,12 +15,17 @@ orientations (its "uid").  Every operation of the abstract layer (``leq``,
 ``is_trivial``) is a :class:`Universe` method on these ids.
 
 A universe is fixed at construction: its separations, ids and orders never
-change, and no method caches anything on it.
+change, and no method caches anything on it.  The constructor checks that
+the labels are distinct, that each pair's sides cover the ground set, that
+the pairs are closed under swapping sides and that the order, if any, is
+non-negative and symmetric; a pair given more than once counts once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import itemgetter, le, lt, ne, or_
 from typing import Callable, Iterable
 
 from .errors import SeparationError, UniverseClosureError
@@ -40,8 +45,17 @@ class Universe:
     """Finite universe of bipartition-style separations over a ground set.
 
     ``pairs`` is an iterable of ``(a_mask, b_mask)`` tuples that must be
-    closed under swapping sides.  ``order_fn``, if given, maps a mask pair to
-    a non-negative number and must be symmetric under the swap.
+    closed under swapping sides; a pair given more than once counts once.
+    ``order_fn``, if given, maps a mask pair to a non-negative number and
+    must be symmetric under the swap.  The constructor raises
+    ``SeparationError`` for the first of these faults: duplicate labels,
+    then sides that do not cover the ground set, then pairs not closed under
+    inversion, then a negative or an asymmetric order, at the first oid
+    that has one (negativity first).
+
+    The tables are built in passes of built-ins over the sorted pairs, with
+    no Python loop per pair but the ``order_fn`` calls; ``sorted`` takes
+    linear time on pairs already in oid order.
     """
 
     def __init__(self, labels, pairs, order_fn: Callable | None = None, kind: str = "custom"):
@@ -50,30 +64,35 @@ class Universe:
         if len(set(self.labels)) != len(self.labels):
             raise SeparationError("duplicate ground-set labels")
         self._label_bit = {v: i for i, v in enumerate(self.labels)}
-        self.full_mask = (1 << len(self.labels)) - 1
-        plist = sorted(set(pairs))
-        index = {}
-        for i, (a, b) in enumerate(plist):
-            if a | b != self.full_mask:
-                raise SeparationError(f"sides {a:b},{b:b} do not cover the ground set")
-            index[(a, b)] = i
+        self.full_mask = full = (1 << len(self.labels)) - 1
+        plist = sorted(pairs)
+        index = dict(zip(plist, count()))
+        if len(index) != len(plist):  # repeated pairs: keep the first of each run
+            plist = list(index)
+            index = dict(zip(plist, count()))
         self._pairs = plist
         self._index = index
+        a_sides = tuple(map(itemgetter(0), plist))
+        b_sides = tuple(map(itemgetter(1), plist))
+        for a, b in compress(plist, map(ne, map(or_, a_sides, b_sides), repeat(full))):
+            raise SeparationError(f"sides {a:b},{b:b} do not cover the ground set")
         try:
-            self._inv = tuple(index[(b, a)] for a, b in plist)
+            self._inv = inv = tuple(map(index.__getitem__, zip(b_sides, a_sides)))
         except KeyError as exc:
             raise SeparationError("element set is not closed under inversion") from exc
         if order_fn is None:
             self._order = None
         else:
-            vals = tuple(order_fn(a, b) for a, b in plist)
-            for i, v in enumerate(vals):
-                if v < 0:
-                    raise SeparationError("order values must be non-negative")
-                if vals[self._inv[i]] != v:
-                    raise SeparationError("order function must be symmetric under inversion")
+            vals = tuple(map(order_fn, a_sides, b_sides))
+            n = len(vals)
+            neg = next(compress(count(), map(lt, vals, repeat(0))), n)
+            asym = next(compress(count(), map(ne, map(vals.__getitem__, inv), vals)), n)
+            if neg < n and neg <= asym:
+                raise SeparationError("order values must be non-negative")
+            if asym < n:
+                raise SeparationError("order function must be symmetric under inversion")
             self._order = vals
-        self._uids = tuple(i for i in range(len(plist)) if i <= self._inv[i])
+        self._uids = tuple(compress(count(), map(le, count(), inv)))
         self._uid_set = frozenset(self._uids)
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ are the bipartitions of a cyclically ordered ground set into two intervals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -108,23 +109,29 @@ class Graph:
 
 
 def enumerate_graph_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Universe:
-    """The universe of all separations of ``g``, ordered by separator size."""
+    """The universe of all separations of ``g``, ordered by separator size.
+
+    ``y = B - A`` and ``x = A - B`` are disjoint with no edge between them,
+    so ``x`` ranges over the subsets of the vertices neither in ``y`` nor
+    next to it.  As ``A = V - y`` and ``B = V - x``, taking ``y`` descending
+    and then ``x`` descending (the submask walk's own order) makes ``(A, B)``
+    ascend: the pairs come in oid order, each once, and ``Universe`` sorts
+    them in one linear pass.
+    """
     if g.n > max_vertices:
         raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
     full = (1 << g.n) - 1
     nbhd = g.nbhd
-    # x = A - B and y = B - A are disjoint with no edge between them, so y
-    # ranges over the subsets of the vertices neither in x nor next to it.
     pairs = []
-    for x in range(full + 1):
-        b = full & ~x
-        free = b & ~nbhd[x]
-        y = free
+    for y in range(full, -1, -1):
+        a = full ^ y
+        free = a & ~nbhd[y]
+        x = free
         while True:
-            pairs.append((full & ~y, b))
-            if y == 0:
+            pairs.append((a, full ^ x))
+            if x == 0:
                 break
-            y = (y - 1) & free
+            x = (x - 1) & free
     return Universe(g.vertices, pairs, order_fn=lambda a, b: (a & b).bit_count(), kind="graph")
 
 
@@ -323,19 +330,18 @@ class SubsystemChain:
 
 
 def slice_chain(universe: Universe, within: SubSystem | None = None) -> SubsystemChain:
-    """Chain of order slices at every distinct order value of the members."""
-    members = within.members if within is not None else universe.unoriented_ids()
-    order = universe.order
-    ranked = sorted((order(u), u) for u in members)
-    values = []
-    systems = []
-    prefix = []
-    for i, (v, u) in enumerate(ranked):
-        prefix.append(u)
-        if i + 1 == len(ranked) or ranked[i + 1][0] != v:
-            values.append(v)
-            systems.append(SubSystem(universe, frozenset(prefix)))
-    return SubsystemChain(universe, tuple(systems), thresholds=tuple(values))
+    """Chain of order slices at every distinct order value of the members.
+
+    One stable sort by order of the id-sorted members ranks them by order,
+    then id; each distinct order is a threshold, and its level is the
+    prefix of the ranking up to the last member of that order.
+    """
+    members = sorted(within.members) if within is not None else universe.unoriented_ids()
+    ranked = sorted(members, key=universe.order)
+    orders = list(map(universe.order, ranked))
+    thresholds = tuple(dict.fromkeys(orders))
+    systems = tuple(SubSystem(universe, frozenset(ranked[: bisect_right(orders, t)])) for t in thresholds)
+    return SubsystemChain(universe, systems, thresholds=thresholds)
 
 
 def is_compatible_sequence(chain: SubsystemChain) -> bool:

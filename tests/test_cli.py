@@ -878,6 +878,9 @@ def _round_trip(capsys, tmp_path, argv, size) -> bool:
     tried = _swap_one_side_member(swapped[key])
     if tried:
         assert _verify_code(capsys, tmp_path, swapped) == 4, argv
+    miscounted = json.loads(out)
+    miscounted["levels"][-1]["count"] += 1
+    assert _verify_code(capsys, tmp_path, miscounted) == 4, argv
     bad = dict(_BAD_PARAMS, max_vertices=_BAD_PARAMS["max_vertices"] + [size - 1])
     if doc["command"] == "clique-tot":
         bad["k"] = bad["k"] + [1]
@@ -915,6 +918,29 @@ def test_circle_artifacts_round_trip_through_verify(capsys, tmp_path):
                         "--max-vertices", str(npoints)]
                 swaps += _round_trip(capsys, tmp_path, argv, npoints)
     assert swaps >= 10
+
+
+def test_verify_recomputes_the_recorded_levels(capsys, tmp_path, two_k4_file):
+    """A 5-point ``cycle`` artifact relabelled ``complete`` keeps its tree set
+    but not its levels (``[1, 5]``, 6 tangles against ``[1, 6, 5]``, 12), and
+    a graph artifact with one level count changed keeps everything else."""
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"points": [1, 2, 3, 4, 5]}))
+    code, out, _ = run(capsys, "circle-tangles", "--input", str(path), "--m", "1", "--n", "4")
+    assert code == 0
+    doc = json.loads(out)
+    doc["params"]["order_fn"] = "complete"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--input", str(path))
+    assert code == 4 and json.loads(err) == {
+        "error": "verification",
+        "message": "artifact field 'levels' does not match the recomputed profiles",
+    }
+    code, out, _ = run(capsys, "canonical-tot", "--input", two_k4_file)
+    assert code == 0
+    doc = json.loads(out)
+    doc["levels"][1]["count"] -= 1
+    assert _verify_code(capsys, tmp_path, doc) == 4
 
 
 def test_empty_inline_order_graph_round_trips_through_verify(capsys, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totkit.errors import SeparationError
-from totkit.sepsys import SubSystem
+from totkit.sepsys import SubSystem, Universe
 from totkit.universes import Graph, bipartition_universe, enumerate_graph_separations
 
 from oracles import corner_items, from_different_sides, is_regular, is_structurally_submodular, oid
@@ -271,6 +271,74 @@ def test_join_outside_element_set_raises():
     b = u.find(0b010, 0b101)
     with pytest.raises(UniverseClosureError):
         u.join(a, b)
+
+
+# ----------------------------------------------------------------------
+# construction: what Universe checks, and which fault it reports first
+
+# the four bipartitions of {1, 2}, in oid order
+_BIP2 = [(0b00, 0b11), (0b01, 0b10), (0b10, 0b01), (0b11, 0b00)]
+
+
+def _order_on(values):
+    """An order function reading ``values[(a, b)]``, 0 elsewhere."""
+    return lambda a, b: values.get((a, b), 0)
+
+
+@pytest.mark.parametrize(
+    "labels, pairs, order_fn, message",
+    [
+        ([1, 2], [(0b01, 0b01)], None, "sides 1,1 do not cover the ground set"),
+        ([1, 2], [(0b01, 0b11)], None, "element set is not closed under inversion"),
+        ([1, 2], _BIP2, _order_on({(0b01, 0b10): -1, (0b10, 0b01): -1}), "order values must be non-negative"),
+        ([1, 2], _BIP2, lambda a, b: a, "order function must be symmetric under inversion"),
+        ([1, 1], [], None, "duplicate ground-set labels"),
+    ],
+    ids=["uncovered", "not-inversion-closed", "negative-order", "asymmetric-order", "duplicate-labels"],
+)
+def test_universe_refuses_malformed_input(labels, pairs, order_fn, message):
+    with pytest.raises(SeparationError) as exc:
+        Universe(labels, pairs, order_fn)
+    assert exc.type is SeparationError and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "labels, pairs, order_fn, message",
+    [
+        # labels before pairs, covering before inversion, pairs before orders
+        ([1, 1], [(0b01, 0b01)], None, "duplicate ground-set labels"),
+        ([1, 2], [(0b01, 0b01), (0b01, 0b11)], None, "sides 1,1 do not cover the ground set"),
+        ([1, 2], [(0b01, 0b11)], lambda a, b: -1, "element set is not closed under inversion"),
+        # among order faults the first oid decides, and negativity comes first at one oid
+        ([1, 2], _BIP2, _order_on({(0b00, 0b11): -1}), "order values must be non-negative"),
+        ([1, 2], _BIP2, _order_on({(0b11, 0b00): -1}), "order function must be symmetric under inversion"),
+        ([1, 2], _BIP2, _order_on({(0b00, 0b11): 1, (0b01, 0b10): -1, (0b10, 0b01): -1}),
+         "order function must be symmetric under inversion"),
+    ],
+)
+def test_universe_reports_the_first_fault(labels, pairs, order_fn, message):
+    with pytest.raises(SeparationError, match=f"^{message}$"):
+        Universe(labels, pairs, order_fn)
+
+
+def test_shuffled_and_repeated_pairs_give_the_universe_of_the_sorted_distinct_list():
+    import random
+
+    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3)])
+    base = enumerate_graph_separations(g)
+    order_fn = lambda a, b: 2 * (a & b).bit_count() + (a ^ b).bit_count() % 3  # noqa: E731
+    want = Universe(g.vertices, [base.sides(o) for o in base.oriented_ids()], order_fn)
+    rng = random.Random(3)
+    for _ in range(20):
+        pairs = [want.sides(o) for o in want.oriented_ids()]
+        pairs += rng.choices(pairs, k=rng.randint(1, 20))
+        rng.shuffle(pairs)
+        u = Universe(g.vertices, iter(pairs), order_fn)
+        assert [u.sides(o) for o in u.oriented_ids()] == [want.sides(o) for o in want.oriented_ids()]
+        assert [(u.inv(o), u.order(o)) for o in u.oriented_ids()] == [
+            (want.inv(o), want.order(o)) for o in want.oriented_ids()
+        ]
+        assert u.unoriented_ids() == want.unoriented_ids()
 
 
 # ----------------------------------------------------------------------

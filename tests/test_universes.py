@@ -65,17 +65,16 @@ def brute_force_separations(g):
         Graph([1, 2, 3, 4, 5], [(1, 2), (3, 4)]),
         corpus.complete_graph(5),
         corpus.two_cliques(3),
+        Graph([1, 2, 3, 4, 5]),
         "small_corpus",
     ],
 )
 def test_enumeration_matches_brute_force(request, g):
+    """Each separation once, at the oid of its place in the sorted mask pairs."""
     for h in request.getfixturevalue(g) if isinstance(g, str) else [g]:
         u = enumerate_graph_separations(h)
-        got = {
-            (frozenset(u.side_labels(i)[0]), frozenset(u.side_labels(i)[1]))
-            for i in u.oriented_ids()
-        }
-        assert got == brute_force_separations(h)
+        want = sorted((u.mask_of(a), u.mask_of(b)) for a, b in brute_force_separations(h))
+        assert [u.sides(o) for o in u.oriented_ids()] == want
 
 
 def test_neighbourhood_table_matches_the_definition(small_corpus):
@@ -347,6 +346,29 @@ def test_restrict_Sk_bounds(p4_universe):
     s1 = restrict_Sk(p4_universe, 1)
     assert all(p4_universe.order(m) == 0 for m in s1.members)
     assert len(s1) == 1  # P4 is connected: only the trivial split
+
+
+def test_slice_chain_levels_are_the_order_slices(small_corpus):
+    """Level ``i`` of ``slice_chain(u, within)`` is ``restrict_Sk`` below the
+    next distinct order, cut to ``within``, and the thresholds are the
+    distinct orders of its members: on the full universes and the clique
+    subsystems of the corpus, and on circles under both orders."""
+    cases = []
+    for g in small_corpus:
+        u = enumerate_graph_separations(g)
+        cases += [(u, None), (u, clique_subsystem(g, u, None))]
+    for n in (3, 4, 5, 6):
+        points = list(range(n))
+        for order_fn in (cycle_cut_order(points), complete_cut_order(points)):
+            cases.append(enumerate_circle_separations(points, order_fn))
+    for u, within in cases:
+        members = u.unoriented_ids() if within is None else within.members
+        orders = sorted({u.order(m) for m in members})
+        chain = slice_chain(u, within)
+        assert chain.thresholds == tuple(orders)
+        assert [s.members for s in chain.systems] == [
+            restrict_Sk(u, t + 1).members & frozenset(members) for t in orders
+        ]
 
 
 def test_chain_requires_containment(p4_universe):
