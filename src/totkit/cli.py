@@ -6,6 +6,11 @@ input error or failed (hierarchical) splinter precondition, 3 size bound exceede
 4 verification failure or failed internal self-check; see ``FAILURES`` for
 the JSON diagnostic each failure writes to stderr.  Output is fully
 deterministic: identical inputs produce byte-identical artifacts.
+
+This module owns the argument parser, the text and dot formats, the
+``--join`` check, file output and the exit codes; the inputs, the artifacts
+of schema totkit/1, the command-to-pipeline map and ``verify`` are
+:mod:`totkit.graphio`'s.
 """
 
 from __future__ import annotations
@@ -25,27 +30,16 @@ from .errors import (
 )
 from .graphio import (
     SCHEMA,
+    artifact,
     dump_json,
     graph_payload,
     load_circle,
     load_graph,
-    nested_set_payload,
-    parse_order_spec,
     read_json,
-    step_one_payload,
-    tangle_levels_payload,
+    run_command,
     verify_artifact,
 )
-from .pipelines import (
-    PipelineResult,
-    circle_pipeline,
-    circle_tangles,
-    clique_pipeline,
-    clique_profiles,
-    graph_pipeline,
-    graph_tangles,
-)
-from .treedec import decomposition_to_dot, decomposition_to_json
+from .treedec import decomposition_to_dot
 from .universes import DEFAULT_MAX_VERTICES
 
 __all__ = ["main"]
@@ -62,89 +56,50 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def run_command(command: str, source, params: dict, step_two: bool = True) -> PipelineResult:
-    """The pipeline of ``command`` on its loaded input ``source`` (a graph, or
-    a circle's points and inline order graph) with the ``params`` its artifact
-    records; only step one, the profiles and their family, for ``tangles`` or
-    when not ``step_two``.
-
-    The one place that turns a command and its params into a pipeline call:
-    the command handlers run it, and ``graphio.verify_artifact`` runs its step
-    one with an artifact's own params.
-    """
-    mv = params["max_vertices"]
-    if command == "circle-tangles":
-        points, order_graph = source
-        args = (points, params["m"], params["n"], parse_order_spec(params["order_fn"], points, order_graph))
-        return circle_pipeline(*args, max_vertices=mv) if step_two else circle_tangles(*args, mv)
-    if command == "clique-tot":
-        return clique_pipeline(source, max_vertices=mv) if step_two else clique_profiles(source, mv)
-    if command == "tangles" or not step_two:
-        return graph_tangles(source, mv, params["k"])
-    return graph_pipeline(source, command == "canonical-tot", mv, params["k"])
-
-
-def _graph_artifact(command, params, result):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "params": params,
-        "graph": graph_payload(result.graph),
-        **step_one_payload(command, result),
-        "nested_set": nested_set_payload(result.universe, result.nested),
-        "decomposition": decomposition_to_json(result.decomposition),
-        "displays": bool(result.displays_ok),
-    }
-
-
-def _format_graph_result(command, args, params, result):
-    if args.format == "dot":
-        return decomposition_to_dot(result.decomposition)
-    if args.format == "text":
-        lines = [
-            f"{command}: {len(result.profiles)} maximal tangle(s), "
-            f"{len(result.nested)} separation(s) in the nested set",
-        ]
-        for x in result.decomposition.nodes:
-            bag = ",".join(str(v) for v in sorted(result.decomposition.bags[x], key=str))
-            lines.append(f"  bag {x}: {{{bag}}}")
-        lines.append(f"  displays: {result.displays_ok}")
+def _text(command, result) -> str:
+    """The ``--format text`` report of a graph command."""
+    if command == "tangles":
+        lines = [f"order <= {t}: {len(l)} tangle(s)" for t, l in zip(result.chain.thresholds, result.levels)]
+        lines.append(f"maximal: {len(result.profiles)}")
         return "\n".join(lines) + "\n"
-    return dump_json(_graph_artifact(command, params, result))
-
-
-def cmd_tangles(args) -> int:
-    g = load_graph(args.input)
-    params = {"max_vertices": args.max_vertices, "k": args.k}
-    result = run_command("tangles", g, params)
-    doc = {
-        "schema": SCHEMA,
-        "command": "tangles",
-        "params": params,
-        "graph": graph_payload(g),
-        "levels": tangle_levels_payload(result),
-        "maximal_tangles": len(result.profiles),
-    }
-    _emit(args, dump_json(doc) if args.format != "text" else _tangles_text(result))
-    return 0
-
-
-def _tangles_text(result) -> str:
-    lines = []
-    for t, level in zip(result.chain.thresholds, result.levels):
-        lines.append(f"order <= {t}: {len(level)} tangle(s)")
-    lines.append(f"maximal: {len(result.profiles)}")
+    lines = [
+        f"{command}: {len(result.profiles)} maximal tangle(s), "
+        f"{len(result.nested)} separation(s) in the nested set",
+    ]
+    for x in result.decomposition.nodes:
+        bag = ",".join(str(v) for v in sorted(result.decomposition.bags[x], key=str))
+        lines.append(f"  bag {x}: {{{bag}}}")
+    lines.append(f"  displays: {result.displays_ok}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_graph_tot(args) -> int:
-    """``tot``, ``canonical-tot`` and ``clique-tot``."""
-    g = load_graph(args.input)
-    # "prune_redundant" stays a constant of schema totkit/1: the canonical
-    # extraction never returns an element outside the family's sets
-    params = {"max_vertices": args.max_vertices, "k": getattr(args, "k", None), "prune_redundant": False}
-    result = run_command(args.command, g, params)
-    _emit(args, _format_graph_result(args.command, args, params, result))
+def cmd_pipeline(args) -> int:
+    """``tangles``, ``tot``, ``canonical-tot``, ``clique-tot`` and ``circle-tangles``."""
+    command, fmt = args.command, getattr(args, "format", "json")
+    if command == "circle-tangles":
+        source = load_circle(args.input)  # points and the inline order graph
+        if source[1] is not None and args.order_fn is None:
+            spec = "cut:inline"
+        else:
+            spec = args.order_fn or "cycle"
+        params = {"max_vertices": args.max_vertices, "m": args.m, "n": args.n, "order_fn": spec}
+    else:
+        source = load_graph(args.input)
+        params = {"max_vertices": args.max_vertices, "k": getattr(args, "k", None)}
+        if command != "tangles":
+            # "prune_redundant" stays a constant of schema totkit/1: the canonical
+            # extraction never returns an element outside the family's sets
+            params["prune_redundant"] = False
+    result = run_command(command, source, params)
+    if fmt == "text":
+        _emit(args, _text(command, result))
+    elif fmt == "dot":
+        _emit(args, decomposition_to_dot(result.decomposition))
+    else:
+        doc = artifact(command, params, source, result)
+        if getattr(args, "join", None):
+            doc["join_check"] = _join_check(args.join, source[0], result)
+        _emit(args, dump_json(doc))
     return 0
 
 
@@ -169,44 +124,22 @@ def _parse_sep_spec(spec: str, points):
     return side(left), side(right)
 
 
-def cmd_circle_tangles(args) -> int:
-    points, order_graph = load_circle(args.input)
-    if order_graph is not None and args.order_fn is None:
-        spec = "cut:inline"
-    else:
-        spec = args.order_fn or "cycle"
-    params = {"max_vertices": args.max_vertices, "m": args.m, "n": args.n, "order_fn": spec}
-    result = run_command("circle-tangles", (points, order_graph), params)
-    doc = {
-        "schema": SCHEMA,
-        "command": "circle-tangles",
-        "params": params,
-        "circle": {
-            "points": list(points),
-            "order_graph": None if order_graph is None else [list(e) for e in order_graph],
-        },
-        **step_one_payload("circle-tangles", result),
-        "tree_set": nested_set_payload(result.universe, result.nested),
-        "efficient": bool(result.displays_ok),
+def _join_check(specs, points, result) -> dict:
+    """Whether the join of the two separations ``specs`` ('A|B' each) of a
+    circle's points stays in its circle subsystem."""
+    universe = result.universe
+    sides1, sides2 = (_parse_sep_spec(spec, points) for spec in specs)
+    o1 = universe.find(universe.mask_of(sides1[0]), universe.mask_of(sides1[1]))
+    o2 = universe.find(universe.mask_of(sides2[0]), universe.mask_of(sides2[1]))
+    if o1 is None or o2 is None:
+        raise InputError("join operands are not bipartitions of the points")
+    j = universe.join(o1, o2)
+    a, b = universe.side_labels(j)
+    return {
+        "operands": [list(map(list, sides1)), list(map(list, sides2))],
+        "join": [list(a), list(b)],
+        "in_circle_subsystem": universe.uid(j) in result.meta["circle"].members,
     }
-    if args.join:
-        universe = result.universe
-        circle = result.meta["circle"]
-        sides1 = _parse_sep_spec(args.join[0], points)
-        sides2 = _parse_sep_spec(args.join[1], points)
-        o1 = universe.find(universe.mask_of(sides1[0]), universe.mask_of(sides1[1]))
-        o2 = universe.find(universe.mask_of(sides2[0]), universe.mask_of(sides2[1]))
-        if o1 is None or o2 is None:
-            raise InputError("join operands are not bipartitions of the points")
-        j = universe.join(o1, o2)
-        a, b = universe.side_labels(j)
-        doc["join_check"] = {
-            "operands": [list(map(list, sides1)), list(map(list, sides2))],
-            "join": [list(a), list(b)],
-            "in_circle_subsystem": universe.uid(j) in circle.members,
-        }
-    _emit(args, dump_json(doc))
-    return 0
 
 
 def cmd_verify(args) -> int:
@@ -263,17 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-vertices", type=int, default=max_vertices)
         return p
 
-    p = command("tangles", cmd_tangles, "list all k-tangles of a graph", ["json", "text"])
+    p = command("tangles", cmd_pipeline, "list all k-tangles of a graph", ["json", "text"])
     p.add_argument("--k", type=int, default=None, help="only levels of order < k")
 
     tot_formats = ["json", "dot", "text"]
-    p = command("tot", cmd_graph_tot, "tree of tangles (non-canonical pipeline)", tot_formats)
+    p = command("tot", cmd_pipeline, "tree of tangles (non-canonical pipeline)", tot_formats)
     p.add_argument("--k", type=int, default=None)
-    p = command("canonical-tot", cmd_graph_tot, "canonical tree of tangles", tot_formats)
+    p = command("canonical-tot", cmd_pipeline, "canonical tree of tangles", tot_formats)
     p.add_argument("--k", type=int, default=None)
-    command("clique-tot", cmd_graph_tot, "canonical tree over clique-separation profiles", tot_formats)
+    command("clique-tot", cmd_pipeline, "canonical tree over clique-separation profiles", tot_formats)
 
-    p = command("circle-tangles", cmd_circle_tangles, "circle tangles and their canonical tree set")
+    p = command("circle-tangles", cmd_pipeline, "circle tangles and their canonical tree set")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order-fn", default=None, help="cut:FILE, cycle, or complete")

@@ -1,23 +1,46 @@
-"""Input parsing and artifact emission.
+"""Inputs, schema totkit/1 artifacts, the command map, and ``verify``.
 
 Graphs arrive either as edge-list text (``u v`` per line, ``#`` comments,
 isolated vertices as a single token) or as JSON documents
 ``{"vertices": [...], "edges": [[u, v], ...]}``.  Circle ground sets arrive
 as JSON ``{"points": [... in cyclic order ...], "order_graph": [[u, v, w],
-...]}``.  Emitted artifacts all carry ``"schema": "totkit/1"`` and are
+...]}``.  JSON labels are numbers or strings: booleans, non-finite numbers
+and two labels equal in Python but of different types (``1`` and ``1.0``)
+are refused, since a universe could not keep them apart or write them back.
+
+:func:`run_command` is the one place that turns a command and the params
+its artifact records into a pipeline call, :func:`artifact` builds the
+document of every pipeline command, and :func:`verify_artifact` re-checks
+one by running :func:`run_command`'s first step with the artifact's own
+params.  Artifacts all carry ``"schema": "totkit/1"`` and are
 byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 from .errors import InputError, SeparationError, VerificationError
-from .pipelines import efficiently_distinguishes_all
+from .pipelines import (
+    PipelineResult,
+    circle_pipeline,
+    circle_tangles,
+    clique_pipeline,
+    clique_profiles,
+    graph_pipeline,
+    graph_tangles,
+)
 from .profiles import orientation_to_json
 from .sepsys import Universe
-from .splinter import extract_canonical
-from .treedec import TreeDecomposition, induced_uids, is_valid_tree_decomposition
+from .splinter import efficiently_distinguishes_all, extract_canonical
+from .treedec import (
+    TreeDecomposition,
+    decomposition_to_json,
+    induced_uids,
+    is_valid_tree_decomposition,
+)
 from .universes import (
     DEFAULT_MAX_VERTICES,
     Graph,
@@ -38,6 +61,8 @@ __all__ = [
     "load_graph",
     "load_circle",
     "parse_order_spec",
+    "run_command",
+    "artifact",
     "dump_json",
     "nested_set_payload",
     "verify_artifact",
@@ -74,11 +99,26 @@ def parse_graph_text(text: str) -> Graph:
         raise InputError(str(exc)) from exc
 
 
+def _check_labels(labels, error: type):
+    """Refuse booleans, non-finite numbers, and two labels equal in Python
+    but of different types, so of different :func:`label_key`, among the
+    hashable ``labels``."""
+    kinds = {}
+    for v in labels:
+        kind = kinds.setdefault(v, v.__class__)
+        if kind is not v.__class__:
+            raise error(f"label {v!r} equals a label of type {kind.__name__}")
+        if kind is bool or (kind is float and not math.isfinite(v)):
+            raise error(f"label {v!r} is a boolean or a non-finite number")
+
+
 def parse_graph_json(doc) -> Graph:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError('graph JSON needs {"vertices": [...], "edges": [...]}')
     try:
-        return Graph(doc["vertices"], [tuple(e) for e in doc.get("edges", [])])
+        edges = [tuple(e) for e in doc.get("edges", [])]
+        _check_labels(chain(doc["vertices"], *edges), InputError)
+        return Graph(doc["vertices"], edges)
     except (SeparationError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -126,6 +166,7 @@ def _check_points(points: list, error: type):
         raise error("circle points must be numbers or strings, not lists or objects")
     if len(set(map(repr, points))) != len(points):
         raise error("duplicate points in cyclic order")
+    _check_labels(points, error)
 
 
 def _order_graph_edges(points, order_graph, error: type) -> list:
@@ -138,7 +179,8 @@ def _order_graph_edges(points, order_graph, error: type) -> list:
             raise error("order_graph entries must be [u, v, weight]")
         u, v, w = e
         for end in (u, v):
-            if end not in points:
+            # True and 1.0 are in [1, 2], but name no point
+            if end not in points or end.__class__ is not points[points.index(end)].__class__:
                 raise error(f"order_graph edge {e!r} names unknown point {end!r}")
         # Integer weights keep every order value, and so the submodularity
         # verdict, exact; a float sum can round a submodular cut order into
@@ -191,6 +233,28 @@ def parse_order_spec(spec: str, points, order_graph):
         raise InputError(f"bad cut graph: {exc}") from exc
 
 
+def run_command(command: str, source, params: dict, step_two: bool = True) -> PipelineResult:
+    """The pipeline of ``command`` on its loaded input ``source`` (a graph, or
+    a circle's points and inline order graph) with the ``params`` its artifact
+    records; only step one, the profiles and their family, for ``tangles`` or
+    when not ``step_two``.
+
+    The one place that turns a command and its params into a pipeline call:
+    the command line runs it, and :func:`verify_artifact` runs its step one
+    with an artifact's own params.
+    """
+    mv = params["max_vertices"]
+    if command == "circle-tangles":
+        points, order_graph = source
+        args = (points, params["m"], params["n"], parse_order_spec(params["order_fn"], points, order_graph))
+        return circle_pipeline(*args, max_vertices=mv) if step_two else circle_tangles(*args, mv)
+    if command == "clique-tot":
+        return clique_pipeline(source, max_vertices=mv) if step_two else clique_profiles(source, mv)
+    if command == "tangles" or not step_two:
+        return graph_tangles(source, mv, params["k"])
+    return graph_pipeline(source, command == "canonical-tot", mv, params["k"])
+
+
 # ----------------------------------------------------------------------
 # artifacts
 
@@ -234,6 +298,32 @@ def step_one_payload(command: str, result) -> dict:
     return {"levels": levels, "maximal_tangles": len(result.profiles)}
 
 
+def artifact(command: str, params: dict, source, result: PipelineResult) -> dict:
+    """The schema totkit/1 document of a pipeline command: its params, its
+    input ``source`` as :func:`run_command` took it, its step one and, but
+    for ``tangles``, the nested set with the decomposition (graphs) or the
+    tree set (circles)."""
+    doc = {"schema": SCHEMA, "command": command, "params": params}
+    if command == "circle-tangles":
+        points, order_graph = source
+        edges = None if order_graph is None else [list(e) for e in order_graph]
+        doc["circle"] = {"points": list(points), "order_graph": edges}
+    else:
+        doc["graph"] = graph_payload(source)
+    if command == "tangles":
+        return {**doc, "levels": tangle_levels_payload(result), "maximal_tangles": len(result.profiles)}
+    doc.update(step_one_payload(command, result))
+    nested = nested_set_payload(result.universe, result.nested)
+    if command == "circle-tangles":
+        return {**doc, "tree_set": nested, "efficient": bool(result.displays_ok)}
+    return {
+        **doc,
+        "nested_set": nested,
+        "decomposition": decomposition_to_json(result.decomposition),
+        "displays": bool(result.displays_ok),
+    }
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -264,13 +354,14 @@ def _decomposition_of(g: Graph, dd):
         raise VerificationError("artifact field 'decomposition' is not an object")
     nodes = _require(dd, "nodes", list)
     edges = _require(dd, "edges", list)
+    kinds = {v: v.__class__ for v in g.vertices}  # true and 2.0 are no vertices of [1, 2]
     for nd in nodes:
-        if not (isinstance(nd, dict) and isinstance(nd.get("id"), int) and isinstance(nd.get("bag"), list)):
+        if not (isinstance(nd, dict) and _is_int(nd.get("id")) and isinstance(nd.get("bag"), list)):
             raise VerificationError(f"decomposition node {nd!r} needs an integer id and a bag list")
-        if any(isinstance(v, (list, dict)) for v in nd["bag"]):
+        if any(isinstance(v, (list, dict)) or kinds.get(v) is not v.__class__ for v in nd["bag"]):
             raise VerificationError(f"decomposition node {nd!r} has a bag member that is no vertex")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise VerificationError(f"decomposition edge {e!r} is not a pair of node ids")
     return TreeDecomposition(
         graph=g,
@@ -327,8 +418,6 @@ def verify_artifact(doc: dict) -> dict:
     automorphisms, that holds for every automorphism exactly when it holds
     for the generators.
     """
-    from .cli import run_command  # the front end maps a command to its pipeline call
-
     if not isinstance(doc, dict):
         raise VerificationError("artifact is not a JSON object")
     if doc.get("schema") != SCHEMA:

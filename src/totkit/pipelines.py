@@ -8,6 +8,11 @@ into a tree-decomposition.  They differ only in the universe, the chain,
 the profile kind and whether only the maximal profiles are kept.  Callers
 needing only the profiles and the family stop after the first step, which
 ``graph_tangles``, ``clique_profiles`` and ``circle_tangles`` run alone.
+
+This module owns that core and knows no command: ``graphio.run_command``
+maps a command and its params to one of these calls.  The check that a
+nested set meets every family set, ``efficiently_distinguishes_all``, lives
+in ``splinter`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .profiles import (
 from .sepsys import Universe
 from .splinter import (
     IndexedFamily,
+    efficiently_distinguishes_all,
     extract_canonical,
     extract_transversal,
 )
@@ -73,13 +79,6 @@ class PipelineResult:
 
     def tangle_counts(self) -> list[int]:
         return [len(l) for l in self.levels]
-
-
-def efficiently_distinguishes_all(nested: frozenset, family: IndexedFamily | None) -> bool:
-    """Whether ``nested`` meets every set of the efficient-distinguisher
-    ``family``, so holds an efficient distinguisher of every distinguishable
-    profile pair; vacuously so without a family (fewer than two profiles)."""
-    return family is None or all(not s.isdisjoint(nested) for s in family.sets.values())
 
 
 def _extract(family: IndexedFamily | None, canonical: bool):

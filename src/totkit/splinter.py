@@ -41,6 +41,7 @@ from .sepsys import Universe, bits
 
 __all__ = [
     "IndexedFamily",
+    "efficiently_distinguishes_all",
     "TransversalResult",
     "splinters",
     "extract_transversal",
@@ -94,6 +95,18 @@ class IndexedFamily:
 
     def __repr__(self):
         return f"IndexedFamily({len(self.keys)} sets, universe={self.universe!r})"
+
+
+def _missed_keys(sets: dict, nested) -> list:
+    """The keys, in key order, whose sets miss ``nested``."""
+    return [k for k, s in sets.items() if s.isdisjoint(nested)]
+
+
+def efficiently_distinguishes_all(nested: frozenset, family: IndexedFamily | None) -> bool:
+    """Whether ``nested`` meets every set of the efficient-distinguisher
+    ``family``, so holds an efficient distinguisher of every distinguishable
+    profile pair; vacuously so without a family (fewer than two profiles)."""
+    return family is None or not _missed_keys(family.sets, nested)
 
 
 class _OrderTable:
@@ -455,9 +468,9 @@ def extract_canonical(fam: IndexedFamily) -> CanonicalResult:
     crossing = u.first_crossing(nested)
     if crossing is not None:
         raise InternalContradictionError("output {} and {} cross".format(*crossing))
-    for k in fam.keys:
-        if not (fam.sets[k] & nested):
-            raise InternalContradictionError(f"output misses set {k!r}")
+    missed = _missed_keys(fam.sets, nested)
+    if missed:
+        raise InternalContradictionError(f"output misses set {missed[0]!r}")
     return CanonicalResult(nested=nested, trace=trace)
 
 

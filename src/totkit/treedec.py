@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InternalContradictionError, NotNestedError, SeparationError
 from .sepsys import Universe
+from .splinter import efficiently_distinguishes_all
 from .universes import Graph, label_key
 
 __all__ = [
@@ -68,31 +69,24 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
 
     # incident[x] holds the oriented ids pointing at node x
     incident: list[list[int]] = [[]]
-    edges: list[tuple[int, int, int]] = []
     for uid in uids:
-        fwd = uid
         bwd = universe.inv(uid)
         host = None
         for x in range(len(incident)):
-            if all(universe.leq(t, fwd) or universe.leq(t, bwd) for t in incident[x]):
+            if all(universe.leq(t, uid) or universe.leq(t, bwd) for t in incident[x]):
                 host = x
                 break
         if host is None:
             raise InternalContradictionError(f"no node can host separation {uid}")
-        new = len(incident)
-        stay = [t for t in incident[host] if universe.leq(t, fwd)]
-        move = [t for t in incident[host] if not universe.leq(t, fwd)]
+        stay = [t for t in incident[host] if universe.leq(t, uid)]
+        move = [t for t in incident[host] if not universe.leq(t, uid)]
         # host becomes the A-side node, the new node the B-side one
         incident[host] = stay + [bwd]
-        incident.append(move + [fwd])
-        # reattach the moved edges' endpoints
-        moved = set(move)
-        for i, (a, b, s) in enumerate(edges):
-            if a == host and universe.inv(s) in moved:
-                edges[i] = (new, b, s)
-            elif b == host and s in moved:
-                edges[i] = (a, new, s)
-        edges.append((host, new, fwd))
+        incident.append(move + [uid])
+    # each oriented id points at one node, and the edge of uid joins the
+    # node its inverse points at to the node it points at
+    head = {t: x for x, ts in enumerate(incident) for t in ts}
+    edges = [(head[universe.inv(uid)], head[uid]) for uid in uids]
 
     full = universe.full_mask
     bags = {}
@@ -102,7 +96,7 @@ def build_tree_decomposition(g: Graph, universe: Universe, seps) -> TreeDecompos
             m &= universe.sides(t)[1]
         bags[x] = frozenset(universe.labels_of(m))
 
-    td = TreeDecomposition(graph=g, bags=bags, edges=[(a, b) for a, b, _ in edges])
+    td = TreeDecomposition(graph=g, bags=bags, edges=edges)
     ok, reason = is_valid_tree_decomposition(td)
     if not ok:
         raise InternalContradictionError(f"built decomposition is invalid: {reason}")
@@ -205,8 +199,6 @@ def is_valid_tree_decomposition(td: TreeDecomposition) -> tuple[bool, str]:
 def displays(td: TreeDecomposition, family, universe: Universe) -> bool:
     """Whether the induced separations meet every set of the tangles'
     efficient-distinguisher ``family`` (None for fewer than two tangles)."""
-    from .pipelines import efficiently_distinguishes_all
-
     return efficiently_distinguishes_all(induced_uids(td, universe), family)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totkit import cli
+from totkit import graphio
 from totkit.cli import main
 from totkit.errors import (
     HierarchicalConditionError,
@@ -298,7 +298,7 @@ def test_pipeline_errors_map_to_exit_codes(
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, pipeline, fail)
+    monkeypatch.setattr(graphio, pipeline, fail)
     got, out, err = run(capsys, command, "--input", two_k4_file)
     assert got == code
     assert out == ""
@@ -472,6 +472,58 @@ def test_duplicate_points_are_input_to_the_command_and_a_verify_failure(capsys, 
     code, _, err = run(capsys, "circle-tangles", "--input", str(bad), "--m", "1", "--n", "4")
     assert code == 2
     assert json.loads(err) == {"error": "input", "message": "duplicate points in cyclic order"}
+
+
+@pytest.mark.parametrize(
+    "twin, bad",
+    [
+        ('{"vertices":[1,2,3],"edges":[[1,2],[1,3]]}', '{"vertices":[1,2,3],"edges":[[1,2],[true,3]]}'),
+        ('{"vertices":[1,2],"edges":[[1,2]]}', '{"vertices":[1,1.0,2],"edges":[[1,2]]}'),
+        ('{"vertices":[1,2,3],"edges":[[1,2]]}', '{"vertices":[1,2,NaN],"edges":[[1,2]]}'),
+        ('{"points":[1,2,3,4,5],"order_graph":[[1,2,1]]}', '{"points":[1,2,3,4,5],"order_graph":[[true,2,1]]}'),
+        ('{"points":[1,2,3,4,5]}', '{"points":[1,2,3,4,Infinity]}'),
+    ],
+    ids=["true-edge-end", "1-and-1.0", "NaN-vertex", "true-order-graph-end", "Infinity-point"],
+)
+def test_json_labels_that_merge_or_are_no_json_are_refused(capsys, tmp_path, twin, bad):
+    """A boolean equals 0 or 1 and 1.0 equals 1, so such labels would merge
+    with others, and NaN or Infinity would be written back as no JSON: each
+    is refused at load (exit 2) and in an artifact's input block by ``verify``
+    (exit 4), where ``twin`` is a valid input the artifact is made from."""
+    circle = '"points"' in bad
+    path = tmp_path / "in.json"
+    argv = ["circle-tangles", "--m", "1", "--n", "4"] if circle else ["canonical-tot"]
+    path.write_text(bad)
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2 and out == "" and json.loads(err)["error"] == "input"
+    path.write_text(twin)
+    code, out, _ = run(capsys, *argv, "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    doc["circle" if circle else "graph"] = json.loads(bad)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 4 and out == "" and json.loads(err)["error"] == "verification"
+
+
+def test_verify_refuses_decomposition_labels_equal_to_but_not_a_vertex(capsys, tmp_path):
+    """``true`` equals the vertex 1, ``2.0`` the vertex 2, and ``true`` the node id 1."""
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(P3))
+    code, out, _ = run(capsys, "tot", "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    for swap in ({1: True}, {2: 2.0}):
+        bad = json.loads(out)
+        for nd in bad["decomposition"]["nodes"]:
+            nd["bag"] = [swap.get(v, v) for v in nd["bag"]]
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 4 and "bag member that is no vertex" in json.loads(err)["message"]
+    doc["decomposition"]["edges"] = [[0, True]]
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--input", str(path))
+    assert code == 4 and "not a pair of node ids" in json.loads(err)["message"]
 
 
 def test_k_flag_caps_levels(capsys, two_k4_file):

@@ -2,11 +2,13 @@
 tracer wraps totkit functions by name, from outside the package, so every
 name it lists must still resolve, or ``bench/run.py --trace 1`` breaks
 without any other test noticing; and the demos are the public usage
-examples, so each must still run."""
+examples, so each must still run.  Also the package's import graph, which
+no import error shows while every module is loaded anyway."""
 
 import ast
 import importlib
 import runpy
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from totkit.sepsys import Universe
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+PACKAGE = ROOT / "src" / "totkit"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -45,3 +48,31 @@ def test_timed_universe_primitives_resolve():
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def _totkit_imports(nodes, module: str) -> set:
+    """The other totkit modules that the import statements among ``nodes`` import."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "totkit"):
+            path = (node.module or "").removeprefix("totkit").lstrip(".")
+            out.update([path.split(".")[0]] if path else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("totkit."))
+    out.discard(module)
+    return out
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    """No function imports a totkit module, and the module-level imports
+    inside the package form a DAG, so no module reaches up at call time."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = _totkit_imports(ast.walk(func), path.stem)
+                assert not inner, f"{path.stem}.{func.name} imports {sorted(inner)}"
+        graph[path.stem] = _totkit_imports(ast.walk(tree), path.stem)
+    assert {"cli", "graphio", "pipelines", "splinter", "treedec"} <= set(graph)
+    list(TopologicalSorter(graph).static_order())  # raises CycleError naming a cycle
