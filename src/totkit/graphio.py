@@ -115,10 +115,14 @@ def _check_labels(labels, error: type):
 def parse_graph_json(doc) -> Graph:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError('graph JSON needs {"vertices": [...], "edges": [...]}')
+    vertices, edges = doc["vertices"], doc.get("edges", [])
+    if not isinstance(vertices, list):
+        raise InputError('"vertices" must be a list')
+    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+        raise InputError('"edges" must be a list of [u, v] pairs')
     try:
-        edges = [tuple(e) for e in doc.get("edges", [])]
-        _check_labels(chain(doc["vertices"], *edges), InputError)
-        return Graph(doc["vertices"], edges)
+        _check_labels(chain(vertices, *edges), InputError)
+        return Graph(vertices, edges)
     except (SeparationError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 

@@ -102,48 +102,81 @@ class Orientation:
 # enumeration
 
 
-def _profile_rule(u: Universe, members: list[int]):
+def _profile_rule(u: Universe, members: list[int], member_levels: list[int]):
     """Rule (P) for profiles, as ``(try_add, undo)`` closures.
 
-    The corner ``~x & ~y = (b & d, a | c)`` of a candidate ``x = (a, b)`` and
-    a chosen ``y`` counts only when it orients a member: one lookup in a
-    dict from the side pairs of the members' orientations to their oids,
-    built once per search.  ``x`` is rejected when ``b <= a`` (or
-    ``x == ~x``, its corner with itself), when it is the corner of two
-    chosen separations, or when a chosen ``y`` is inconsistent with it or
-    has a corner with it that is chosen or is ``x``: one walk over them.
+    The orientations of ``members[i]`` get the indices ``2i`` (canonical)
+    and ``2i + 1``, so index ``j`` has the inverse ``j ^ 1``.  The corner
+    ``~x & ~y = (b & d, a | c)`` of a candidate ``x = (a, b)`` and a chosen
+    ``y = (c, d)`` counts only when it orients a member: one lookup in a
+    dict from the side pairs of the member orientations to their indices,
+    built once per search.  ``forbidden[j]`` counts the reasons index ``j``
+    may not be chosen: a base count of 1 when ``b <= a`` (which covers
+    ``x == ~x``, its corner with itself), and 1 for each pair of chosen
+    separations whose corner it is.  ``x`` is rejected when it is forbidden,
+    or when one walk over the chosen ``y`` finds one inconsistent with it or
+    with a corner that is chosen or is ``x``.
+
+    ``x`` is also rejected while a pending member of its own chain level
+    (``member_levels`` is parallel to ``members``) is dead, both of its
+    orientations forbidden.  ``dead[level]`` counts those members, so it
+    changes only when an orientation's count leaves 0 or returns to 0 while
+    its inverse's is positive; ``(V, V)``, the only member that is its own
+    inverse, has both base counts and starts dead.  Every profile of every
+    level is still found, in the same order, for three reasons:
+
+    * forbidden counts only grow along a search path, so a dead member
+      stays dead below it;
+    * a chosen orientation is never forbidden, so a dead member is still
+      undecided, and ``x``'s level cannot be completed below it;
+    * a profile of a later level restricts to a profile of this level, so
+      no later level is completed below it either.
     """
     sides = u.sides
-    member_oid = {sides(o): o for uid in members for o in u.orientations(uid)}
-    # how often each oriented corner is forbidden; counts allow undo
-    forbidden: dict[int, int] = {}
+    oids = [o for uid in members for o in u.orientations(uid)]
+    pairs = list(map(sides, oids))
+    index = {o: j for j, o in enumerate(oids)}
+    member_index = {p: j for j, p in enumerate(pairs)}
+    level = [li for li in member_levels for _ in (0, 1)]
+    forbidden = [int(b & ~a == 0) for a, b in pairs]
+    dead = [0] * (max(member_levels, default=0) + 1)
+    for j in range(0, len(oids), 2):
+        if forbidden[j] and forbidden[j + 1]:
+            dead[level[j]] += 1
     chosen_sides: list[tuple[int, int]] = []
     chosen_set: set[int] = set()
 
     def try_add(x: int):
-        a, b = sides(x)
-        if b & ~a == 0 or forbidden.get(x):
+        j = index[x]
+        if forbidden[j] or dead[level[j]]:
             return None
+        a, b = pairs[j]
         token = []
         for c, d in chosen_sides:
             if b & ~c == 0 and d & ~a == 0:
                 return None
-            k = member_oid.get((b & d, a | c))
+            k = member_index.get((b & d, a | c))
             if k is not None:
-                if k in chosen_set or k == x:
+                if k in chosen_set or k == j:
                     return None
                 token.append(k)
         for k in token:
-            forbidden[k] = forbidden.get(k, 0) + 1
+            f = forbidden[k]
+            forbidden[k] = f + 1
+            if not f and forbidden[k ^ 1]:
+                dead[level[k]] += 1
         chosen_sides.append((a, b))
-        chosen_set.add(x)
+        chosen_set.add(j)
         return token
 
     def undo(x: int, token):
-        chosen_set.discard(x)
+        chosen_set.discard(index[x])
         chosen_sides.pop()
         for k in token:
-            forbidden[k] -= 1
+            f = forbidden[k] - 1
+            forbidden[k] = f
+            if not f and forbidden[k ^ 1]:
+                dead[level[k]] -= 1
 
     return try_add, undo
 
@@ -299,7 +332,8 @@ def enumerate_chain_profiles(
     per search, keeps its own state: ``try_add(x)`` returns an undo token
     when ``x`` may extend the partial orientation, else None, and
     ``undo(x, token)`` takes ``x`` back.  A rule rejects ``x`` only for a
-    violation among decided members, so no orientation is wrongly pruned.
+    violation among decided members, or while a pending member of ``x``'s
+    level has no orientation left, so no orientation is wrongly pruned.
 
     Every test is a plain operation on integer masks.  A candidate
     ``x = (a, b)`` and a chosen ``y = (c, d)`` are inconsistent when
@@ -311,15 +345,18 @@ def enumerate_chain_profiles(
     u = chain.universe
     key = u.order if u.has_order else None
     members: list[int] = []
+    member_levels: list[int] = []  # parallel to members: the first level holding each
     # member count -> the levels whose members are exactly the first that many
     ends: dict[int, list[int]] = {}
     prev: frozenset = frozenset()
     for li, system in enumerate(chain.systems):
-        members += sorted(sorted(system.members - prev), key=key)
+        new = sorted(sorted(system.members - prev), key=key)
+        members += new
+        member_levels += [li] * len(new)
         prev = system.members
         ends.setdefault(len(members), []).append(li)
     if kind.tag == "profile":
-        rule = _profile_rule(u, members)
+        rule = _profile_rule(u, members, member_levels)
     elif kind.tag == "graph-tangle":
         rule = _tangle_rule(u, graph)
     else:

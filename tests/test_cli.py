@@ -506,6 +506,41 @@ def test_json_labels_that_merge_or_are_no_json_are_refused(capsys, tmp_path, twi
     assert code == 4 and out == "" and json.loads(err)["error"] == "verification"
 
 
+VERTEX_LIST = '"vertices" must be a list'
+EDGE_PAIRS = '"edges" must be a list of [u, v] pairs'
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ('{"vertices":"abc","edges":["ab","bc"]}', VERTEX_LIST),
+        ('{"vertices":{"a":1,"b":2,"c":3},"edges":[["a","b"]]}', VERTEX_LIST),
+        ('{"vertices":["a","b","c"],"edges":["ab","bc"]}', EDGE_PAIRS),
+        ('{"vertices":[1,2,3],"edges":[[1,2,3]]}', EDGE_PAIRS),
+        ('{"vertices":[1,2,3],"edges":{"1":2}}', EDGE_PAIRS),
+    ],
+    ids=["string-vertices", "object-vertices", "string-edges", "three-ends", "object-edges"],
+)
+def test_graph_json_of_the_wrong_shape_is_refused(capsys, tmp_path, bad, message):
+    """A vertex list and edges of two ends each are asked for; a string or an
+    object would otherwise be read as its characters or keys.  Refused at
+    load (exit 2) and in an artifact's graph block by ``verify`` (exit 4)."""
+    path = tmp_path / "in.json"
+    path.write_text(bad)
+    code, out, err = run(capsys, "clique-tot", "--input", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": message}
+    path.write_text(json.dumps(P3))
+    code, out, _ = run(capsys, "clique-tot", "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    doc["graph"] = json.loads(bad)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "verification", "message": f"artifact graph: {message}"}
+
+
 def test_verify_refuses_decomposition_labels_equal_to_but_not_a_vertex(capsys, tmp_path):
     """``true`` equals the vertex 1, ``2.0`` the vertex 2, and ``true`` the node id 1."""
     path = tmp_path / "p3.json"

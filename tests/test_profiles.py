@@ -31,6 +31,7 @@ from totkit.universes import (
     Graph,
     SubsystemChain,
     bipartition_universe,
+    clique_subsystem,
     complete_cut_order,
     enumerate_circle_separations,
     enumerate_graph_separations,
@@ -361,6 +362,24 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
     for chain, kind, g in cases:
         got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
         assert got == backtrack_chain(chain, kind, g), (kind, g)
+
+
+def test_clique_chain_search_matches_definitional_backtracking(small_corpus):
+    """Same orientations in the same order as the definitional backtracking
+    on clique chains, whose levels can die early: on star and sparse graphs
+    a pending member of the top level loses both orientations long before
+    the level ends, and on K4 the top level holds ``(V, V)``, refused in
+    both orientations from the start.  The connected graphs have levels
+    that die on some search paths only."""
+    dying = [corpus.star_graph(leaves) for leaves in range(2, 6)]
+    dying += [Graph(range(n), []) for n in range(3, 7)]
+    dying += [Graph(range(5), [(0, 1)]), corpus.complete_graph(4)]
+    for g in dying + small_corpus:
+        u = enumerate_graph_separations(g)
+        chain = slice_chain(u, within=clique_subsystem(g, u, None))
+        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, PROFILE)]
+        assert got == backtrack_chain(chain, PROFILE), g
+        assert got[0] and (g not in dying or not got[-1]), g
 
 
 def test_empty_first_level_holds_the_empty_orientation_exactly_when_the_oracle_accepts_it(p4):

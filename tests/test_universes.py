@@ -143,6 +143,20 @@ def test_clique_subsystem_k0_empty(p4, p4_universe):
     assert len(clique_subsystem(p4, p4_universe, 0)) == 0
 
 
+def test_clique_subsystem_matches_the_predicate():
+    """The one-pass table read holds exactly the separations the per-uid
+    predicate accepts, under every order bound."""
+    graphs = corpus.all_connected_graphs(6)
+    graphs += [Graph(range(n), []) for n in range(1, 9)]
+    graphs += [corpus.star_graph(leaves) for leaves in range(1, 8)]
+    for g in graphs:
+        u = enumerate_graph_separations(g)
+        cliques = [uid for uid in u.unoriented_ids() if is_clique_separation(g, u, uid)]
+        for k in (None, *range(g.n + 2)):
+            expect = frozenset(uid for uid in cliques if k is None or u.order(uid) < k)
+            assert clique_subsystem(g, u, k).members == expect, (g, k)
+
+
 def test_k3_all_separations_are_clique_separations():
     g = corpus.complete_graph(3)
     u = enumerate_graph_separations(g)
