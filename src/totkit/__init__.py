@@ -28,6 +28,7 @@ from .universes import (
     clique_subsystem,
     cut_order_fn,
     enumerate_circle_separations,
+    enumerate_clique_separations,
     enumerate_graph_separations,
     is_clique_separation,
     is_compatible_sequence,

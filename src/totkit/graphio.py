@@ -332,15 +332,21 @@ def artifact(command: str, params: dict, source, result: PipelineResult) -> dict
 # verification
 
 
-def _find_uid(universe: Universe, pair) -> int:
+def _find_uid(universe: Universe, pair, graph: Graph | None = None) -> int:
+    """The uid of the exported side pair ``pair``.  ``graph`` is given when
+    the universe holds its clique separations only: a separation of it
+    missing from the universe is then named as no clique separation."""
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, list) for x in pair)):
         raise VerificationError(f"separation {pair!r} is not a pair of side lists")
     a, b = pair
     try:
-        oid = universe.find(universe.mask_of(a), universe.mask_of(b))
+        ma, mb = universe.mask_of(a), universe.mask_of(b)
     except SeparationError as exc:
         raise VerificationError(f"separation {pair!r}: {exc}") from exc
+    oid = universe.find(ma, mb)
     if oid is None:
+        if graph is not None and ma | mb == universe.full_mask and not graph.nbhd[ma & ~mb] & mb & ~ma:
+            raise VerificationError(f"({a}, {b}) is not a clique separation of the graph")
         raise VerificationError(f"({a}, {b}) is not a separation of this universe")
     return universe.uid(oid)
 
@@ -464,7 +470,8 @@ def verify_artifact(doc: dict) -> dict:
     if canonical:
         image = extract_canonical(result.family).nested if result.family else frozenset()
     universe = result.universe
-    nested = frozenset(_find_uid(universe, p) for p in exported)
+    graph = source if command == "clique-tot" else None
+    nested = frozenset(_find_uid(universe, p, graph) for p in exported)
     crossing = universe.first_crossing(nested)
     if crossing is not None:
         a, b = crossing
@@ -479,7 +486,11 @@ def verify_artifact(doc: dict) -> dict:
         ok, reason = is_valid_tree_decomposition(td)
         if not ok:
             raise VerificationError(f"decomposition invalid: {reason}")
-        if induced_uids(td, universe) != nested:
+        try:
+            induced = induced_uids(td, universe)
+        except SeparationError:  # an induced separation the universe leaves out
+            induced = None
+        if induced != nested:
             raise VerificationError("decomposition does not induce the exported set")
         diag["checks"].append("decomposition")
     if not efficiently_distinguishes_all(nested, result.family):

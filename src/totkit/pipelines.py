@@ -5,7 +5,9 @@ profiles of a subsystem chain and the efficient-distinguisher family over
 them, then a nested set extracted (canonically or not), checked to
 distinguish the profiles efficiently and, for graph separations, turned
 into a tree-decomposition.  They differ only in the universe, the chain,
-the profile kind and whether only the maximal profiles are kept.  Callers
+the profile kind and whether only the maximal profiles are kept; the
+clique pipeline's universe holds the clique separations only, as its
+profiles, family and nested set use no other separation.  Callers
 needing only the profiles and the family stop after the first step, which
 ``graph_tangles``, ``clique_profiles`` and ``circle_tangles`` run alone.
 
@@ -41,10 +43,10 @@ from .universes import (
     DEFAULT_MAX_VERTICES,
     Graph,
     SubsystemChain,
-    clique_subsystem,
     complete_cut_order,
     cycle_cut_order,
     enumerate_circle_separations,
+    enumerate_clique_separations,
     enumerate_graph_separations,
     slice_chain,
 )
@@ -149,9 +151,9 @@ def graph_tangles(
 
 
 def clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
-    """The profiles of the clique-separation slices of a graph and their family."""
-    universe = enumerate_graph_separations(g, max_vertices)
-    chain = slice_chain(universe, within=clique_subsystem(g, universe, None))
+    """The profiles of the clique-separation slices of a graph and their
+    family, over the universe of the clique separations alone."""
+    chain = slice_chain(enumerate_clique_separations(g, max_vertices))
     return _profiles_and_family(chain, PROFILE, {"kind": "clique-profile"}, g)
 
 

@@ -188,7 +188,7 @@ class Universe:
                     return a, b
         return None
 
-    def corners(self, u: int, v: int) -> tuple[int, int, int, int]:
+    def corners(self, u: int, v: int) -> tuple[int | None, ...]:
         """The uids ``(c00, c01, c10, c11)`` of the four tagged corners of two
         unoriented separations; swapping the arguments transposes the tuple.
 
@@ -197,19 +197,21 @@ class Universe:
         and 1 for its inverse.  As ``meet(u0, v_j)`` is the inverse of
         ``join(u1, v_{1-j})``, the sides of ``u`` are ``{c00, c01}`` and
         ``{c10, c11}``, those of ``v`` are ``{c00, c10}`` and ``{c01, c11}``.
+        A universe need not be closed under corners (the clique separations
+        of a graph are not): a corner outside it is None in its slot, held
+        by no set of separations.
         """
-        pairs, index, inv = self._pairs, self._index, self._inv
+        pairs, get, inv = self._pairs, self._index.get, self._inv
         a, b = pairs[u if u <= inv[u] else inv[u]]
         c, d = pairs[v if v <= inv[v] else inv[v]]
         out = []
         for key in ((a | c, b & d), (a | d, b & c), (b | c, a & d), (b | d, a & c)):
-            oid = index.get(key)
-            if oid is None:
-                raise UniverseClosureError(f"a corner of {u} and {v} is not in the universe")
-            out.append(oid if oid <= inv[oid] else inv[oid])
+            oid = get(key)
+            out.append(oid if oid is None or oid <= inv[oid] else inv[oid])
         return tuple(out)
 
-    def corner_uids(self, u: int, v: int) -> frozenset[int]:
+    def corner_uids(self, u: int, v: int) -> frozenset[int | None]:
+        """The set of :meth:`corners`, with None for any corner outside the universe."""
         return frozenset(self.corners(u, v))
 
     # ------------------------------------------------------------------

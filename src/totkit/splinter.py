@@ -165,7 +165,8 @@ def _first_failure(fam: IndexedFamily, levels, rule):
     support elements once, read off the family's order table, computes its
     corners once with :meth:`Universe.corners`, whose slots ``(c00, c01)``
     and ``(c10, c11)`` are the two sides of ``a`` and ``(c00, c10)`` and
-    ``(c01, c11)`` those of ``b``, and calls ``rule(gs, ha, hb, a0, a1, b0,
+    ``(c01, c11)`` those of ``b`` (a slot of None, a corner outside the
+    universe, is held by no group), and calls ``rule(gs, ha, hb, a0, a1, b0,
     b1, higher, lower)`` on bitmasks of groups: ``gs`` to settle (they hold
     ``a``), those holding ``a`` and ``b``, those holding a corner on side 0
     or 1 of ``a`` and of ``b``, and per group ``g`` those of strictly higher

@@ -2,9 +2,11 @@
 
 Graph separations follow the usual convention: a separation of ``G`` is a
 pair ``(A, B)`` of vertex sets with ``A u B = V`` and no edge between
-``A - B`` and ``B - A``; its order is ``|A n B|``.  Bipartition universes
-hold all two-sided partitions of a ground set and take their order from the
-cut function of a weighted graph supplied by the caller.  Circle separations
+``A - B`` and ``B - A``; its order is ``|A n B|``.  One walk lists them
+all; :func:`enumerate_clique_separations` shares it to build the clique
+separations alone, a universe not closed under corners.  Bipartition
+universes hold all two-sided partitions of a ground set and take their
+order from the cut function of a weighted graph supplied by the caller.  Circle separations
 are the bipartitions of a cyclically ordered ground set into two intervals.
 """
 
@@ -24,6 +26,7 @@ __all__ = [
     "Graph",
     "SubsystemChain",
     "enumerate_graph_separations",
+    "enumerate_clique_separations",
     "bipartition_universe",
     "cut_order_fn",
     "cycle_cut_order",
@@ -79,6 +82,18 @@ class Graph:
             nbhd[x] = nbhd[x ^ low] | self.adj[low.bit_length() - 1]
         return nbhd
 
+    @cached_property
+    def clique(self) -> list[bool]:
+        """``clique[s]``: whether the vertex mask ``s`` induces a complete subgraph.
+
+        Exactly when ``s`` less its highest vertex ``v`` does and ``v`` is
+        adjacent to all of it, so the table doubles once per vertex.
+        """
+        clique = [True]
+        for nb in self.adj:
+            clique += [c and not s & ~nb for s, c in enumerate(clique)]
+        return clique
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -109,31 +124,42 @@ class Graph:
 # graph separations
 
 
-def enumerate_graph_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Universe:
-    """The universe of all separations of ``g``, ordered by separator size.
+def _separation_walk(g: Graph, max_vertices: int) -> list[tuple[int, int, int]]:
+    """One ``(a, forced, free)`` per ``y = B - A``, ``y`` descending.
 
     ``y = B - A`` and ``x = A - B`` are disjoint with no edge between them,
-    so ``x`` ranges over the subsets of the vertices neither in ``y`` nor
-    next to it.  As ``A = V - y`` and ``B = V - x``, taking ``y`` descending
-    and then ``x`` descending (the submask walk's own order) makes ``(A, B)``
+    so with ``a = A = V - y`` the separator ``A n B = a ^ x`` holds
+    ``forced = a & nbhd[y]`` and ``x`` ranges over the submasks of
+    ``free = a ^ forced``.  As ``B = V - x``, taking ``y`` descending and
+    then ``x`` descending (the submask walk's own order) makes ``(A, B)``
     ascend: the pairs come in oid order, each once, and ``Universe`` sorts
     them in one linear pass.
     """
     if g.n > max_vertices:
         raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
     full = (1 << g.n) - 1
-    nbhd = g.nbhd
+    # nbhd[y] for y = V - a, so reversed
+    return [(a, a & n, a & ~n) for a, n in zip(range(full + 1), reversed(g.nbhd))]
+
+
+def _separator_size(a: int, b: int) -> int:
+    return (a & b).bit_count()
+
+
+def enumerate_graph_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Universe:
+    """The universe of all separations of ``g``, ordered by separator size,
+    from :func:`_separation_walk` with every submask ``x`` of ``free``."""
+    walk = _separation_walk(g, max_vertices)
+    full = (1 << g.n) - 1
     pairs = []
-    for y in range(full, -1, -1):
-        a = full ^ y
-        free = a & ~nbhd[y]
+    for a, _, free in walk:
         x = free
         while True:
             pairs.append((a, full ^ x))
             if x == 0:
                 break
             x = (x - 1) & free
-    return Universe(g.vertices, pairs, order_fn=lambda a, b: (a & b).bit_count(), kind="graph")
+    return Universe(g.vertices, pairs, order_fn=_separator_size, kind="graph")
 
 
 # ----------------------------------------------------------------------
@@ -247,20 +273,42 @@ def is_clique_separation(g: Graph, universe: Universe, uid: int) -> bool:
 def clique_subsystem(g: Graph, universe: Universe, k=None) -> SubSystem:
     """Clique separations of ``g`` of order below ``k`` (``None`` means no bound).
 
-    ``clique[s]`` tells whether the vertex mask ``s`` induces a complete
-    subgraph: exactly when ``s`` less its highest vertex ``v`` does and
-    ``v`` is adjacent to all of it.  The table is built over all ``2^n``
-    masks, doubling once per vertex, and read at each separator ``A n B``
-    in one pass.
+    Reads :attr:`Graph.clique` at each separator ``A n B`` in one pass.
     """
-    clique = [True]
-    for nb in g.adj:
-        clique += [c and not s & ~nb for s, c in enumerate(clique)]
     uids = universe.unoriented_ids()
-    members = compress(uids, map(clique.__getitem__, starmap(and_, map(universe.sides, uids))))
+    members = compress(uids, map(g.clique.__getitem__, starmap(and_, map(universe.sides, uids))))
     if k is not None:
         members = [uid for uid in members if universe.order(uid) < k]
     return SubSystem(universe, frozenset(members))
+
+
+def enumerate_clique_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Universe:
+    """The universe of the clique separations of ``g``, ordered by separator size.
+
+    The pairs of :func:`enumerate_graph_separations` whose separator
+    ``a ^ x`` is a clique (:attr:`Graph.clique`), in the same oid order.
+    Every separator of a ``y`` holds its ``forced`` part, so a ``y`` whose
+    ``forced`` part is no clique is skipped whole.  The members are those of
+    :func:`clique_subsystem` on the full universe, renumbered in the same
+    order.  The universe is not closed under corners:
+    :meth:`Universe.corners` gives None for a corner that is no clique
+    separation.
+    """
+    walk = _separation_walk(g, max_vertices)
+    full = (1 << g.n) - 1
+    clique = g.clique
+    pairs = []
+    for a, forced, free in walk:
+        if not clique[forced]:
+            continue
+        x = free
+        while True:
+            if clique[a ^ x]:
+                pairs.append((a, full ^ x))
+            if x == 0:
+                break
+            x = (x - 1) & free
+    return Universe(g.vertices, pairs, order_fn=_separator_size, kind="clique")
 
 
 # ----------------------------------------------------------------------

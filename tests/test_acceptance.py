@@ -312,20 +312,24 @@ def test_criterion_5_clique_theorems(tangle_bundles):
                     assert _clique_corner_bounds(g, u, lo, hi), (g, lo, hi)
 
             result = clique_pipeline(g)
-            vals = sorted(result.nested)
+            # the pipeline's universe holds the clique separations alone, so
+            # its nested set is mapped into u by sides
+            ru = result.universe
+            nested = frozenset(u.uid(u.find(*ru.sides(x))) for x in result.nested)
+            vals = sorted(nested)
             for i, a in enumerate(vals):
                 for b in vals[i + 1 :]:
                     assert u.nested(a, b), g
-            for x in result.nested:
+            for x in nested:
                 assert x in cliques.members, g
             assert result.displays_ok, g
             if result.family is not None and len(result.family):
                 base = result.nested
                 for perm in automorphisms(g):
-                    mapping = lift_permutation(u, perm)
+                    mapping = lift_permutation(ru, perm)
                     mapped = map_family(result.family, mapping)
                     image = extract_canonical(mapped).nested
-                    assert image == frozenset(u.uid(mapping[x]) for x in base), (g, perm)
+                    assert image == frozenset(ru.uid(mapping[x]) for x in base), (g, perm)
         assert chordal_seen >= 20 and nonchordal_seen >= 20
 
 

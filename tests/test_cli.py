@@ -775,6 +775,34 @@ def test_verify_refuses_a_family_failing_the_hierarchical_condition(capsys, monk
     assert diag["error"] == "precondition" and "(0, 1, 2, 3)" in diag["message"]
 
 
+def test_verify_names_a_separation_that_is_no_clique_separation(capsys, tmp_path):
+    """In a ``clique-tot`` artifact of the 6-cycle, an appended separation
+    whose separator ``{1, 3}`` is no clique is named as such; a pair that is
+    no separation at all keeps its message, and a decomposition inducing a
+    non-clique separation does not induce the exported set."""
+    graph = tmp_path / "c6.json"
+    graph.write_text(json.dumps({"vertices": [1, 2, 3, 4, 5, 6], "edges": [[i, i % 6 + 1] for i in range(1, 7)]}))
+    code, out, _ = run(capsys, "clique-tot", "--input", str(graph))
+    assert code == 0
+    doc = json.loads(out)
+    artifact = tmp_path / "c6.artifact.json"
+    cases = [
+        ({"nested_set": [[[1, 3], [1, 2, 3, 4, 5, 6]]], "decomposition": None},
+         "([1, 3], [1, 2, 3, 4, 5, 6]) is not a clique separation of the graph"),
+        ({"nested_set": [[[1], [2, 3, 4, 5, 6]]], "decomposition": None},
+         "([1], [2, 3, 4, 5, 6]) is not a separation of this universe"),
+        ({"decomposition": {"nodes": [{"id": 0, "bag": [1, 2, 3, 4]}, {"id": 1, "bag": [1, 4, 5, 6]}],
+                            "edges": [[0, 1]]}},
+         "decomposition does not induce the exported set"),
+    ]
+    for change, message in cases:
+        tampered = {k: v for k, v in {**doc, **change}.items() if v is not None}
+        artifact.write_text(json.dumps(tampered))
+        code, out, err = run(capsys, "verify", "--input", str(artifact))
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "verification", "message": message}
+
+
 def test_verify_refuses_an_appended_separation_without_a_family(capsys, tmp_path):
     """K3 has one maximal tangle, so no family and the empty canonical set;
     ``verify`` used to skip the canonical check there and pass the tamper."""

@@ -4,8 +4,10 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from totkit import corpus
+from totkit import corpus, pipelines
 from totkit.errors import SeparationError
 from totkit.pipelines import (
     circle_pipeline,
@@ -27,6 +29,7 @@ from totkit.profiles import (
     orientation_to_json,
 )
 from totkit.sepsys import SubSystem, Universe
+from totkit.treedec import decomposition_to_json
 from totkit.universes import (
     Graph,
     SubsystemChain,
@@ -380,6 +383,51 @@ def test_clique_chain_search_matches_definitional_backtracking(small_corpus):
         got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, PROFILE)]
         assert got == backtrack_chain(chain, PROFILE), g
         assert got[0] and (g not in dying or not got[-1]), g
+
+
+def _clique_outcome(res):
+    """What a clique pipeline run shows, by side labels, not ids: thresholds,
+    chain levels, profiles per level, the nested set and the decomposition."""
+    u = res.universe
+
+    def labelled(oids):
+        return frozenset(map(u.side_labels, oids))
+
+    return (
+        res.chain.thresholds,
+        [labelled(s.members) for s in res.chain.systems],
+        [[labelled(p.chosen) for p in level] for level in res.levels],
+        labelled(res.nested),
+        decomposition_to_json(res.decomposition),
+        res.displays_ok,
+    )
+
+
+def _definitional_clique_pipeline(g):
+    """The clique pipeline by definition: the order slices of the clique
+    subsystem of the universe of all separations."""
+    u = enumerate_graph_separations(g)
+    chain = slice_chain(u, within=clique_subsystem(g, u, None))
+    base = pipelines._profiles_and_family(chain, PROFILE, {"kind": "clique-profile"}, g)
+    return pipelines._extract_and_check(base, True)
+
+
+def test_clique_pipeline_matches_the_definitional_route():
+    """The pipeline over the clique separations alone agrees with the full
+    universe cut down to its clique subsystem, on the corpus and on
+    disconnected graphs, one of which makes the precheck meet corners the
+    clique universe lacks."""
+    from test_universes import DISCONNECTED
+
+    for g in corpus.all_connected_graphs(6) + DISCONNECTED:
+        assert _clique_outcome(clique_pipeline(g)) == _clique_outcome(_definitional_clique_pipeline(g)), g
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 7), edges=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=9))
+def test_clique_pipeline_matches_the_definitional_route_on_random_graphs(n, edges):
+    g = Graph(range(n), [(a, b) for a, b in edges if a < b < n])
+    assert _clique_outcome(clique_pipeline(g)) == _clique_outcome(_definitional_clique_pipeline(g))
 
 
 def test_empty_first_level_holds_the_empty_orientation_exactly_when_the_oracle_accepts_it(p4):

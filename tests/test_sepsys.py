@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from totkit.errors import SeparationError
 from totkit.sepsys import SubSystem, Universe
-from totkit.universes import Graph, bipartition_universe, enumerate_graph_separations
+from totkit.universes import (
+    Graph,
+    bipartition_universe,
+    clique_subsystem,
+    enumerate_clique_separations,
+    enumerate_graph_separations,
+)
 
 from oracles import corner_items, from_different_sides, is_regular, is_structurally_submodular, oid
 
@@ -169,6 +175,39 @@ def test_corner_join_convention(bip4):
 def test_corners_tagged_duplicates_preserved(bip4):
     r = bip4.uid(oid(bip4, [1, 2], [3, 4]))
     assert len(bip4.corners(r, r)) == 4
+
+
+def test_corners_outside_the_universe_are_none():
+    """Two crossing bipartitions without their corners (the universe of
+    ``test_missing_corner_is_an_error``): every corner slot is None, and a
+    separation with itself keeps itself as its diagonal corners while
+    ``(V, {})`` is missing too."""
+    full = 0b1111
+    u = Universe(range(4), [(m, full ^ m) for m in (0b0011, 0b1100, 0b0110, 0b1001)])
+    r, s = sorted(u.unoriented_ids())
+    assert not u.nested(r, s)
+    assert u.corners(r, s) == u.corners(s, r) == (None, None, None, None)
+    assert u.corner_uids(r, s) == frozenset({None})
+    assert u.corners(r, r) == (r, None, None, r)
+
+
+def test_clique_universe_corners_are_the_full_ones_or_none():
+    """On a graph whose clique universe misses corners, each slot of
+    ``corners`` is the full universe's corner when that is a clique
+    separation, and None otherwise."""
+    g = Graph(range(1, 7), [(1, 4), (2, 3), (3, 5), (4, 5)])
+    c = enumerate_clique_separations(g)
+    u = enumerate_graph_separations(g)
+    cliques = clique_subsystem(g, u, None).members
+    to_u = {x: u.uid(u.find(*c.sides(x))) for x in c.unoriented_ids()}
+    missing = 0
+    for x in c.unoriented_ids():
+        for y in c.unoriented_ids():
+            got = c.corners(x, y)
+            want = [k if k in cliques else None for k in u.corners(to_u[x], to_u[y])]
+            assert [None if k is None else to_u[k] for k in got] == want, (x, y)
+            missing += None in got
+    assert missing
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from totkit.profiles import (
     graph_tangle_kind,
     maximal_profiles,
 )
+from totkit.sepsys import Universe
 from totkit.splinter import (
     IndexedFamily,
     extract_canonical,
@@ -207,6 +208,42 @@ def test_universe_is_unchanged_by_a_pipeline_run_and_both_predicates(monkeypatch
     assert splinters(res.family) == splinters_hierarchically(res.family) == (True, None)
     [(u, before)] = made
     assert u is res.universe and vars(u) == before
+
+
+def _first_crossing_key_pair(fam):
+    """The hierarchical verdict where no corner of a crossing pair is in the
+    universe: both of its rules need a corner in some set, so the first key
+    pair ``i <= j``, then element pair, that crosses is the witness."""
+    u = fam.universe
+    for ii, ki in enumerate(fam.keys):
+        for kj in fam.keys[ii:]:
+            for a in sorted(fam.sets[ki]):
+                for b in sorted(fam.sets[kj]):
+                    if not u.nested(a, b):
+                        return False, (ki, kj, a, b)
+    return True, None
+
+
+def test_predicates_read_a_missing_corner_as_held_by_no_set():
+    """Over two crossing bipartitions without their corners (the universe of
+    ``test_missing_corner_is_an_error``) neither predicate raises:
+    ``splinters`` gives the reference verdict and witness, and
+    ``splinters_hierarchically`` fails at the first crossing pair."""
+    full = 0b1111
+    u = Universe(range(4), [(m, full ^ m) for m in (0b0011, 0b1100, 0b0110, 0b1001)])
+    r, s = sorted(u.unoriented_ids())
+    choices = [{r}, {s}, {r, s}]
+    seen = set()
+    for n_sets in (1, 2, 3):
+        for sets in product(choices, repeat=n_sets):
+            for levels in product(range(2), repeat=n_sets):
+                fam = IndexedFamily(u, list(sets), levels=dict(enumerate(levels)))
+                got = splinters(fam)
+                assert got == reference_splinters(fam), (sets, levels)
+                hier = splinters_hierarchically(fam)
+                assert hier == _first_crossing_key_pair(fam), (sets, levels)
+                seen.add((got[0], hier[0]))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from totkit.universes import (
     cut_order_fn,
     cycle_cut_order,
     enumerate_circle_separations,
+    enumerate_clique_separations,
     enumerate_graph_separations,
     is_clique_separation,
     is_compatible_sequence,
@@ -155,6 +156,41 @@ def test_clique_subsystem_matches_the_predicate():
         for k in (None, *range(g.n + 2)):
             expect = frozenset(uid for uid in cliques if k is None or u.order(uid) < k)
             assert clique_subsystem(g, u, k).members == expect, (g, k)
+
+
+# graphs with more than one component, among them one whose clique
+# universe misses corners that the splinter precheck meets
+DISCONNECTED = [
+    Graph(range(1, 7), [(1, 4), (2, 3), (3, 5), (4, 5)]),
+    Graph(range(5), [(0, 1), (2, 3)]),
+    Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    Graph(range(7), [(0, 1), (1, 2), (2, 3), (4, 5)]),
+    Graph(range(8), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+]
+
+
+def test_clique_enumeration_is_the_clique_subsystem_in_order():
+    """The clique universe's side pairs, in oid order, are the clique
+    members of the full universe, in its oid order, with the same orders."""
+    graphs = corpus.all_connected_graphs(6)
+    graphs += [Graph(range(n), []) for n in range(1, 9)]
+    graphs += [corpus.star_graph(leaves) for leaves in range(1, 8)]
+    graphs += DISCONNECTED
+    for g in graphs:
+        u = enumerate_graph_separations(g)
+        c = enumerate_clique_separations(g)
+        want = [o for o in u.oriented_ids() if is_clique_separation(g, u, u.uid(o))]
+        assert [c.sides(o) for o in c.oriented_ids()] == [u.sides(o) for o in want], g
+        assert [c.order(o) for o in c.oriented_ids()] == [u.order(o) for o in want], g
+
+
+def test_clique_enumeration_size_bound_comes_first():
+    with pytest.raises(SizeBoundError):
+        enumerate_clique_separations(corpus.complete_graph(5), max_vertices=4)
+    g = Graph(range(11))
+    with pytest.raises(SizeBoundError):
+        enumerate_clique_separations(g)
+    assert "clique" not in vars(g) and "nbhd" not in vars(g)  # no 2^n table built
 
 
 def test_k3_all_separations_are_clique_separations():
