@@ -186,9 +186,8 @@ def _order_graph_edges(points, order_graph, error: type) -> list:
             # True and 1.0 are in [1, 2], but name no point
             if end not in points or end.__class__ is not points[points.index(end)].__class__:
                 raise error(f"order_graph edge {e!r} names unknown point {end!r}")
-        # Integer weights keep every order value, and so the submodularity
-        # verdict, exact; a float sum can round a submodular cut order into
-        # a false refusal.
+        # Integer weights keep every order value exact; a float sum can
+        # round a submodular cut order into one that is not.
         if not isinstance(w, int) or isinstance(w, bool):
             raise error(f"order_graph edge {e!r} needs an integer weight")
         if w < 0:

@@ -274,7 +274,7 @@ class TransversalResult(_Traced):
         return frozenset(self.picks.values())
 
 
-def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalResult:
+def extract_transversal(fam: IndexedFamily) -> TransversalResult:
     """Pick one element from each set so that the picks are pairwise nested.
 
     Follows the constructive splinter lemma with a pivot scan: while more
@@ -290,7 +290,7 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
     Sets are bitmasks over the family's order table and keys with identical
     sets share one pick, so the work is O(n² * |union|) mask operations for
     n distinct sets, and the trace has one entry per distinct set.  Requires
-    the family to splinter; with ``debug`` every restricted family is re-checked.
+    the family to splinter.
     """
     ok, witness = splinters(fam)
     if not ok:
@@ -324,13 +324,6 @@ def extract_transversal(fam: IndexedFamily, debug: bool = False) -> TransversalR
                 "restricted_sizes": [A.bit_count() for _, A in items],
             }
         )
-        if debug:
-            restricted = {k: table.uids(A) for k, A in items}
-            ok2, wit2 = splinters(IndexedFamily(fam.universe, restricted))
-            if not ok2:
-                raise InternalContradictionError(
-                    f"restricted family lost the splinter property: {wit2!r}"
-                )
     if items:
         k, A = items[0]
         chosen[k] = min(table.uids(A))

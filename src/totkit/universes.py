@@ -19,7 +19,7 @@ from itertools import compress, islice, starmap
 from operator import and_
 from typing import Callable, Iterable, Iterator
 
-from .errors import SeparationError, SizeBoundError, UniverseClosureError
+from .errors import SeparationError, SizeBoundError
 from .sepsys import SubSystem, Universe, bits
 
 __all__ = [
@@ -239,7 +239,9 @@ def enumerate_circle_separations(
     """Bipartition universe over cyclically ordered ``points`` plus its interval subsystem.
 
     The default order function is the cut function of the unit-weight cycle
-    on the points.  The supplied order function is checked for submodularity.
+    on the points.  A supplied one must be non-negative and symmetric, but
+    need not be submodular: the extraction prechecks what the theorems use,
+    that the family splinters hierarchically, on the family itself.
     """
     points = tuple(points)
     n = len(points)
@@ -248,8 +250,6 @@ def enumerate_circle_separations(
     if order_fn is None:
         order_fn = cycle_cut_order(points)
     universe = bipartition_universe(points, order_fn, max_points=max_points, kind="circle")
-    if not check_submodular_order(universe):
-        raise SeparationError("supplied order function is not submodular")
     members = frozenset(
         u for u in universe.unoriented_ids() if is_interval_mask(universe.sides(u)[0], n)
     )
@@ -330,7 +330,7 @@ def check_submodular_order(universe: Universe) -> bool:
     for every ``S`` and distinct ``i, j`` outside it (Schrijver,
     *Combinatorial Optimization*, Thm 44.1), which is what is tested.
     Raises ``SeparationError`` unless the universe holds exactly the
-    bipartitions of its ground set.
+    bipartitions of its ground set.  No construction calls it.
     """
     full = universe.full_mask
     oids = [universe.find(m, full & ~m) for m in range(full + 1)]
@@ -408,33 +408,33 @@ def is_compatible_sequence(chain: SubsystemChain) -> bool:
     level ``i`` must contain at least two of the four tagged corners of the
     pair, or level ``j`` at least three.  Because the chain ascends, corner
     counts are monotone in the level index, so each element pair only needs
-    checking at its smallest admissible level pair.
+    checking at its smallest admissible level pair.  A corner is looked up
+    by its sides among the member orientations: one in no level, or not in
+    the universe at all (the clique universe is not closed under corners),
+    counts in no level.
     """
-    u = chain.universe
-    sides, find = u.sides, u.find
+    sides = chain.universe.sides
     top = sorted(chain.top().members)
     missing = len(chain.systems)
-    # one level per oriented id, so a corner's oid needs no uid
-    level = [missing] * u.n_oriented
+    # the first level of each member orientation, keyed by its sides
+    level = {}
     for i in reversed(range(missing)):
-        for r in chain.systems[i].members:
-            level[r] = level[u.inv(r)] = i
+        for a, b in map(sides, chain.systems[i].members):
+            level[a, b] = level[b, a] = i
+    get = level.get
     # One corner computation per unordered pair serves both ordered pairs:
     # the corner multiset is symmetric, j0 is shared, and the smaller i0 binds.
     for x, r in enumerate(top):
         a, b = sides(r)
-        lr = level[r]
+        lr = level[a, b]
         for s in top[x:]:
             c, d = sides(s)
-            ls = level[s]
+            ls = level[c, d]
             i0, j0 = (ls, lr) if ls < lr else (lr, ls)
-            try:
-                l1 = level[find(a | c, b & d)]
-                l2 = level[find(a | d, b & c)]
-                l3 = level[find(b | c, a & d)]
-                l4 = level[find(b | d, a & c)]
-            except TypeError:  # find gave None
-                raise UniverseClosureError(f"a corner of {r} and {s} is not in the universe") from None
+            l1 = get((a | c, b & d), missing)
+            l2 = get((a | d, b & c), missing)
+            l3 = get((b | c, a & d), missing)
+            l4 = get((b | d, a & c), missing)
             if (l1 <= i0) + (l2 <= i0) + (l3 <= i0) + (l4 <= i0) < 2 and (
                 (l1 <= j0) + (l2 <= j0) + (l3 <= j0) + (l4 <= j0) < 3
             ):

@@ -5,7 +5,8 @@ used by the tests: the tangle properties against the incremental rules of
 ``enumerate_chain_profiles``, the corner tags and sides against
 ``Universe.corners``, the all-pairs submodularity of an order against
 ``check_submodular_order``, the splinter condition key pair by key pair
-against ``splinters``, the key order as pairs against the levels of
+against ``splinters`` and on the restricted families of each
+``extract_transversal`` pivot, the key order as pairs against the levels of
 ``IndexedFamily``, the distinguishers of each profile pair (all, efficient
 by order, or efficient by chain level) and the family and verdict built
 from them pair by pair against ``build_distinguisher_family`` and
@@ -16,7 +17,7 @@ automorphism against ``verify``'s check of a generating set.
 
 from itertools import combinations, combinations_with_replacement
 
-from totkit.errors import SeparationError
+from totkit.errors import SeparationError, UniverseClosureError
 from totkit.pipelines import graph_pipeline
 from totkit.profiles import Orientation
 from totkit.sepsys import SubSystem
@@ -36,14 +37,18 @@ def corner_items(u, x, y):
 
     Tags are ``(dr, ds)`` with 0 for the canonical orientation of the
     argument and 1 for its inverse; the value is the uid underlying the
-    join of the tagged orientations.  Duplicates are preserved.
+    join of the tagged orientations, or None for a join outside the
+    universe.  Duplicates are preserved.
     """
     x = u.uid(x)
     y = u.uid(y)
     out = []
     for dr, i in ((0, x), (1, u.inv(x))):
         for ds, j in ((0, y), (1, u.inv(y))):
-            out.append(((dr, ds), u.uid(u.join(i, j))))
+            try:
+                out.append(((dr, ds), u.uid(u.join(i, j))))
+            except UniverseClosureError:
+                out.append(((dr, ds), None))
     return out
 
 
@@ -134,6 +139,34 @@ def reference_splinters(fam):
                     if not (c00 in union or c01 in union or c10 in union or c11 in union):
                         return False, (keys[ii], keys[jj], a, b)
     return True, None
+
+
+def restricted_families_splinter(fam, res):
+    """The Fish Lemma invariant of a transversal extraction ``res`` of ``fam``.
+
+    Replays the pivots of ``res.trace`` on the distinct sets of ``fam``
+    (each under the first key that has it): a pivot leaves with its key's
+    set, which must hold it, and every other set keeps the elements nested
+    with it.  Whether every family so restricted still splinters, by
+    :func:`reference_splinters`, with the sizes the trace records.
+    """
+    u = fam.universe
+    first = {}
+    for k in fam.keys:
+        first.setdefault(fam.sets[k], k)
+    items = {repr(k): A for A, k in first.items()}
+    for entry in res.trace:
+        if entry["event"] != "pivot":
+            continue
+        pick = entry["pick"]
+        if pick not in items.pop(entry["key"]):
+            return False
+        items = {k: frozenset(x for x in A if u.nested(x, pick)) for k, A in items.items()}
+        if [len(A) for A in items.values()] != entry["restricted_sizes"]:
+            return False
+        if not all(items.values()) or not reference_splinters(IndexedFamily(u, items))[0]:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

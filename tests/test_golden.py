@@ -1,7 +1,9 @@
 """Byte-identity guard: sha256 digests of CLI stdout on fixed small inputs.
 
 The digests were taken before the graph, clique and circle pipelines were
-merged onto one core; any change to an artifact's bytes fails here.
+merged onto one core, those of the 7- and 8-point circles before circle
+orders stopped being tested for submodularity; any change to an
+artifact's bytes fails here.
 """
 
 import hashlib
@@ -17,7 +19,23 @@ GRAPHS = {
     "k4": "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
     "house": "1 2\n2 3\n3 4\n4 1\n3 5\n4 5\n",
 }
-CIRCLES = {"circle5-cycle": ([1, 2, 3, 4, 5], "cycle"), "circle6-complete": ([1, 2, 3, 4, 5, 6], "complete")}
+# name: (circle document, order function, m, n)
+CIRCLES = {
+    "circle5-cycle": ({"points": [1, 2, 3, 4, 5]}, "cycle", 1, 4),
+    "circle6-complete": ({"points": [1, 2, 3, 4, 5, 6]}, "complete", 1, 4),
+    "circle7-cycle-n5": ({"points": [3, 1, 4, 7, 5, 9, 2]}, "cycle", 1, 5),
+    "circle8-cycle-m2": ({"points": list(range(1, 9))}, "cycle", 2, 4),
+    "circle8-inline-zeros": (
+        {
+            "points": list(range(1, 9)),
+            "order_graph": [[1, 2, 2], [2, 3, 0], [3, 4, 1], [4, 5, 2], [5, 6, 0], [6, 7, 1],
+                            [7, 8, 1], [8, 1, 1], [2, 5, 0], [1, 4, 1], [3, 7, 2]],
+        },
+        "cut:inline",
+        1,
+        4,
+    ),
+}
 
 DIGESTS = {
     "canonical-tot path4": "ae31b9380f38e74c8d636840056f767e0789132d05f5021aa78833c3346d064f",
@@ -46,6 +64,9 @@ DIGESTS = {
     "tangles house": "d36834501e48b218dc85c004ac02e0e3c16fa0e931d678dfec4c96107ad2cfde",
     "circle-tangles circle5-cycle": "ff40c933cb4e51c7a9c1eafb855d86579603b867e569ae04e32ed46395ba083a",
     "circle-tangles circle6-complete": "5c5f7079819783092a2995f81d2004195fef0ba69c04c8fe39b660b5c4ffd8ae",
+    "circle-tangles circle7-cycle-n5": "f821ca573ba4f6381183b68bf4c6e7551923c2d8fa4a5b72ae68b897a4c2661d",
+    "circle-tangles circle8-cycle-m2": "943f868c6061d96fde765a47853fb00d837496c0999f1b473534d5eee4e03336",
+    "circle-tangles circle8-inline-zeros": "04cc855786731f2b6ca7b00c3defcf2e1ae2dec342e8545380b53db75f78b6fa",
 }
 
 
@@ -55,10 +76,10 @@ def _inputs(tmp_path):
         path.write_text(text)
         for command in ("canonical-tot", "clique-tot", "tot", "tangles"):
             yield f"{command} {name}", [command, "--input", str(path)]
-    for name, (points, order) in CIRCLES.items():
+    for name, (doc, order, m, n) in CIRCLES.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"points": points}))
-        argv = ["circle-tangles", "--input", str(path), "--order-fn", order, "--m", "1", "--n", "4"]
+        path.write_text(json.dumps(doc))
+        argv = ["circle-tangles", "--input", str(path), "--order-fn", order, "--m", str(m), "--n", str(n)]
         yield f"circle-tangles {name}", argv
 
 

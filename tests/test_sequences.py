@@ -2,16 +2,21 @@
 
 import pytest
 
+from totkit import corpus
 from totkit.corpus import splitmix64
-from totkit.errors import SeparationError, UniverseClosureError
+from totkit.errors import SeparationError
 from totkit.pipelines import graph_pipeline
 from totkit.sepsys import SubSystem, Universe
 from totkit.splinter import extract_transversal, splinters
 from totkit.universes import (
+    Graph,
     SubsystemChain,
     bipartition_universe,
     check_submodular_order,
+    clique_subsystem,
     cut_order_fn,
+    enumerate_clique_separations,
+    enumerate_graph_separations,
     is_compatible_sequence,
     restrict_Sk,
     slice_chain,
@@ -86,13 +91,26 @@ def test_slice_chains_of_submodular_orders_are_compatible():
         assert is_compatible_sequence(chain) and literal_compatible(chain), counter
 
 
-def test_missing_corner_is_an_error():
-    """Two crossing bipartitions without their corners."""
+def test_missing_corner_is_in_no_level():
+    """Two crossing bipartitions without their corners are incompatible; two
+    nested ones are compatible by their own two corners, though the other
+    two, ``(V, 0)`` and ``(0, V)``, are missing too."""
     full = 0b1111
-    u = Universe(range(4), [(m, full ^ m) for m in (0b0011, 0b1100, 0b0110, 0b1001)])
-    chain = SubsystemChain(u, (SubSystem(u, frozenset(u.unoriented_ids())),))
-    with pytest.raises(UniverseClosureError):
-        is_compatible_sequence(chain)
+    for masks, verdict in (((0b0011, 0b0110), False), ((0b0011, 0b0001), True)):
+        u = Universe(range(4), [(m, full ^ m) for m in masks + tuple(full ^ m for m in masks)])
+        chain = SubsystemChain(u, (SubSystem(u, frozenset(u.unoriented_ids())),))
+        assert is_compatible_sequence(chain) == literal_compatible(chain) == verdict
+
+
+def test_clique_universe_chain_matches_full_universe_slices():
+    """The clique universe lacks corners that the full one holds, as on
+    ``path_graph(5)`` and the graph below, yet its slice chain reads as the
+    same slices cut from the full universe."""
+    extra = Graph(range(1, 7), [(1, 4), (2, 3), (3, 5), (4, 5)])
+    for g in corpus.all_connected_graphs(6) + [corpus.path_graph(5), extra]:
+        full = enumerate_graph_separations(g)
+        expect = is_compatible_sequence(slice_chain(full, within=clique_subsystem(g, full)))
+        assert is_compatible_sequence(slice_chain(enumerate_clique_separations(g))) == expect, g
 
 
 def test_containment_violation_is_an_error(p4_universe):

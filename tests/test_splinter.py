@@ -39,7 +39,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, pairwise_family, prec, reference_splinters
+from oracles import corner_items, pairwise_family, prec, reference_splinters, restricted_families_splinter
 
 
 def uid_of(u, a, b):
@@ -309,7 +309,8 @@ def test_transversal_agrees_with_exhaustive_search(bip4):
         ok, _ = splinters(fam)
         if not ok:
             continue
-        res = extract_transversal(fam, debug=True)
+        res = extract_transversal(fam)
+        assert restricted_families_splinter(fam, res)
         assert brute_force_nested_transversal(bip4, sets) is not None
         for k, s in zip(fam.keys, sets):
             assert res.picks[k] in s
@@ -322,7 +323,8 @@ def test_transversal_on_tangle_families(two_k4, two_k4_universe):
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
     top = maximal_profiles([p for l in levels for p in l])
     fam = build_distinguisher_family(top)
-    res = extract_transversal(fam, debug=True)
+    res = extract_transversal(fam)
+    assert restricted_families_splinter(fam, res)
     sets = [fam.sets[k] for k in fam.keys]
     assert brute_force_nested_transversal(two_k4_universe, sets) is not None
     vals = sorted(res.nested_set())
@@ -354,9 +356,11 @@ def test_transversal_scales_to_45_keys():
         {a, b} for i, a in enumerate(chain) for b in chain[i + 1 :]
     ]
     assert len(sets) == 45
+    fam = IndexedFamily(u, sets)
     start = time.perf_counter()
-    res = extract_transversal(IndexedFamily(u, sets), debug=True)
+    res = extract_transversal(fam)
     assert time.perf_counter() - start < 2.0
+    assert restricted_families_splinter(fam, res)
     assert len(res.trace) <= len(sets)
     for k, s in enumerate(sets):
         assert res.picks[k] in s
@@ -366,7 +370,9 @@ def test_duplicate_sets_share_one_pick(bip4, crossing_pair):
     s, _ = crossing_pair
     a = uid_of(bip4, [1], [2, 3, 4])
     sets = {"x": {s, a}, "y": {a}, "z": {s, a}, "w": {a}, "v": {s, a}}
-    res = extract_transversal(IndexedFamily(bip4, sets), debug=True)
+    fam = IndexedFamily(bip4, sets)
+    res = extract_transversal(fam)
+    assert restricted_families_splinter(fam, res)
     assert res.picks["x"] == res.picks["z"] == res.picks["v"]
     assert res.picks["y"] == res.picks["w"] == a
     assert len(res.trace) <= 2

@@ -6,7 +6,8 @@ from itertools import permutations, product
 import pytest
 
 from totkit import corpus
-from totkit.errors import SeparationError, SizeBoundError
+from totkit.errors import HierarchicalConditionError, SeparationError, SizeBoundError
+from totkit.pipelines import circle_pipeline
 from totkit.sepsys import Universe
 from totkit.universes import (
     Graph,
@@ -31,7 +32,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, is_submodular_order, oid
+from oracles import corner_items, is_submodular_order, oid, pairwise_distinguishes_all
 
 
 def brute_force_separations(g):
@@ -285,13 +286,40 @@ def test_circle_join_leaves_subsystem():
     assert u.uid(j) not in circle.members
 
 
-def test_circle_rejects_non_submodular_order():
+def test_circle_rejects_asymmetric_order():
     def bad_order(a, b):
-        # symmetric but wildly non-submodular
+        # 5 on the 1-point side, 0 on the 4-point side of the same separation
         return 5 if a.bit_count() in (1, 3) else 0
 
-    with pytest.raises(SeparationError):
+    with pytest.raises(SeparationError, match="symmetric"):
         enumerate_circle_separations([1, 2, 3, 4, 5], order_fn=bad_order)
+
+
+def test_circle_non_submodular_order_is_verified_or_refused():
+    """A circle order need not be submodular: what the theorems use is that
+    the family splinters hierarchically.  Seeded symmetric, non-submodular
+    orders on 4 to 7 points (a random table keyed by ``min(a, b)``) give
+    either a nested set that efficiently distinguishes the tangles or a
+    ``HierarchicalConditionError``, and both occur."""
+    rng = random.Random(24)
+    outcomes = []
+    while len(outcomes) < 240:
+        points = range(rng.randint(4, 7))
+        table = [rng.randrange(4) for _ in range(1 << len(points))]
+        order = lambda a, b, table=table: table[min(a, b)]
+        if check_submodular_order(bipartition_universe(points, order)):
+            continue
+        for m, n in ((1, 4), (1, 5), (2, 4)):
+            try:
+                res = circle_pipeline(points, m, n, order)
+            except HierarchicalConditionError:
+                outcomes.append("refused")
+                continue
+            u, nested = res.universe, sorted(res.nested)
+            assert all(u.nested(a, b) for i, a in enumerate(nested) for b in nested[i + 1 :])
+            assert pairwise_distinguishes_all(res.nested, res.profiles)
+            outcomes.append("verified")
+    assert {"verified", "refused"} <= set(outcomes)
 
 
 def test_circle_corner_property():
@@ -430,7 +458,8 @@ def test_chain_requires_containment(p4_universe):
 
 
 def literal_compatible(chain):
-    """Oracle: the definition verbatim, counting tagged corners."""
+    """Oracle: the definition verbatim, counting tagged corners; a corner
+    outside the universe counts in no level."""
     u = chain.universe
     n = len(chain.systems)
     for i in range(n):
