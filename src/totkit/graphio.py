@@ -418,7 +418,9 @@ def verify_artifact(doc: dict) -> dict:
     Recomputes the profiles and their family with the artifact's own params,
     compares the recorded levels and tangle count with them and, for
     canonical commands, extracts the canonical set of that family
-    (empty without one), which first checks the hierarchical condition.  Then
+    (empty without one); the extraction checks the hierarchical condition
+    only when it fails, to name the witness (exit 2 at the command line),
+    as a family that passes it always extracts.  Then
     checks nestedness of the exported set, validity and exact induced set of
     the decomposition, display of the recomputed tangles, and, for canonical
     commands, that the identity and then each member of a generating set of

@@ -211,9 +211,13 @@ def _tangle_rule(u: Universe, graph: Graph | None):
       every triple through ``a`` lies inside the same triple with a chosen
       ``c`` containing ``a`` in ``a``'s place, which does not cover ``g``,
       and every later test that ``a`` could fail, ``c`` fails as well.
-    * (iii) The walk over ``Y`` takes only the tallied sides: rejection
-      through ``Y`` implies rejection through any chosen ``Y'`` containing
-      ``Y``.
+    * (iii) The walk over ``Y`` takes only the inclusion-maximal tallied
+      sides: ``H(a, Y)`` shrinks as ``Y`` grows and ``sup`` is down-closed,
+      so rejection through ``Y`` implies rejection through any chosen
+      ``Y'`` containing ``Y``, and every chosen small side lies inside a
+      maximal tallied one.  A side is tallied only when ``sup[a]`` is 0, so
+      it is then maximal; tallying it drops the tallied sides inside it
+      from the walk, and undo restores them.
 
     Rule (T) implies consistency: ``b <= a`` means ``a = V``, and
     ``b <= c``, ``d <= a`` leave ``a, c`` covering ``g``.
@@ -227,7 +231,7 @@ def _tangle_rule(u: Universe, graph: Graph | None):
     nbhd = graph.nbhd
     rim = [s & nbhd[vfull ^ s] for s in range(vfull + 1)]
     sup = [0] * (vfull + 1)
-    # the tallied chosen small sides, the only ones the walk takes
+    # the inclusion-maximal tallied sides, the only ones the walk takes
     cover: list[int] = []
 
     def tally(a: int, step: int):
@@ -239,11 +243,12 @@ def _tangle_rule(u: Universe, graph: Graph | None):
             s = (s - 1) & a
 
     def try_add(x: int):
+        nonlocal cover
         a, b = sides(x)
         if a == vfull or sup[b]:
             return None
         if sup[a]:
-            return -1  # not a side mask: a lies inside a tallied side
+            return ()  # a lies inside a tallied side: nothing is tallied
         ra = rim[a]
         for c in cover:
             o = vfull ^ (a | c)
@@ -251,13 +256,16 @@ def _tangle_rule(u: Universe, graph: Graph | None):
             if sup[h]:
                 return None
         tally(a, 1)
+        prev = cover
+        cover = [c for c in cover if c & ~a]
         cover.append(a)
-        return a
+        return a, prev
 
-    def undo(x: int, token: int):
-        if token >= 0:
-            tally(token, -1)
-            cover.pop()
+    def undo(x: int, token):
+        nonlocal cover
+        if token:
+            a, cover = token
+            tally(a, -1)
 
     return try_add, undo
 
@@ -266,43 +274,60 @@ def _circle_rule(u: Universe, members: list[int], m: int, n: int):
     """Rule (F) for circle tangles, as ``(try_add, undo)`` closures: no set
     of fewer than ``n`` chosen members whose big sides meet in fewer than
     ``m`` points; None when the circle has fewer than ``m`` points, as then
-    not even the empty orientation is one.  Rule (F) implies consistency on
-    bipartitions only, so members whose sides meet are refused: ``b <= a``
-    is ``b = 0``, rejected by ``inters[V] = 0``, and ``b <= c`` is
-    ``d & b = 0``, by ``inters[d] <= 1`` (kept, as ``n > 3``).
+    not even the empty orientation is one.
+
+    The state is a tuple of entries ``(s, |M|, M)``: ``M`` is the big-side
+    intersection of ``s <= n - 2`` chosen members, so adding one more
+    member with big side ``b`` is rejected when ``|M & b| < m``, and only
+    such ``M`` can still grow into a forbidden set.  Only the undominated
+    intersections are kept: ``(s, M)`` dominates ``(s', M')`` when
+    ``M <= M'`` and ``s <= s'``.  Then ``|M & b| <= |M' & b|``, so every
+    rejection through ``M'`` is one through ``M``, and ``(s + 1, M & b)``
+    dominates ``(s' + 1, M' & b)``, so the entries grown from dominated
+    ones are dominated too.  The undo token is the previous tuple.
+
+    Rule (F) implies consistency on bipartitions only, so members whose
+    sides meet are refused: ``b <= a`` is ``b = 0``, rejected through
+    ``(0, V)``, which nothing else dominates, and ``b <= c`` is
+    ``d & b = 0``, rejected through the entry ``(1, d)`` made when ``y``
+    was chosen or one dominating it (kept, as ``n > 3``).
     """
     sides = u.sides
     if any(a & b for a, b in map(sides, members)):
         raise SeparationError("circle tangles need members whose sides are disjoint")
     if len(u.labels) < m:
         return None
-    # minimal subset size per reachable big-side intersection
-    inters: dict[int, int] = {u.full_mask: 0}
+    grows = n - 2  # entries of fewer members can take one more
+    state = ((0, len(u.labels), u.full_mask),)
 
     def try_add(x: int):
+        nonlocal state
         b = sides(x)[1]
-        for mask, size in inters.items():
-            if size + 1 < n and (mask & b).bit_count() < m:
-                return None
-        # only intersections of subsets of size <= n-2 can still grow
-        # into a forbidden subset by adding one later element
-        token = []
-        for mask, size in list(inters.items()):
-            ns = size + 1
-            if ns > n - 2:
-                continue
+        grown = []
+        for s, _, mask in state:
             nm = mask & b
-            if nm not in inters or inters[nm] > ns:
-                token.append((nm, inters.get(nm)))
-                inters[nm] = ns
-        return token
+            c = nm.bit_count()
+            if c < m:
+                return None
+            if s < grows and nm != mask:
+                grown.append((s + 1, c, nm))
+        prev = state
+        if grown:
+            # by size, then point count: an entry's dominators come before it
+            keep: list = []
+            for entry in sorted(prev + tuple(grown)):
+                mask = entry[2]
+                for _, _, k in keep:
+                    if not k & ~mask:
+                        break
+                else:
+                    keep.append(entry)
+            state = tuple(keep)
+        return prev
 
     def undo(x: int, token):
-        for mask, prev in reversed(token):
-            if prev is None:
-                del inters[mask]
-            else:
-                inters[mask] = prev
+        nonlocal state
+        state = token
 
     return try_add, undo
 

@@ -22,7 +22,10 @@ the two main lemmas directly:
   that preserves the family.  A round costs O(|union|) mask operations.
 
 Every run re-verifies its own output (nested, meets every set) and raises
-instead of returning an unverified result.
+instead of returning an unverified result.  :func:`extract_transversal`
+prechecks :func:`splinters`, so it refuses every family that does not
+splinter; :func:`extract_canonical` runs :func:`splinters_hierarchically`
+only after it fails, to name the witness, as its lemma is constructive.
 """
 
 from __future__ import annotations
@@ -415,13 +418,29 @@ def extract_canonical(fam: IndexedFamily) -> CanonicalResult:
     separation systems.
 
     Every element taken is extremal in a union of (restricted) family sets,
-    so the output lies in ``fam.union_support()``.  The family is first
-    checked to splinter hierarchically (``HierarchicalConditionError``
-    otherwise), and the output to be nested and to meet every set.
+    so the output lies in ``fam.union_support()``.  The output is checked to
+    be nested and to meet every set.  The lemma is constructive: on a family
+    that splinters hierarchically every round succeeds, so the extraction
+    is its own check and :func:`splinters_hierarchically` runs only after it
+    fails, to name the witness (``HierarchicalConditionError``); when the
+    family passes, the extraction's ``InternalContradictionError`` is
+    re-raised.  Each round meets a key of the lowest level, as the union's
+    extremal elements lie in its sets, so there are at most as many rounds
+    as keys and every failure is one of those two errors.  On a family that
+    does not splinter hierarchically the extraction may still succeed; its
+    verified output is then returned, a pure function of the family as
+    always, so still canonical.
     """
-    ok, witness = splinters_hierarchically(fam)
-    if not ok:
-        raise HierarchicalConditionError(witness)
+    try:
+        return _canonical(fam)
+    except InternalContradictionError:
+        ok, witness = splinters_hierarchically(fam)
+        if not ok:
+            raise HierarchicalConditionError(witness) from None
+        raise
+
+
+def _canonical(fam: IndexedFamily) -> CanonicalResult:
     u, levels, table = fam.universe, fam.levels, fam.order_table
     pos, nest = table.pos, table.nest
     trace: list[dict] = []
@@ -437,9 +456,7 @@ def extract_canonical(fam: IndexedFamily) -> CanonicalResult:
         extremal = table.extremal(union)
         crossing = u.first_crossing(table.uids(extremal))
         if crossing is not None:
-            raise InternalContradictionError(
-                "extremal elements {} and {} cross; hierarchical condition was violated".format(*crossing)
-            )
+            raise InternalContradictionError("extremal elements {} and {} cross".format(*crossing))
         remaining = [k for k in keys if not (sets[k] & extremal)]
         common = reduce(and_, [nest[e] for e in bits(extremal)], -1)
         restricted = {k: sets[k] & common for k in remaining}

@@ -240,8 +240,10 @@ def enumerate_circle_separations(
 
     The default order function is the cut function of the unit-weight cycle
     on the points.  A supplied one must be non-negative and symmetric, but
-    need not be submodular: the extraction prechecks what the theorems use,
-    that the family splinters hierarchically, on the family itself.
+    need not be submodular: what the theorems use is that the family
+    splinters hierarchically, and the canonical extraction verifies its
+    output and, when it fails, checks that condition on the family itself
+    to name the witness.
     """
     points = tuple(points)
     n = len(points)

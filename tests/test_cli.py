@@ -763,16 +763,33 @@ def test_verify_of_an_empty_canonical_set_checks_the_identity_only(capsys, monke
 
 
 def test_verify_refuses_a_family_failing_the_hierarchical_condition(capsys, monkeypatch, tmp_path, two_k4_file):
+    """The canonical extraction runs before its precheck, so ``verify``
+    names a failing precheck's witness only when the extraction fails too:
+    here its self-check reports a missed set."""
     from totkit import splinter
 
     code, out, _ = run(capsys, "canonical-tot", "--input", two_k4_file)
     artifact = tmp_path / "canonical.json"
     artifact.write_text(out)
     monkeypatch.setattr(splinter, "splinters_hierarchically", lambda fam: (False, (0, 1, 2, 3)))
+    monkeypatch.setattr(splinter, "_missed_keys", lambda sets, nested: list(sets)[:1])
     code, _, err = run(capsys, "verify", "--input", str(artifact))
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "precondition" and "(0, 1, 2, 3)" in diag["message"]
+
+
+def test_verify_skips_the_precheck_when_the_extraction_succeeds(capsys, monkeypatch, tmp_path, two_k4_file):
+    """A precheck patched to fail is never asked while the extraction
+    verifies its own output, so ``verify`` passes."""
+    from totkit import splinter
+
+    code, out, _ = run(capsys, "canonical-tot", "--input", two_k4_file)
+    artifact = tmp_path / "canonical.json"
+    artifact.write_text(out)
+    monkeypatch.setattr(splinter, "splinters_hierarchically", lambda fam: (False, (0, 1, 2, 3)))
+    code, out, _ = run(capsys, "verify", "--input", str(artifact))
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_verify_names_a_separation_that_is_no_clique_separation(capsys, tmp_path):

@@ -2,8 +2,10 @@
 
 The digests were taken before the graph, clique and circle pipelines were
 merged onto one core, those of the 7- and 8-point circles before circle
-orders stopped being tested for submodularity; any change to an
-artifact's bytes fails here.
+orders stopped being tested for submodularity, and the circle shapes with
+``n >= 5`` and ``canonical-tot star7`` before rule (F) kept only undominated
+state and the canonical extraction ran before its precheck; any change to
+an artifact's bytes fails here.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ GRAPHS = {
     "k4": "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
     "house": "1 2\n2 3\n3 4\n4 1\n3 5\n4 5\n",
 }
+# name: graph, run through canonical-tot only
+CANONICAL_GRAPHS = {"star7": "".join(f"1 {i}\n" for i in range(2, 9))}
 # name: (circle document, order function, m, n)
 CIRCLES = {
     "circle5-cycle": ({"points": [1, 2, 3, 4, 5]}, "cycle", 1, 4),
@@ -36,6 +40,12 @@ CIRCLES = {
         4,
     ),
 }
+CIRCLES.update(
+    (f"circle{p}-{order}-m{m}n{n}", ({"points": list(range(1, p + 1))}, order, m, n))
+    for p in (6, 7)
+    for order in ("cycle", "complete")
+    for m, n in ((1, 5), (2, 5), (3, 6))
+)
 
 DIGESTS = {
     "canonical-tot path4": "ae31b9380f38e74c8d636840056f767e0789132d05f5021aa78833c3346d064f",
@@ -67,6 +77,19 @@ DIGESTS = {
     "circle-tangles circle7-cycle-n5": "f821ca573ba4f6381183b68bf4c6e7551923c2d8fa4a5b72ae68b897a4c2661d",
     "circle-tangles circle8-cycle-m2": "943f868c6061d96fde765a47853fb00d837496c0999f1b473534d5eee4e03336",
     "circle-tangles circle8-inline-zeros": "04cc855786731f2b6ca7b00c3defcf2e1ae2dec342e8545380b53db75f78b6fa",
+    "circle-tangles circle6-cycle-m1n5": "c0f9b0672983528a1b8828e79acf8bc3f8e718d49438f5db9c8e059418972453",
+    "circle-tangles circle6-cycle-m2n5": "c288a1ead4f03cb16a87137f693a25294328438701b6ba033dad8a4d2f64e0db",
+    "circle-tangles circle6-cycle-m3n6": "4a0c4723b632c734bff389e5bb4ac7905408a01ed5403ec231a57431b692ce62",
+    "circle-tangles circle6-complete-m1n5": "f6216a7c9641f4d488b85c5cc0b4b2310efb9db423b2f628c6040d7b223dfa5d",
+    "circle-tangles circle6-complete-m2n5": "cd4df35f7713067f740b8485b2432430617c78a482c43e773fc2b53f7f0b70cf",
+    "circle-tangles circle6-complete-m3n6": "d3827f072981a3706af6845fd0f36713e028a82d471d78523780da7df17f8b9b",
+    "circle-tangles circle7-cycle-m1n5": "6847318ab57a3ba315d33a26e8e0dfa41bf47db18256a33e8be666ca2bc6153f",
+    "circle-tangles circle7-cycle-m2n5": "9178247e9c6519b71962f98c04082863fceff69982a79a03e91e4f0bf06b29c2",
+    "circle-tangles circle7-cycle-m3n6": "e7f2e76550011bd8e74b6da314c03958110e81ba748f7271afa940a9b1d2e375",
+    "circle-tangles circle7-complete-m1n5": "b3ead94f88442bee2b6c00e10a836676ed059d17b4eb8447c7f98500ce8d200d",
+    "circle-tangles circle7-complete-m2n5": "abffc9a550f53314006159859887a2655c6de9ea36f55f00c3563f5e900a5468",
+    "circle-tangles circle7-complete-m3n6": "417f7a6c2f5f9ab29d45633ed5ad1f1b92e811eb909b949929791a264617f7ea",
+    "canonical-tot star7": "fd75a1b5750cf63e6ed7ee984de0a3396a1074f2f4a589641cf736eabb142b41",
 }
 
 
@@ -76,6 +99,10 @@ def _inputs(tmp_path):
         path.write_text(text)
         for command in ("canonical-tot", "clique-tot", "tot", "tangles"):
             yield f"{command} {name}", [command, "--input", str(path)]
+    for name, text in CANONICAL_GRAPHS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        yield f"canonical-tot {name}", ["canonical-tot", "--input", str(path)]
     for name, (doc, order, m, n) in CIRCLES.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))

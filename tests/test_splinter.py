@@ -718,6 +718,33 @@ def test_canonical_refuses_non_hierarchical(bip4, crossing_pair):
         extract_canonical(IndexedFamily(bip4, [{s, t}]))
 
 
+@pytest.mark.parametrize("npoints", [4, 5])
+def test_canonical_extraction_is_its_own_precheck_on_random_families(npoints):
+    """The extraction runs before the hierarchical precheck: on a family that
+    splinters hierarchically it returns a nested set meeting every set; on
+    one that does not, it returns such a set or raises
+    ``HierarchicalConditionError`` with the precheck's own witness, and
+    nothing else.  Levels are random, with repeated sets."""
+    points = range(1, npoints + 1)
+    u = bipartition_universe(points, complete_cut_order(points))
+    uids = list(u.unoriented_ids())
+    outcomes = {"holds": 0, "returned": 0, "refused": 0}
+    for counter in range(1, 201):
+        h = corpus.splitmix64(7000 * npoints + counter)
+        sets = random_corner_sets(u, uids, h)
+        fam = IndexedFamily(u, sets, levels={k: corpus.splitmix64(h + 17 * k) % 3 for k in range(len(sets))})
+        ok, witness = splinters_hierarchically(fam)
+        try:
+            nested = extract_canonical(fam).nested
+        except HierarchicalConditionError as exc:
+            assert not ok and exc.witness == witness, (npoints, counter, sets)
+            outcomes["refused"] += 1
+            continue
+        assert u.first_crossing(nested) is None and all(s & nested for s in fam.sets.values())
+        outcomes["holds" if ok else "returned"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 def test_canonical_meets_every_set_and_is_nested(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
