@@ -422,7 +422,9 @@ def verify_artifact(doc: dict) -> dict:
     only when it fails, to name the witness (exit 2 at the command line),
     as a family that passes it always extracts.  Then
     checks nestedness of the exported set, validity and exact induced set of
-    the decomposition, display of the recomputed tangles, and, for canonical
+    the decomposition, display of the recomputed tangles (and that the
+    artifact's ``displays``, for circles ``efficient``, field is ``true``,
+    as the command line writes it then), and, for canonical
     commands, that the identity and then each member of a generating set of
     the graph's automorphisms (at most ``n(n-1)/2 + 1`` permutations) maps
     the exported set to the canonical one.  As the extraction commutes with
@@ -496,6 +498,11 @@ def verify_artifact(doc: dict) -> dict:
         diag["checks"].append("decomposition")
     if not efficiently_distinguishes_all(nested, result.family):
         raise VerificationError("exported set does not efficiently distinguish the tangles")
+    flag = "efficient" if command == "circle-tangles" else "displays"
+    if doc.get(flag) is not True:
+        raise VerificationError(
+            f"artifact field {flag!r} is not true, though the exported set displays the tangles"
+        )
     diag["checks"].append("display")
     if canonical:
         # The identity comes first; once it passes, nested is the extraction,

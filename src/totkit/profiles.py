@@ -18,8 +18,10 @@ to an earlier one is a profile of that level.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import and_, sub
 
 from .errors import SeparationError
 from .sepsys import SubSystem, Universe
@@ -229,7 +231,7 @@ def _tangle_rule(u: Universe, graph: Graph | None):
     sides = u.sides
     vfull = u.full_mask
     nbhd = graph.nbhd
-    rim = [s & nbhd[vfull ^ s] for s in range(vfull + 1)]
+    rim = list(map(and_, range(vfull + 1), reversed(nbhd)))  # nbhd[V - s] for s
     sup = [0] * (vfull + 1)
     # the inclusion-maximal tallied sides, the only ones the walk takes
     cover: list[int] = []
@@ -351,8 +353,10 @@ def enumerate_chain_profiles(
 ) -> list[list[Orientation]]:
     """Profiles of every chain level, found in one backtracking pass.
 
-    Members are taken by ascending level, then order and id, each with its
-    canonical orientation tried first; a partial orientation reaching a
+    Members are taken by ascending level, then order and id (the chain's
+    ``ranking``), each with its canonical orientation tried first; a
+    co-small orientation, ``b <= a``, is never tried, as every rule refuses
+    it (see below).  A partial orientation reaching a
     level's last member is one of its profiles.  The kind's rule, built once
     per search, keeps its own state: ``try_add(x)`` returns an undo token
     when ``x`` may extend the partial orientation, else None, and
@@ -366,21 +370,17 @@ def enumerate_chain_profiles(
     ``~y < x`` (``~x`` is never ``y``: each member is oriented once); ``x``
     alone is inconsistent when ``~x < x``, that is ``b <= a`` and
     ``x != ~x``.  Rule (P) tests consistency; rules (T) and (F) imply it.
+    Each refuses every co-small ``x``, ``(V, V)`` included: rule (P) by its
+    base count, rule (T) as ``a = V`` and rule (F) as ``b = 0``.
     """
     u = chain.universe
-    key = u.order if u.has_order else None
-    members: list[int] = []
-    member_levels: list[int] = []  # parallel to members: the first level holding each
+    members, ends = chain.ranking
     # member count -> the levels whose members are exactly the first that many
-    ends: dict[int, list[int]] = {}
-    prev: frozenset = frozenset()
-    for li, system in enumerate(chain.systems):
-        new = sorted(sorted(system.members - prev), key=key)
-        members += new
-        member_levels += [li] * len(new)
-        prev = system.members
-        ends.setdefault(len(members), []).append(li)
+    level_ends: dict[int, list[int]] = {}
+    for li, n in enumerate(ends):
+        level_ends.setdefault(n, []).append(li)
     if kind.tag == "profile":
+        member_levels = [li for li, n in enumerate(map(sub, ends, (0,) + ends)) for _ in range(n)]
         rule = _profile_rule(u, members, member_levels)
     elif kind.tag == "graph-tangle":
         rule = _tangle_rule(u, graph)
@@ -391,6 +391,9 @@ def enumerate_chain_profiles(
     try_add, undo = rule
     inv = u.inv
     total = len(members)
+    # x = (a, b) is co-small when b <= a, that is a = V, as the sides cover
+    # V; so the co-small oids are those from the first pair (V, .) on
+    cosmall = bisect_left(u.oriented_ids(), (u.full_mask, 0), key=u.sides)
     nxt = [0] * (total + 1)  # per depth, how many orientations of its member were tried
     levels: list[list[frozenset]] = [[] for _ in chain.systems]
     chosen, tokens = [], []
@@ -398,15 +401,15 @@ def enumerate_chain_profiles(
     while True:
         i = nxt[depth]
         if not i:
-            for li in ends.get(depth, ()):
+            for li in level_ends.get(depth, ()):
                 levels[li].append(frozenset(chosen))
         if depth < total and i < 2:
             nxt[depth] = i + 1
-            x = uid = members[depth]
+            x = members[depth]
             if i:
-                x = inv(uid)
-                if x == uid:  # a member that is its own inverse has one orientation
-                    continue
+                x = inv(x)
+            if x >= cosmall:  # (V, V), its own inverse, is co-small both ways
+                continue
             token = try_add(x)
             if token is not None:
                 chosen.append(x)

@@ -15,10 +15,13 @@ orientations (its "uid").  Every operation of the abstract layer (``leq``,
 ``is_trivial``) is a :class:`Universe` method on these ids.
 
 A universe is fixed at construction: its separations, ids and orders never
-change, and no method caches anything on it.  The constructor checks that
-the labels are distinct, that each pair's sides cover the ground set, that
-the pairs are closed under swapping sides and that the order, if any, is
-non-negative and symmetric; a pair given more than once counts once.
+change, and no method caches anything on it.  The per-oid lookups
+``sides``, ``inv`` and ``order`` are the item getters of its own tables,
+bound once at construction, so each costs one built-in call and still
+caches nothing.  The constructor checks that the labels are distinct, that
+each pair's sides cover the ground set, that the pairs are closed under
+swapping sides and that the order, if any, is non-negative and symmetric;
+a pair given more than once counts once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from typing import Callable, Iterable
 from .errors import SeparationError, UniverseClosureError
 
 __all__ = ["Universe", "SubSystem"]
+
+
+def _no_order(oid: int):
+    raise SeparationError("universe has no order function")
 
 
 def bits(mask: int):
@@ -55,7 +62,12 @@ class Universe:
 
     The tables are built in passes of built-ins over the sorted pairs, with
     no Python loop per pair but the ``order_fn`` calls; ``sorted`` takes
-    linear time on pairs already in oid order.
+    linear time on pairs already in oid order.  The cover and order checks
+    compare whole sets and tuples and look for the first faulty oid only
+    when one fails.
+    ``sides(oid)``, ``inv(oid)`` and ``order(oid)`` are the tables' item
+    getters: an oid out of range raises ``IndexError``, and ``order`` on a
+    universe without one raises ``SeparationError``.
     """
 
     def __init__(self, labels, pairs, order_fn: Callable | None = None, kind: str = "custom"):
@@ -74,24 +86,33 @@ class Universe:
         self._index = index
         a_sides = tuple(map(itemgetter(0), plist))
         b_sides = tuple(map(itemgetter(1), plist))
-        for a, b in compress(plist, map(ne, map(or_, a_sides, b_sides), repeat(full))):
-            raise SeparationError(f"sides {a:b},{b:b} do not cover the ground set")
+        if set(map(or_, a_sides, b_sides)) != {full}:
+            for a, b in compress(plist, map(ne, map(or_, a_sides, b_sides), repeat(full))):
+                raise SeparationError(f"sides {a:b},{b:b} do not cover the ground set")
         try:
             self._inv = inv = tuple(map(index.__getitem__, zip(b_sides, a_sides)))
         except KeyError as exc:
             raise SeparationError("element set is not closed under inversion") from exc
         if order_fn is None:
             self._order = None
+            self.order = _no_order
         else:
             vals = tuple(map(order_fn, a_sides, b_sides))
-            n = len(vals)
-            neg = next(compress(count(), map(lt, vals, repeat(0))), n)
-            asym = next(compress(count(), map(ne, map(vals.__getitem__, inv), vals)), n)
-            if neg < n and neg <= asym:
-                raise SeparationError("order values must be non-negative")
-            if asym < n:
-                raise SeparationError("order function must be symmetric under inversion")
+            swapped = tuple(map(vals.__getitem__, inv))
+            # A tuple comparison takes a NaN as equal to itself, where ``ne``
+            # does not; the sum is NaN then, and unequal to itself.
+            if not (min(vals, default=0) >= 0 and swapped == vals and (total := sum(vals)) == total):
+                n = len(vals)
+                neg = next(compress(count(), map(lt, vals, repeat(0))), n)
+                asym = next(compress(count(), map(ne, swapped, vals)), n)
+                if neg < n and neg <= asym:
+                    raise SeparationError("order values must be non-negative")
+                if asym < n:
+                    raise SeparationError("order function must be symmetric under inversion")
             self._order = vals
+            self.order = vals.__getitem__
+        self.sides = plist.__getitem__
+        self.inv = inv.__getitem__
         self._uids = tuple(compress(count(), map(le, count(), inv)))
         self._uid_set = frozenset(self._uids)
 
@@ -115,12 +136,6 @@ class Universe:
     def unoriented_ids(self) -> tuple[int, ...]:
         return self._uids
 
-    def inv(self, oid: int) -> int:
-        return self._inv[oid]
-
-    def sides(self, oid: int) -> tuple[int, int]:
-        return self._pairs[oid]
-
     def uid(self, oid: int) -> int:
         j = self._inv[oid]
         return oid if oid <= j else j
@@ -130,11 +145,6 @@ class Universe:
 
     def find(self, a_mask: int, b_mask: int):
         return self._index.get((a_mask, b_mask))
-
-    def order(self, oid: int):
-        if self._order is None:
-            raise SeparationError("universe has no order function")
-        return self._order[oid]
 
     # ------------------------------------------------------------------
     # order structure
@@ -245,8 +255,10 @@ class SubSystem:
     members: frozenset
 
     def __post_init__(self):
-        for m in self.members - self.universe._uid_set:
-            raise SeparationError(f"{m} is not a canonical separation id of this universe")
+        uids = self.universe._uid_set
+        if not self.members <= uids:
+            for m in self.members - uids:
+                raise SeparationError(f"{m} is not a canonical separation id of this universe")
 
     def __len__(self):
         return len(self.members)

@@ -13,7 +13,7 @@ are the bipartitions of a cyclically ordered ground set into two intervals.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import compress, islice, starmap
 from operator import and_
@@ -75,11 +75,14 @@ class Graph:
 
     @cached_property
     def nbhd(self) -> list[int]:
-        """``nbhd[x]``: the vertices adjacent to some vertex of the vertex mask ``x``."""
-        nbhd = [0] * (1 << self.n)
-        for x in range(1, len(nbhd)):
-            low = x & -x
-            nbhd[x] = nbhd[x ^ low] | self.adj[low.bit_length() - 1]
+        """``nbhd[x]``: the vertices adjacent to some vertex of the vertex mask ``x``.
+
+        ``x`` with its highest vertex ``v`` added gains ``v``'s neighbours,
+        so the table doubles once per vertex, like :attr:`clique`.
+        """
+        nbhd = [0]
+        for nb in self.adj:
+            nbhd += [s | nb for s in nbhd]
         return nbhd
 
     @cached_property
@@ -353,19 +356,41 @@ def check_submodular_order(universe: Universe) -> bool:
     return True
 
 
+def _rank_levels(universe: Universe, systems) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ranking of a chain's members: the members of its top level by
+    level, then order (when the universe has one), then id, and per level
+    the number of members in it and the levels below."""
+    key = universe.order if universe.has_order else None
+    ranked: list[int] = []
+    ends = []
+    prev: frozenset = frozenset()
+    for s in systems:
+        ranked += sorted(sorted(s.members - prev), key=key)
+        ends.append(len(ranked))
+        prev = s.members
+    return tuple(ranked), tuple(ends)
+
+
 @dataclass(frozen=True)
 class SubsystemChain:
     """An ascending sequence of subsystems of one universe.
 
     ``thresholds`` is presentation metadata (for order-sliced chains, the
-    largest order present in each level).
+    largest order present in each level).  ``ranking`` is the pair
+    ``(ranked, ends)`` of :func:`_rank_levels`, the order in which the
+    profile search takes the members, computed from ``systems`` at
+    construction.  Only :func:`slice_chain` passes ``_ranking``, the same
+    pair, which it has sorted already; ``dataclasses.replace`` does not
+    copy it.
     """
 
     universe: Universe
     systems: tuple[SubSystem, ...]
     thresholds: tuple = ()
+    ranking: tuple = field(init=False, repr=False, compare=False)
+    _ranking: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _ranking):
         prev = None
         for s in self.systems:
             if s.universe is not self.universe:
@@ -373,6 +398,9 @@ class SubsystemChain:
             if prev is not None and not prev.members <= s.members:
                 raise SeparationError("chain is not ascending under inclusion")
             prev = s
+        if _ranking is None:
+            _ranking = _rank_levels(self.universe, self.systems)
+        object.__setattr__(self, "ranking", _ranking)
 
     def __len__(self):
         return len(self.systems)
@@ -393,14 +421,16 @@ def slice_chain(universe: Universe, within: SubSystem | None = None) -> Subsyste
 
     One stable sort by order of the id-sorted members ranks them by order,
     then id; each distinct order is a threshold, and its level is the
-    prefix of the ranking up to the last member of that order.
+    prefix of the ranking up to the last member of that order, so that
+    ranking is the chain's own.
     """
     members = sorted(within.members) if within is not None else universe.unoriented_ids()
-    ranked = sorted(members, key=universe.order)
+    ranked = tuple(sorted(members, key=universe.order))
     orders = list(map(universe.order, ranked))
     thresholds = tuple(dict.fromkeys(orders))
-    systems = tuple(SubSystem(universe, frozenset(ranked[: bisect_right(orders, t)])) for t in thresholds)
-    return SubsystemChain(universe, systems, thresholds=thresholds)
+    ends = tuple(bisect_right(orders, t) for t in thresholds)
+    systems = tuple(SubSystem(universe, frozenset(ranked[:e])) for e in ends)
+    return SubsystemChain(universe, systems, thresholds, (ranked, ends))
 
 
 def is_compatible_sequence(chain: SubsystemChain) -> bool:

@@ -136,6 +136,31 @@ def test_many_key_circle_families_finish_and_verify(capsys, tmp_path):
     assert "prec" not in family.__dict__
 
 
+@pytest.mark.parametrize("value", [False, "x"])
+def test_verify_refuses_a_display_flag_that_is_not_true(capsys, tmp_path, two_k4_file, circle_file, value):
+    """The flag records the display check that verify recomputes, so an
+    artifact that passes every other check but says otherwise is refused."""
+    for argv, flag in (
+        (["tot", "--input", two_k4_file], "displays"),
+        (["canonical-tot", "--input", two_k4_file], "displays"),
+        (["clique-tot", "--input", two_k4_file], "displays"),
+        (["circle-tangles", "--input", circle_file, "--m", "1", "--n", "4"], "efficient"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc[flag] is True
+        doc[flag] = value
+        artifact = tmp_path / (argv[0] + ".json")
+        artifact.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--input", str(artifact))
+        assert code == 4, argv
+        assert json.loads(err) == {
+            "error": "verification",
+            "message": f"artifact field {flag!r} is not true, though the exported set displays the tangles",
+        }
+
+
 def test_verify_rejects_crossing_tamper(capsys, tmp_path, two_k4_file):
     code, out, _ = run(capsys, "tot", "--input", two_k4_file)
     doc = json.loads(out)

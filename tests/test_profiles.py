@@ -1,5 +1,6 @@
 """Orientations, profiles, tangles, distinguishers, robustness."""
 
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totkit import corpus, pipelines
+from totkit import corpus, pipelines, profiles
 from totkit.errors import SeparationError
 from totkit.pipelines import (
     circle_pipeline,
@@ -261,17 +262,26 @@ def naive_enumerate(system, kind, graph=None):
     return sorted(out, key=sorted)
 
 
-def backtrack_chain(chain, kind, graph=None):
-    """The chain profiles of every level, by a backtracking that checks the
-    definitional predicates on each partial orientation, in the order of
-    ``enumerate_chain_profiles``: levels ascending, each new member by
-    (order, id), its canonical orientation tried before its inverse."""
+def ranked_members(chain):
+    """The members of ``chain`` by level, then (order, id), or by id in a
+    universe without an order, and the member count up to each level."""
     u = chain.universe
+    order = u.order if u.has_order else lambda m: 0
     members, ends = [], []
     for system in chain.systems:
         new = system.members.difference(members)
-        members += sorted(new, key=lambda m: (u.order(m), m))
+        members += sorted(new, key=lambda m: (order(m), m))
         ends.append(len(members))
+    return tuple(members), tuple(ends)
+
+
+def backtrack_chain(chain, kind, graph=None):
+    """The chain profiles of every level, by a backtracking that checks the
+    definitional predicates on each partial orientation, in the order of
+    ``enumerate_chain_profiles``: the :func:`ranked_members`, each with its
+    canonical orientation tried before its inverse."""
+    u = chain.universe
+    members, ends = ranked_members(chain)
     levels = [[] for _ in chain.systems]
 
     def grow(chosen):
@@ -351,13 +361,34 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
     have 4 to 7 points under both unit cut orders, each with every ``(m, n)``
     in ``{1, 2, 3} x {4, 5, 6}``, so rule (F) keeps states of up to
     ``n - 2 = 4`` members; on 7 points ``n = 6`` is left out, as its oracle
-    alone takes about 0.4 s."""
+    alone takes about 0.4 s.
+
+    The search takes the members in the ranking each chain computes from
+    its levels at construction, so hand-built chains are here too: ``restrict_Sk`` levels with an order
+    skipped (a level gaining members of two orders), the chain that
+    ``graph_tangles`` cuts below ``max_order``, and the slices' members in a
+    universe without an order, ranked by id alone.  Every chain's ranking
+    is the oracle's, and a slice chain rebuilt from its levels, or given
+    other levels by ``dataclasses.replace``, ranks its members anew."""
     cases = []
     for g in small_corpus:
         chain = slice_chain(enumerate_graph_separations(g))
-        stutter = SubsystemChain(chain.universe, chain.systems[:1] + chain.systems)
+        u = chain.universe
+        assert SubsystemChain(u, chain.systems, chain.thresholds).ranking == chain.ranking
+        shorter = dataclasses.replace(chain, systems=chain.systems[:1])
+        assert shorter.ranking == ranked_members(shorter)
+        assert shorter.ranking != chain.ranking or len(chain) == 1
+        stutter = SubsystemChain(u, chain.systems[:1] + chain.systems)
         cases += [(chain, graph_tangle_kind(), g), (chain, PROFILE, None)]
         cases.append((stutter, graph_tangle_kind(), g))
+        skipped = SubsystemChain(u, (restrict_Sk(u, 1), restrict_Sk(u, 3)))
+        cut = graph_tangles(g, max_order=2).chain
+        assert len(cut) < len(chain) or max(chain.thresholds) < 2
+        bare = Universe(u.labels, map(u.sides, u.oriented_ids()))
+        unordered = SubsystemChain(bare, tuple(SubSystem(bare, s.members) for s in chain.systems))
+        assert not bare.has_order and unordered.ranking[1] == chain.ranking[1]
+        cases += [(skipped, kind, g) for kind in (graph_tangle_kind(), PROFILE)]
+        cases += [(cut, graph_tangle_kind(), g), (unordered, PROFILE, None), (unordered, graph_tangle_kind(), g)]
     for npts in (4, 5, 6, 7):
         pts = list(range(npts))
         for order_fn in (None, complete_cut_order(pts)):
@@ -366,10 +397,52 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
             for m, n in product((1, 2, 3), (4, 5, 6)):
                 if npts < 7 or n < 6:
                     cases.append((chain, circle_tangle_kind(m, n), None))
-    assert len(cases) == 3 * 31 + 66
+    assert len(cases) == 8 * 31 + 66
     for chain, kind, g in cases:
+        assert chain.ranking == ranked_members(chain), (kind, g)
         got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
         assert got == backtrack_chain(chain, kind, g), (kind, g)
+
+
+# the circle shapes (points, order, m, n) of the benchmark's clique-circle workload
+CIRCLE_SHAPES = [(5, "cycle", 1, 4), (5, "complete", 1, 4), (6, "cycle", 1, 4), (6, "complete", 1, 4),
+                 (6, "complete", 1, 5), (7, "cycle", 1, 4), (7, "cycle", 1, 5), (8, "cycle", 2, 4)]
+
+
+def test_every_rule_refuses_every_co_small_orientation_at_the_empty_state():
+    """The search never tries a co-small orientation ``(a, b)``, ``b <= a``,
+    because of this fact: rule (P) on the graph and clique chains, rule (T)
+    on the graph chains and rule (F) on the circle shapes refuse each one,
+    ``(V, V)`` included, before anything is chosen.  The graphs are the
+    connected ones on up to 6 vertices and the clique workload's."""
+    cases = []
+    extra = [corpus.star_graph(5), corpus.star_graph(6), corpus.path_graph(7), corpus.path_graph(8),
+             corpus.two_cliques(4), corpus.cycle_graph(6), corpus.cycle_graph(8)]
+    for g in corpus.all_connected_graphs(6) + extra:
+        chain = graph_tangles(g).chain
+        cases += [(chain, PROFILE, g), (chain, graph_tangle_kind(), g)]
+        cases.append((pipelines.clique_profiles(g).chain, PROFILE, g))
+    for npts, order, m, n in CIRCLE_SHAPES:
+        pts = list(range(1, npts + 1))
+        order_fn = complete_cut_order(pts) if order == "complete" else None
+        cases.append((pipelines.circle_tangles(pts, m, n, order_fn).chain, circle_tangle_kind(m, n), None))
+    tried = 0
+    for chain, kind, g in cases:
+        u = chain.universe
+        members, ends = chain.ranking
+        if kind.tag == "profile":
+            levels = [li for li, end in enumerate(ends) for _ in range(end - (ends[li - 1] if li else 0))]
+            try_add, _ = profiles._profile_rule(u, members, levels)
+        elif kind.tag == "graph-tangle":
+            try_add, _ = profiles._tangle_rule(u, g)
+        else:
+            try_add, _ = profiles._circle_rule(u, members, kind.m, kind.n)
+        for x in (x for uid in members for x in u.orientations(uid)):
+            a, b = u.sides(x)
+            if not b & ~a:
+                tried += 1
+                assert try_add(x) is None, (kind, g, u.side_labels(x))
+    assert tried > len(cases)
 
 
 def test_clique_chain_search_matches_definitional_backtracking(small_corpus):

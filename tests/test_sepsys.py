@@ -1,5 +1,7 @@
 """Core separation-system layer: order structure, corners, smallness."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,11 +355,31 @@ def test_universe_refuses_malformed_input(labels, pairs, order_fn, message):
         ([1, 2], _BIP2, _order_on({(0b11, 0b00): -1}), "order function must be symmetric under inversion"),
         ([1, 2], _BIP2, _order_on({(0b00, 0b11): 1, (0b01, 0b10): -1, (0b10, 0b01): -1}),
          "order function must be symmetric under inversion"),
+        # a NaN is unequal to itself, one object or two, after a non-negative first value
+        ([1, 2], _BIP2, lambda a, b: math.nan if a == 0b01 or b == 0b01 else 0,
+         "order function must be symmetric under inversion"),
+        ([1, 2], _BIP2, lambda a, b: float("nan") if a == 0b01 or b == 0b01 else 0,
+         "order function must be symmetric under inversion"),
+        ([1, 2], [(0b11, 0b11)], lambda a, b: math.nan, "order function must be symmetric under inversion"),
     ],
 )
 def test_universe_reports_the_first_fault(labels, pairs, order_fn, message):
     with pytest.raises(SeparationError, match=f"^{message}$"):
         Universe(labels, pairs, order_fn)
+
+
+def test_lookups_raise_as_the_tables_do():
+    """``sides``, ``inv`` and ``order`` are the tables' own item getters."""
+    u = Universe([1, 2], _BIP2, lambda a, b: (a & b).bit_count())
+    n = u.n_oriented
+    assert [u.sides(o) for o in range(-n, 0)] == [u.sides(o) for o in range(n)]
+    for lookup in (u.sides, u.inv, u.order):
+        with pytest.raises(IndexError):
+            lookup(n)
+    bare = Universe([1, 2], _BIP2)
+    assert not bare.has_order and bare.inv(0) == n - 1
+    with pytest.raises(SeparationError, match="^universe has no order function$"):
+        bare.order(0)
 
 
 def test_shuffled_and_repeated_pairs_give_the_universe_of_the_sorted_distinct_list():

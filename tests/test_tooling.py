@@ -76,3 +76,35 @@ def test_package_imports_are_module_level_and_acyclic():
         graph[path.stem] = _totkit_imports(ast.walk(tree), path.stem)
     assert {"cli", "graphio", "pipelines", "splinter", "treedec"} <= set(graph)
     list(TopologicalSorter(graph).static_order())  # raises CycleError naming a cycle
+
+
+def _universe_private_names() -> set:
+    """The private attributes and methods that ``sepsys.Universe`` defines."""
+    tree = ast.parse((PACKAGE / "sepsys.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Universe")
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+            names.add(node.attr)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_module_but_sepsys_reads_a_private_universe_field():
+    """A universe is read through its public lookups, so its tables can
+    change shape inside ``sepsys`` alone.  Names are matched without types:
+    another class reusing one of these private names would need another."""
+    private = _universe_private_names()
+    assert {"_pairs", "_inv", "_order"} <= private
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "sepsys.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):  # getattr(u, "_pairs")
+                name = node.value
+            else:
+                continue
+            assert name not in private, f"{path.stem} line {node.lineno} reads Universe.{name}"
