@@ -9,11 +9,14 @@ and two labels equal in Python but of different types (``1`` and ``1.0``)
 are refused, since a universe could not keep them apart or write them back.
 
 :func:`run_command` is the one place that turns a command and the params
-its artifact records into a pipeline call, :func:`artifact` builds the
-document of every pipeline command, and :func:`verify_artifact` re-checks
-one by running :func:`run_command`'s first step with the artifact's own
-params.  Artifacts all carry ``"schema": "totkit/1"`` and are
-byte-identical across runs for identical inputs.
+its artifact records into a pipeline call.  :func:`artifact` is the
+document of every pipeline command: its params, its :func:`recorded_fields`
+and the exported set.  :func:`verify_artifact` validates an artifact's
+params, runs :func:`run_command`'s first step with them, rebuilds the
+recorded fields with the same function to compare them, and checks the
+exported set semantically.
+Artifacts all carry ``"schema": "totkit/1"`` and are byte-identical across
+runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ __all__ = [
     "parse_graph_json",
     "load_graph",
     "load_circle",
+    "parse_circle_json",
     "parse_order_spec",
     "run_command",
+    "recorded_fields",
     "artifact",
     "dump_json",
     "nested_set_payload",
@@ -152,16 +157,21 @@ def load_graph(path: str) -> Graph:
 
 def load_circle(path: str):
     """Returns (points, order_graph-or-None)."""
-    doc = read_json(path)
+    return parse_circle_json(read_json(path), InputError)
+
+
+def parse_circle_json(doc, error: type):
+    """The points of circle document ``doc`` and its validated inline order
+    graph, or None; a malformed document raises ``error``."""
     if not isinstance(doc, dict) or "points" not in doc:
-        raise InputError('circle JSON needs {"points": [...], "order_graph": optional}')
+        raise error('circle JSON needs {"points": [...], "order_graph": optional}')
     points = doc["points"]
     if not isinstance(points, list):
-        raise InputError('"points" must be a list')
-    _check_points(points, InputError)
+        raise error('"points" must be a list')
+    _check_points(points, error)
     order_graph = doc.get("order_graph")
     if order_graph is not None:
-        order_graph = _order_graph_edges(points, order_graph, InputError)
+        order_graph = _order_graph_edges(points, order_graph, error)
     return points, order_graph
 
 
@@ -262,8 +272,11 @@ def run_command(command: str, source, params: dict, step_two: bool = True) -> Pi
 # artifacts
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def nested_set_payload(universe: Universe, nested) -> list:
@@ -279,52 +292,42 @@ def graph_payload(g: Graph) -> dict:
 
 
 def tangle_levels_payload(result) -> list:
-    out = []
-    for threshold, level in zip(result.chain.thresholds, result.levels):
-        out.append(
-            {
-                "max_order": threshold,
-                "count": len(level),
-                "tangles": [orientation_to_json(p) for p in level],
-            }
-        )
-    return out
+    return [
+        {"max_order": threshold, "count": len(level), "tangles": [orientation_to_json(p) for p in level]}
+        for threshold, level in zip(result.chain.thresholds, result.levels)
+    ]
 
 
-def step_one_payload(command: str, result) -> dict:
-    """The artifact fields of ``command`` that record its step one: the
-    levels, then the number of maximal tangles (graphs) or of all tangles
-    (circles).  ``verify`` recomputes them and compares."""
-    if command == "circle-tangles":
-        return {"levels": tangle_levels_payload(result), "tangles": sum(map(len, result.levels))}
-    levels = [{"max_order": t, "count": len(l)} for t, l in zip(result.chain.thresholds, result.levels)]
-    return {"levels": levels, "maximal_tangles": len(result.profiles)}
-
-
-def artifact(command: str, params: dict, source, result: PipelineResult) -> dict:
-    """The schema totkit/1 document of a pipeline command: its params, its
-    input ``source`` as :func:`run_command` took it, its step one and, but
-    for ``tangles``, the nested set with the decomposition (graphs) or the
-    tree set (circles)."""
-    doc = {"schema": SCHEMA, "command": command, "params": params}
+def recorded_fields(command: str, source, result: PipelineResult) -> dict:
+    """The fields of ``command``'s schema totkit/1 document that its input
+    ``source`` as :func:`run_command` took it and its step one determine:
+    all but the params and the exported set, which :func:`verify_artifact`
+    validates and checks on their own."""
+    doc = {"schema": SCHEMA, "command": command}
     if command == "circle-tangles":
         points, order_graph = source
         edges = None if order_graph is None else [list(e) for e in order_graph]
         doc["circle"] = {"points": list(points), "order_graph": edges}
-    else:
-        doc["graph"] = graph_payload(source)
+        doc["levels"] = tangle_levels_payload(result)
+        return {**doc, "tangles": sum(map(len, result.levels)), "efficient": bool(result.displays_ok)}
+    doc["graph"] = graph_payload(source)
     if command == "tangles":
         return {**doc, "levels": tangle_levels_payload(result), "maximal_tangles": len(result.profiles)}
-    doc.update(step_one_payload(command, result))
+    doc["levels"] = [{"max_order": t, "count": len(l)} for t, l in zip(result.chain.thresholds, result.levels)]
+    return {**doc, "maximal_tangles": len(result.profiles), "displays": bool(result.displays_ok)}
+
+
+def artifact(command: str, params: dict, source, result: PipelineResult) -> dict:
+    """The schema totkit/1 document of a pipeline command: its params, its
+    :func:`recorded_fields` and, but for ``tangles``, the exported nested
+    set with the decomposition (graphs) or the tree set (circles)."""
+    doc = {"params": params, **recorded_fields(command, source, result)}
+    if command == "tangles":
+        return doc
     nested = nested_set_payload(result.universe, result.nested)
     if command == "circle-tangles":
-        return {**doc, "tree_set": nested, "efficient": bool(result.displays_ok)}
-    return {
-        **doc,
-        "nested_set": nested,
-        "decomposition": decomposition_to_json(result.decomposition),
-        "displays": bool(result.displays_ok),
-    }
+        return {**doc, "tree_set": nested}
+    return {**doc, "nested_set": nested, "decomposition": decomposition_to_json(result.decomposition)}
 
 
 # ----------------------------------------------------------------------
@@ -383,10 +386,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _artifact_params(doc: dict, command: str, size: int) -> dict:
+def _artifact_params(doc: dict, command: str, size: int, order_graph) -> dict:
     """The params ``command`` ran with, as its artifact records them (a
-    missing entry takes the command-line default).  Each must be a value the
-    command line records for a ground set of ``size``."""
+    missing entry takes the command-line default), each a value the command
+    line records for a ground set of ``size`` and inline ``order_graph``."""
     given = doc.get("params", {})
     if not isinstance(given, dict):
         raise VerificationError("artifact field 'params' is not an object")
@@ -400,7 +403,7 @@ def _artifact_params(doc: dict, command: str, size: int) -> dict:
         # "cut:inline" needs the circle's own order graph; "cut:FILE" is read on the run
         "order_fn": ("cycle", lambda v: v in ("cycle", "complete") or (
             isinstance(v, str) and v.startswith("cut:")
-            and (v != "cut:inline" or doc["circle"].get("order_graph") is not None))),
+            and (v != "cut:inline" or order_graph is not None))),
     }
     keys = ["m", "n", "order_fn"] if command == "circle-tangles" else ["k", "prune_redundant"]
     params = {}
@@ -416,20 +419,20 @@ def verify_artifact(doc: dict) -> dict:
     """Re-check an exported artifact; raises VerificationError with a diagnostic.
 
     Recomputes the profiles and their family with the artifact's own params,
-    compares the recorded levels and tangle count with them and, for
-    canonical commands, extracts the canonical set of that family
-    (empty without one); the extraction checks the hierarchical condition
-    only when it fails, to name the witness (exit 2 at the command line),
-    as a family that passes it always extracts.  Then
-    checks nestedness of the exported set, validity and exact induced set of
-    the decomposition, display of the recomputed tangles (and that the
-    artifact's ``displays``, for circles ``efficient``, field is ``true``,
-    as the command line writes it then), and, for canonical
-    commands, that the identity and then each member of a generating set of
-    the graph's automorphisms (at most ``n(n-1)/2 + 1`` permutations) maps
-    the exported set to the canonical one.  As the extraction commutes with
-    automorphisms, that holds for every automorphism exactly when it holds
-    for the generators.
+    rebuilds its :func:`recorded_fields` from them, the display flag
+    ``true``, and compares each of them by name, as JSON text.  A
+    ``tangles`` artifact is then done, and a ``corpus`` one is checked on
+    its schema alone.  For canonical commands, extracts the canonical set of
+    the family (empty without one); the extraction checks the hierarchical
+    condition only when it fails, to name the witness (exit 2 at the command
+    line), as a family that passes it always extracts.  Then checks
+    nestedness of the exported set, validity and exact induced set of the
+    decomposition, display of the recomputed tangles (which the flag
+    records) and, for canonical commands, that the identity and then each
+    member of a generating set of the graph's automorphisms (at most
+    ``n(n-1)/2 + 1`` permutations) maps the exported set to the canonical
+    one.  As the extraction commutes with automorphisms, that holds for
+    every automorphism exactly when it holds for the generators.
     """
     if not isinstance(doc, dict):
         raise VerificationError("artifact is not a JSON object")
@@ -437,38 +440,33 @@ def verify_artifact(doc: dict) -> dict:
         raise VerificationError(f"unknown schema {doc.get('schema')!r}")
     command = doc.get("command")
     diag: dict = {"command": command, "checks": []}
-    if command in ("tangles", "corpus"):
+    if command == "corpus":
         diag["checks"].append("schema")
         return diag
-    td = None
-    if command in ("tot", "canonical-tot", "clique-tot"):
-        _require(doc, "graph", dict)
-        exported = _require(doc, "nested_set", list)
+    if command == "circle-tangles":
+        source = parse_circle_json(_require(doc, "circle", dict), VerificationError)
+        params = _artifact_params(doc, command, len(source[0]), source[1])
+    elif command in ("tangles", "tot", "canonical-tot", "clique-tot"):
         try:
-            g = parse_graph_json(doc["graph"])
+            source = g = parse_graph_json(_require(doc, "graph", dict))
         except InputError as exc:
             raise VerificationError(f"artifact graph: {exc}") from exc
-        source = g
-        params = _artifact_params(doc, command, g.n)
-        dd = doc.get("decomposition")
-        td = None if dd is None else _decomposition_of(g, dd)
-    elif command == "circle-tangles":
-        circle_doc = _require(doc, "circle", dict)
-        points = _require(circle_doc, "points", list)
-        _check_points(points, VerificationError)
-        params = _artifact_params(doc, command, len(points))
-        exported = _require(doc, "tree_set", list)
-        order_graph = circle_doc.get("order_graph")
-        if order_graph is not None:
-            order_graph = _order_graph_edges(points, order_graph, VerificationError)
-        source = (points, order_graph)
+        params = _artifact_params(doc, command, g.n, None)
     else:
         raise VerificationError(f"unknown command {command!r}")
 
     result = run_command(command, source, params, step_two=False)
-    for key, value in step_one_payload(command, result).items():
-        if doc.get(key) != value:
-            raise VerificationError(f"artifact field {key!r} does not match the recomputed profiles")
+    result.displays_ok = True  # as the command line records it; checked below
+    for key, value in recorded_fields(command, source, result).items():
+        # as JSON text, where 1, 1.0 and true differ
+        if dump_json(doc.get(key)) != dump_json(value):
+            raise VerificationError(f"artifact field {key!r} does not match its recomputed value")
+    if command == "tangles":
+        diag["checks"].append("levels")
+        return diag
+    exported = _require(doc, "tree_set" if command == "circle-tangles" else "nested_set", list)
+    dd = None if command == "circle-tangles" else doc.get("decomposition")
+    td = None if dd is None else _decomposition_of(g, dd)
     canonical = command in ("canonical-tot", "clique-tot")
     if canonical:
         image = extract_canonical(result.family).nested if result.family else frozenset()
@@ -498,11 +496,6 @@ def verify_artifact(doc: dict) -> dict:
         diag["checks"].append("decomposition")
     if not efficiently_distinguishes_all(nested, result.family):
         raise VerificationError("exported set does not efficiently distinguish the tangles")
-    flag = "efficient" if command == "circle-tangles" else "displays"
-    if doc.get(flag) is not True:
-        raise VerificationError(
-            f"artifact field {flag!r} is not true, though the exported set displays the tangles"
-        )
     diag["checks"].append("display")
     if canonical:
         # The identity comes first; once it passes, nested is the extraction,

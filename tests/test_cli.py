@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from totkit import graphio
 from totkit.cli import main
 from totkit.errors import (
     HierarchicalConditionError,
+    InputError,
     InternalContradictionError,
     SeparationError,
     SplinterConditionError,
@@ -157,7 +159,7 @@ def test_verify_refuses_a_display_flag_that_is_not_true(capsys, tmp_path, two_k4
         assert code == 4, argv
         assert json.loads(err) == {
             "error": "verification",
-            "message": f"artifact field {flag!r} is not true, though the exported set displays the tangles",
+            "message": f"artifact field {flag!r} does not match its recomputed value",
         }
 
 
@@ -1091,7 +1093,7 @@ def test_verify_recomputes_the_recorded_levels(capsys, tmp_path, two_k4_file):
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 4 and json.loads(err) == {
         "error": "verification",
-        "message": "artifact field 'levels' does not match the recomputed profiles",
+        "message": "artifact field 'levels' does not match its recomputed value",
     }
     code, out, _ = run(capsys, "canonical-tot", "--input", two_k4_file)
     assert code == 0
@@ -1119,6 +1121,157 @@ def test_found_artifacts_with_k_pass_verify(capsys, tmp_path, two_k4_file):
         code, out, _ = run(capsys, command, "--input", two_k4_file, "--k", "1")
         assert code == 0
         assert _verify_code(capsys, tmp_path, json.loads(out)) == 0
+
+
+# ----------------------------------------------------------------------
+# fuzz: seeded changes, deletions, duplicates and shuffles of artifact fields
+
+
+PIPELINE_ARGV = {
+    "tangles": [],
+    "tot": [],
+    "canonical-tot": [],
+    "clique-tot": [],
+    "circle-tangles": ["--m", "1", "--n", "4"],
+}
+EXPORTED = {"nested_set", "decomposition", "tree_set"}
+_CHANGED = [None, True, False, 0, 1, -1, 99, 1.5, "", "x", [], {}]
+
+
+@pytest.fixture()
+def pipeline_artifacts(capsys, tmp_path, two_k4_file):
+    """The artifact of each pipeline command, on two K4s joined by an edge
+    or on a 6-point circle, with the input it was made from."""
+    circle = tmp_path / "circle6.json"
+    circle.write_text(json.dumps({"points": [1, 2, 3, 4, 5, 6]}))
+    made = {}
+    for command, extra in PIPELINE_ARGV.items():
+        path = str(circle) if command == "circle-tangles" else two_k4_file
+        code, out, _ = run(capsys, command, "--input", path, *extra)
+        assert code == 0
+        made[command] = (path, json.loads(out))
+    return made
+
+
+def _nodes(value, path=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    if isinstance(value, dict):
+        for key in value:
+            yield from _nodes(value[key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+
+
+def _near(value) -> list:
+    """Values close to ``value``: its negation, a neighbour or a longer string."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1, -value - 1]
+    return [value + "x"] if isinstance(value, str) else []
+
+
+def _mutated(doc: dict, field: str, op: str, rng):
+    """A copy of ``doc`` with ``op`` applied at a place inside ``doc[field]``
+    that ``rng`` picks, or None when ``op`` finds no place there."""
+    doc = json.loads(json.dumps(doc))
+
+    def at(path):
+        node = doc
+        for step in path:
+            node = node[step]
+        return node
+
+    paths = [(field,) + p for p in _nodes(doc[field])]
+    if op == "change":
+        path = rng.choice(paths)
+        old = graphio.dump_json(at(path))
+        values = _near(at(path)) + _CHANGED
+        at(path[:-1])[path[-1]] = rng.choice([v for v in values if graphio.dump_json(v) != old])
+    elif op == "delete":
+        path = rng.choice(paths)
+        del at(path[:-1])[path[-1]]
+    elif op == "duplicate":
+        containers = [p for p in paths if isinstance(at(p), (list, dict)) and at(p)]
+        if not containers:
+            doc[field] = [doc[field], doc[field]]
+            return doc
+        node = at(rng.choice(containers))
+        if isinstance(node, list):
+            i = rng.randrange(len(node))
+            node.insert(i, json.loads(json.dumps(node[i])))
+        else:
+            key = rng.choice(sorted(node))
+            node[key + "_copy"] = json.loads(json.dumps(node[key]))
+    else:  # shuffle a list whose items differ
+        lists = [p for p in paths if isinstance(at(p), list) and len({graphio.dump_json(v) for v in at(p)}) > 1]
+        if not lists:
+            return None
+        node = at(rng.choice(lists))
+        before = graphio.dump_json(node)
+        while graphio.dump_json(node) == before:
+            rng.shuffle(node)
+    return doc
+
+
+def _input_of(doc: dict):
+    """The input the artifact ``doc`` states, as JSON text, or None when it
+    states none that parses."""
+    try:
+        if doc.get("command") == "circle-tangles":
+            return graphio.dump_json(graphio.parse_circle_json(doc.get("circle"), ValueError))
+        g = graphio.parse_graph_json(doc.get("graph"))
+    except (ValueError, InputError):
+        return None
+    return graphio.dump_json(graphio.graph_payload(g))
+
+
+def _keys_reversed(value):
+    if isinstance(value, dict):
+        return {key: _keys_reversed(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_keys_reversed(item) for item in value]
+    return value
+
+
+def test_verify_refuses_every_mutation_of_a_recorded_field(capsys, tmp_path, pipeline_artifacts):
+    """Every mutation exits 0, 2, 3 or 4 with a JSON diagnostic.  One of a
+    recorded field (all but the params and the exported set) exits 4 unless
+    it states another valid input, which another artifact could be made
+    from.  Reordering keys changes no JSON document, so it exits 0."""
+    rng = random.Random(1)
+    refused = 0
+    for command, (_, doc) in pipeline_artifacts.items():
+        assert _verify_code(capsys, tmp_path, doc) == 0
+        assert _verify_code(capsys, tmp_path, _keys_reversed(doc)) == 0
+        for field in sorted(doc):
+            for op in ("change", "delete", "duplicate", "shuffle") * 3:
+                mutated = _mutated(doc, field, op, rng)
+                if mutated is None:
+                    continue
+                code = _verify_code(capsys, tmp_path, mutated)
+                if field not in EXPORTED | {"params"} and _input_of(mutated) in (None, _input_of(doc)):
+                    assert code == 4, (command, field, op, mutated.get(field))
+                    refused += 1
+    assert refused >= 250
+
+
+def test_the_recorded_fields_are_the_artifact_less_its_exported_set(pipeline_artifacts):
+    """The layout of schema totkit/1: what ``verify`` rebuilds, and what it
+    validates (the params) or checks semantically (the exported set) instead."""
+    for command, (path, made) in pipeline_artifacts.items():
+        params = made["params"]
+        source = graphio.load_circle(path) if command == "circle-tangles" else graphio.load_graph(path)
+        result = graphio.run_command(command, source, params)
+        doc = graphio.artifact(command, params, source, result)
+        assert graphio.dump_json(doc) == graphio.dump_json(made)
+        recorded = graphio.recorded_fields(command, source, result)
+        assert graphio.dump_json({key: doc[key] for key in recorded}) == graphio.dump_json(recorded)
+        exported = {"tangles": set(), "circle-tangles": {"tree_set"}}.get(command, {"nested_set", "decomposition"})
+        expected = {"params"} | exported
+        assert doc.keys() - recorded.keys() == expected, command
 
 
 # ----------------------------------------------------------------------

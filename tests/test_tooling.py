@@ -1,42 +1,75 @@
 """Scripts outside the package that no other test runs: the benchmark's
 tracer wraps totkit functions by name, from outside the package, so every
 name it lists must still resolve, or ``bench/run.py --trace 1`` breaks
-without any other test noticing; and the demos are the public usage
-examples, so each must still run.  Also the package's import graph, which
-no import error shows while every module is loaded anyway."""
+without any other test noticing; the benchmark's ``verify`` workload counts
+an output as correct only with the checks it lists; and the demos are the
+public usage examples, so each must still run.  Also the package's import
+graph, which no import error shows while every module is loaded anyway."""
 
 import ast
+import contextlib
 import importlib
+import io
+import json
 import runpy
 from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
 
+from totkit.cli import main
 from totkit.sepsys import Universe
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 PACKAGE = ROOT / "src" / "totkit"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def _layers() -> dict:
-    tree = ast.parse(TRACER.read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+def _bench_constant(path: Path, name: str):
+    """The literal value a benchmark script assigns to ``name``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py defines no LAYERS")
+    raise AssertionError(f"bench/{path.name} defines no {name}")
 
 
 def test_traced_functions_resolve():
-    layers = _layers()
+    layers = _bench_constant(TRACER, "LAYERS")
     assert len(layers) >= 10
     for metric, where in layers.items():
         for module, names in where.items():
             mod = importlib.import_module(f"totkit.{module}")
             for name in names:
                 assert callable(getattr(mod, name, None)), (metric, module, name)
+
+
+def _cli(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def test_verify_runs_the_checks_the_benchmark_expects(tmp_path):
+    """``verify`` of each command's untampered artifact reports the checks
+    the ``verify`` workload requires; ``tangles``, which it does not run,
+    reports its levels."""
+    expected = {**_bench_constant(WORKLOADS, "EXPECTED_CHECKS"), "tangles": ["levels"]}
+    graph = tmp_path / "graph.txt"
+    graph.write_text("1 2\n1 3\n2 3\n3 4\n4 5\n4 6\n5 6\n")
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"points": [1, 2, 3, 4, 5]}))
+    for command in ("tangles", "tot", "canonical-tot", "clique-tot", "circle-tangles"):
+        if command == "circle-tangles":
+            out = _cli(command, "--input", str(circle), "--m", "1", "--n", "4")
+        else:
+            out = _cli(command, "--input", str(graph))
+        artifact = tmp_path / f"{command}.json"
+        artifact.write_text(out)
+        report = json.loads(_cli("verify", "--input", str(artifact)))
+        assert report["ok"] is True and report["diagnostic"]["checks"] == expected[command], command
 
 
 def test_timed_universe_primitives_resolve():
