@@ -7,9 +7,9 @@ input error or failed (hierarchical) splinter precondition, 3 size bound exceede
 the JSON diagnostic each failure writes to stderr.  Output is fully
 deterministic: identical inputs produce byte-identical artifacts.
 
-This module owns the argument parser, the text and dot formats, the
-``--join`` check, file output and the exit codes; the inputs, the artifacts
-of schema totkit/1, the command-to-pipeline map and ``verify`` are
+This module owns the argument parser, the text and dot formats, file
+output and the exit codes; the inputs, the artifacts of schema totkit/1 with
+their ``--join`` check, the command-to-pipeline map and ``verify`` are
 :mod:`totkit.graphio`'s.
 """
 
@@ -33,8 +33,10 @@ from .graphio import (
     artifact,
     dump_json,
     graph_payload,
+    join_check,
     load_circle,
     load_graph,
+    parse_sep_spec,
     read_json,
     run_command,
     verify_artifact,
@@ -98,48 +100,10 @@ def cmd_pipeline(args) -> int:
     else:
         doc = artifact(command, params, source, result)
         if getattr(args, "join", None):
-            doc["join_check"] = _join_check(args.join, source[0], result)
+            operands = [parse_sep_spec(spec, source[0]) for spec in args.join]
+            doc["join_check"] = join_check(operands, result, InputError)
         _emit(args, dump_json(doc))
     return 0
-
-
-def _parse_sep_spec(spec: str, points):
-    """Parse 'a,b|c,d' into a side pair over the circle points."""
-    try:
-        left, right = spec.split("|")
-    except ValueError:
-        raise InputError(f"separation spec {spec!r} must look like 'A|B'")
-
-    def side(text):
-        out = []
-        for tok in filter(None, map(str.strip, text.split(","))):
-            match = [p for p in points if str(p) == tok]
-            if not match:
-                raise InputError(f"unknown point {tok!r} in separation spec")
-            if len(match) > 1:
-                raise InputError(f"ambiguous point {tok!r} in separation spec")
-            out += match
-        return out
-
-    return side(left), side(right)
-
-
-def _join_check(specs, points, result) -> dict:
-    """Whether the join of the two separations ``specs`` ('A|B' each) of a
-    circle's points stays in its circle subsystem."""
-    universe = result.universe
-    sides1, sides2 = (_parse_sep_spec(spec, points) for spec in specs)
-    o1 = universe.find(universe.mask_of(sides1[0]), universe.mask_of(sides1[1]))
-    o2 = universe.find(universe.mask_of(sides2[0]), universe.mask_of(sides2[1]))
-    if o1 is None or o2 is None:
-        raise InputError("join operands are not bipartitions of the points")
-    j = universe.join(o1, o2)
-    a, b = universe.side_labels(j)
-    return {
-        "operands": [list(map(list, sides1)), list(map(list, sides2))],
-        "join": [list(a), list(b)],
-        "in_circle_subsystem": universe.uid(j) in result.meta["circle"].members,
-    }
 
 
 def cmd_verify(args) -> int:
@@ -219,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("verify", cmd_verify, "re-check an exported artifact", max_vertices=None)
 
-    # 6 vertices give 143 graphs at once; 7 give 996 and take tens of times as long
+    # 6 vertices give 143 graphs in 0.2 s; 7 give 996 in 3.5 s (2-core x86-64, whole run)
     p = command(
         "corpus",
         cmd_corpus,

@@ -7,7 +7,7 @@ produces the same graphs; the counter of each accepted graph is recorded.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import SizeBoundError
 from .universes import Graph
@@ -47,13 +47,17 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(range(1, n + 1), edges)
 
 
-def _connected_mask(n: int, mask: int) -> bool:
+def _adjacency(n: int, mask: int) -> list[int]:
     adj = [0] * n
-    pos = _edge_positions(n)
-    for b, (i, j) in enumerate(pos):
+    for b, (i, j) in enumerate(_edge_positions(n)):
         if mask >> b & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
+    return adj
+
+
+def _connected_mask(n: int, mask: int) -> bool:
+    adj = _adjacency(n, mask)
     seen = 1
     frontier = 1
     while frontier:
@@ -68,26 +72,25 @@ def _connected_mask(n: int, mask: int) -> bool:
     return seen == (1 << n) - 1
 
 
-def _perm_edge_tables(n: int) -> list[tuple[int, ...]]:
+def _transposition_tables(n: int) -> list[tuple[list[int], ...]]:
+    """For each adjacent transposition ``(i, i + 1)`` of the vertices, three
+    256-entry tables that map byte ``k`` of an edge mask (n <= 7 gives at most
+    21 bits) to the image of its edges, so a mask maps with three lookups."""
     pos = _edge_positions(n)
-    pos_index = {p: i for i, p in enumerate(pos)}
-    tables = []
-    for perm in permutations(range(n)):
-        table = []
-        for i, j in pos:
-            a, b = perm[i], perm[j]
-            table.append(1 << pos_index[(min(a, b), max(a, b))])
-        tables.append(tuple(table))
-    return tables
-
-
-def _apply_edge_perm(mask: int, table: tuple[int, ...]) -> int:
-    out = 0
-    m = mask
-    while m:
-        b = (m & -m).bit_length() - 1
-        out |= table[b]
-        m &= m - 1
+    pos_index = {p: b for b, p in enumerate(pos)}
+    out = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        image = [1 << pos_index[tuple(sorted((swap.get(a, a), swap.get(b, b))))] for a, b in pos]
+        image += [0] * (24 - len(image))
+        tables = []
+        for k in range(3):
+            table = [0] * 256
+            for v in range(1, 256):
+                low = (v & -v).bit_length() - 1
+                table[v] = table[v & (v - 1)] | image[8 * k + low]
+            tables.append(table)
+        out.append(tuple(tables))
     return out
 
 
@@ -96,21 +99,72 @@ def all_connected_graphs(max_n: int) -> list[Graph]:
 
     Masks are scanned in increasing order; the first mask of each orbit under
     the symmetric group is kept, so representatives are canonical minima.
+    Each kept mask's orbit is closed under the adjacent transpositions, which
+    generate the symmetric group, and marked seen.
     """
     if max_n > 7:
         raise SizeBoundError("exhaustive enumeration is limited to 7 vertices")
     out = []
     for n in range(1, max_n + 1):
-        tables = _perm_edge_tables(n)
-        nbits = n * (n - 1) // 2
-        seen = set()
-        for mask in range(1 << nbits):
-            if mask in seen:
-                continue
-            orbit = {_apply_edge_perm(mask, t) for t in tables}
-            seen.update(orbit)
+        tables = _transposition_tables(n)
+        seen = bytearray(1 << n * (n - 1) // 2)
+        mask = 0
+        while mask >= 0:
+            seen[mask] = 1
+            stack = [mask]
+            while stack:
+                m = stack.pop()
+                for t0, t1, t2 in tables:
+                    image = t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]
+                    if not seen[image]:
+                        seen[image] = 1
+                        stack.append(image)
             if _connected_mask(n, mask):
                 out.append(_graph_from_mask(n, mask))
+            mask = seen.find(0, mask + 1)
+    return out
+
+
+def _canonical_mask(n: int, mask: int) -> int:
+    """The least edge mask over all relabellings of the graph with edge mask ``mask``.
+
+    Bit significance falls with the edge ``(i, j)`` in descending
+    lexicographic order, so the bits ``(i, j)``, ``j > i``, of label ``i``
+    outrank those of every lower label.  Labels ``n - 1, n - 2, ...`` are
+    therefore placed in turn, each on a vertex whose edges to the vertices
+    already placed give the least such block; ties branch, and a branch whose
+    block is not the least of all branches at that label is dropped.  Of two
+    tied twins (equal neighbourhoods apart from each other) one branch is
+    enough, as swapping them is an automorphism fixing the placed vertices.
+    """
+    adj = _adjacency(n, mask)
+    twin = [min(w for w in range(n) if adj[v] & ~(1 << w) == adj[w] & ~(1 << v)) for v in range(n)]
+    offset = [i * (2 * n - i - 1) // 2 for i in range(n)]  # bit of edge (i, i + 1)
+    # a branch: the unplaced vertices and, per vertex, the labels of its placed neighbours
+    branches = [((1 << n) - 1, (0,) * n)]
+    out = 0
+    for label in range(n - 1, -1, -1):
+        best = None
+        kept = []
+        for rest, codes in branches:
+            low = min(codes[v] for v in range(n) if rest >> v & 1)
+            if best is None or low < best:
+                best, kept = low, []
+            elif low > best:
+                continue
+            classes = set()
+            for v in range(n):
+                if rest >> v & 1 and codes[v] == low and twin[v] not in classes:
+                    classes.add(twin[v])
+                    after = list(codes)
+                    nb = adj[v]
+                    while nb:
+                        w = (nb & -nb).bit_length() - 1
+                        after[w] |= 1 << label
+                        nb &= nb - 1
+                    kept.append((rest & ~(1 << v), after))
+        out |= best >> label + 1 << offset[label]
+        branches = kept
     return out
 
 
@@ -122,7 +176,6 @@ def seven_vertex_sample(count: int = 50) -> list[tuple[int, Graph]]:
     """
     n = 7
     nbits = n * (n - 1) // 2
-    tables = _perm_edge_tables(n)
     reps = set()
     out = []
     counter = 0
@@ -131,7 +184,7 @@ def seven_vertex_sample(count: int = 50) -> list[tuple[int, Graph]]:
         mask = splitmix64(counter) & ((1 << nbits) - 1)
         if not _connected_mask(n, mask):
             continue
-        canon = min(_apply_edge_perm(mask, t) for t in tables)
+        canon = _canonical_mask(n, mask)
         if canon in reps:
             continue
         reps.add(canon)

@@ -65,7 +65,9 @@ __all__ = [
     "load_circle",
     "parse_circle_json",
     "parse_order_spec",
+    "parse_sep_spec",
     "run_command",
+    "join_check",
     "recorded_fields",
     "artifact",
     "dump_json",
@@ -268,6 +270,50 @@ def run_command(command: str, source, params: dict, step_two: bool = True) -> Pi
     return graph_pipeline(source, command == "canonical-tot", mv, params["k"])
 
 
+def parse_sep_spec(spec: str, points):
+    """Parse 'a,b|c,d' into a side pair over the circle points."""
+    try:
+        left, right = spec.split("|")
+    except ValueError:
+        raise InputError(f"separation spec {spec!r} must look like 'A|B'")
+
+    def side(text):
+        out = []
+        for tok in filter(None, map(str.strip, text.split(","))):
+            match = [p for p in points if str(p) == tok]
+            if not match:
+                raise InputError(f"unknown point {tok!r} in separation spec")
+            if len(match) > 1:
+                raise InputError(f"ambiguous point {tok!r} in separation spec")
+            out += match
+        return out
+
+    return side(left), side(right)
+
+
+def join_check(operands, result: PipelineResult, error: type) -> dict:
+    """The ``join_check`` block of ``circle-tangles --join``: the two side
+    pairs ``operands`` of a circle's points, their join, and whether it stays
+    in the circle subsystem of step one ``result``.  Operands that are no
+    two separations of its universe raise ``error``."""
+    universe = result.universe
+    try:
+        (a1, b1), (a2, b2) = operands
+        o1 = universe.find(universe.mask_of(a1), universe.mask_of(b1))
+        o2 = universe.find(universe.mask_of(a2), universe.mask_of(b2))
+    except (SeparationError, TypeError, ValueError) as exc:
+        raise error(f"join operands {operands!r}: {exc}") from exc
+    if o1 is None or o2 is None:
+        raise error("join operands are not bipartitions of the points")
+    j = universe.join(o1, o2)  # of two bipartitions, so a bipartition too
+    a, b = universe.side_labels(j)
+    return {
+        "operands": [[list(a1), list(b1)], [list(a2), list(b2)]],
+        "join": [list(a), list(b)],
+        "in_circle_subsystem": universe.uid(j) in result.meta["circle"].members,
+    }
+
+
 # ----------------------------------------------------------------------
 # artifacts
 
@@ -345,6 +391,8 @@ def _find_uid(universe: Universe, pair, graph: Graph | None = None) -> int:
         ma, mb = universe.mask_of(a), universe.mask_of(b)
     except SeparationError as exc:
         raise VerificationError(f"separation {pair!r}: {exc}") from exc
+    if ma.bit_count() != len(a) or mb.bit_count() != len(b):
+        raise VerificationError(f"separation {pair!r} repeats a label")
     oid = universe.find(ma, mb)
     if oid is None:
         if graph is not None and ma | mb == universe.full_mask and not graph.nbhd[ma & ~mb] & mb & ~ma:
@@ -420,19 +468,22 @@ def verify_artifact(doc: dict) -> dict:
 
     Recomputes the profiles and their family with the artifact's own params,
     rebuilds its :func:`recorded_fields` from them, the display flag
-    ``true``, and compares each of them by name, as JSON text.  A
-    ``tangles`` artifact is then done, and a ``corpus`` one is checked on
-    its schema alone.  For canonical commands, extracts the canonical set of
-    the family (empty without one); the extraction checks the hierarchical
-    condition only when it fails, to name the witness (exit 2 at the command
-    line), as a family that passes it always extracts.  Then checks
-    nestedness of the exported set, validity and exact induced set of the
-    decomposition, display of the recomputed tangles (which the flag
-    records) and, for canonical commands, that the identity and then each
-    member of a generating set of the graph's automorphisms (at most
-    ``n(n-1)/2 + 1`` permutations) maps the exported set to the canonical
-    one.  As the extraction commutes with automorphisms, that holds for
-    every automorphism exactly when it holds for the generators.
+    ``true``, and compares each of them by name, as JSON text; a circle's
+    ``join_check`` block, when present, is rebuilt from its operands by
+    :func:`join_check` and compared the same way.  A ``tangles`` artifact is
+    then done, and a ``corpus`` one is checked on its schema alone.  For
+    canonical commands, extracts the canonical set of the family (empty
+    without one); the extraction checks the hierarchical condition only when
+    it fails, to name the witness (exit 2 at the command line), as a family
+    that passes it always extracts.  Then checks nestedness of the exported
+    set (a side list repeating a label is refused), validity and exact
+    induced set of the decomposition, display of the recomputed tangles
+    (which the flag records) and, for canonical commands, that the identity
+    and then each member of a generating set of the graph's automorphisms
+    (at most ``n(n-1)/2 + 1`` permutations) maps the exported set to the
+    canonical one.  As the extraction commutes with automorphisms, that
+    holds for every automorphism exactly when it holds for the generators.
+    A graph artifact without a decomposition is refused after these checks.
     """
     if not isinstance(doc, dict):
         raise VerificationError("artifact is not a JSON object")
@@ -461,6 +512,12 @@ def verify_artifact(doc: dict) -> dict:
         # as JSON text, where 1, 1.0 and true differ
         if dump_json(doc.get(key)) != dump_json(value):
             raise VerificationError(f"artifact field {key!r} does not match its recomputed value")
+    if "join_check" in doc:  # written by circle-tangles --join alone
+        block = doc["join_check"]
+        if command != "circle-tangles" or not isinstance(block, dict):
+            raise VerificationError("artifact field 'join_check' is no join check of a circle")
+        if dump_json(block) != dump_json(join_check(block.get("operands"), result, VerificationError)):
+            raise VerificationError("artifact field 'join_check' does not match its recomputed value")
     if command == "tangles":
         diag["checks"].append("levels")
         return diag
@@ -506,4 +563,7 @@ def verify_artifact(doc: dict) -> dict:
             if image != frozenset(universe.uid(mapping[uid]) for uid in nested):
                 raise VerificationError(f"not canonical under vertex permutation {perm}")
         diag["checks"].append("canonical")
+    if td is None and command != "circle-tangles":
+        # last, so that a tampered exported set is named by its own check
+        raise VerificationError("artifact field 'decomposition' is missing")
     return diag

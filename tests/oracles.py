@@ -12,10 +12,12 @@ by order, or efficient by chain level) and the family and verdict built
 from them pair by pair against ``build_distinguisher_family`` and
 ``efficiently_distinguishes_all``, chain-level efficiency against the
 order-level families the pipelines build, and canonicity under every graph
-automorphism against ``verify``'s check of a generating set.
+automorphism against ``verify``'s check of a generating set, and the orbit
+of an edge mask under every vertex permutation against the corpus
+generators.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from totkit.errors import SeparationError, UniverseClosureError
 from totkit.pipelines import graph_pipeline
@@ -412,3 +414,21 @@ def first_moving_automorphism(g, universe, nested, canonical):
         if frozenset(universe.uid(mapping[x]) for x in nested) != canonical:
             return perm
     return None
+
+
+# ----------------------------------------------------------------------
+# graph corpora
+
+
+def edge_mask_orbit(n, mask):
+    """The edge masks of every relabelling of the graph on vertices
+    ``0 .. n-1`` whose edge ``(i, j)`` is bit ``b`` of ``mask`` for the
+    ``b``-th pair of ``combinations(range(n), 2)``: the image of ``mask``
+    under each of the ``n!`` vertex permutations."""
+    pos = list(combinations(range(n), 2))
+    index = {p: b for b, p in enumerate(pos)}
+    edges = [p for b, p in enumerate(pos) if mask >> b & 1]
+    return {
+        sum(1 << index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in edges)
+        for perm in permutations(range(n))
+    }

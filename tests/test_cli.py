@@ -868,6 +868,77 @@ def test_verify_refuses_an_appended_separation_without_a_family(capsys, tmp_path
     }
 
 
+@pytest.mark.parametrize("command", ["tot", "canonical-tot", "clique-tot"])
+def test_verify_refuses_a_graph_artifact_without_its_decomposition(capsys, tmp_path, two_k4_file, command):
+    """The exported set passes every other check, so only the missing
+    (or null) decomposition is left to refuse."""
+    code, out, _ = run(capsys, command, "--input", two_k4_file)
+    assert code == 0
+    doc = json.loads(out)
+    artifact = tmp_path / "artifact.json"
+    for tampered in ({k: v for k, v in doc.items() if k != "decomposition"}, {**doc, "decomposition": None}):
+        artifact.write_text(json.dumps(tampered))
+        code, out, err = run(capsys, "verify", "--input", str(artifact))
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "verification", "message": "artifact field 'decomposition' is missing"}
+
+
+@pytest.mark.parametrize(
+    "pair", [[[1, 2, 3, 4, 1], [4, 5, 6, 7, 8]], [[1, 2, 3, 4], [4, 5, 6, 7, 8, 8]]], ids=["left", "right"]
+)
+def test_verify_refuses_a_side_list_repeating_a_label(capsys, tmp_path, two_k4_file, pair):
+    code, out, _ = run(capsys, "tot", "--input", two_k4_file)
+    doc = json.loads(out)
+    assert doc["nested_set"][0] == [[1, 2, 3, 4], [4, 5, 6, 7, 8]]
+    doc["nested_set"][0] = pair
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(artifact))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "verification", "message": f"separation {pair!r} repeats a label"}
+
+
+def test_verify_rebuilds_the_join_check(capsys, tmp_path, two_k4_file):
+    """``verify`` rebuilds the ``join_check`` block of ``circle-tangles
+    --join`` from its operands with the code the flag runs, and refuses a
+    flipped verdict, a replaced join, operands that are no separations and
+    a block in any other artifact."""
+    circle = tmp_path / "circle6.json"
+    circle.write_text(json.dumps({"points": [1, 2, 3, 4, 5, 6]}))
+    argv = ["circle-tangles", "--input", str(circle), "--m", "1", "--n", "4", "--join", "1,2|3,4,5,6", "1,2,3|4,5,6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    block = doc["join_check"]
+    assert block == {
+        "operands": [[[1, 2], [3, 4, 5, 6]], [[1, 2, 3], [4, 5, 6]]],
+        "join": [[1, 2, 3], [4, 5, 6]],
+        "in_circle_subsystem": True,
+    }
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(out)
+    code, out, _ = run(capsys, "verify", "--input", str(artifact))
+    assert code == 0 and json.loads(out)["ok"] is True
+    mismatch = "artifact field 'join_check' does not match its recomputed value"
+    _, tot, _ = run(capsys, "tot", "--input", two_k4_file)
+    cases = [
+        ({**doc, "join_check": {**block, "in_circle_subsystem": False}}, mismatch),
+        ({**doc, "join_check": {**block, "join": [[1], [2]]}}, mismatch),
+        ({**doc, "join_check": {k: v for k, v in block.items() if k != "join"}}, mismatch),
+        ({**doc, "join_check": {**block, "operands": [[[1], [2]], [[1, 2, 3], [4, 5, 6]]]}},
+         "join operands are not bipartitions of the points"),
+        ({**doc, "join_check": {**block, "operands": [[[1, 9], [2]], 5]}},
+         "join operands [[[1, 9], [2]], 5]: cannot unpack non-iterable int object"),
+        ({**doc, "join_check": "x"}, "artifact field 'join_check' is no join check of a circle"),
+        ({**json.loads(tot), "join_check": block}, "artifact field 'join_check' is no join check of a circle"),
+    ]
+    for tampered, message in cases:
+        artifact.write_text(json.dumps(tampered))
+        code, out, err = run(capsys, "verify", "--input", str(artifact))
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "verification", "message": message}
+
+
 def test_verify_checks_a_generating_set_not_the_whole_group(capsys, monkeypatch, tmp_path):
     """``star_graph(6)`` has 6! automorphisms; ``verify`` of its
     ``canonical-tot`` artifact lists none of them and lifts the exported set
