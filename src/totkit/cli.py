@@ -8,8 +8,9 @@ the JSON diagnostic each failure writes to stderr.  Output is fully
 deterministic: identical inputs produce byte-identical artifacts.
 
 This module owns the argument parser, the text and dot formats, file
-output and the exit codes; the inputs, the artifacts of schema totkit/1 with
-their ``--join`` check, the command-to-pipeline map and ``verify`` are
+output and the exit codes; the inputs, the params each command records, the
+command-to-pipeline map, ``verify`` and every schema totkit/1 document (the
+artifacts with their ``--join`` check, the corpus and the verify report) are
 :mod:`totkit.graphio`'s.
 """
 
@@ -19,7 +20,6 @@ import argparse
 import functools
 import sys
 
-from . import corpus as corpus_mod
 from .errors import (
     InputError,
     InternalContradictionError,
@@ -29,17 +29,17 @@ from .errors import (
     VerificationError,
 )
 from .graphio import (
-    SCHEMA,
     artifact,
+    command_params,
+    corpus_artifact,
     dump_json,
-    graph_payload,
     join_check,
     load_circle,
     load_graph,
     parse_sep_spec,
     read_json,
     run_command,
-    verify_artifact,
+    verify_report,
 )
 from .treedec import decomposition_to_dot
 from .universes import DEFAULT_MAX_VERTICES
@@ -78,20 +78,9 @@ def _text(command, result) -> str:
 def cmd_pipeline(args) -> int:
     """``tangles``, ``tot``, ``canonical-tot``, ``clique-tot`` and ``circle-tangles``."""
     command, fmt = args.command, getattr(args, "format", "json")
-    if command == "circle-tangles":
-        source = load_circle(args.input)  # points and the inline order graph
-        if source[1] is not None and args.order_fn is None:
-            spec = "cut:inline"
-        else:
-            spec = args.order_fn or "cycle"
-        params = {"max_vertices": args.max_vertices, "m": args.m, "n": args.n, "order_fn": spec}
-    else:
-        source = load_graph(args.input)
-        params = {"max_vertices": args.max_vertices, "k": getattr(args, "k", None)}
-        if command != "tangles":
-            # "prune_redundant" stays a constant of schema totkit/1: the canonical
-            # extraction never returns an element outside the family's sets
-            params["prune_redundant"] = False
+    # a circle's points and inline order graph, or a graph
+    source = load_circle(args.input) if command == "circle-tangles" else load_graph(args.input)
+    params = command_params(command, source, vars(args))
     result = run_command(command, source, params)
     if fmt == "text":
         _emit(args, _text(command, result))
@@ -107,28 +96,14 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    diag = verify_artifact(read_json(args.input))
-    _emit(args, dump_json({"schema": SCHEMA, "command": "verify", "ok": True, "diagnostic": diag}))
+    _emit(args, dump_json(verify_report(read_json(args.input))))
     return 0
 
 
 def cmd_corpus(args) -> int:
     if args.sample_seven < 0:
         raise InputError(f"--sample-seven must be >= 0, got {args.sample_seven}")
-    graphs = corpus_mod.all_connected_graphs(args.max_vertices)
-    doc = {
-        "schema": SCHEMA,
-        "command": "corpus",
-        "params": {"max_vertices": args.max_vertices, "sample_seven": args.sample_seven},
-        "count": len(graphs),
-        "graphs": [graph_payload(g) for g in graphs],
-    }
-    if args.sample_seven:
-        doc["seven_vertex_sample"] = [
-            {"counter": c, **graph_payload(g)}
-            for c, g in corpus_mod.seven_vertex_sample(args.sample_seven)
-        ]
-    _emit(args, dump_json(doc))
+    _emit(args, dump_json(corpus_artifact(command_params("corpus", None, vars(args)))))
     return 0
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import SizeBoundError
+from .sepsys import bits
 from .universes import Graph
 
 __all__ = [
+    "CONNECTED_ON_SEVEN",
     "splitmix64",
     "all_connected_graphs",
     "seven_vertex_sample",
@@ -27,6 +29,9 @@ __all__ = [
     "petersen_minus_vertex",
 ]
 
+# connected graphs on 7 vertices up to isomorphism (OEIS A001349)
+CONNECTED_ON_SEVEN = 853
+
 
 def splitmix64(x: int) -> int:
     """One round of the splitmix64 mixer; a pure function of the counter."""
@@ -37,19 +42,14 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _edge_positions(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    pos = _edge_positions(n)
-    edges = [(i + 1, j + 1) for b, (i, j) in enumerate(pos) if mask >> b & 1]
+    edges = [(i + 1, j + 1) for b, (i, j) in enumerate(combinations(range(n), 2)) if mask >> b & 1]
     return Graph(range(1, n + 1), edges)
 
 
 def _adjacency(n: int, mask: int) -> list[int]:
     adj = [0] * n
-    for b, (i, j) in enumerate(_edge_positions(n)):
+    for b, (i, j) in enumerate(combinations(range(n), 2)):
         if mask >> b & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -58,15 +58,11 @@ def _adjacency(n: int, mask: int) -> list[int]:
 
 def _connected_mask(n: int, mask: int) -> bool:
     adj = _adjacency(n, mask)
-    seen = 1
-    frontier = 1
+    seen = frontier = 1
     while frontier:
         nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
+        for v in bits(frontier):
             nxt |= adj[v]
-            m &= m - 1
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << n) - 1
@@ -76,7 +72,7 @@ def _transposition_tables(n: int) -> list[tuple[list[int], ...]]:
     """For each adjacent transposition ``(i, i + 1)`` of the vertices, three
     256-entry tables that map byte ``k`` of an edge mask (n <= 7 gives at most
     21 bits) to the image of its edges, so a mask maps with three lookups."""
-    pos = _edge_positions(n)
+    pos = list(combinations(range(n), 2))
     pos_index = {p: b for b, p in enumerate(pos)}
     out = []
     for i in range(n - 1):
@@ -157,11 +153,8 @@ def _canonical_mask(n: int, mask: int) -> int:
                 if rest >> v & 1 and codes[v] == low and twin[v] not in classes:
                     classes.add(twin[v])
                     after = list(codes)
-                    nb = adj[v]
-                    while nb:
-                        w = (nb & -nb).bit_length() - 1
+                    for w in bits(adj[v]):
                         after[w] |= 1 << label
-                        nb &= nb - 1
                     kept.append((rest & ~(1 << v), after))
         out |= best >> label + 1 << offset[label]
         branches = kept
@@ -172,8 +165,11 @@ def seven_vertex_sample(count: int = 50) -> list[tuple[int, Graph]]:
     """Deterministic connected 7-vertex graphs, pairwise non-isomorphic.
 
     Returns ``(counter, graph)`` pairs; the counter that produced each graph
-    is part of the corpus identity.
+    is part of the corpus identity.  A ``count`` above the
+    ``CONNECTED_ON_SEVEN`` classes raises ``SizeBoundError`` before drawing.
     """
+    if count > CONNECTED_ON_SEVEN:
+        raise SizeBoundError(f"there are only {CONNECTED_ON_SEVEN} connected graphs on 7 vertices, not {count}")
     n = 7
     nbits = n * (n - 1) // 2
     reps = set()
@@ -246,28 +242,12 @@ def petersen_minus_vertex() -> Graph:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Chordality via repeated deletion of simplicial vertices."""
-    adj = list(g.adj)
+    """Chordality via repeated deletion of simplicial vertices, those whose
+    remaining neighbours form a clique."""
     alive = (1 << g.n) - 1
-    for _ in range(g.n):
-        found = False
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nb = adj[v] & alive
-            simplicial = True
-            nn = nb
-            while nn:
-                w = (nn & -nn).bit_length() - 1
-                nn &= nn - 1
-                if nb & ~(adj[w] | (1 << w)):
-                    simplicial = False
-                    break
-            if simplicial:
-                alive &= ~(1 << v)
-                found = True
-                break
-        if not found:
+    while alive:
+        v = next((v for v in bits(alive) if g.clique[g.adj[v] & alive]), None)
+        if v is None:
             return False
+        alive &= ~(1 << v)
     return True

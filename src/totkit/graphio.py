@@ -8,13 +8,14 @@ as JSON ``{"points": [... in cyclic order ...], "order_graph": [[u, v, w],
 and two labels equal in Python but of different types (``1`` and ``1.0``)
 are refused, since a universe could not keep them apart or write them back.
 
-:func:`run_command` is the one place that turns a command and the params
-its artifact records into a pipeline call.  :func:`artifact` is the
-document of every pipeline command: its params, its :func:`recorded_fields`
-and the exported set.  :func:`verify_artifact` validates an artifact's
-params, runs :func:`run_command`'s first step with them, rebuilds the
-recorded fields with the same function to compare them, and checks the
-exported set semantically.
+:func:`command_params` is the one place that says which params a command
+records, and :func:`run_command` the one that turns them into a pipeline
+call.  Every schema totkit/1 document is built here: :func:`artifact` for
+the pipeline commands (params, :func:`recorded_fields`, exported set),
+:func:`corpus_artifact` for ``corpus`` and :func:`verify_report` for
+``verify``.  :func:`verify_artifact` rebuilds an artifact's params and
+recorded fields with these same functions, compares them as JSON, and
+checks the exported set semantically.
 Artifacts all carry ``"schema": "totkit/1"`` and are byte-identical across
 runs for identical inputs.
 """
@@ -25,6 +26,7 @@ import json
 import math
 from itertools import chain
 
+from .corpus import CONNECTED_ON_SEVEN, all_connected_graphs, seven_vertex_sample
 from .errors import InputError, SeparationError, VerificationError
 from .pipelines import (
     PipelineResult,
@@ -45,7 +47,6 @@ from .treedec import (
     is_valid_tree_decomposition,
 )
 from .universes import (
-    DEFAULT_MAX_VERTICES,
     Graph,
     automorphism_generators,
     complete_cut_order,
@@ -66,13 +67,16 @@ __all__ = [
     "parse_circle_json",
     "parse_order_spec",
     "parse_sep_spec",
+    "command_params",
     "run_command",
     "join_check",
     "recorded_fields",
     "artifact",
+    "corpus_artifact",
     "dump_json",
     "nested_set_payload",
     "verify_artifact",
+    "verify_report",
 ]
 
 
@@ -170,19 +174,15 @@ def parse_circle_json(doc, error: type):
     points = doc["points"]
     if not isinstance(points, list):
         raise error('"points" must be a list')
-    _check_points(points, error)
-    order_graph = doc.get("order_graph")
-    if order_graph is not None:
-        order_graph = _order_graph_edges(points, order_graph, error)
-    return points, order_graph
-
-
-def _check_points(points: list, error: type):
     if any(isinstance(p, (list, dict)) for p in points):
         raise error("circle points must be numbers or strings, not lists or objects")
     if len(set(map(repr, points))) != len(points):
         raise error("duplicate points in cyclic order")
     _check_labels(points, error)
+    order_graph = doc.get("order_graph")
+    if order_graph is not None:
+        order_graph = _order_graph_edges(points, order_graph, error)
+    return points, order_graph
 
 
 def _order_graph_edges(points, order_graph, error: type) -> list:
@@ -248,16 +248,32 @@ def parse_order_spec(spec: str, points, order_graph):
         raise InputError(f"bad cut graph: {exc}") from exc
 
 
+def command_params(command: str, source, given: dict) -> dict:
+    """The params ``command`` records for its loaded input ``source``, read
+    from ``given`` (flag names to values; other names are left out), with
+    its constants and the ``order_fn`` default: ``cut:inline`` on a circle
+    with an inline order graph, else ``cycle``.  The command line passes its
+    flags, :func:`verify_artifact` an artifact's own params."""
+    if command == "corpus":
+        return {"max_vertices": given.get("max_vertices"), "sample_seven": given.get("sample_seven")}
+    params = {"max_vertices": given.get("max_vertices")}
+    if command == "circle-tangles":
+        spec = given.get("order_fn")
+        if spec is None and source[1] is not None:
+            spec = "cut:inline"
+        return {**params, "m": given.get("m"), "n": given.get("n"), "order_fn": spec or "cycle"}
+    params["k"] = None if command == "clique-tot" else given.get("k")
+    if command != "tangles":
+        # a constant: the canonical extraction never returns an element outside the family's sets
+        params["prune_redundant"] = False
+    return params
+
+
 def run_command(command: str, source, params: dict, step_two: bool = True) -> PipelineResult:
     """The pipeline of ``command`` on its loaded input ``source`` (a graph, or
     a circle's points and inline order graph) with the ``params`` its artifact
     records; only step one, the profiles and their family, for ``tangles`` or
-    when not ``step_two``.
-
-    The one place that turns a command and its params into a pipeline call:
-    the command line runs it, and :func:`verify_artifact` runs its step one
-    with an artifact's own params.
-    """
+    when not ``step_two``, as :func:`verify_artifact` runs it."""
     mv = params["max_vertices"]
     if command == "circle-tangles":
         points, order_graph = source
@@ -291,18 +307,32 @@ def parse_sep_spec(spec: str, points):
     return side(left), side(right)
 
 
+def _side_masks(universe: Universe, pair, error: type) -> tuple[int, int]:
+    """The masks of ``pair``, two side lists of ground labels of ``universe``;
+    any other value, or a side repeating a label, raises ``error``."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, list) for x in pair)):
+        raise error(f"separation {pair!r} is not a pair of side lists")
+    try:
+        ma, mb = map(universe.mask_of, pair)
+    except SeparationError as exc:
+        raise error(f"separation {pair!r}: {exc}") from exc
+    if ma.bit_count() != len(pair[0]) or mb.bit_count() != len(pair[1]):
+        raise error(f"separation {pair!r} repeats a label")
+    return ma, mb
+
+
 def join_check(operands, result: PipelineResult, error: type) -> dict:
     """The ``join_check`` block of ``circle-tangles --join``: the two side
     pairs ``operands`` of a circle's points, their join, and whether it stays
     in the circle subsystem of step one ``result``.  Operands that are no
-    two separations of its universe raise ``error``."""
+    two separations of its universe, or repeat a label, raise ``error``."""
     universe = result.universe
     try:
         (a1, b1), (a2, b2) = operands
-        o1 = universe.find(universe.mask_of(a1), universe.mask_of(b1))
-        o2 = universe.find(universe.mask_of(a2), universe.mask_of(b2))
-    except (SeparationError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise error(f"join operands {operands!r}: {exc}") from exc
+    o1 = universe.find(*_side_masks(universe, [a1, b1], error))
+    o2 = universe.find(*_side_masks(universe, [a2, b2], error))
     if o1 is None or o2 is None:
         raise error("join operands are not bipartitions of the points")
     j = universe.join(o1, o2)  # of two bipartitions, so a bipartition too
@@ -376,6 +406,19 @@ def artifact(command: str, params: dict, source, result: PipelineResult) -> dict
     return {**doc, "nested_set": nested, "decomposition": decomposition_to_json(result.decomposition)}
 
 
+def corpus_artifact(params: dict) -> dict:
+    """The schema totkit/1 document of ``corpus`` with ``params``: the connected
+    graphs on at most ``max_vertices`` vertices up to isomorphism and, when
+    ``sample_seven`` is positive, that many 7-vertex stress graphs."""
+    graphs = all_connected_graphs(params["max_vertices"])
+    doc = {"schema": SCHEMA, "command": "corpus", "params": params, "count": len(graphs),
+           "graphs": [graph_payload(g) for g in graphs]}
+    if params["sample_seven"]:
+        sample = seven_vertex_sample(params["sample_seven"])
+        doc["seven_vertex_sample"] = [{"counter": c, **graph_payload(g)} for c, g in sample]
+    return doc
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -384,17 +427,10 @@ def _find_uid(universe: Universe, pair, graph: Graph | None = None) -> int:
     """The uid of the exported side pair ``pair``.  ``graph`` is given when
     the universe holds its clique separations only: a separation of it
     missing from the universe is then named as no clique separation."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, list) for x in pair)):
-        raise VerificationError(f"separation {pair!r} is not a pair of side lists")
-    a, b = pair
-    try:
-        ma, mb = universe.mask_of(a), universe.mask_of(b)
-    except SeparationError as exc:
-        raise VerificationError(f"separation {pair!r}: {exc}") from exc
-    if ma.bit_count() != len(a) or mb.bit_count() != len(b):
-        raise VerificationError(f"separation {pair!r} repeats a label")
+    ma, mb = _side_masks(universe, pair, VerificationError)
     oid = universe.find(ma, mb)
     if oid is None:
+        a, b = pair
         if graph is not None and ma | mb == universe.full_mask and not graph.nbhd[ma & ~mb] & mb & ~ma:
             raise VerificationError(f"({a}, {b}) is not a clique separation of the graph")
         raise VerificationError(f"({a}, {b}) is not a separation of this universe")
@@ -434,56 +470,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _artifact_params(doc: dict, command: str, size: int, order_graph) -> dict:
-    """The params ``command`` ran with, as its artifact records them (a
-    missing entry takes the command-line default), each a value the command
-    line records for a ground set of ``size`` and inline ``order_graph``."""
-    given = doc.get("params", {})
-    if not isinstance(given, dict):
-        raise VerificationError("artifact field 'params' is not an object")
-    # key: (command-line default, whether a value is one the command line records)
-    rules = {
-        "max_vertices": (DEFAULT_MAX_VERTICES, lambda v: _is_int(v) and v >= size),
-        "k": (None, lambda v: v is None or (_is_int(v) and command != "clique-tot")),
-        "prune_redundant": (False, lambda v: v is False),
-        "m": (None, lambda v: _is_int(v) and v >= 1),
-        "n": (None, lambda v: _is_int(v) and v > 3),
+def _check_params(command: str, params: dict, size: int, order_graph) -> None:
+    """Refuse a param value the command line cannot record on ``size`` labels and ``order_graph``."""
+    valid = {
+        "max_vertices": lambda v: _is_int(v) and (v <= 7 if command == "corpus" else v >= size),
+        "k": lambda v: v is None or _is_int(v),
+        "m": lambda v: _is_int(v) and v >= 1,
+        "n": lambda v: _is_int(v) and v > 3,
         # "cut:inline" needs the circle's own order graph; "cut:FILE" is read on the run
-        "order_fn": ("cycle", lambda v: v in ("cycle", "complete") or (
-            isinstance(v, str) and v.startswith("cut:")
-            and (v != "cut:inline" or order_graph is not None))),
+        "order_fn": lambda v: v in ("cycle", "complete") or (
+            isinstance(v, str) and v.startswith("cut:") and (v != "cut:inline" or order_graph is not None)),
+        "sample_seven": lambda v: _is_int(v) and 0 <= v <= CONNECTED_ON_SEVEN,
     }
-    keys = ["m", "n", "order_fn"] if command == "circle-tangles" else ["k", "prune_redundant"]
-    params = {}
-    for key in ["max_vertices"] + keys:
-        default, valid = rules[key]
-        params[key] = value = given.get(key, default)
-        if not valid(value):
+    for key, value in params.items():
+        if key in valid and not valid[key](value):
             raise VerificationError(f"artifact param {key!r} has the invalid value {value!r}")
-    return params
 
 
 def verify_artifact(doc: dict) -> dict:
     """Re-check an exported artifact; raises VerificationError with a diagnostic.
 
-    Recomputes the profiles and their family with the artifact's own params,
-    rebuilds its :func:`recorded_fields` from them, the display flag
-    ``true``, and compares each of them by name, as JSON text; a circle's
-    ``join_check`` block, when present, is rebuilt from its operands by
-    :func:`join_check` and compared the same way.  A ``tangles`` artifact is
-    then done, and a ``corpus`` one is checked on its schema alone.  For
-    canonical commands, extracts the canonical set of the family (empty
-    without one); the extraction checks the hierarchical condition only when
-    it fails, to name the witness (exit 2 at the command line), as a family
-    that passes it always extracts.  Then checks nestedness of the exported
-    set (a side list repeating a label is refused), validity and exact
-    induced set of the decomposition, display of the recomputed tangles
-    (which the flag records) and, for canonical commands, that the identity
-    and then each member of a generating set of the graph's automorphisms
-    (at most ``n(n-1)/2 + 1`` permutations) maps the exported set to the
-    canonical one.  As the extraction commutes with automorphisms, that
-    holds for every automorphism exactly when it holds for the generators.
-    A graph artifact without a decomposition is refused after these checks.
+    Rebuilds the artifact's params from its own with :func:`command_params`
+    and compares them as JSON text, then refuses a value the command line
+    cannot record; a ``corpus`` artifact is then rebuilt whole with
+    :func:`corpus_artifact` and compared the same way.  Otherwise recomputes
+    the profiles and their family with the params, rebuilds its
+    :func:`recorded_fields` from them, the display flag ``true``, and
+    compares each by name; a circle's ``join_check`` block, when present, is
+    rebuilt from its operands by :func:`join_check` and compared too.  A
+    ``tangles`` artifact is then done.  For canonical commands, extracts the
+    canonical set of the family (empty without one); the extraction checks
+    the hierarchical condition only when it fails, to name the witness (exit
+    2 at the command line), as a family that passes it always extracts.
+    Then checks nestedness of the exported set (a side list repeating a
+    label is refused), validity and exact induced set of the decomposition,
+    display of the recomputed tangles (which the flag records) and, for
+    canonical commands, that the identity and then each member of a
+    generating set of the graph's automorphisms (at most ``n(n-1)/2 + 1``
+    permutations) maps the exported set to the canonical one.  As the
+    extraction commutes with automorphisms, that holds for every
+    automorphism exactly when it holds for the generators.  A graph artifact
+    without a decomposition is refused after these checks.
     """
     if not isinstance(doc, dict):
         raise VerificationError("artifact is not a JSON object")
@@ -491,20 +518,29 @@ def verify_artifact(doc: dict) -> dict:
         raise VerificationError(f"unknown schema {doc.get('schema')!r}")
     command = doc.get("command")
     diag: dict = {"command": command, "checks": []}
-    if command == "corpus":
-        diag["checks"].append("schema")
-        return diag
     if command == "circle-tangles":
         source = parse_circle_json(_require(doc, "circle", dict), VerificationError)
-        params = _artifact_params(doc, command, len(source[0]), source[1])
+        size, order_graph = len(source[0]), source[1]
     elif command in ("tangles", "tot", "canonical-tot", "clique-tot"):
         try:
             source = g = parse_graph_json(_require(doc, "graph", dict))
         except InputError as exc:
             raise VerificationError(f"artifact graph: {exc}") from exc
-        params = _artifact_params(doc, command, g.n, None)
+        size, order_graph = g.n, None
+    elif command == "corpus":
+        source, size, order_graph = None, 0, None
     else:
         raise VerificationError(f"unknown command {command!r}")
+    given = doc.get("params")
+    params = command_params(command, source, given if isinstance(given, dict) else {})
+    if dump_json(given) != dump_json(params):
+        raise VerificationError("artifact field 'params' does not match its recomputed value")
+    _check_params(command, params, size, order_graph)
+    if command == "corpus":
+        if dump_json(doc) != dump_json(corpus_artifact(params)):
+            raise VerificationError("artifact does not match the corpus its params give")
+        diag["checks"].append("graphs")
+        return diag
 
     result = run_command(command, source, params, step_two=False)
     result.displays_ok = True  # as the command line records it; checked below
@@ -567,3 +603,8 @@ def verify_artifact(doc: dict) -> dict:
         # last, so that a tampered exported set is named by its own check
         raise VerificationError("artifact field 'decomposition' is missing")
     return diag
+
+
+def verify_report(doc) -> dict:
+    """The schema totkit/1 document ``verify`` writes for an artifact ``doc`` it passes."""
+    return {"schema": SCHEMA, "command": "verify", "ok": True, "diagnostic": verify_artifact(doc)}

@@ -228,12 +228,17 @@ class Universe:
     # labels
 
     def mask_of(self, labels: Iterable) -> int:
+        """The mask of ``labels``; a label no ground label is, of its type too
+        (``True`` and ``1.0`` are no ``1``), raises ``SeparationError``."""
         m = 0
         for v in labels:
             try:
-                m |= 1 << self._label_bit[v]
+                i = self._label_bit[v]
             except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
                 raise SeparationError(f"unknown ground-set label {v!r}") from exc
+            if v.__class__ is not self.labels[i].__class__:
+                raise SeparationError(f"label {v!r} is of another type than ground-set label {self.labels[i]!r}")
+            m |= 1 << i
         return m
 
     def labels_of(self, mask: int) -> tuple:

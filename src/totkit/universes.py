@@ -267,12 +267,7 @@ def enumerate_circle_separations(
 
 def is_clique_separation(g: Graph, universe: Universe, uid: int) -> bool:
     """Whether the separator ``A n B`` induces a complete subgraph of ``g``."""
-    a, b = universe.sides(uid)
-    sep = a & b
-    for v in bits(sep):
-        if g.adj[v] & sep != sep & ~(1 << v):
-            return False
-    return True
+    return g.clique[and_(*universe.sides(uid))]
 
 
 def clique_subsystem(g: Graph, universe: Universe, k=None) -> SubSystem:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -1393,3 +1394,122 @@ def test_mutated_edge_lists_fail_cleanly(tmp_path_factory, ops, command):
         code = main([command, "--input", str(path)])
     assert code in (0, 2, 3, 4)
     assert isinstance(json.loads(err.getvalue() if code else out.getvalue()), dict)
+
+
+# ----------------------------------------------------------------------
+# params as the command writes them, side labels of their own type, corpus artifacts
+
+PARAMS_MISMATCH = {"error": "verification", "message": "artifact field 'params' does not match its recomputed value"}
+
+
+def _verify_err(capsys, tmp_path, doc) -> tuple:
+    """The exit code and the parsed stderr diagnostic of ``verify`` on ``doc``."""
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert out == "" or code == 0
+    return code, json.loads(err) if code else None
+
+
+def _made(capsys, *argv) -> dict:
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return json.loads(out)
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "argv, tamper",
+    [
+        (["tot"], lambda doc: {**doc, "params": {**doc["params"], "bogus": 5}}),
+        (["tot"], lambda doc: _without(doc, "params")),
+        (["tot"], lambda doc: {**doc, "params": {}}),
+        (["tangles"], lambda doc: {**doc, "params": {**doc["params"], "prune_redundant": False}}),
+        (["circle-tangles", "--m", "1", "--n", "4"], lambda doc: {**doc, "params": _without(doc["params"], "order_fn")}),
+    ],
+    ids=["extra-key", "deleted", "empty", "prune-on-tangles", "inline-without-order-fn"],
+)
+def test_verify_refuses_params_the_command_does_not_write(capsys, tmp_path, two_k4_file, argv, tamper):
+    """Before, a missing entry took a default and an unknown one was never read."""
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "order_graph": [[i, i % 5 + 1, 1] for i in range(1, 6)]}))
+    doc = _made(capsys, argv[0], "--input", str(path) if argv[0] == "circle-tangles" else two_k4_file, *argv[1:])
+    assert argv[0] != "circle-tangles" or doc["params"]["order_fn"] == "cut:inline"
+    assert _verify_err(capsys, tmp_path, tamper(doc)) == (4, PARAMS_MISMATCH)
+
+
+@pytest.mark.parametrize("label", [True, 1.0], ids=["true", "float"])
+def test_verify_refuses_a_side_label_of_another_type(capsys, tmp_path, two_k4_file, label):
+    """``true`` and ``1.0`` equal ``1`` in Python, so the label lookup took
+    them for vertex 1 and the artifact passed."""
+    doc = _made(capsys, "tot", "--input", two_k4_file)
+    assert doc["nested_set"][0] == [[1, 2, 3, 4], [4, 5, 6, 7, 8]]
+    pair = doc["nested_set"][0] = [[label, 2, 3, 4], [4, 5, 6, 7, 8]]
+    code, diag = _verify_err(capsys, tmp_path, doc)
+    assert code == 4 and diag["message"] == (
+        f"separation {pair!r}: label {label!r} is of another type than ground-set label 1"
+    )
+
+
+def test_a_join_naming_a_point_twice_is_refused(capsys, tmp_path):
+    """Exit 2 at the command line, which recorded ``[1, 1, 2]`` before, and
+    exit 4 in ``verify`` of a ``join_check`` whose operand repeats a label."""
+    path = tmp_path / "circle6.json"
+    path.write_text(json.dumps({"points": [1, 2, 3, 4, 5, 6]}))
+    argv = ["circle-tangles", "--input", str(path), "--m", "1", "--n", "4", "--join"]
+    repeated = [[1, 1, 2], [3, 4, 5, 6]]
+    code, out, err = run(capsys, *argv, "1,1,2|3,4,5,6", "1,2,3|4,5,6")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": f"separation {repeated!r} repeats a label"}
+    doc = _made(capsys, *argv, "1,2|3,4,5,6", "1,2,3|4,5,6")
+    doc["join_check"]["operands"][0] = repeated
+    assert _verify_err(capsys, tmp_path, doc) == (
+        4, {"error": "verification", "message": f"separation {repeated!r} repeats a label"}
+    )
+
+
+def test_corpus_refuses_more_seven_vertex_graphs_than_there_are_at_once(capsys):
+    """853 classes of connected graphs on 7 vertices: a sample of 854 could
+    never be drawn, and the command ran until killed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "corpus", "--max-vertices", "1", "--sample-seven", "854")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "size-bound" and "853" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("sample", [0, 3])
+def test_corpus_artifacts_round_trip_through_verify(capsys, tmp_path, sample):
+    for max_vertices in range(1, 6):
+        doc = _made(capsys, "corpus", "--max-vertices", str(max_vertices), "--sample-seven", str(sample))
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(doc))
+        report = _made(capsys, "verify", "--input", str(path))
+        assert report == {"command": "verify", "diagnostic": {"checks": ["graphs"], "command": "corpus"},
+                          "ok": True, "schema": "totkit/1"}
+
+
+def test_verify_rebuilds_a_corpus_artifact(capsys, tmp_path):
+    """Changed graphs or counts, and params the command line cannot record,
+    exit 4; before, ``verify`` read a corpus artifact's schema alone."""
+    doc = _made(capsys, "corpus", "--max-vertices", "4", "--sample-seven", "2")
+    mismatch = {"error": "verification", "message": "artifact does not match the corpus its params give"}
+    first = doc["seven_vertex_sample"][0]
+    for tampered in (
+        {**doc, "count": 99},
+        {**doc, "graphs": doc["graphs"][:1]},
+        {**doc, "seven_vertex_sample": doc["seven_vertex_sample"][1:]},
+        {**doc, "seven_vertex_sample": [{**first, "counter": 0}, *doc["seven_vertex_sample"][1:]]},
+        {key: value for key, value in doc.items() if key != "seven_vertex_sample"},
+        {**doc, "extra": None},
+    ):
+        assert _verify_err(capsys, tmp_path, tampered) == (4, mismatch)
+    for params in ({**doc["params"], "k": None}, {"max_vertices": 4}, None):
+        assert _verify_err(capsys, tmp_path, {**doc, "params": params}) == (4, PARAMS_MISMATCH)
+    for key, value in (("max_vertices", "x"), ("max_vertices", True), ("max_vertices", 4.0), ("max_vertices", 8),
+                       ("sample_seven", -1), ("sample_seven", 1.5), ("sample_seven", 854)):
+        code, diag = _verify_err(capsys, tmp_path, {**doc, "params": {**doc["params"], key: value}})
+        assert code == 4 and diag["message"] == f"artifact param {key!r} has the invalid value {value!r}"

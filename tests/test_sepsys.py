@@ -382,6 +382,24 @@ def test_lookups_raise_as_the_tables_do():
         bare.order(0)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([True], "label True is of another type than ground-set label 1"),
+        ([2, 1.0], "label 1.0 is of another type than ground-set label 1"),
+        ([1.5], "unknown ground-set label 1.5"),
+        ([[1]], r"unknown ground-set label \[1\]"),
+    ],
+    ids=["true", "float", "unknown", "unhashable"],
+)
+def test_mask_of_refuses_a_label_no_ground_label_is(labels, message):
+    """``True`` and ``1.0`` equal ``1`` in Python but are no label ``1``."""
+    u = Universe([1, 2, "1"], [(0b111, 0b011), (0b011, 0b111)])
+    assert u.mask_of([1, 2, "1"]) == 0b111 and u.mask_of(["1"]) == 0b100
+    with pytest.raises(SeparationError, match=f"^{message}$"):
+        u.mask_of(labels)
+
+
 def test_shuffled_and_repeated_pairs_give_the_universe_of_the_sorted_distinct_list():
     import random
 

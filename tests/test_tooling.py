@@ -6,6 +6,7 @@ an output as correct only with the checks it lists; and the demos are the
 public usage examples, so each must still run.  Also the package's import
 graph, which no import error shows while every module is loaded anyway."""
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from totkit.cli import main
+from totkit.cli import build_parser, main
 from totkit.sepsys import Universe
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +26,7 @@ TRACER = ROOT / "bench" / "tracer.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 PACKAGE = ROOT / "src" / "totkit"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def _bench_constant(path: Path, name: str):
@@ -141,3 +143,27 @@ def test_no_module_but_sepsys_reads_a_private_universe_field():
             else:
                 continue
             assert name not in private, f"{path.stem} line {node.lineno} reads Universe.{name}"
+
+
+def _readme_flag_table() -> dict:
+    """Subcommand -> flag cells of the README's per-subcommand flag table."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").replace("\\|", "/").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`") and cells[1].startswith("`--"):
+            rows[cells[0].strip("`")] = [c.strip().strip("`") for c in cells[1].split(",")]
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    """Each subcommand's flags, in order, with the choices of ``--format``."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for name, sub in subparsers.choices.items():
+        flags[name] = [
+            action.option_strings[-1] + (" " + "/".join(action.choices) if action.choices else "")
+            for action in sub._actions
+            if action.option_strings and action.dest != "help"
+        ]
+    assert _readme_flag_table() == flags

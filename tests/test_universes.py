@@ -1,7 +1,7 @@
 """Concrete universes: graph separations, cliques, circles, chains, automorphisms."""
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -183,6 +183,16 @@ def test_clique_enumeration_is_the_clique_subsystem_in_order():
         want = [o for o in u.oriented_ids() if is_clique_separation(g, u, u.uid(o))]
         assert [c.sides(o) for o in c.oriented_ids()] == [u.sides(o) for o in want], g
         assert [c.order(o) for o in c.oriented_ids()] == [u.order(o) for o in want], g
+
+
+def test_clique_table_is_the_pairwise_adjacency_definition():
+    """``Graph.clique``, which ``is_clique_separation``, ``clique_subsystem``
+    and the clique enumeration all read, on every vertex mask."""
+    graphs = corpus.all_connected_graphs(5) + [Graph(range(6), []), corpus.star_graph(5)] + DISCONNECTED
+    for g in graphs:
+        for s in range(1 << g.n):
+            members = [v for v in range(g.n) if s >> v & 1]
+            assert g.clique[s] == all(g.adj[v] >> w & 1 for v, w in combinations(members, 2)), (g, s)
 
 
 def test_clique_enumeration_size_bound_comes_first():
