@@ -259,9 +259,9 @@ def command_params(command: str, source, given: dict) -> dict:
     params = {"max_vertices": given.get("max_vertices")}
     if command == "circle-tangles":
         spec = given.get("order_fn")
-        if spec is None and source[1] is not None:
-            spec = "cut:inline"
-        return {**params, "m": given.get("m"), "n": given.get("n"), "order_fn": spec or "cycle"}
+        if spec is None:
+            spec = "cycle" if source[1] is None else "cut:inline"
+        return {**params, "m": given.get("m"), "n": given.get("n"), "order_fn": spec}
     params["k"] = None if command == "clique-tot" else given.get("k")
     if command != "tangles":
         # a constant: the canonical extraction never returns an element outside the family's sets

@@ -19,12 +19,12 @@ in ``splinter`` and is re-exported here.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .profiles import (
     PROFILE,
-    ProfileKind,
     build_distinguisher_family,
     circle_tangle_kind,
     enumerate_chain_profiles,
@@ -95,15 +95,15 @@ def _extract(family: IndexedFamily | None, canonical: bool):
 
 def _profiles_and_family(
     chain: SubsystemChain,
-    kind: ProfileKind,
+    levels: list,
     meta: dict,
     graph: Graph | None = None,
     maximal_only: bool = False,
 ) -> PipelineResult:
-    """Step one: the profiles of ``chain`` (only the maximal ones if asked)
-    and the efficient-distinguisher family over them (None for fewer than
-    two profiles).  The result has no nested set yet; ``meta`` names its kind."""
-    levels = enumerate_chain_profiles(chain, kind, graph=graph)
+    """Step one: the profiles of ``chain``, one list per level in ``levels``
+    (only the maximal ones if asked), and the efficient-distinguisher family
+    over them (None for fewer than two profiles).  The result has no nested
+    set yet; ``meta`` names its kind."""
     profiles = [p for lvl in levels for p in lvl]
     if maximal_only:
         profiles = maximal_profiles(profiles)
@@ -136,25 +136,44 @@ def graph_tangles(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES, max_order: int | None = None
 ) -> PipelineResult:
     """The tangles of a graph, below ``max_order`` if given, and the family
-    over the maximal ones."""
+    over the maximal ones.
+
+    No graph has a tangle of order above its tree-width plus one: tangle
+    order <= branch-width <= tree-width + 1 (Robertson and Seymour, *Graph
+    Minors X. Obstructions to tree-decomposition*, 1991).  Under the cover
+    of vertices and edges used here the first bound does not hold for
+    edgeless graphs, stars and matchings, whose tangles of order 1 or 2
+    exceed the branch-width, but this direct argument holds for every graph.
+    Take a tree-decomposition of width ``w`` and a tangle of order above
+    ``w + 1``.  It orients the separation of each tree edge, so some bag
+    ``V_t`` has every branch at ``t`` on a small side.  The join ``(A | C, B & D)`` of two small sides ``A``, ``C`` is
+    small when its order is below the tangle's, as otherwise ``B & D``, its
+    inverse's small side, and ``A`` and ``C`` would cover ``g``.  The
+    branches at ``t`` meet the rest only in ``V_t``, so they join into one
+    small side ``A``, and ``(V_t, V)`` is small too, since ``V`` covers
+    ``g``.  But ``G[A]`` and ``G[V_t]`` cover ``g``.
+
+    The level of threshold ``t`` holds the tangles of order ``t + 1``, so
+    every level whose threshold exceeds ``Graph.elimination_width``, the
+    width of a tree-decomposition, is empty; only the levels up to it are
+    searched, and the others are reported empty.
+    """
     universe = enumerate_graph_separations(g, max_vertices)
     chain = slice_chain(universe)
     if max_order is not None:
-        keep = [i for i, t in enumerate(chain.thresholds) if t < max_order]
-        chain = SubsystemChain(
-            universe,
-            tuple(chain.systems[i] for i in keep),
-            thresholds=tuple(chain.thresholds[i] for i in keep),
-        )
-    meta = {"kind": "graph-tangle"}
-    return _profiles_and_family(chain, graph_tangle_kind(), meta, g, maximal_only=True)
+        chain = chain.prefix(bisect_left(chain.thresholds, max_order))
+    searched = chain.prefix(bisect_right(chain.thresholds, g.elimination_width))
+    levels = enumerate_chain_profiles(searched, graph_tangle_kind(), g)
+    levels += [[] for _ in range(len(chain) - len(searched))]
+    return _profiles_and_family(chain, levels, {"kind": "graph-tangle"}, g, maximal_only=True)
 
 
 def clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
     """The profiles of the clique-separation slices of a graph and their
     family, over the universe of the clique separations alone."""
     chain = slice_chain(enumerate_clique_separations(g, max_vertices))
-    return _profiles_and_family(chain, PROFILE, {"kind": "clique-profile"}, g)
+    levels = enumerate_chain_profiles(chain, PROFILE, g)
+    return _profiles_and_family(chain, levels, {"kind": "clique-profile"}, g)
 
 
 def circle_tangles(
@@ -170,7 +189,7 @@ def circle_tangles(
     universe, circle = enumerate_circle_separations(points, order_fn, max_vertices)
     chain = slice_chain(universe, within=circle)
     meta = {"kind": "circle-tangle", "m": m, "n": n, "circle": circle}
-    return _profiles_and_family(chain, kind, meta)
+    return _profiles_and_family(chain, enumerate_chain_profiles(chain, kind), meta)
 
 
 def graph_pipeline(

@@ -78,15 +78,19 @@ class Orientation:
 
     def __post_init__(self):
         u = self.system.universe
+        members = self.system.members
+        # one uid per chosen oid, all of them members: every member once
+        if len(self.chosen) == len(members) and set(map(u.uid, self.chosen)) == members:
+            return
         by_uid = {}
         for oid in self.chosen:
             uid = u.uid(oid)
-            if uid not in self.system.members:
+            if uid not in members:
                 raise SeparationError(f"orientation chooses non-member separation {uid}")
             if uid in by_uid and by_uid[uid] != oid:
                 raise SeparationError(f"both orientations of {uid} chosen")
             by_uid[uid] = oid
-        if len(by_uid) != len(self.system.members):
+        if len(by_uid) != len(members):
             raise SeparationError("orientation must orient every member exactly once")
 
     @property

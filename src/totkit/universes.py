@@ -97,6 +97,38 @@ class Graph:
             clique += [c and not s & ~nb for s, c in enumerate(clique)]
         return clique
 
+    @cached_property
+    def elimination_width(self) -> int:
+        """The width of a min-degree elimination ordering, an upper bound on
+        the tree-width.
+
+        Each step removes a vertex of least degree in the graph left (the
+        lowest such index) and makes its neighbours a clique; the width is
+        the largest degree a vertex has when it is removed.  The bags of
+        each vertex with its neighbours then form a tree-decomposition of
+        that width.  Once at most ``width + 1`` vertices are left, none can
+        have a larger degree, so the pass stops there.  0 for an edgeless
+        graph, 1 for a forest with an edge, 2 for a cycle, ``n - 1`` for
+        ``K_n``.
+        """
+        adj = list(self.adj)
+        deg = [a.bit_count() for a in adj]
+        left = list(range(self.n))
+        width = 0
+        while len(left) > width + 1:
+            v = min(left, key=deg.__getitem__)
+            left.remove(v)
+            nb = rest = adj[v]
+            if deg[v] > width:
+                width = deg[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                adj[w] = a = (adj[w] | nb) & ~(low | 1 << v)
+                deg[w] = a.bit_count()
+        return width
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -374,9 +406,11 @@ class SubsystemChain:
     largest order present in each level).  ``ranking`` is the pair
     ``(ranked, ends)`` of :func:`_rank_levels`, the order in which the
     profile search takes the members, computed from ``systems`` at
-    construction.  Only :func:`slice_chain` passes ``_ranking``, the same
-    pair, which it has sorted already; ``dataclasses.replace`` does not
-    copy it.
+    construction.  Only :func:`slice_chain` and :meth:`prefix` pass
+    ``_ranking``, the same pair, which they have already;
+    ``dataclasses.replace`` does not copy it.  Their levels ascend in one
+    universe by construction, so only a chain built without ``_ranking``
+    is checked for that.
     """
 
     universe: Universe
@@ -386,19 +420,28 @@ class SubsystemChain:
     _ranking: InitVar[tuple | None] = None
 
     def __post_init__(self, _ranking):
-        prev = None
-        for s in self.systems:
-            if s.universe is not self.universe:
-                raise SeparationError("chain members belong to different universes")
-            if prev is not None and not prev.members <= s.members:
-                raise SeparationError("chain is not ascending under inclusion")
-            prev = s
         if _ranking is None:
+            prev = None
+            for s in self.systems:
+                if s.universe is not self.universe:
+                    raise SeparationError("chain members belong to different universes")
+                if prev is not None and not prev.members <= s.members:
+                    raise SeparationError("chain is not ascending under inclusion")
+                prev = s
             _ranking = _rank_levels(self.universe, self.systems)
         object.__setattr__(self, "ranking", _ranking)
 
     def __len__(self):
         return len(self.systems)
+
+    def prefix(self, count: int) -> SubsystemChain:
+        """The chain of the first ``count`` levels.  Each level's ranking
+        depends on it and the levels below only, so the prefix's ranking is
+        this one's, cut at the last of those levels."""
+        ranked, ends = self.ranking
+        ends = ends[:count]
+        ranking = (ranked[: ends[-1]] if ends else (), ends)
+        return SubsystemChain(self.universe, self.systems[:count], self.thresholds[:count], ranking)
 
     def level_of(self, uid: int):
         """Smallest level index whose system contains ``uid``, or None."""

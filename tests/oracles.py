@@ -14,17 +14,20 @@ from them pair by pair against ``build_distinguisher_family`` and
 order-level families the pipelines build, and canonicity under every graph
 automorphism against ``verify``'s check of a generating set, and the orbit
 of an edge mask under every vertex permutation against the corpus
-generators.
+generators.  The small graphs and trees, one per isomorphism class, are the
+inputs on which the width cut of ``graph_tangles`` is checked against the
+uncapped search.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
 
+from totkit import corpus
 from totkit.errors import SeparationError, UniverseClosureError
 from totkit.pipelines import graph_pipeline
 from totkit.profiles import Orientation
 from totkit.sepsys import SubSystem
 from totkit.splinter import IndexedFamily
-from totkit.universes import automorphisms, lift_permutation
+from totkit.universes import Graph, automorphisms, lift_permutation
 
 # ----------------------------------------------------------------------
 # corners and separation systems
@@ -432,3 +435,33 @@ def edge_mask_orbit(n, mask):
         sum(1 << index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in edges)
         for perm in permutations(range(n))
     }
+
+
+def _edge_mask(n, edges):
+    index = {p: b for b, p in enumerate(combinations(range(n), 2))}
+    return sum(1 << index[e] for e in edges)
+
+
+def all_graphs(max_n):
+    """One graph per isomorphism class on 1 to ``max_n`` vertices,
+    disconnected ones included: the masks that are the least of their orbit."""
+    return [
+        corpus._graph_from_mask(n, mask)
+        for n in range(1, max_n + 1)
+        for mask in range(1 << n * (n - 1) // 2)
+        if corpus._canonical_mask(n, mask) == mask
+    ]
+
+
+def trees(n):
+    """One tree per isomorphism class on ``n`` vertices: each tree on
+    ``k + 1`` vertices is one on ``k`` with a leaf ``k`` added."""
+    found = [[]]
+    for k in range(1, n):
+        grown = {}
+        for edges in found:
+            for v in range(k):
+                more = edges + [(v, k)]
+                grown.setdefault(corpus._canonical_mask(k + 1, _edge_mask(k + 1, more)), more)
+        found = list(grown.values())
+    return [Graph(range(n), edges) for edges in found]

@@ -464,6 +464,18 @@ def test_order_fn_cut_file(capsys, tmp_path, circle_file):
     assert json.loads(out)["params"]["order_fn"].startswith("cut:")
 
 
+@pytest.mark.parametrize("order_graph", [None, [[1, 2, 1]]], ids=["plain", "inline"])
+@pytest.mark.parametrize("spec", ["", "bogus"])
+def test_unknown_order_fn_is_exit_2(capsys, tmp_path, spec, order_graph):
+    """The ``order_fn`` default applies only when the flag is absent: an
+    empty spec names no order function, like any other unknown one."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"points": [1, 2, 3, 4], "order_graph": order_graph}))
+    code, out, err = run(capsys, "circle-tangles", "--input", str(p), "--m", "1", "--n", "4", "--order-fn", spec)
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == f"unknown order-fn spec {spec!r}"
+
+
 def test_verify_reads_a_cut_file_again_from_the_working_directory(capsys, tmp_path, monkeypatch):
     """A ``cut:FILE`` artifact records the spec, not the weights: ``verify``
     re-reads FILE relative to its own working directory."""

@@ -44,6 +44,7 @@ from totkit.universes import (
 )
 
 from oracles import (
+    all_graphs,
     distinguishers,
     distinguishes,
     efficient_distinguishers,
@@ -56,6 +57,7 @@ from oracles import (
     orientation_from_json,
     pairwise_distinguishes_all,
     pairwise_family,
+    trees,
 )
 
 
@@ -486,7 +488,8 @@ def _definitional_clique_pipeline(g):
     subsystem of the universe of all separations."""
     u = enumerate_graph_separations(g)
     chain = slice_chain(u, within=clique_subsystem(g, u, None))
-    base = pipelines._profiles_and_family(chain, PROFILE, {"kind": "clique-profile"}, g)
+    levels = enumerate_chain_profiles(chain, PROFILE, g)
+    base = pipelines._profiles_and_family(chain, levels, {"kind": "clique-profile"}, g)
     return pipelines._extract_and_check(base, True)
 
 
@@ -581,6 +584,121 @@ def test_tangle_search_matches_oracles_off_the_connected_corpus():
             system = SubSystem(chain.universe, frozenset(rng.sample(uids, min(len(uids), 6))))
             got = sorted((o.chosen for o in enumerate_profiles(system, kind, g)), key=sorted)
             assert got == naive_enumerate(system, kind, g), (g, sorted(system.members))
+
+
+# ----------------------------------------------------------------------
+# the search stops at the elimination width
+
+
+@pytest.fixture(scope="module")
+def width_cases(small_corpus):
+    """``(graph, slice chain, uncapped levels)``: every graph on at most 5
+    vertices (the connected corpus, edgeless graphs, stars and matchings
+    among them), the 11 trees on 7 vertices, and two sparse 10-vertex
+    graphs, edgeless and ``K2 + 8 K1``, whose tangles of order 1 exceed the
+    branch-width.  The levels come from the uncapped search of the whole
+    slice chain, which rule (T) oracles check above."""
+    graphs = all_graphs(5)
+    assert len(graphs) == 52 and set(small_corpus) <= set(graphs)
+    graphs += trees(7) + [Graph(range(10)), Graph(range(10), [(0, 1)])]
+    cases = []
+    for g in graphs:
+        chain = slice_chain(enumerate_graph_separations(g))
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), g)
+        cases.append((g, chain, [[o.chosen for o in level] for level in levels]))
+    return cases
+
+
+def _chosen(res):
+    return [[o.chosen for o in level] for level in res.levels]
+
+
+def test_graph_tangles_equal_the_uncapped_search(width_cases):
+    """No level above the elimination width holds a tangle, so searching
+    only up to it loses none, and the reported chain is the whole slice
+    chain.  The cut is tight (a tangle at the width itself) on 35 of the 65
+    graphs, the trees and the 10-vertex graphs among them."""
+    tight = []
+    for g, chain, want in width_cases:
+        res = graph_tangles(g)
+        assert _chosen(res) == want, g
+        assert res.chain.thresholds == chain.thresholds == tuple(range(g.n + 1)), g
+        assert [s.members for s in res.chain.systems] == [s.members for s in chain.systems], g
+        assert res.chain.ranking == chain.ranking, g
+        assert not any(want[g.elimination_width + 1 :]), g
+        if want[g.elimination_width]:
+            tight.append(g)
+    assert len(tight) == 35 and tight[-13:] == [g for g, _, _ in width_cases[-13:]]
+
+
+def test_graph_tangles_below_max_order_equal_the_uncapped_search(width_cases):
+    """``max_order`` cuts the chain at its thresholds below it, with the
+    ranking of the whole chain cut at the same level."""
+    for g, chain, want in width_cases:
+        if g.n > 7:
+            continue
+        for k in (1, 2, 3):
+            res = graph_tangles(g, max_order=k)
+            count = min(k, len(chain))
+            assert res.chain.thresholds == chain.thresholds[:count], (g, k)
+            assert res.chain.ranking == ranked_members(res.chain), (g, k)
+            assert _chosen(res) == want[:count], (g, k)
+
+
+def test_a_cap_one_below_the_width_loses_tangles(width_cases, monkeypatch):
+    """The width cap is exact where it is tight: capping one level lower
+    drops tangles."""
+    width = Graph.elimination_width.func
+    monkeypatch.setattr(Graph, "elimination_width", property(lambda g: width(g) - 1))
+    assert any(_chosen(graph_tangles(g)) != want for g, _, want in width_cases)
+
+
+def test_graph_tangles_never_try_a_member_above_the_width(monkeypatch):
+    """A count of rule (T) work, not a timing: on the trees with 7
+    vertices, of width 1, the search tries only orientations of members of
+    order at most 1, and the uncapped search tries members of order 2."""
+    tried = []
+    rule = profiles._tangle_rule
+
+    def counting_rule(u, graph):
+        try_add, undo = rule(u, graph)
+
+        def counted(x):
+            tried.append(u.order(x))
+            return try_add(x)
+
+        return counted, undo
+
+    monkeypatch.setattr(profiles, "_tangle_rule", counting_rule)
+    for g in trees(7):
+        assert g.elimination_width == 1
+        tried.clear()
+        graph_tangles(g)
+        assert tried and max(tried) == 1, g
+        tried.clear()
+        enumerate_chain_profiles(slice_chain(enumerate_graph_separations(g)), graph_tangle_kind(), g)
+        assert max(tried) == 2, g
+
+
+def test_orientation_validation_names_the_fault(p4_universe):
+    """A valid orientation is accepted at once; an invalid one is refused
+    with the fault named, also when it has one oid per member or one uid
+    per member."""
+    u = p4_universe
+    members = sorted(u.unoriented_ids())[:3]
+    system = SubSystem(u, frozenset(members))
+    assert len(Orientation(system, frozenset(members))) == 3
+    assert len(Orientation(system, frozenset(map(u.inv, members)))) == 3
+    outside = sorted(u.unoriented_ids())[3]
+    cases = [
+        (members + [outside], f"orientation chooses non-member separation {outside}"),
+        (members[:2], "orientation must orient every member exactly once"),
+        ([members[0], u.inv(members[0]), members[1]], f"both orientations of {members[0]} chosen"),
+        (members + [u.inv(members[0])], f"both orientations of {members[0]} chosen"),
+    ]
+    for chosen, message in cases:
+        with pytest.raises(SeparationError, match=f"^{message}$"):
+            Orientation(system, frozenset(chosen))
 
 
 def test_chain_profiles_restrict_downwards(two_k4, two_k4_universe):

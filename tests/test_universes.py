@@ -32,7 +32,7 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, is_submodular_order, oid, pairwise_distinguishes_all
+from oracles import all_graphs, corner_items, is_submodular_order, oid, pairwise_distinguishes_all, trees
 
 
 def brute_force_separations(g):
@@ -193,6 +193,39 @@ def test_clique_table_is_the_pairwise_adjacency_definition():
         for s in range(1 << g.n):
             members = [v for v in range(g.n) if s >> v & 1]
             assert g.clique[s] == all(g.adj[v] >> w & 1 for v, w in combinations(members, 2)), (g, s)
+
+
+def _treewidth(g):
+    """The least width over all elimination orderings, which is the tree-width."""
+    best = g.n
+    for ordering in permutations(range(g.n)):
+        nbrs = {v: {w for w in range(g.n) if g.adj[v] >> w & 1} for v in range(g.n)}
+        width = 0
+        for v in ordering:
+            width = max(width, len(nbrs[v]))
+            for w in nbrs[v]:
+                nbrs[w] |= nbrs[v] - {w}
+                nbrs[w].discard(v)
+            del nbrs[v]
+        best = min(best, width)
+    return best
+
+
+def test_elimination_width():
+    """Edgeless graphs 0, forests with an edge 1, cycles 2, ``K_n`` ``n - 1``;
+    never below the tree-width on the graphs with at most 5 vertices."""
+    for n in range(1, 11):
+        assert Graph(range(n)).elimination_width == 0
+        assert corpus.complete_graph(n).elimination_width == n - 1
+        assert Graph(range(n), [(0, 1)] if n > 1 else []).elimination_width == min(n - 1, 1)
+    for n in range(3, 11):
+        assert corpus.cycle_graph(n).elimination_width == 2
+        assert corpus.path_graph(n).elimination_width == 1
+        assert corpus.star_graph(n).elimination_width == 1
+    assert all(t.elimination_width == 1 for t in trees(7))
+    assert Graph(range(10), [(i, i + 1) for i in range(0, 10, 2)]).elimination_width == 1
+    for g in all_graphs(5):
+        assert g.elimination_width >= _treewidth(g), g
 
 
 def test_clique_enumeration_size_bound_comes_first():
@@ -465,6 +498,22 @@ def test_chain_requires_containment(p4_universe):
     SubsystemChain(p4_universe, (s1, s2))
     with pytest.raises(SeparationError):
         SubsystemChain(p4_universe, (s2, s1))
+
+
+def test_prefix_is_the_chain_of_its_first_levels(small_corpus):
+    """``prefix`` cuts the levels, thresholds and ranking of a slice chain
+    as a chain built from its first levels ranks them; a chain built from
+    given levels is still checked, as ``slice_chain`` and ``prefix`` skip
+    that check."""
+    for g in small_corpus:
+        chain = slice_chain(enumerate_graph_separations(g))
+        for count in range(len(chain) + 2):
+            cut = chain.prefix(count)
+            fresh = SubsystemChain(chain.universe, chain.systems[:count], chain.thresholds[:count])
+            assert (cut.systems, cut.thresholds, cut.ranking) == (fresh.systems, fresh.thresholds, fresh.ranking)
+    other = slice_chain(enumerate_graph_separations(g))
+    with pytest.raises(SeparationError, match="different universes"):
+        SubsystemChain(chain.universe, chain.systems[:1] + other.systems[1:2])
 
 
 def literal_compatible(chain):
