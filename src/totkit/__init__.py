@@ -30,9 +30,6 @@ from .universes import (
     enumerate_circle_separations,
     enumerate_clique_separations,
     enumerate_graph_separations,
-    is_clique_separation,
-    is_compatible_sequence,
-    restrict_Sk,
     slice_chain,
 )
 

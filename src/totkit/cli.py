@@ -34,6 +34,7 @@ from .graphio import (
     corpus_artifact,
     dump_json,
     join_check,
+    level_counts,
     load_circle,
     load_graph,
     parse_sep_spec,
@@ -61,7 +62,7 @@ def _emit(args, text: str):
 def _text(command, result) -> str:
     """The ``--format text`` report of a graph command."""
     if command == "tangles":
-        lines = [f"order <= {t}: {len(l)} tangle(s)" for t, l in zip(result.chain.thresholds, result.levels)]
+        lines = [f"order <= {c['max_order']}: {c['count']} tangle(s)" for c in level_counts(result)]
         lines.append(f"maximal: {len(result.profiles)}")
         return "\n".join(lines) + "\n"
     lines = [

@@ -38,7 +38,7 @@ from .pipelines import (
     graph_tangles,
 )
 from .profiles import orientation_to_json
-from .sepsys import Universe
+from .sepsys import GroundSet, Universe
 from .splinter import efficiently_distinguishes_all, extract_canonical
 from .treedec import (
     TreeDecomposition,
@@ -189,15 +189,17 @@ def _order_graph_edges(points, order_graph, error: type) -> list:
     """Validated ``(u, v, weight)`` tuples of a circle's inline order graph."""
     if not isinstance(order_graph, list):
         raise error("order_graph must be a list of [u, v, weight]")
+    ground = GroundSet(points)
     edges = []
     for e in order_graph:
         if not isinstance(e, list) or len(e) != 3:
             raise error("order_graph entries must be [u, v, weight]")
         u, v, w = e
         for end in (u, v):
-            # True and 1.0 are in [1, 2], but name no point
-            if end not in points or end.__class__ is not points[points.index(end)].__class__:
-                raise error(f"order_graph edge {e!r} names unknown point {end!r}")
+            try:
+                ground.mask_of((end,))
+            except SeparationError as exc:
+                raise error(f"order_graph edge {e!r} names unknown point {end!r}") from exc
         # Integer weights keep every order value exact; a float sum can
         # round a submodular cut order into one that is not.
         if not isinstance(w, int) or isinstance(w, bool):
@@ -367,10 +369,15 @@ def graph_payload(g: Graph) -> dict:
     return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
 
 
-def tangle_levels_payload(result) -> list:
+def level_counts(result: PipelineResult) -> list:
+    """``{"max_order": t, "count": n}`` per level of ``result``: the one place pairing thresholds with levels."""
+    return [{"max_order": t, "count": len(level)} for t, level in zip(result.chain.thresholds, result.levels)]
+
+
+def tangle_levels_payload(result: PipelineResult) -> list:
     return [
-        {"max_order": threshold, "count": len(level), "tangles": [orientation_to_json(p) for p in level]}
-        for threshold, level in zip(result.chain.thresholds, result.levels)
+        {**counted, "tangles": [orientation_to_json(p) for p in level]}
+        for counted, level in zip(level_counts(result), result.levels)
     ]
 
 
@@ -389,7 +396,7 @@ def recorded_fields(command: str, source, result: PipelineResult) -> dict:
     doc["graph"] = graph_payload(source)
     if command == "tangles":
         return {**doc, "levels": tangle_levels_payload(result), "maximal_tangles": len(result.profiles)}
-    doc["levels"] = [{"max_order": t, "count": len(l)} for t, l in zip(result.chain.thresholds, result.levels)]
+    doc["levels"] = level_counts(result)
     return {**doc, "maximal_tangles": len(result.profiles), "displays": bool(result.displays_ok)}
 
 
@@ -444,18 +451,19 @@ def _require(doc: dict, key: str, kind: type):
     return doc[key]
 
 
-def _decomposition_of(g: Graph, dd):
-    """The tree-decomposition of an artifact's ``decomposition`` block."""
+def _decomposition_of(g: Graph, universe: Universe, dd):
+    """The tree-decomposition of an artifact's ``decomposition`` block, over the labels of ``universe``."""
     if not isinstance(dd, dict):
         raise VerificationError("artifact field 'decomposition' is not an object")
     nodes = _require(dd, "nodes", list)
     edges = _require(dd, "edges", list)
-    kinds = {v: v.__class__ for v in g.vertices}  # true and 2.0 are no vertices of [1, 2]
     for nd in nodes:
         if not (isinstance(nd, dict) and _is_int(nd.get("id")) and isinstance(nd.get("bag"), list)):
             raise VerificationError(f"decomposition node {nd!r} needs an integer id and a bag list")
-        if any(isinstance(v, (list, dict)) or kinds.get(v) is not v.__class__ for v in nd["bag"]):
-            raise VerificationError(f"decomposition node {nd!r} has a bag member that is no vertex")
+        try:
+            universe.mask_of(nd["bag"])
+        except SeparationError as exc:
+            raise VerificationError(f"decomposition node {nd!r} has a bag member that is no vertex") from exc
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise VerificationError(f"decomposition edge {e!r} is not a pair of node ids")
@@ -559,7 +567,7 @@ def verify_artifact(doc: dict) -> dict:
         return diag
     exported = _require(doc, "tree_set" if command == "circle-tangles" else "nested_set", list)
     dd = None if command == "circle-tangles" else doc.get("decomposition")
-    td = None if dd is None else _decomposition_of(g, dd)
+    td = None if dd is None else _decomposition_of(g, result.universe, dd)
     canonical = command in ("canonical-tot", "clique-tot")
     if canonical:
         image = extract_canonical(result.family).nested if result.family else frozenset()

@@ -79,9 +79,6 @@ class PipelineResult:
     displays_ok: bool | None = None
     meta: dict = field(default_factory=dict)
 
-    def tangle_counts(self) -> list[int]:
-        return [len(l) for l in self.levels]
-
 
 def _extract(family: IndexedFamily | None, canonical: bool):
     if family is None or not len(family):

@@ -11,8 +11,8 @@ Orientations are addressed by integer ids ("oids"), assigned in sorted order
 of the side-mask pairs and therefore deterministic.  The unoriented
 separation underlying an oid is addressed by the smaller id of its two
 orientations (its "uid").  Every operation of the abstract layer (``leq``,
-``inv``, ``join``, ``meet``, ``nested``, ``corners``, ``is_small``,
-``is_trivial``) is a :class:`Universe` method on these ids.
+``inv``, ``join``, ``meet``, ``nested``, ``corners``, ``is_trivial``) is a
+:class:`Universe` method on these ids.
 
 A universe is fixed at construction: its separations, ids and orders never
 change, and no method caches anything on it.  The per-oid lookups
@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 from .errors import SeparationError, UniverseClosureError
 
-__all__ = ["Universe", "SubSystem"]
+__all__ = ["GroundSet", "Universe", "SubSystem"]
 
 
 def _no_order(oid: int):
@@ -48,7 +48,32 @@ def bits(mask: int):
         mask ^= low
 
 
-class Universe:
+class GroundSet:
+    """The labels of a ground set in a fixed order; ``mask_of`` is the package's one lookup of labels."""
+
+    def __init__(self, labels):
+        self.labels = tuple(labels)
+        self._label_bit = {v: i for i, v in enumerate(self.labels)}
+
+    def mask_of(self, labels: Iterable) -> int:
+        """The mask of ``labels``; a label no ground label is, of its type too
+        (``True`` and ``1.0`` are no ``1``), raises ``SeparationError``."""
+        m = 0
+        for v in labels:
+            try:
+                i = self._label_bit[v]
+            except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
+                raise SeparationError(f"unknown ground-set label {v!r}") from exc
+            if v.__class__ is not self.labels[i].__class__:
+                raise SeparationError(f"label {v!r} is of another type than ground-set label {self.labels[i]!r}")
+            m |= 1 << i
+        return m
+
+    def labels_of(self, mask: int) -> tuple:
+        return tuple(self.labels[i] for i in bits(mask))
+
+
+class Universe(GroundSet):
     """Finite universe of bipartition-style separations over a ground set.
 
     ``pairs`` is an iterable of ``(a_mask, b_mask)`` tuples that must be
@@ -71,11 +96,10 @@ class Universe:
     """
 
     def __init__(self, labels, pairs, order_fn: Callable | None = None, kind: str = "custom"):
-        self.labels = tuple(labels)
+        super().__init__(labels)
         self.kind = kind
-        if len(set(self.labels)) != len(self.labels):
+        if len(self._label_bit) != len(self.labels):
             raise SeparationError("duplicate ground-set labels")
-        self._label_bit = {v: i for i, v in enumerate(self.labels)}
         self.full_mask = full = (1 << len(self.labels)) - 1
         plist = sorted(pairs)
         index = dict(zip(plist, count()))
@@ -175,9 +199,6 @@ class Universe:
         except KeyError as exc:
             raise UniverseClosureError(f"meet of {i} and {j} is not in the universe") from exc
 
-    def is_small(self, oid: int) -> bool:
-        return self.leq(oid, self._inv[oid])
-
     def is_trivial(self, oid: int, uids: Iterable[int]) -> bool:
         """Whether ``oid`` is strictly below both orientations of some member of ``uids``."""
         return any(self.lt(oid, w) and self.lt(oid, self._inv[w]) for w in uids)
@@ -223,26 +244,6 @@ class Universe:
     def corner_uids(self, u: int, v: int) -> frozenset[int | None]:
         """The set of :meth:`corners`, with None for any corner outside the universe."""
         return frozenset(self.corners(u, v))
-
-    # ------------------------------------------------------------------
-    # labels
-
-    def mask_of(self, labels: Iterable) -> int:
-        """The mask of ``labels``; a label no ground label is, of its type too
-        (``True`` and ``1.0`` are no ``1``), raises ``SeparationError``."""
-        m = 0
-        for v in labels:
-            try:
-                i = self._label_bit[v]
-            except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
-                raise SeparationError(f"unknown ground-set label {v!r}") from exc
-            if v.__class__ is not self.labels[i].__class__:
-                raise SeparationError(f"label {v!r} is of another type than ground-set label {self.labels[i]!r}")
-            m |= 1 << i
-        return m
-
-    def labels_of(self, mask: int) -> tuple:
-        return tuple(self.labels[i] for i in bits(mask))
 
     def side_labels(self, oid: int) -> tuple[tuple, tuple]:
         a, b = self._pairs[oid]

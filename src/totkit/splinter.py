@@ -48,7 +48,6 @@ __all__ = [
     "TransversalResult",
     "splinters",
     "extract_transversal",
-    "extremal_elements",
     "splinters_hierarchically",
     "extract_canonical",
     "map_family",
@@ -259,15 +258,8 @@ def splinters(fam: IndexedFamily):
 # non-canonical extraction
 
 
-class _Traced:
-    def trace_jsonl(self) -> str:
-        import json
-
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.trace)
-
-
 @dataclass
-class TransversalResult(_Traced):
+class TransversalResult:
     """One nested pick per family key, plus the decision trace."""
 
     picks: dict
@@ -349,12 +341,6 @@ def _verify_picks(fam: IndexedFamily, picks: dict):
 # canonical extraction
 
 
-def extremal_elements(universe: Universe, seps) -> frozenset:
-    """Members with an orientation that is maximal among all orientations of the set."""
-    table = _OrderTable(universe, {universe.uid(x) for x in seps})
-    return frozenset(table.uids(table.extremal((1 << len(table.support)) - 1)))
-
-
 def _hierarchical_rule(gs, ha, hb, a0, a1, b0, b1, higher, lower):
     # rule "ij" against higher groups, "ji" against lower ones, "inc" against
     # the rest; corners from different sides of a in X and in Y exist iff X
@@ -400,7 +386,7 @@ def splinters_hierarchically(fam: IndexedFamily):
 
 
 @dataclass
-class CanonicalResult(_Traced):
+class CanonicalResult:
     """Canonical nested set meeting every family set, plus the recursion trace."""
 
     nested: frozenset

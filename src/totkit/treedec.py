@@ -25,7 +25,6 @@ __all__ = [
     "TreeDecomposition",
     "is_tree_set",
     "build_tree_decomposition",
-    "induced_separations",
     "induced_uids",
     "is_valid_tree_decomposition",
     "displays",
@@ -144,16 +143,6 @@ def _edge_sides(td: TreeDecomposition) -> list[tuple[frozenset, frozenset]]:
     for a, b in td.edges:
         left = nodes - below[b] if parent.get(b) == a else below[a]
         out.append(tuple(frozenset().union(*(td.bags[x] for x in side)) for side in (left, nodes - left)))
-    return out
-
-
-def induced_separations(td: TreeDecomposition) -> set[tuple[tuple, tuple]]:
-    """The separations induced by the tree edges, as canonical side-label pairs."""
-    out = set()
-    for ua, ub in _edge_sides(td):
-        pa = tuple(sorted(ua, key=label_key))
-        pb = tuple(sorted(ub, key=label_key))
-        out.add(min((pa, pb), (pb, pa)))
     return out
 
 

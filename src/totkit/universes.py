@@ -20,7 +20,7 @@ from operator import and_
 from typing import Callable, Iterable, Iterator
 
 from .errors import SeparationError, SizeBoundError
-from .sepsys import SubSystem, Universe, bits
+from .sepsys import GroundSet, SubSystem, Universe, bits
 
 __all__ = [
     "Graph",
@@ -33,12 +33,9 @@ __all__ = [
     "complete_cut_order",
     "enumerate_circle_separations",
     "is_interval_mask",
-    "is_clique_separation",
     "clique_subsystem",
-    "restrict_Sk",
     "check_submodular_order",
     "slice_chain",
-    "is_compatible_sequence",
     "automorphisms",
     "automorphism_generators",
     "lift_permutation",
@@ -53,19 +50,20 @@ def label_key(v):
 
 
 class Graph:
-    """Finite simple graph with hashable, sortable vertex labels."""
+    """Finite simple graph with hashable, sortable vertex labels; an edge end names a vertex of its type."""
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
         self.vertices = tuple(sorted(set(vertices), key=label_key))
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        ground = GroundSet(self.vertices)
         es = set()
         for u, v in edges:
             if u == v:
                 raise SeparationError(f"loop at vertex {u!r}")
-            if u not in self._vindex or v not in self._vindex:
-                raise SeparationError(f"edge ({u!r}, {v!r}) uses unknown vertices")
-            iu, iv = self._vindex[u], self._vindex[v]
-            es.add((min(iu, iv), max(iu, iv)))
+            try:
+                m = ground.mask_of((u, v))
+            except SeparationError as exc:
+                raise SeparationError(f"edge ({u!r}, {v!r}) uses unknown vertices") from exc
+            es.add(((m & -m).bit_length() - 1, m.bit_length() - 1))
         self.edge_indices = tuple(sorted(es))
         adj = [0] * len(self.vertices)
         for i, j in self.edge_indices:
@@ -206,15 +204,18 @@ def cut_order_fn(labels, weighted_edges) -> Callable[[int, int], int]:
 
     ``weighted_edges`` is an iterable of ``(u, v, w)`` with non-negative ``w``.
     """
-    idx = {v: i for i, v in enumerate(labels)}
+    ground = GroundSet(labels)
     items = []
     for u, v, w in weighted_edges:
         if w < 0:
             raise SeparationError("cut weights must be non-negative")
+        ends = []
         for end in (u, v):
-            if end not in idx:
-                raise SeparationError(f"cut edge ({u!r}, {v!r}) names unknown point {end!r}")
-        items.append((1 << idx[u], 1 << idx[v], w))
+            try:
+                ends.append(ground.mask_of((end,)))
+            except SeparationError as exc:
+                raise SeparationError(f"cut edge ({u!r}, {v!r}) names unknown point {end!r}") from exc
+        items.append((*ends, w))
 
     def order(a: int, b: int):
         aonly = a & ~b
@@ -297,11 +298,6 @@ def enumerate_circle_separations(
 # cliques
 
 
-def is_clique_separation(g: Graph, universe: Universe, uid: int) -> bool:
-    """Whether the separator ``A n B`` induces a complete subgraph of ``g``."""
-    return g.clique[and_(*universe.sides(uid))]
-
-
 def clique_subsystem(g: Graph, universe: Universe, k=None) -> SubSystem:
     """Clique separations of ``g`` of order below ``k`` (``None`` means no bound).
 
@@ -344,14 +340,7 @@ def enumerate_clique_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTI
 
 
 # ----------------------------------------------------------------------
-# slices, chains, compatibility
-
-
-def restrict_Sk(universe: Universe, k) -> SubSystem:
-    """Members of the universe with order strictly below ``k``."""
-    return SubSystem(
-        universe, frozenset(u for u in universe.unoriented_ids() if universe.order(u) < k)
-    )
+# slices and chains
 
 
 def check_submodular_order(universe: Universe) -> bool:
@@ -443,16 +432,6 @@ class SubsystemChain:
         ranking = (ranked[: ends[-1]] if ends else (), ends)
         return SubsystemChain(self.universe, self.systems[:count], self.thresholds[:count], ranking)
 
-    def level_of(self, uid: int):
-        """Smallest level index whose system contains ``uid``, or None."""
-        for i, s in enumerate(self.systems):
-            if uid in s.members:
-                return i
-        return None
-
-    def top(self) -> SubSystem:
-        return self.systems[-1]
-
 
 def slice_chain(universe: Universe, within: SubSystem | None = None) -> SubsystemChain:
     """Chain of order slices at every distinct order value of the members.
@@ -471,55 +450,16 @@ def slice_chain(universe: Universe, within: SubSystem | None = None) -> Subsyste
     return SubsystemChain(universe, systems, thresholds, (ranked, ends))
 
 
-def is_compatible_sequence(chain: SubsystemChain) -> bool:
-    """Whether every element pair satisfies the two-or-three corner condition.
-
-    For all ``i <= j`` and ``s_i`` in level ``i``, ``s_j`` in level ``j``,
-    level ``i`` must contain at least two of the four tagged corners of the
-    pair, or level ``j`` at least three.  Because the chain ascends, corner
-    counts are monotone in the level index, so each element pair only needs
-    checking at its smallest admissible level pair.  A corner is looked up
-    by its sides among the member orientations: one in no level, or not in
-    the universe at all (the clique universe is not closed under corners),
-    counts in no level.
-    """
-    sides = chain.universe.sides
-    top = sorted(chain.top().members)
-    missing = len(chain.systems)
-    # the first level of each member orientation, keyed by its sides
-    level = {}
-    for i in reversed(range(missing)):
-        for a, b in map(sides, chain.systems[i].members):
-            level[a, b] = level[b, a] = i
-    get = level.get
-    # One corner computation per unordered pair serves both ordered pairs:
-    # the corner multiset is symmetric, j0 is shared, and the smaller i0 binds.
-    for x, r in enumerate(top):
-        a, b = sides(r)
-        lr = level[a, b]
-        for s in top[x:]:
-            c, d = sides(s)
-            ls = level[c, d]
-            i0, j0 = (ls, lr) if ls < lr else (lr, ls)
-            l1 = get((a | c, b & d), missing)
-            l2 = get((a | d, b & c), missing)
-            l3 = get((b | c, a & d), missing)
-            l4 = get((b | d, a & c), missing)
-            if (l1 <= i0) + (l2 <= i0) + (l3 <= i0) + (l4 <= i0) < 2 and (
-                (l1 <= j0) + (l2 <= j0) + (l3 <= j0) + (l4 <= j0) < 3
-            ):
-                return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # automorphisms
 
 
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, as index tuples, in
-    lexicographic order (the identity first)."""
-    return list(_automorphisms(g, (), max_vertices))
+    """All adjacency-preserving vertex permutations, up to ``n!`` of them, so
+    bounded by ``max_vertices``, as index tuples in lexicographic order (the identity first)."""
+    if g.n > max_vertices:
+        raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
+    return list(_automorphisms(g, ()))
 
 
 def automorphism_generators(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -537,10 +477,10 @@ def automorphism_generators(g: Graph) -> Iterator[tuple[int, ...]]:
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if degs[j] == degs[i]:
-                yield from islice(_automorphisms(g, tuple(range(i)) + (j,), DEFAULT_MAX_VERTICES), 1)
+                yield from islice(_automorphisms(g, tuple(range(i)) + (j,)), 1)
 
 
-def _automorphisms(g: Graph, prefix: tuple[int, ...], max_vertices: int) -> Iterator[tuple[int, ...]]:
+def _automorphisms(g: Graph, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The automorphisms sending vertex ``i`` to ``prefix[i]`` for each ``i``
     the prefix covers, lazily and in lexicographic order.
 
@@ -548,8 +488,6 @@ def _automorphisms(g: Graph, prefix: tuple[int, ...], max_vertices: int) -> Iter
     ascending, and a partial map is abandoned as soon as it disagrees with
     adjacency on the assigned set.
     """
-    if g.n > max_vertices:
-        raise SizeBoundError(f"graph has {g.n} vertices, bound is {max_vertices}")
     n, adj = g.n, g.adj
     degs = [m.bit_count() for m in adj]
     perm, used = [-1] * n, [False] * n

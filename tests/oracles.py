@@ -12,11 +12,19 @@ by order, or efficient by chain level) and the family and verdict built
 from them pair by pair against ``build_distinguisher_family`` and
 ``efficiently_distinguishes_all``, chain-level efficiency against the
 order-level families the pipelines build, and canonicity under every graph
-automorphism against ``verify``'s check of a generating set, and the orbit
-of an edge mask under every vertex permutation against the corpus
+automorphism against ``verify``'s check of a generating set, the extremal
+elements of a set against the order table of ``IndexedFamily``, and the
+orbit of an edge mask under every vertex permutation against the corpus
 generators.  The small graphs and trees, one per isomorphism class, are the
 inputs on which the width cut of ``graph_tangles`` is checked against the
 uncapped search.
+
+Some are no fast path's oracle but definitions the tests build their cases
+from, which the package itself does not need: smallness, the order slice
+below a bound, the first chain level of a member, and whether a separator
+is a clique.  ``is_compatible_sequence`` decides the corner condition of a
+compatible sequence per member pair, in one pass; ``test_universes`` checks
+it against the definition verbatim.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -74,13 +82,34 @@ def from_different_sides(u, r, s, c1, c2):
     return (c1 in side0 and c2 in side1) or (c1 in side1 and c2 in side0)
 
 
+def is_small(u, oid):
+    """Whether the orientation ``oid`` lies below its inverse."""
+    return u.leq(oid, u.inv(oid))
+
+
 def is_regular(u, uids):
     """Whether no element of ``uids`` has a small orientation."""
     for x in uids:
         a, b = u.orientations(x)
-        if u.is_small(a) or u.is_small(b):
+        if is_small(u, a) or is_small(u, b):
             return False
     return True
+
+
+def extremal_elements(u, seps):
+    """The members of ``seps`` with an orientation strictly below no
+    orientation of a member."""
+    uids = {u.uid(x) for x in seps}
+    oriented = [o for x in uids for o in u.orientations(x)]
+    return frozenset(
+        x for x in uids if any(not any(u.lt(o, w) for w in oriented) for o in u.orientations(x))
+    )
+
+
+def is_clique_separation(g, universe, uid):
+    """Whether the separator ``A n B`` induces a complete subgraph of ``g``."""
+    a, b = universe.sides(uid)
+    return g.clique[a & b]
 
 
 def is_structurally_submodular(system):
@@ -297,7 +326,7 @@ def efficient_distinguishers(p, q, chain=None):
     ds = distinguishers(p, q)
     if not ds:
         return []
-    level = p.universe.order if chain is None else chain.level_of
+    level = p.universe.order if chain is None else lambda d: level_of(chain, d)
     levels = [level(d) for d in ds]
     if any(l is None for l in levels):
         raise SeparationError("distinguisher outside the chain")
@@ -318,7 +347,7 @@ def pairwise_family(profiles, mode="efficient", chain=None):
     and no levels; with "efficient" :func:`efficient_distinguishers` (of
     ``chain`` if given) and the order (or chain level) they share as level."""
     u = profiles[0].universe
-    level = u.order if chain is None else chain.level_of
+    level = u.order if chain is None else lambda d: level_of(chain, d)
     sets = {}
     levels = {}
     for i, j in combinations(range(len(profiles)), 2):
@@ -373,7 +402,7 @@ def is_robust_set(profiles, chain, witness=None):
                     if r_uid not in p.system.members or choice(p, r_uid) != r_i:
                         continue
                     for s in eff:
-                        s_min = chain.level_of(s)
+                        s_min = level_of(chain, s)
                         for j in range(s_min, len(chain.systems)):
                             sj = chain.systems[j].members
                             ok = False
@@ -402,6 +431,66 @@ def sequence_family(g):
     if len(base.profiles) <= 1:
         return base, None
     return base, pairwise_family(base.profiles, chain=base.chain)
+
+
+# ----------------------------------------------------------------------
+# slices and chains
+
+
+def restrict_Sk(universe, k):
+    """Members of the universe with order strictly below ``k``."""
+    return SubSystem(
+        universe, frozenset(u for u in universe.unoriented_ids() if universe.order(u) < k)
+    )
+
+
+def level_of(chain, uid):
+    """Smallest level index whose system contains ``uid``, or None."""
+    for i, s in enumerate(chain.systems):
+        if uid in s.members:
+            return i
+    return None
+
+
+def is_compatible_sequence(chain):
+    """Whether every element pair satisfies the two-or-three corner condition.
+
+    For all ``i <= j`` and ``s_i`` in level ``i``, ``s_j`` in level ``j``,
+    level ``i`` must contain at least two of the four tagged corners of the
+    pair, or level ``j`` at least three.  Because the chain ascends, corner
+    counts are monotone in the level index, so each element pair only needs
+    checking at its smallest admissible level pair.  A corner is looked up
+    by its sides among the member orientations: one in no level, or not in
+    the universe at all (the clique universe is not closed under corners),
+    counts in no level.
+    """
+    sides = chain.universe.sides
+    top = sorted(chain.systems[-1].members)
+    missing = len(chain.systems)
+    # the first level of each member orientation, keyed by its sides
+    level = {}
+    for i in reversed(range(missing)):
+        for a, b in map(sides, chain.systems[i].members):
+            level[a, b] = level[b, a] = i
+    get = level.get
+    # One corner computation per unordered pair serves both ordered pairs:
+    # the corner multiset is symmetric, j0 is shared, and the smaller i0 binds.
+    for x, r in enumerate(top):
+        a, b = sides(r)
+        lr = level[a, b]
+        for s in top[x:]:
+            c, d = sides(s)
+            ls = level[c, d]
+            i0, j0 = (ls, lr) if ls < lr else (lr, ls)
+            l1 = get((a | c, b & d), missing)
+            l2 = get((a | d, b & c), missing)
+            l3 = get((b | c, a & d), missing)
+            l4 = get((b | d, a & c), missing)
+            if (l1 <= i0) + (l2 <= i0) + (l3 <= i0) + (l4 <= i0) < 2 and (
+                (l1 <= j0) + (l2 <= j0) + (l3 <= j0) + (l4 <= j0) < 3
+            ):
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -41,13 +41,18 @@ from totkit.universes import (
     bipartition_universe,
     clique_subsystem,
     enumerate_graph_separations,
-    is_clique_separation,
-    is_compatible_sequence,
     lift_permutation,
     slice_chain,
 )
 
-from oracles import is_robust_set, pairwise_distinguishes_all, pairwise_family, sequence_family
+from oracles import (
+    is_clique_separation,
+    is_compatible_sequence,
+    is_robust_set,
+    pairwise_distinguishes_all,
+    pairwise_family,
+    sequence_family,
+)
 
 
 @contextmanager

@@ -252,10 +252,12 @@ def test_circle_order_graph_unknown_point_is_exit_2(capsys, tmp_path):
     "order_graph, message",
     [
         ([[1, 9, 1]], "names unknown point 9"),
+        ([[True, 2, 1]], "names unknown point True"),
+        ([[1, 2.0, 1]], "names unknown point 2.0"),
         ([[1, 2, 1], [2, 3, 1.5]], "needs an integer weight"),
         ([[1, 2, -1]], "needs a non-negative weight"),
     ],
-    ids=["unknown-point", "float-weight", "negative-weight"],
+    ids=["unknown-point", "true-point", "float-point", "float-weight", "negative-weight"],
 )
 def test_malformed_order_graph_is_input_to_the_command_and_a_verify_failure(capsys, tmp_path, order_graph, message):
     circle = {"points": [1, 2, 3, 4, 5], "order_graph": [[i, i % 5 + 1, 1] for i in range(1, 6)]}
@@ -341,6 +343,27 @@ def test_tangles_command(capsys, two_k4_file):
     counts = [lvl["count"] for lvl in doc["levels"]]
     assert counts[:3] == [1, 3, 2]
     assert doc["maximal_tangles"] == 3
+
+
+@pytest.mark.parametrize("k", [None, 1, 2], ids=["all", "k1", "k2"])
+def test_tangles_text_lines_carry_the_json_levels(capsys, tmp_path, two_k4_file, k):
+    """``tangles --format text`` writes one line per level of the JSON
+    artifact, with its threshold and count, then the number of maximal tangles."""
+    graphs = [two_k4_file]
+    for name, text in (("p3", "1 2\n2 3\n"), ("edgeless", "1\n2\n3\n"), ("star", "0 1\n0 2\n0 3\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        graphs.append(str(path))
+    flags = [] if k is None else ["--k", str(k)]
+    for graph in graphs:
+        code, out, _ = run(capsys, "tangles", "--input", graph, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["levels"], graph
+        code, text, _ = run(capsys, "tangles", "--input", graph, "--format", "text", *flags)
+        assert code == 0
+        want = [f"order <= {lvl['max_order']}: {lvl['count']} tangle(s)" for lvl in doc["levels"]]
+        assert text.splitlines() == want + [f"maximal: {doc['maximal_tangles']}"], (graph, k)
 
 
 def test_circle_join_check(capsys, circle_file):
@@ -582,13 +605,14 @@ def test_graph_json_of_the_wrong_shape_is_refused(capsys, tmp_path, bad, message
 
 
 def test_verify_refuses_decomposition_labels_equal_to_but_not_a_vertex(capsys, tmp_path):
-    """``true`` equals the vertex 1, ``2.0`` the vertex 2, and ``true`` the node id 1."""
+    """``true`` equals the vertex 1, ``2.0`` the vertex 2, and ``true`` the
+    node id 1; 9 is no vertex at all."""
     path = tmp_path / "p3.json"
     path.write_text(json.dumps(P3))
     code, out, _ = run(capsys, "tot", "--input", str(path))
     assert code == 0
     doc = json.loads(out)
-    for swap in ({1: True}, {2: 2.0}):
+    for swap in ({1: True}, {2: 2.0}, {3: 9}):
         bad = json.loads(out)
         for nd in bad["decomposition"]["nodes"]:
             nd["bag"] = [swap.get(v, v) for v in nd["bag"]]
@@ -1147,6 +1171,20 @@ def test_graph_artifacts_round_trip_through_verify(capsys, tmp_path, small_corpu
             argv = [command, "--input", str(path), "--max-vertices", str(g.n)]
             swaps += _round_trip(capsys, tmp_path, argv + ([] if k is None else ["--k", str(k)]), g.n)
     assert swaps >= 20
+
+
+@pytest.mark.parametrize("command", ["canonical-tot", "clique-tot"])
+def test_canonical_artifacts_over_ten_vertices_pass_verify(capsys, tmp_path, command):
+    """``verify`` checks a generating set of the automorphisms of a graph that
+    the command took with ``--max-vertices 11``: no bound of its own applies."""
+    path = tmp_path / "p11.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(10)))
+    code, out, _ = run(capsys, command, "--input", str(path), "--max-vertices", "11")
+    assert code == 0 and json.loads(out)["nested_set"]
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(out)
+    code, out, err = run(capsys, "verify", "--input", str(artifact))
+    assert code == 0 and "canonical" in json.loads(out)["diagnostic"]["checks"], err
 
 
 def test_circle_artifacts_round_trip_through_verify(capsys, tmp_path):

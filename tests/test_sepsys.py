@@ -16,7 +16,15 @@ from totkit.universes import (
     enumerate_graph_separations,
 )
 
-from oracles import corner_items, from_different_sides, is_regular, is_structurally_submodular, oid
+from oracles import (
+    corner_items,
+    from_different_sides,
+    is_regular,
+    is_small,
+    is_structurally_submodular,
+    oid,
+    restrict_Sk,
+)
 
 
 # ----------------------------------------------------------------------
@@ -246,19 +254,19 @@ def test_different_sides_rejects_non_corner(bip4):
 
 
 def test_empty_side_is_small(bip4):
-    assert bip4.is_small(oid(bip4, [], [1, 2, 3, 4]))
-    assert not bip4.is_small(oid(bip4, [1, 2, 3, 4], []))
+    assert is_small(bip4, oid(bip4, [], [1, 2, 3, 4]))
+    assert not is_small(bip4, oid(bip4, [1, 2, 3, 4], []))
 
 
 def test_proper_bipartition_not_small(bip4):
-    assert not bip4.is_small(oid(bip4, [1, 2], [3, 4]))
+    assert not is_small(bip4, oid(bip4, [1, 2], [3, 4]))
 
 
 def test_small_but_not_trivial():
     """A single small separation is small but not trivial in {s}."""
     u = bipartition_universe([1, 2])
     s = oid(u, [], [1, 2])
-    assert u.is_small(s)
+    assert is_small(u, s)
     assert not u.is_trivial(s, [u.uid(s)])
 
 
@@ -289,8 +297,6 @@ def test_whole_universe_is_structurally_submodular(bip4):
 
 
 def test_order_slice_is_structurally_submodular(p4_universe):
-    from totkit.universes import restrict_Sk
-
     for k in (1, 2, 3):
         assert is_structurally_submodular(restrict_Sk(p4_universe, k))
 

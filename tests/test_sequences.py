@@ -17,12 +17,10 @@ from totkit.universes import (
     cut_order_fn,
     enumerate_clique_separations,
     enumerate_graph_separations,
-    is_compatible_sequence,
-    restrict_Sk,
     slice_chain,
 )
 
-from oracles import efficient_distinguishers, sequence_family
+from oracles import efficient_distinguishers, is_compatible_sequence, restrict_Sk, sequence_family
 from test_universes import literal_compatible
 
 

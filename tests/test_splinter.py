@@ -24,7 +24,6 @@ from totkit.splinter import (
     IndexedFamily,
     extract_canonical,
     extract_transversal,
-    extremal_elements,
     map_family,
     splinters,
     splinters_hierarchically,
@@ -39,7 +38,14 @@ from totkit.universes import (
     slice_chain,
 )
 
-from oracles import corner_items, pairwise_family, prec, reference_splinters, restricted_families_splinter
+from oracles import (
+    corner_items,
+    extremal_elements,
+    pairwise_family,
+    prec,
+    reference_splinters,
+    restricted_families_splinter,
+)
 
 
 def uid_of(u, a, b):
@@ -334,15 +340,16 @@ def test_transversal_on_tangle_families(two_k4, two_k4_universe):
 
 
 def test_trace_is_jsonl(bip4):
+    """Each trace entry is one JSON line."""
     a = uid_of(bip4, [1], [2, 3, 4])
     b = uid_of(bip4, [1, 2], [3, 4])
     res = extract_transversal(IndexedFamily(bip4, [{a}, {b}]))
     import json
 
-    lines = res.trace_jsonl().splitlines()
-    assert lines
-    for line in lines:
-        assert "depth" in json.loads(line)
+    assert res.trace
+    for entry in res.trace:
+        line = json.dumps(entry, sort_keys=True)
+        assert "\n" not in line and "depth" in json.loads(line)
 
 
 def test_transversal_scales_to_45_keys():
@@ -387,15 +394,22 @@ def test_transversal_trace_is_linear_on_path7():
 # extremal elements
 
 
+def table_extremal(u, seps):
+    """The extremal elements of ``seps`` as the order table of a family
+    holding them finds them, which the canonical extraction uses."""
+    table = IndexedFamily(u, [seps]).order_table
+    return frozenset(table.uids(table.extremal((1 << len(table.support)) - 1)))
+
+
 def test_extremal_singleton(bip4):
     s = uid_of(bip4, [1, 2], [3, 4])
-    assert extremal_elements(bip4, {s}) == frozenset({s})
+    assert table_extremal(bip4, {s}) == frozenset({s})
 
 
 def test_extremal_chain_contains_both_ends(bip4):
     r = uid_of(bip4, [1], [2, 3, 4])
     s = uid_of(bip4, [1, 2], [3, 4])
-    assert extremal_elements(bip4, {r, s}) == frozenset({r, s})
+    assert table_extremal(bip4, {r, s}) == frozenset({r, s})
 
 
 def order_table_cases(small_corpus, bip4):
@@ -443,15 +457,7 @@ def test_extremal_matches_brute_scan(small_corpus, bip4):
     u = enumerate_graph_separations(corpus.star_graph(4))
     cases = [(u, [m for m in u.unoriented_ids() if u.order(m) < 1])]
     for u, A in cases + order_table_cases(small_corpus, bip4):
-        got = extremal_elements(u, A)
-        oriented = {o for uid in A for o in u.orientations(uid)}
-        expect = set()
-        for uid in A:
-            for o in u.orientations(uid):
-                if not any(u.lt(o, y) for y in oriented):
-                    expect.add(uid)
-                    break
-        assert got == frozenset(expect)
+        assert table_extremal(u, A) == extremal_elements(u, A)
 
 
 # ----------------------------------------------------------------------
@@ -839,11 +845,10 @@ def test_canonical_trace_is_jsonl(two_k4, two_k4_universe):
     top = maximal_profiles([p for l in levels for p in l])
     fam = build_distinguisher_family(top)
     res = extract_canonical(fam)
-    lines = res.trace_jsonl().splitlines()
-    assert lines
-    for line in lines:
-        entry = json.loads(line)
-        assert entry["event"] == "extremal"
+    assert res.trace
+    for entry in res.trace:
+        line = json.dumps(entry, sort_keys=True)
+        assert "\n" not in line and json.loads(line)["event"] == "extremal"
 
 
 def test_canonical_output_lies_in_the_family_support(small_corpus):

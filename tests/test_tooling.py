@@ -4,7 +4,8 @@ name it lists must still resolve, or ``bench/run.py --trace 1`` breaks
 without any other test noticing; the benchmark's ``verify`` workload counts
 an output as correct only with the checks it lists; and the demos are the
 public usage examples, so each must still run.  Also the package's import
-graph, which no import error shows while every module is loaded anyway."""
+graph, which no import error shows while every module is loaded anyway, and
+that every name the package exports has a reader outside the tests."""
 
 import argparse
 import ast
@@ -24,6 +25,7 @@ from totkit.sepsys import Universe
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 PACKAGE = ROOT / "src" / "totkit"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = ROOT / "README.md"
@@ -77,6 +79,43 @@ def test_verify_runs_the_checks_the_benchmark_expects(tmp_path):
 def test_timed_universe_primitives_resolve():
     for name in ("nested", "corner_uids", "meet"):
         assert callable(getattr(Universe, name, None)), name
+
+
+def _names_read(path: Path) -> set:
+    """The names that code in ``path`` reads, as names, attributes or string
+    constants, leaving out import statements and ``__all__`` lists."""
+    tree = ast.parse(path.read_text())
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ):
+            skip.update(map(id, ast.walk(node)))
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):  # the tracer's LAYERS
+            names.add(node.value)
+    return names
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    """Each name in the ``__all__`` of a package module is read by code in
+    ``src/``, ``bench/`` or ``demos/``; a re-export does not count.  A name
+    only tests read belongs in ``tests/oracles.py``, or nowhere."""
+    read = set().union(*map(_names_read, [*PACKAGE.glob("*.py"), *BENCH, *DEMOS]))
+    unread = [
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in getattr(importlib.import_module(f"totkit.{path.stem}"), "__all__", [])
+        if name not in read
+    ]
+    assert not unread
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -18,7 +18,6 @@ from totkit.treedec import (
     decomposition_to_dot,
     decomposition_to_json,
     displays,
-    induced_separations,
     induced_uids,
     is_tree_set,
     is_valid_tree_decomposition,
@@ -30,7 +29,7 @@ def test_empty_set_gives_single_full_bag(p4, p4_universe):
     td = build_tree_decomposition(p4, p4_universe, [])
     assert td.nodes == [0]
     assert td.bags[0] == frozenset(p4.vertices)
-    assert induced_separations(td) == set()
+    assert induced_uids(td, p4_universe) == frozenset()
 
 
 def test_single_separation_two_bags(p4, p4_universe):
@@ -198,15 +197,6 @@ def _oracle_sides(td):
     return out
 
 
-def _oracle_induced_separations(td):
-    key = lambda v: (v.__class__.__name__, v)
-    out = set()
-    for ua, ub in _oracle_sides(td):
-        pa, pb = tuple(sorted(ua, key=key)), tuple(sorted(ub, key=key))
-        out.add(min((pa, pb), (pb, pa)))
-    return out
-
-
 def _oracle_induced_uids(td, u):
     return frozenset(u.uid(u.find(u.mask_of(ua), u.mask_of(ub))) for ua, ub in _oracle_sides(td))
 
@@ -218,7 +208,6 @@ def test_one_walk_matches_per_edge_walk_on_corpus():
             td = result.decomposition
             assert _edge_sides(td) == _oracle_sides(td), g
             assert induced_uids(td, result.universe) == _oracle_induced_uids(td, result.universe)
-            assert induced_separations(td) == _oracle_induced_separations(td)
             checked += len(td.edges)
     assert checked > 200
 
@@ -239,7 +228,6 @@ def test_one_walk_matches_per_edge_walk_on_random_trees():
         bags = {x: frozenset(rng.sample("abcdefgh", rng.randint(1, 3))) for x in labels}
         td = TreeDecomposition(graph=None, bags=bags, edges=edges)
         assert _edge_sides(td) == _oracle_sides(td)
-        assert induced_separations(td) == _oracle_induced_separations(td)
 
 
 def _is_valid_by_search(td):

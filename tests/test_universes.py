@@ -1,6 +1,7 @@
 """Concrete universes: graph separations, cliques, circles, chains, automorphisms."""
 
 import random
+import re
 from itertools import combinations, permutations, product
 
 import pytest
@@ -23,16 +24,23 @@ from totkit.universes import (
     enumerate_circle_separations,
     enumerate_clique_separations,
     enumerate_graph_separations,
-    is_clique_separation,
-    is_compatible_sequence,
     is_interval_mask,
     lift_permutation,
     permute_mask,
-    restrict_Sk,
     slice_chain,
 )
 
-from oracles import all_graphs, corner_items, is_submodular_order, oid, pairwise_distinguishes_all, trees
+from oracles import (
+    all_graphs,
+    corner_items,
+    is_clique_separation,
+    is_compatible_sequence,
+    is_submodular_order,
+    oid,
+    pairwise_distinguishes_all,
+    restrict_Sk,
+    trees,
+)
 
 
 def brute_force_separations(g):
@@ -302,6 +310,16 @@ def test_clique_corner_property():
 
 # ----------------------------------------------------------------------
 # circles
+
+
+@pytest.mark.parametrize("end", [True, 2.0, 9], ids=["true", "float", "unknown"])
+def test_edge_ends_are_labels_of_their_own_type(end):
+    """``True`` and ``2.0`` equal the labels 1 and 2 in Python but are none
+    of them, as ``Universe.mask_of`` reads them."""
+    with pytest.raises(SeparationError, match=re.escape(f"edge ({end!r}, 3) uses unknown vertices")):
+        Graph([1, 2, 3], [(end, 3)])
+    with pytest.raises(SeparationError, match=re.escape(f"names unknown point {end!r}")):
+        cut_order_fn([1, 2, 3], [(end, 3, 1)])
 
 
 def test_interval_mask():
@@ -622,11 +640,13 @@ def test_automorphism_generators_generate_the_group(small_corpus):
         assert _closure(gens) == auts, g
 
 
-def test_automorphism_generators_refuse_a_graph_over_the_bound():
-    gens = automorphism_generators(Graph(range(11)))
-    assert next(gens) == tuple(range(11))
+def test_only_the_whole_automorphism_group_is_bounded():
+    """Listing the whole group is factorial in the worst case, so bounded;
+    a generating set has at most ``n(n-1)/2 + 1`` members, so it is not."""
+    g = corpus.path_graph(11)
     with pytest.raises(SizeBoundError):
-        next(gens)
+        automorphisms(g)
+    assert list(automorphism_generators(g)) == [tuple(range(11)), tuple(range(10, -1, -1))]
 
 
 def test_lifted_automorphism_preserves_structure():
