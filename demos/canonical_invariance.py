@@ -39,5 +39,5 @@ for perm in automorphisms(g):
 print("N(alpha(family)) == alpha(N(family)) for every automorphism: ok")
 
 # the non-canonical transversal also works, but its picks depend on id order
-picks = extract_transversal(family).nested_set()
+picks = extract_transversal(family).nested
 print(f"non-canonical transversal picks {len(picks)} separations (tie-broken by id)")

@@ -8,7 +8,12 @@ four corners inside the system, which is enough for a canonical tree set
 distinguishing all the circle tangles.
 """
 
-from totkit.pipelines import circle_pipeline, complete_cut_order, cycle_cut_order
+from totkit.pipelines import (
+    circle_pipeline,
+    complete_cut_order,
+    cycle_cut_order,
+    efficiently_distinguishes_all,
+)
 from totkit.treedec import is_tree_set
 from totkit.universes import enumerate_circle_separations
 
@@ -32,7 +37,7 @@ for name, fn in (("cycle cut", cycle_cut_order(points)), ("complete cut", comple
     total = sum(len(lvl) for lvl in result.levels)
     print(f"{name}: {total} tangles, tree set of {len(result.nested)} circle separations")
     assert is_tree_set(result.universe, result.nested)
-    assert result.displays_ok
+    assert efficiently_distinguishes_all(result.nested, result.family)
     for uid in sorted(result.nested)[:4]:
         a, b = result.universe.side_labels(uid)
         print(f"   {set(a)} | {set(b)}")

@@ -9,7 +9,7 @@ tree-decomposition with clique adhesion sets.
 """
 
 from totkit.corpus import is_chordal
-from totkit.pipelines import clique_pipeline
+from totkit.pipelines import clique_pipeline, efficiently_distinguishes_all
 from totkit.universes import Graph
 
 # two triangles and a square sharing cut vertices: holes and cliques mix
@@ -33,4 +33,4 @@ for uid in sorted(result.nested):
     print(f"  {set(a)} | {set(b)}   adhesion {sep}")
 
 print("bags:", {x: sorted(result.decomposition.bags[x]) for x in result.decomposition.nodes})
-print("efficiently distinguishes every pair:", result.displays_ok)
+print("efficiently distinguishes every pair:", efficiently_distinguishes_all(result.nested, result.family))

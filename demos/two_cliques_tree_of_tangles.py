@@ -10,7 +10,7 @@ a tree-decomposition.
 """
 
 from totkit.corpus import two_cliques
-from totkit.pipelines import graph_pipeline
+from totkit.pipelines import efficiently_distinguishes_all, graph_pipeline
 from totkit.treedec import decomposition_to_dot
 
 g = two_cliques(4)
@@ -32,7 +32,7 @@ for uid in sorted(result.nested):
 
 # ... and the tree-decomposition it induces
 print("bags:", {x: sorted(result.decomposition.bags[x]) for x in result.decomposition.nodes})
-print("displays all maximal tangles:", result.displays_ok)
+print("displays all maximal tangles:", efficiently_distinguishes_all(result.nested, result.family))
 
 # the same structure as DOT, ready for graphviz
 print(decomposition_to_dot(result.decomposition))

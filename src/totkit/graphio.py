@@ -38,7 +38,7 @@ from .pipelines import (
     graph_tangles,
 )
 from .profiles import orientation_to_json
-from .sepsys import GroundSet, Universe
+from .sepsys import GroundSet, Universe, check_label_type
 from .splinter import efficiently_distinguishes_all, extract_canonical
 from .treedec import (
     TreeDecomposition,
@@ -112,14 +112,12 @@ def parse_graph_text(text: str) -> Graph:
 
 def _check_labels(labels, error: type):
     """Refuse booleans, non-finite numbers, and two labels equal in Python
-    but of different types, so of different :func:`label_key`, among the
-    hashable ``labels``."""
-    kinds = {}
+    but of different types (:func:`check_label_type`), among the hashable
+    ``labels``."""
+    kinds: dict = {}
     for v in labels:
-        kind = kinds.setdefault(v, v.__class__)
-        if kind is not v.__class__:
-            raise error(f"label {v!r} equals a label of type {kind.__name__}")
-        if kind is bool or (kind is float and not math.isfinite(v)):
+        check_label_type(kinds, v, error)
+        if v.__class__ is bool or (v.__class__ is float and not math.isfinite(v)):
             raise error(f"label {v!r} is a boolean or a non-finite number")
 
 
@@ -210,7 +208,18 @@ def _order_graph_edges(points, order_graph, error: type) -> list:
     return edges
 
 
-def _load_weighted_edges(path: str):
+def _points_named(tok: str, points, where: str) -> list:
+    """The points whose ``str`` is ``tok``, at most one: a token naming two
+    points of ``points`` raises ``InputError`` naming ``where``."""
+    match = [p for p in points if str(p) == tok]
+    if len(match) > 1:
+        raise InputError(f"ambiguous point {tok!r} in {where}")
+    return match
+
+
+def _load_weighted_edges(path: str, points):
+    """The ``u v weight`` lines of file ``path``, each end the point it names
+    or, naming none, as read for :func:`cut_order_fn` to refuse."""
     edges = []
     for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -223,7 +232,8 @@ def _load_weighted_edges(path: str):
             w = int(parts[2])
         except ValueError:
             raise InputError(f"{path} line {lineno}: weight must be an integer")
-        edges.append((_token(parts[0]), _token(parts[1]), w))
+        u, v = (_points_named(tok, points, f"{path} line {lineno}") or [_token(tok)] for tok in parts[:2])
+        edges.append((u[0], v[0], w))
     return edges
 
 
@@ -241,7 +251,7 @@ def parse_order_spec(spec: str, points, order_graph):
             raise InputError("order function 'cut:inline' needs the circle's order_graph")
         edges = order_graph
     elif spec.startswith("cut:"):
-        edges = _load_weighted_edges(spec[4:])
+        edges = _load_weighted_edges(spec[4:], points)
     else:
         raise InputError(f"unknown order-fn spec {spec!r}")
     try:
@@ -298,11 +308,9 @@ def parse_sep_spec(spec: str, points):
     def side(text):
         out = []
         for tok in filter(None, map(str.strip, text.split(","))):
-            match = [p for p in points if str(p) == tok]
+            match = _points_named(tok, points, "separation spec")
             if not match:
                 raise InputError(f"unknown point {tok!r} in separation spec")
-            if len(match) > 1:
-                raise InputError(f"ambiguous point {tok!r} in separation spec")
             out += match
         return out
 
@@ -342,7 +350,7 @@ def join_check(operands, result: PipelineResult, error: type) -> dict:
     return {
         "operands": [[list(a1), list(b1)], [list(a2), list(b2)]],
         "join": [list(a), list(b)],
-        "in_circle_subsystem": universe.uid(j) in result.meta["circle"].members,
+        "in_circle_subsystem": universe.uid(j) in result.circle.members,
     }
 
 
@@ -385,19 +393,20 @@ def recorded_fields(command: str, source, result: PipelineResult) -> dict:
     """The fields of ``command``'s schema totkit/1 document that its input
     ``source`` as :func:`run_command` took it and its step one determine:
     all but the params and the exported set, which :func:`verify_artifact`
-    validates and checks on their own."""
+    validates and checks on their own.  The display flag is ``true``, as
+    step two's extraction checks it."""
     doc = {"schema": SCHEMA, "command": command}
     if command == "circle-tangles":
         points, order_graph = source
         edges = None if order_graph is None else [list(e) for e in order_graph]
         doc["circle"] = {"points": list(points), "order_graph": edges}
         doc["levels"] = tangle_levels_payload(result)
-        return {**doc, "tangles": sum(map(len, result.levels)), "efficient": bool(result.displays_ok)}
+        return {**doc, "tangles": sum(map(len, result.levels)), "efficient": True}
     doc["graph"] = graph_payload(source)
     if command == "tangles":
         return {**doc, "levels": tangle_levels_payload(result), "maximal_tangles": len(result.profiles)}
     doc["levels"] = level_counts(result)
-    return {**doc, "maximal_tangles": len(result.profiles), "displays": bool(result.displays_ok)}
+    return {**doc, "maximal_tangles": len(result.profiles), "displays": True}
 
 
 def artifact(command: str, params: dict, source, result: PipelineResult) -> dict:
@@ -507,11 +516,10 @@ def verify_artifact(doc: dict) -> dict:
     compares each by name; a circle's ``join_check`` block, when present, is
     rebuilt from its operands by :func:`join_check` and compared too.  A
     ``tangles`` artifact is then done.  For canonical commands, extracts the
-    canonical set of the family (empty without one); the extraction checks
-    the hierarchical condition only when it fails, to name the witness (exit
-    2 at the command line), as a family that passes it always extracts.
-    Then checks nestedness of the exported set (a side list repeating a
-    label is refused), validity and exact induced set of the decomposition,
+    canonical set of the family (empty without one) as the pipeline does: a
+    family that neither extracts nor splinters hierarchically is exit 2.  Then
+    checks nestedness of the exported set (a side list repeating a label is
+    refused), validity and exact induced set of the decomposition,
     display of the recomputed tangles (which the flag records) and, for
     canonical commands, that the identity and then each member of a
     generating set of the graph's automorphisms (at most ``n(n-1)/2 + 1``
@@ -551,7 +559,6 @@ def verify_artifact(doc: dict) -> dict:
         return diag
 
     result = run_command(command, source, params, step_two=False)
-    result.displays_ok = True  # as the command line records it; checked below
     for key, value in recorded_fields(command, source, result).items():
         # as JSON text, where 1, 1.0 and true differ
         if dump_json(doc.get(key)) != dump_json(value):
@@ -582,7 +589,7 @@ def verify_artifact(doc: dict) -> dict:
             f"{universe.side_labels(b)} cross"
         )
     diag["checks"].append("nested")
-    if command == "circle-tangles" and not nested <= result.meta["circle"].members:
+    if command == "circle-tangles" and not nested <= result.circle.members:
         raise VerificationError("exported element is not a circle separation")
     if td is not None:
         ok, reason = is_valid_tree_decomposition(td)

@@ -2,12 +2,12 @@
 
 The graph, clique and circle pipelines share one core of two steps: the
 profiles of a subsystem chain and the efficient-distinguisher family over
-them, then a nested set extracted (canonically or not), checked to
-distinguish the profiles efficiently and, for graph separations, turned
-into a tree-decomposition.  They differ only in the universe, the chain,
-the profile kind and whether only the maximal profiles are kept; the
-clique pipeline's universe holds the clique separations only, as its
-profiles, family and nested set use no other separation.  Callers
+them, then a nested set extracted (canonically or not), which the
+extraction checks to distinguish the profiles efficiently, and, for graph
+separations, turned into a tree-decomposition.  They differ only in the
+universe, the chain, the profile kind and whether only the maximal profiles
+are kept; the clique pipeline's universe holds the clique separations only,
+as its profiles, family and nested set use no other separation.  Callers
 needing only the profiles and the family stop after the first step, which
 ``graph_tangles``, ``clique_profiles`` and ``circle_tangles`` run alone.
 
@@ -20,7 +20,7 @@ in ``splinter`` and is re-exported here.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .profiles import (
@@ -31,7 +31,7 @@ from .profiles import (
     graph_tangle_kind,
     maximal_profiles,
 )
-from .sepsys import Universe
+from .sepsys import SubSystem, Universe
 from .splinter import (
     IndexedFamily,
     efficiently_distinguishes_all,
@@ -67,66 +67,44 @@ __all__ = [
 
 @dataclass
 class PipelineResult:
+    """Step one's profiles and family, and step two's nested set; ``circle``
+    is the circle subsystem of a circle pipeline."""
+
     graph: Graph | None
     universe: Universe
     chain: SubsystemChain
     levels: list
     profiles: list
     family: IndexedFamily | None
-    nested: frozenset
+    nested: frozenset = frozenset()
     decomposition: TreeDecomposition | None = None
     extraction: object = None
-    displays_ok: bool | None = None
-    meta: dict = field(default_factory=dict)
-
-
-def _extract(family: IndexedFamily | None, canonical: bool):
-    if family is None or not len(family):
-        return None, frozenset()
-    if canonical:
-        res = extract_canonical(family)
-        return res, res.nested
-    res = extract_transversal(family)
-    return res, res.nested_set()
+    circle: SubSystem | None = None
 
 
 def _profiles_and_family(
-    chain: SubsystemChain,
-    levels: list,
-    meta: dict,
-    graph: Graph | None = None,
-    maximal_only: bool = False,
+    chain: SubsystemChain, levels: list, graph: Graph | None = None,
+    maximal_only: bool = False, circle: SubSystem | None = None,
 ) -> PipelineResult:
     """Step one: the profiles of ``chain``, one list per level in ``levels``
     (only the maximal ones if asked), and the efficient-distinguisher family
     over them (None for fewer than two profiles).  The result has no nested
-    set yet; ``meta`` names its kind."""
+    set yet."""
     profiles = [p for lvl in levels for p in lvl]
     if maximal_only:
         profiles = maximal_profiles(profiles)
     family = build_distinguisher_family(profiles) if len(profiles) > 1 else None
-    return PipelineResult(
-        graph=graph,
-        universe=chain.universe,
-        chain=chain,
-        levels=levels,
-        profiles=profiles,
-        family=family,
-        nested=frozenset(),
-        meta=meta,
-    )
+    return PipelineResult(graph, chain.universe, chain, levels, profiles, family, circle=circle)
 
 
 def _extract_and_check(base: PipelineResult, canonical: bool) -> PipelineResult:
-    """Step two: the nested set, the tree-decomposition for graph universes,
-    and whether the set efficiently distinguishes the profiles."""
-    extraction, nested = _extract(base.family, canonical)
+    """Step two: the nested set, which either extraction checks to be nested
+    and to meet every family set, and the tree-decomposition for graphs."""
+    extract = extract_canonical if canonical else extract_transversal
+    extraction = extract(base.family) if base.family else None  # None without a family set
+    nested = extraction.nested if extraction else frozenset()
     td = None if base.graph is None else build_tree_decomposition(base.graph, base.universe, nested)
-    ok = efficiently_distinguishes_all(nested, base.family)
-    meta = {**base.meta, "canonical": canonical}
-    return replace(
-        base, nested=nested, decomposition=td, extraction=extraction, displays_ok=ok, meta=meta
-    )
+    return replace(base, nested=nested, decomposition=td, extraction=extraction)
 
 
 def graph_tangles(
@@ -162,15 +140,14 @@ def graph_tangles(
     searched = chain.prefix(bisect_right(chain.thresholds, g.elimination_width))
     levels = enumerate_chain_profiles(searched, graph_tangle_kind(), g)
     levels += [[] for _ in range(len(chain) - len(searched))]
-    return _profiles_and_family(chain, levels, {"kind": "graph-tangle"}, g, maximal_only=True)
+    return _profiles_and_family(chain, levels, g, maximal_only=True)
 
 
 def clique_profiles(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
     """The profiles of the clique-separation slices of a graph and their
     family, over the universe of the clique separations alone."""
     chain = slice_chain(enumerate_clique_separations(g, max_vertices))
-    levels = enumerate_chain_profiles(chain, PROFILE, g)
-    return _profiles_and_family(chain, levels, {"kind": "clique-profile"}, g)
+    return _profiles_and_family(chain, enumerate_chain_profiles(chain, PROFILE), g)
 
 
 def circle_tangles(
@@ -185,8 +162,7 @@ def circle_tangles(
     kind = circle_tangle_kind(m, n)
     universe, circle = enumerate_circle_separations(points, order_fn, max_vertices)
     chain = slice_chain(universe, within=circle)
-    meta = {"kind": "circle-tangle", "m": m, "n": n, "circle": circle}
-    return _profiles_and_family(chain, enumerate_chain_profiles(chain, kind), meta)
+    return _profiles_and_family(chain, enumerate_chain_profiles(chain, kind), circle=circle)
 
 
 def graph_pipeline(

@@ -48,6 +48,14 @@ def bits(mask: int):
         mask ^= low
 
 
+def check_label_type(kinds: dict, v, error: type = SeparationError) -> None:
+    """Record label ``v``'s type in ``kinds``; one equal to an earlier label of
+    another type (``True`` or ``1.0`` against ``1``) raises ``error``."""
+    kind = kinds.setdefault(v, v.__class__)
+    if kind is not v.__class__:
+        raise error(f"label {v!r} equals a label of type {kind.__name__}")
+
+
 class GroundSet:
     """The labels of a ground set in a fixed order; ``mask_of`` is the package's one lookup of labels."""
 

@@ -22,10 +22,9 @@ the two main lemmas directly:
   that preserves the family.  A round costs O(|union|) mask operations.
 
 Every run re-verifies its own output (nested, meets every set) and raises
-instead of returning an unverified result.  :func:`extract_transversal`
-prechecks :func:`splinters`, so it refuses every family that does not
-splinter; :func:`extract_canonical` runs :func:`splinters_hierarchically`
-only after it fails, to name the witness, as its lemma is constructive.
+instead of returning an unverified result.  Both lemmas are constructive, so
+each extraction is its own precheck, and its predicate runs only after it
+fails, to name the witness (:func:`_extract_or_name`).
 """
 
 from __future__ import annotations
@@ -260,13 +259,24 @@ def splinters(fam: IndexedFamily):
 
 @dataclass
 class TransversalResult:
-    """One nested pick per family key, plus the decision trace."""
+    """One nested pick per family key, the set of the picks, and the decision trace."""
 
     picks: dict
+    nested: frozenset
     trace: list = field(default_factory=list)
 
-    def nested_set(self) -> frozenset:
-        return frozenset(self.picks.values())
+
+def _extract_or_name(fam: IndexedFamily, extract, predicate, error: type):
+    """``extract(fam)``, a verified output even on a family failing
+    ``predicate``, which runs only when the extraction raises, to name the
+    witness as ``error``; on a family that passes, the error is re-raised."""
+    try:
+        return extract(fam)
+    except InternalContradictionError:
+        ok, witness = predicate(fam)
+        if not ok:
+            raise error(witness) from None
+        raise
 
 
 def extract_transversal(fam: IndexedFamily) -> TransversalResult:
@@ -284,12 +294,15 @@ def extract_transversal(fam: IndexedFamily) -> TransversalResult:
 
     Sets are bitmasks over the family's order table and keys with identical
     sets share one pick, so the work is O(n² * |union|) mask operations for
-    n distinct sets, and the trace has one entry per distinct set.  Requires
-    the family to splinter.
+    n distinct sets, and the trace has one entry per distinct set.  The
+    picks are checked to lie in their sets and to be pairwise nested;
+    :func:`splinters` runs only when the scan fails, to name the witness
+    (``SplinterConditionError``).
     """
-    ok, witness = splinters(fam)
-    if not ok:
-        raise SplinterConditionError(witness)
+    return _extract_or_name(fam, _transversal, splinters, SplinterConditionError)
+
+
+def _transversal(fam: IndexedFamily) -> TransversalResult:
     first_key: dict = {}
     for k in fam.keys:
         first_key.setdefault(fam.sets[k], k)
@@ -325,7 +338,7 @@ def extract_transversal(fam: IndexedFamily) -> TransversalResult:
         trace.append({"depth": len(trace), "event": "single", "key": repr(k), "pick": chosen[k]})
     picks = {k: chosen[first_key[fam.sets[k]]] for k in fam.keys}
     _verify_picks(fam, picks)
-    return TransversalResult(picks=picks, trace=trace)
+    return TransversalResult(picks=picks, nested=frozenset(picks.values()), trace=trace)
 
 
 def _verify_picks(fam: IndexedFamily, picks: dict):
@@ -406,24 +419,15 @@ def extract_canonical(fam: IndexedFamily) -> CanonicalResult:
     Every element taken is extremal in a union of (restricted) family sets,
     so the output lies in ``fam.union_support()``.  The output is checked to
     be nested and to meet every set.  The lemma is constructive: on a family
-    that splinters hierarchically every round succeeds, so the extraction
-    is its own check and :func:`splinters_hierarchically` runs only after it
-    fails, to name the witness (``HierarchicalConditionError``); when the
-    family passes, the extraction's ``InternalContradictionError`` is
-    re-raised.  Each round meets a key of the lowest level, as the union's
-    extremal elements lie in its sets, so there are at most as many rounds
-    as keys and every failure is one of those two errors.  On a family that
-    does not splinter hierarchically the extraction may still succeed; its
-    verified output is then returned, a pure function of the family as
-    always, so still canonical.
+    that splinters hierarchically every round succeeds, so
+    :func:`splinters_hierarchically` runs only when the extraction fails, to
+    name the witness (``HierarchicalConditionError``).  Each round meets a
+    key of the lowest level, as the union's extremal elements lie in its
+    sets, so there are at most as many rounds as keys.  An output returned
+    on a family that does not splinter hierarchically is still a pure
+    function of the family, so still canonical.
     """
-    try:
-        return _canonical(fam)
-    except InternalContradictionError:
-        ok, witness = splinters_hierarchically(fam)
-        if not ok:
-            raise HierarchicalConditionError(witness) from None
-        raise
+    return _extract_or_name(fam, _canonical, splinters_hierarchically, HierarchicalConditionError)
 
 
 def _canonical(fam: IndexedFamily) -> CanonicalResult:

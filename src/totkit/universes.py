@@ -20,7 +20,7 @@ from operator import and_
 from typing import Callable, Iterable, Iterator
 
 from .errors import SeparationError, SizeBoundError
-from .sepsys import GroundSet, SubSystem, Universe, bits
+from .sepsys import GroundSet, SubSystem, Universe, bits, check_label_type
 
 __all__ = [
     "Graph",
@@ -50,10 +50,14 @@ def label_key(v):
 
 
 class Graph:
-    """Finite simple graph with hashable, sortable vertex labels; an edge end names a vertex of its type."""
+    """Finite simple graph with hashable, sortable vertex labels, no two of
+    them equal but of different types; an edge end names a vertex of its type."""
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
-        self.vertices = tuple(sorted(set(vertices), key=label_key))
+        kinds: dict = {}
+        for v in vertices:
+            check_label_type(kinds, v)
+        self.vertices = tuple(sorted(kinds, key=label_key))
         ground = GroundSet(self.vertices)
         es = set()
         for u, v in edges:

@@ -18,6 +18,7 @@ from totkit.pipelines import (
     clique_pipeline,
     complete_cut_order,
     cycle_cut_order,
+    efficiently_distinguishes_all,
     graph_pipeline,
 )
 from totkit.profiles import (
@@ -202,7 +203,7 @@ def test_criterion_2_tot_pipeline(tangle_bundles):
             ok, reason = is_valid_tree_decomposition(td)
             assert ok, (g, reason)
             assert induced_uids(td, result.universe) == result.nested, g
-            assert result.displays_ok, g
+            assert efficiently_distinguishes_all(result.nested, result.family), g
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +328,7 @@ def test_criterion_5_clique_theorems(tangle_bundles):
                     assert u.nested(a, b), g
             for x in nested:
                 assert x in cliques.members, g
-            assert result.displays_ok, g
+            assert efficiently_distinguishes_all(result.nested, result.family), g
             if result.family is not None and len(result.family):
                 base = result.nested
                 for perm in automorphisms(g):
@@ -388,7 +389,7 @@ def test_criterion_6_circle_theorem():
                     for order_fn in (cycle_cut_order(pts), complete_cut_order(pts)):
                         result = circle_pipeline(pts, m=m, n=n, order_fn=order_fn)
                         u = result.universe
-                        circle = result.meta["circle"]
+                        circle = result.circle
                         assert is_tree_set(u, result.nested), (npts, m, n)
                         for x in result.nested:
                             assert x in circle.members
@@ -442,6 +443,6 @@ def test_criterion_8_compatible_sequences(tangle_bundles):
             for k in ord_fam.keys:
                 assert seq_fam.sets[k] == ord_fam.sets[k], (g, k)
             res = extract_transversal(seq_fam)
-            nested = res.nested_set()
+            nested = res.nested
             assert pairwise_distinguishes_all(nested, top, chain=base.chain), g
             assert pairwise_distinguishes_all(nested, top), g

@@ -399,6 +399,28 @@ def test_circle_join_refuses_an_ambiguous_point(capsys, tmp_path):
     assert json.loads(err)["message"] == "unknown point '5' in separation spec"
 
 
+def test_cut_file_names_points_as_join_does(capsys, tmp_path):
+    """A ``cut:FILE`` token names the point whose ``str`` it is, as a
+    ``--join`` operand does, so a float point can carry a weight, and a
+    token naming two points is refused as there."""
+    circle, cut = tmp_path / "c.json", tmp_path / "w.txt"
+    argv = ["circle-tangles", "--input", str(circle), "--m", "1", "--n", "4", "--order-fn", f"cut:{cut}"]
+    circle.write_text(json.dumps({"points": [1.5, 2, 3, 4]}))
+    cut.write_text("1.5 2 1\n2 3 1\n3 4 1\n4 1.5 1\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    inline = tmp_path / "i.json"
+    cycle = [[1.5, 2, 1], [2, 3, 1], [3, 4, 1], [4, 1.5, 1]]
+    inline.write_text(json.dumps({"points": [1.5, 2, 3, 4], "order_graph": cycle}))
+    code, same, _ = run(capsys, "circle-tangles", "--input", str(inline), "--m", "1", "--n", "4")
+    assert code == 0 and json.loads(out)["levels"] == json.loads(same)["levels"]
+    circle.write_text(json.dumps({"points": [1, "1", 2, 3]}))
+    cut.write_text("1 2 1\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": f"ambiguous point '1' in {cut} line 1"}
+
+
 def test_circle_parameter_validation(capsys, circle_file):
     code, _, err = run(capsys, "circle-tangles", "--input", circle_file, "--m", "0", "--n", "4")
     assert code == 2

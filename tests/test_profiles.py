@@ -479,7 +479,7 @@ def _clique_outcome(res):
         [[labelled(p.chosen) for p in level] for level in res.levels],
         labelled(res.nested),
         decomposition_to_json(res.decomposition),
-        res.displays_ok,
+        efficiently_distinguishes_all(res.nested, res.family),
     )
 
 
@@ -489,7 +489,7 @@ def _definitional_clique_pipeline(g):
     u = enumerate_graph_separations(g)
     chain = slice_chain(u, within=clique_subsystem(g, u, None))
     levels = enumerate_chain_profiles(chain, PROFILE, g)
-    base = pipelines._profiles_and_family(chain, levels, {"kind": "clique-profile"}, g)
+    base = pipelines._profiles_and_family(chain, levels, g)
     return pipelines._extract_and_check(base, True)
 
 

@@ -155,26 +155,49 @@ def test_splinters_matches_reference_on_corpus_families(small_corpus):
 
 
 def test_transversal_witness_is_the_reference_witness_on_repeated_sets():
-    """``extract_transversal`` prechecks the family itself, repeated sets
-    included, and names the oracle's witness on the full family."""
+    """The pivot scan runs before ``splinters``: on a family that splinters
+    it returns one pick per key, each in its set and all pairwise nested; on
+    one that does not, it returns such picks or raises
+    ``SplinterConditionError`` with the oracle's witness on the full family,
+    repeated sets included, and nothing else.  Every fifth family also holds
+    two crossing singletons, which no nested pick can meet."""
     points = range(1, 6)
     u = bipartition_universe(points, complete_cut_order(points))
     uids = list(u.unoriented_ids())
-    refused = 0
+    crossing = [{uid_of(u, [1, 2], [3, 4, 5])}, {uid_of(u, [2, 3], [4, 5, 1])}]
+    outcomes = {"holds": 0, "returned": 0, "refused": 0}
     for counter in range(1, 201):
         h = corpus.splitmix64(counter)
         sets = random_corner_sets(u, uids, h)
-        sets = sets + [sets[(h >> 32) % len(sets)], sets[0]]
+        sets = sets + [sets[(h >> 32) % len(sets)], sets[0]] + (crossing if counter % 5 == 0 else [])
         fam = IndexedFamily(u, sets)
         ok, witness = reference_splinters(fam)
-        if ok:
-            assert extract_transversal(fam).picks.keys() == set(fam.keys)
+        try:
+            res = extract_transversal(fam)
+        except SplinterConditionError as exc:
+            assert not ok and exc.witness == witness, (counter, sets)
+            outcomes["refused"] += 1
             continue
-        with pytest.raises(SplinterConditionError) as exc:
-            extract_transversal(fam)
-        assert exc.value.witness == witness, (counter, sets)
-        refused += 1
-    assert refused >= 20, refused
+        assert res.picks.keys() == set(fam.keys) and res.nested == frozenset(res.picks.values())
+        assert all(res.picks[k] in fam.sets[k] for k in fam.keys) and u.first_crossing(res.nested) is None
+        outcomes["holds" if ok else "returned"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_transversal_runs_splinters_only_when_its_scan_fails(monkeypatch, bip4, crossing_pair):
+    """A tree's tangle family extracts without ``splinters``; a scan that
+    fails calls it once, to name the witness."""
+    from totkit import splinter
+
+    calls = []
+    real = splinter.splinters
+    monkeypatch.setattr(splinter, "splinters", lambda fam: calls.append(fam) or real(fam))
+    result = graph_pipeline(corpus.star_graph(6), canonical=False)
+    assert len(result.family) > 1 and len(result.nested) > 1 and calls == []
+    s, t = crossing_pair
+    with pytest.raises(SplinterConditionError):
+        extract_transversal(IndexedFamily(bip4, [{s}, {t}]))
+    assert len(calls) == 1
 
 
 def test_precheck_makes_one_corner_lookup_per_crossing_support_pair(monkeypatch):
@@ -333,7 +356,7 @@ def test_transversal_on_tangle_families(two_k4, two_k4_universe):
     assert restricted_families_splinter(fam, res)
     sets = [fam.sets[k] for k in fam.keys]
     assert brute_force_nested_transversal(two_k4_universe, sets) is not None
-    vals = sorted(res.nested_set())
+    vals = sorted(res.nested)
     for i, a in enumerate(vals):
         for b in vals[i + 1 :]:
             assert two_k4_universe.nested(a, b)

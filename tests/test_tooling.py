@@ -118,6 +118,17 @@ def test_every_exported_name_is_read_outside_the_tests():
     assert not unread
 
 
+def test_readme_library_tour_runs():
+    """The ``python`` block of README's Library tour runs, and each line
+    commented ``# True`` is true."""
+    tour = README.read_text().split("## Library tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```\n", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    claims = [line.split("#")[0] for line in block.splitlines() if line.rstrip().endswith("# True")]
+    assert claims and all(eval(claim, namespace) is True for claim in claims)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")

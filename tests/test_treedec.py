@@ -4,7 +4,7 @@ import pytest
 
 from totkit import corpus
 from totkit.errors import NotNestedError
-from totkit.pipelines import graph_pipeline
+from totkit.pipelines import efficiently_distinguishes_all, graph_pipeline
 from totkit.profiles import (
     build_distinguisher_family,
     enumerate_chain_profiles,
@@ -109,7 +109,7 @@ def test_displays_single_tangle_vacuous(p4, p4_universe):
 
 def test_displays_detects_missing_bridge(two_k4, two_k4_universe):
     result = graph_pipeline(two_k4)
-    assert result.displays_ok
+    assert efficiently_distinguishes_all(result.nested, result.family)
     # rebuild the decomposition without any order-1 separation
     u = result.universe
     reduced = [x for x in result.nested if u.order(x) > 1]
@@ -128,25 +128,6 @@ def test_displays_reads_the_current_tree(two_k4):
     assert not displays(td, result.family, u)
 
 
-def test_step_one_names_the_kind_and_step_two_the_extraction(two_k4):
-    from totkit import pipelines
-
-    for step_one, run, kind in (
-        (lambda: pipelines.graph_tangles(two_k4), lambda c: graph_pipeline(two_k4, canonical=c), "graph-tangle"),
-        (lambda: pipelines.clique_profiles(two_k4), lambda c: pipelines.clique_pipeline(two_k4, c), "clique-profile"),
-        (
-            lambda: pipelines.circle_tangles(range(5), 1, 4),
-            lambda c: pipelines.circle_pipeline(range(5), 1, 4, canonical=c),
-            "circle-tangle",
-        ),
-    ):
-        base = step_one().meta
-        assert base["kind"] == kind and "canonical" not in base
-        for canonical in (False, True):
-            meta = run(canonical).meta
-            assert meta.keys() == base.keys() | {"canonical"}
-            assert meta["kind"] == kind and meta["canonical"] is canonical
-
 def test_json_and_dot_exports(two_k4):
     result = graph_pipeline(two_k4)
     doc = decomposition_to_json(result.decomposition)
@@ -162,7 +143,7 @@ def test_wheel_graph_pipeline_round_trip():
         [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5)],
     )
     result = graph_pipeline(g)
-    assert result.displays_ok
+    assert efficiently_distinguishes_all(result.nested, result.family)
     assert induced_uids(result.decomposition, result.universe) == result.nested
 
 

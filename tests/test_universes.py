@@ -322,6 +322,18 @@ def test_edge_ends_are_labels_of_their_own_type(end):
         cut_order_fn([1, 2, 3], [(end, 3, 1)])
 
 
+@pytest.mark.parametrize("other", [True, 1.0], ids=["true", "float"])
+def test_graph_refuses_equal_vertex_labels_of_different_types(other):
+    """``True`` and ``1.0`` equal the label 1 in Python, so one vertex
+    lookup cannot keep them apart: the graph refuses them, in either order,
+    where it once merged them into one vertex."""
+    for first, second in ((1, other), (other, 1)):
+        message = f"label {second!r} equals a label of type {type(first).__name__}"
+        with pytest.raises(SeparationError, match=re.escape(message)):
+            Graph([first, second, 2], [(1, 2)])
+    assert Graph([1, 1, 2], [(1, 2)]).vertices == (1, 2)
+
+
 def test_interval_mask():
     assert is_interval_mask(0b0011, 4)
     assert is_interval_mask(0b1001, 4)  # wraps around
