@@ -24,6 +24,7 @@ from .universes import (
     SubsystemChain,
     automorphisms,
     bipartition_universe,
+    chain_of,
     check_submodular_order,
     clique_subsystem,
     cut_order_fn,

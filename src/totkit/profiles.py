@@ -26,7 +26,7 @@ from operator import and_, sub
 from .errors import SeparationError
 from .sepsys import SubSystem, Universe
 from .splinter import IndexedFamily
-from .universes import Graph, SubsystemChain
+from .universes import Graph, SubsystemChain, chain_of
 
 __all__ = [
     "ProfileKind",
@@ -347,7 +347,7 @@ def enumerate_profiles(
 
     Output order is the deterministic backtracking order.
     """
-    return enumerate_chain_profiles(SubsystemChain(system.universe, (system,)), kind, graph)[0]
+    return enumerate_chain_profiles(chain_of(system.universe, (system,)), kind, graph)[0]
 
 
 def enumerate_chain_profiles(
@@ -358,10 +358,11 @@ def enumerate_chain_profiles(
     """Profiles of every chain level, found in one backtracking pass.
 
     Members are taken by ascending level, then order and id (the chain's
-    ``ranking``), each with its canonical orientation tried first; a
+    ``members``), each with its canonical orientation tried first; a
     co-small orientation, ``b <= a``, is never tried, as every rule refuses
-    it (see below).  A partial orientation reaching a
-    level's last member is one of its profiles.  The kind's rule, built once
+    it (see below).  A partial orientation reaching a level's last member,
+    at the level's ``ends`` entry, is one of its profiles; only a level that
+    holds a profile has its subsystem built.  The kind's rule, built once
     per search, keeps its own state: ``try_add(x)`` returns an undo token
     when ``x`` may extend the partial orientation, else None, and
     ``undo(x, token)`` takes ``x`` back.  A rule rejects ``x`` only for a
@@ -378,7 +379,7 @@ def enumerate_chain_profiles(
     base count, rule (T) as ``a = V`` and rule (F) as ``b = 0``.
     """
     u = chain.universe
-    members, ends = chain.ranking
+    members, ends = chain.members, chain.ends
     # member count -> the levels whose members are exactly the first that many
     level_ends: dict[int, list[int]] = {}
     for li, n in enumerate(ends):
@@ -391,7 +392,7 @@ def enumerate_chain_profiles(
     else:
         rule = _circle_rule(u, members, kind.m, kind.n)
     if rule is None:
-        return [[] for _ in chain.systems]
+        return [[] for _ in ends]
     try_add, undo = rule
     inv = u.inv
     total = len(members)
@@ -399,7 +400,7 @@ def enumerate_chain_profiles(
     # V; so the co-small oids are those from the first pair (V, .) on
     cosmall = bisect_left(u.oriented_ids(), (u.full_mask, 0), key=u.sides)
     nxt = [0] * (total + 1)  # per depth, how many orientations of its member were tried
-    levels: list[list[frozenset]] = [[] for _ in chain.systems]
+    levels: list[list[frozenset]] = [[] for _ in ends]
     chosen, tokens = [], []
     depth = 0
     while True:
@@ -425,10 +426,9 @@ def enumerate_chain_profiles(
                 break
             depth -= 1
             undo(chosen.pop(), tokens.pop())
-    return [
-        [Orientation(system, ch) for ch in level]
-        for system, level in zip(chain.systems, levels)
-    ]
+    # a level's subsystem is built only when it holds a profile
+    built = [chain.level(li) if level else None for li, level in enumerate(levels)]
+    return [[Orientation(system, ch) for ch in level] for system, level in zip(built, levels)]
 
 
 def maximal_profiles(profiles: list[Orientation]) -> list[Orientation]:

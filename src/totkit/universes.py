@@ -13,7 +13,7 @@ are the bipartitions of a cyclically ordered ground set into two intervals.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, starmap
 from operator import and_
@@ -25,6 +25,7 @@ from .sepsys import GroundSet, SubSystem, Universe, bits, check_label_type
 __all__ = [
     "Graph",
     "SubsystemChain",
+    "chain_of",
     "enumerate_graph_separations",
     "enumerate_clique_separations",
     "bipartition_universe",
@@ -376,82 +377,75 @@ def check_submodular_order(universe: Universe) -> bool:
     return True
 
 
-def _rank_levels(universe: Universe, systems) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ranking of a chain's members: the members of its top level by
-    level, then order (when the universe has one), then id, and per level
-    the number of members in it and the levels below."""
+@dataclass(frozen=True, kw_only=True)
+class SubsystemChain:
+    """An ascending sequence of subsystems of one universe, stored as its
+    ranking: ``members`` lists the top level's members by level, then by
+    order (when the universe has one), then by id, the order in which the
+    profile search takes them, and level ``i`` is the first ``ends[i]`` of
+    them, built by :meth:`level` on demand.  ``thresholds`` is presentation
+    metadata (for order-sliced chains, the largest order present in each
+    level).  :func:`chain_of` builds a chain from given levels and checks
+    them; :func:`slice_chain` and :meth:`prefix` build theirs ascending in
+    one universe by construction.
+    """
+
+    universe: Universe
+    members: tuple[int, ...]
+    ends: tuple[int, ...]
+    thresholds: tuple = ()
+
+    def __len__(self):
+        return len(self.ends)
+
+    def level(self, i: int) -> SubSystem:
+        """Level ``i``: the subsystem of the first ``ends[i]`` members."""
+        return SubSystem(self.universe, frozenset(self.members[: self.ends[i]]))
+
+    def prefix(self, count: int) -> SubsystemChain:
+        """The chain of the first ``count`` levels.  Each level's ranking
+        depends on it and the levels below only, so the prefix's members are
+        this chain's, cut at the end of its last level."""
+        ends = self.ends[:count]
+        cut = self.members[: ends[-1] if ends else 0]
+        return SubsystemChain(universe=self.universe, members=cut, ends=ends, thresholds=self.thresholds[:count])
+
+
+def chain_of(universe: Universe, systems: Iterable[SubSystem], thresholds: tuple = ()) -> SubsystemChain:
+    """The chain of the levels ``systems``, each ranked after the levels
+    below as :class:`SubsystemChain` describes.
+
+    Raises ``SeparationError`` when a level belongs to another universe or
+    misses a member of the level before it.
+    """
     key = universe.order if universe.has_order else None
     ranked: list[int] = []
     ends = []
     prev: frozenset = frozenset()
     for s in systems:
+        if s.universe is not universe:
+            raise SeparationError("chain members belong to different universes")
+        if not prev <= s.members:
+            raise SeparationError("chain is not ascending under inclusion")
         ranked += sorted(sorted(s.members - prev), key=key)
         ends.append(len(ranked))
         prev = s.members
-    return tuple(ranked), tuple(ends)
-
-
-@dataclass(frozen=True)
-class SubsystemChain:
-    """An ascending sequence of subsystems of one universe.
-
-    ``thresholds`` is presentation metadata (for order-sliced chains, the
-    largest order present in each level).  ``ranking`` is the pair
-    ``(ranked, ends)`` of :func:`_rank_levels`, the order in which the
-    profile search takes the members, computed from ``systems`` at
-    construction.  Only :func:`slice_chain` and :meth:`prefix` pass
-    ``_ranking``, the same pair, which they have already;
-    ``dataclasses.replace`` does not copy it.  Their levels ascend in one
-    universe by construction, so only a chain built without ``_ranking``
-    is checked for that.
-    """
-
-    universe: Universe
-    systems: tuple[SubSystem, ...]
-    thresholds: tuple = ()
-    ranking: tuple = field(init=False, repr=False, compare=False)
-    _ranking: InitVar[tuple | None] = None
-
-    def __post_init__(self, _ranking):
-        if _ranking is None:
-            prev = None
-            for s in self.systems:
-                if s.universe is not self.universe:
-                    raise SeparationError("chain members belong to different universes")
-                if prev is not None and not prev.members <= s.members:
-                    raise SeparationError("chain is not ascending under inclusion")
-                prev = s
-            _ranking = _rank_levels(self.universe, self.systems)
-        object.__setattr__(self, "ranking", _ranking)
-
-    def __len__(self):
-        return len(self.systems)
-
-    def prefix(self, count: int) -> SubsystemChain:
-        """The chain of the first ``count`` levels.  Each level's ranking
-        depends on it and the levels below only, so the prefix's ranking is
-        this one's, cut at the last of those levels."""
-        ranked, ends = self.ranking
-        ends = ends[:count]
-        ranking = (ranked[: ends[-1]] if ends else (), ends)
-        return SubsystemChain(self.universe, self.systems[:count], self.thresholds[:count], ranking)
+    return SubsystemChain(universe=universe, members=tuple(ranked), ends=tuple(ends), thresholds=thresholds)
 
 
 def slice_chain(universe: Universe, within: SubSystem | None = None) -> SubsystemChain:
     """Chain of order slices at every distinct order value of the members.
 
     One stable sort by order of the id-sorted members ranks them by order,
-    then id; each distinct order is a threshold, and its level is the
-    prefix of the ranking up to the last member of that order, so that
-    ranking is the chain's own.
+    then id; each distinct order is a threshold, and its level ends at the
+    last member of that order.
     """
     members = sorted(within.members) if within is not None else universe.unoriented_ids()
     ranked = tuple(sorted(members, key=universe.order))
     orders = list(map(universe.order, ranked))
     thresholds = tuple(dict.fromkeys(orders))
     ends = tuple(bisect_right(orders, t) for t in thresholds)
-    systems = tuple(SubSystem(universe, frozenset(ranked[:e])) for e in ends)
-    return SubsystemChain(universe, systems, thresholds, (ranked, ends))
+    return SubsystemChain(universe=universe, members=ranked, ends=ends, thresholds=thresholds)
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,10 @@ uncapped search.
 
 Some are no fast path's oracle but definitions the tests build their cases
 from, which the package itself does not need: smallness, the order slice
-below a bound, the first chain level of a member, and whether a separator
-is a clique.  ``is_compatible_sequence`` decides the corner condition of a
-compatible sequence per member pair, in one pass; ``test_universes`` checks
-it against the definition verbatim.
+below a bound, the levels of a chain, the first level of a member, and
+whether a separator is a clique.  ``is_compatible_sequence`` decides the
+corner condition of a compatible sequence per member pair, in one pass;
+``test_universes`` checks it against the definition verbatim.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -385,6 +385,7 @@ def is_robust_set(profiles, chain, witness=None):
     in that level.
     """
     u = chain.universe
+    levels = levels_of(chain)
     for qi, q in enumerate(profiles):
         for q2 in profiles[qi + 1 :]:
             eff = efficient_distinguishers(q, q2, chain)
@@ -403,8 +404,8 @@ def is_robust_set(profiles, chain, witness=None):
                         continue
                     for s in eff:
                         s_min = level_of(chain, s)
-                        for j in range(s_min, len(chain.systems)):
-                            sj = chain.systems[j].members
+                        for j in range(s_min, len(levels)):
+                            sj = levels[j].members
                             ok = False
                             for s_o in u.orientations(s):
                                 c1 = u.join(r_i, s_o)
@@ -444,9 +445,14 @@ def restrict_Sk(universe, k):
     )
 
 
+def levels_of(chain):
+    """The levels of ``chain``, lowest first, as subsystems."""
+    return tuple(map(chain.level, range(len(chain))))
+
+
 def level_of(chain, uid):
     """Smallest level index whose system contains ``uid``, or None."""
-    for i, s in enumerate(chain.systems):
+    for i, s in enumerate(levels_of(chain)):
         if uid in s.members:
             return i
     return None
@@ -465,12 +471,13 @@ def is_compatible_sequence(chain):
     counts in no level.
     """
     sides = chain.universe.sides
-    top = sorted(chain.systems[-1].members)
-    missing = len(chain.systems)
+    levels = levels_of(chain)
+    top = sorted(levels[-1].members)
+    missing = len(levels)
     # the first level of each member orientation, keyed by its sides
     level = {}
     for i in reversed(range(missing)):
-        for a, b in map(sides, chain.systems[i].members):
+        for a, b in map(sides, levels[i].members):
             level[a, b] = level[b, a] = i
     get = level.get
     # One corner computation per unordered pair serves both ordered pairs:

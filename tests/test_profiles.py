@@ -1,6 +1,5 @@
 """Orientations, profiles, tangles, distinguishers, robustness."""
 
-import dataclasses
 import random
 from itertools import combinations, product
 
@@ -35,6 +34,7 @@ from totkit.universes import (
     Graph,
     SubsystemChain,
     bipartition_universe,
+    chain_of,
     clique_subsystem,
     complete_cut_order,
     enumerate_circle_separations,
@@ -53,6 +53,7 @@ from oracles import (
     is_circle_tangle,
     is_consistent,
     is_robust_set,
+    levels_of,
     orientation_from_json,
     pairwise_distinguishes_all,
     pairwise_family,
@@ -270,7 +271,7 @@ def ranked_members(chain):
     u = chain.universe
     order = u.order if u.has_order else lambda m: 0
     members, ends = [], []
-    for system in chain.systems:
+    for system in levels_of(chain):
         new = system.members.difference(members)
         members += sorted(new, key=lambda m: (order(m), m))
         ends.append(len(members))
@@ -284,7 +285,7 @@ def backtrack_chain(chain, kind, graph=None):
     canonical orientation tried before its inverse."""
     u = chain.universe
     members, ends = ranked_members(chain)
-    levels = [[] for _ in chain.systems]
+    levels = [[] for _ in range(len(chain))]
 
     def grow(chosen):
         pos = len(chosen)
@@ -365,30 +366,33 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
     ``n - 2 = 4`` members; on 7 points ``n = 6`` is left out, as its oracle
     alone takes about 0.4 s.
 
-    The search takes the members in the ranking each chain computes from
-    its levels at construction, so hand-built chains are here too: ``restrict_Sk`` levels with an order
-    skipped (a level gaining members of two orders), the chain that
+    The search takes the members in the order of the chain's ``members``,
+    which ``chain_of`` ranks from the levels it is given, so chains built
+    from levels are here too: ``restrict_Sk`` levels with an order skipped
+    (a level gaining members of two orders), the chain that
     ``graph_tangles`` cuts below ``max_order``, and the slices' members in a
-    universe without an order, ranked by id alone.  Every chain's ranking
-    is the oracle's, and a slice chain rebuilt from its levels, or given
-    other levels by ``dataclasses.replace``, ranks its members anew."""
+    universe without an order, ranked by id alone.  Every chain's members
+    and ends are the oracle's ranking, a slice chain rebuilt from its
+    levels by ``chain_of`` equals it, and one built from fewer levels
+    ranks its members anew."""
     cases = []
     for g in small_corpus:
         chain = slice_chain(enumerate_graph_separations(g))
         u = chain.universe
-        assert SubsystemChain(u, chain.systems, chain.thresholds).ranking == chain.ranking
-        shorter = dataclasses.replace(chain, systems=chain.systems[:1])
-        assert shorter.ranking == ranked_members(shorter)
-        assert shorter.ranking != chain.ranking or len(chain) == 1
-        stutter = SubsystemChain(u, chain.systems[:1] + chain.systems)
+        levels = levels_of(chain)
+        assert chain_of(u, levels, chain.thresholds) == chain
+        shorter = chain_of(u, levels[:1])
+        assert (shorter.members, shorter.ends) == ranked_members(shorter)
+        assert (shorter.members, shorter.ends) != (chain.members, chain.ends) or len(chain) == 1
+        stutter = chain_of(u, levels[:1] + levels)
         cases += [(chain, graph_tangle_kind(), g), (chain, PROFILE, None)]
         cases.append((stutter, graph_tangle_kind(), g))
-        skipped = SubsystemChain(u, (restrict_Sk(u, 1), restrict_Sk(u, 3)))
+        skipped = chain_of(u, (restrict_Sk(u, 1), restrict_Sk(u, 3)))
         cut = graph_tangles(g, max_order=2).chain
         assert len(cut) < len(chain) or max(chain.thresholds) < 2
         bare = Universe(u.labels, map(u.sides, u.oriented_ids()))
-        unordered = SubsystemChain(bare, tuple(SubSystem(bare, s.members) for s in chain.systems))
-        assert not bare.has_order and unordered.ranking[1] == chain.ranking[1]
+        unordered = chain_of(bare, tuple(SubSystem(bare, s.members) for s in levels))
+        assert not bare.has_order and unordered.ends == chain.ends
         cases += [(skipped, kind, g) for kind in (graph_tangle_kind(), PROFILE)]
         cases += [(cut, graph_tangle_kind(), g), (unordered, PROFILE, None), (unordered, graph_tangle_kind(), g)]
     for npts in (4, 5, 6, 7):
@@ -401,7 +405,7 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
                     cases.append((chain, circle_tangle_kind(m, n), None))
     assert len(cases) == 8 * 31 + 66
     for chain, kind, g in cases:
-        assert chain.ranking == ranked_members(chain), (kind, g)
+        assert (chain.members, chain.ends) == ranked_members(chain), (kind, g)
         got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
         assert got == backtrack_chain(chain, kind, g), (kind, g)
 
@@ -431,7 +435,7 @@ def test_every_rule_refuses_every_co_small_orientation_at_the_empty_state():
     tried = 0
     for chain, kind, g in cases:
         u = chain.universe
-        members, ends = chain.ranking
+        members, ends = chain.members, chain.ends
         if kind.tag == "profile":
             levels = [li for li, end in enumerate(ends) for _ in range(end - (ends[li - 1] if li else 0))]
             try_add, _ = profiles._profile_rule(u, members, levels)
@@ -475,7 +479,7 @@ def _clique_outcome(res):
 
     return (
         res.chain.thresholds,
-        [labelled(s.members) for s in res.chain.systems],
+        [labelled(s.members) for s in levels_of(res.chain)],
         [[labelled(p.chosen) for p in level] for level in res.levels],
         labelled(res.nested),
         decomposition_to_json(res.decomposition),
@@ -521,7 +525,7 @@ def test_empty_first_level_holds_the_empty_orientation_exactly_when_the_oracle_a
     counts = {}
     for chain, kind, g in cases:
         empty = SubSystem(chain.universe, frozenset())
-        padded = SubsystemChain(chain.universe, (empty,) + tuple(chain.systems))
+        padded = chain_of(chain.universe, (empty,) + levels_of(chain))
         levels = enumerate_chain_profiles(padded, kind, g)
         nothing = Orientation(empty, frozenset())
         assert levels[0] == ([nothing] if satisfies(nothing, kind, g) else []), kind
@@ -623,8 +627,8 @@ def test_graph_tangles_equal_the_uncapped_search(width_cases):
         res = graph_tangles(g)
         assert _chosen(res) == want, g
         assert res.chain.thresholds == chain.thresholds == tuple(range(g.n + 1)), g
-        assert [s.members for s in res.chain.systems] == [s.members for s in chain.systems], g
-        assert res.chain.ranking == chain.ranking, g
+        assert [s.members for s in levels_of(res.chain)] == [s.members for s in levels_of(chain)], g
+        assert (res.chain.members, res.chain.ends) == (chain.members, chain.ends), g
         assert not any(want[g.elimination_width + 1 :]), g
         if want[g.elimination_width]:
             tight.append(g)
@@ -641,7 +645,7 @@ def test_graph_tangles_below_max_order_equal_the_uncapped_search(width_cases):
             res = graph_tangles(g, max_order=k)
             count = min(k, len(chain))
             assert res.chain.thresholds == chain.thresholds[:count], (g, k)
-            assert res.chain.ranking == ranked_members(res.chain), (g, k)
+            assert (res.chain.members, res.chain.ends) == ranked_members(res.chain), (g, k)
             assert _chosen(res) == want[:count], (g, k)
 
 
@@ -680,6 +684,28 @@ def test_graph_tangles_never_try_a_member_above_the_width(monkeypatch):
         assert max(tried) == 2, g
 
 
+def test_graph_pipeline_builds_only_the_levels_that_hold_a_tangle(monkeypatch):
+    """A count of level builds, not a timing: ``graph_pipeline`` builds
+    the subsystem of each level holding a tangle once, and of no other.  On
+    the edgeless graph with 10 vertices, of width 0, that is no level above
+    the width, though the chain reports all 11; on the triangle, of width 2,
+    it skips the searched level 2, which holds no tangle."""
+    built = []
+    level = SubsystemChain.level
+
+    def counted(chain, i):
+        built.append(i)
+        return level(chain, i)
+
+    monkeypatch.setattr(SubsystemChain, "level", counted)
+    for g, width, holding in ((Graph(range(10)), 0, [0]), (corpus.complete_graph(3), 2, [0, 1])):
+        built.clear()
+        res = graph_pipeline(g)
+        assert g.elimination_width == width and len(res.chain) == g.n + 1, g
+        assert [i for i, found in enumerate(res.levels) if found] == holding, g
+        assert built == holding, g
+
+
 def test_orientation_validation_names_the_fault(p4_universe):
     """A valid orientation is accepted at once; an invalid one is refused
     with the fault named, also when it has one oid per member or one uid
@@ -704,13 +730,13 @@ def test_orientation_validation_names_the_fault(p4_universe):
 def test_chain_profiles_restrict_downwards(two_k4, two_k4_universe):
     chain = slice_chain(two_k4_universe)
     levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
-    for low, high in zip(levels, levels[1:]):
+    for system, low, high in zip(levels_of(chain), levels, levels[1:]):
         low_sets = {o.chosen for o in low}
         for t in high:
             restricted = frozenset(
                 oid
                 for oid in t.chosen
-                if two_k4_universe.uid(oid) in chain.systems[levels.index(low)].members
+                if two_k4_universe.uid(oid) in system.members
             )
             assert restricted in low_sets
 
@@ -803,7 +829,7 @@ def test_unique_distinguisher_is_efficient(bip4):
 
 def test_sequence_context_singleton_every_distinguisher_efficient(p4_universe):
     s2 = restrict_Sk(p4_universe, 2)
-    chain = SubsystemChain(p4_universe, (s2,))
+    chain = chain_of(p4_universe, (s2,))
     tangles = enumerate_profiles(s2, graph_tangle_kind(), graph=Graph(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]
     ))
@@ -890,7 +916,7 @@ def test_family_and_verdict_match_the_pairwise_oracles():
 
 def test_single_profile_is_robust(p4_universe):
     chain = slice_chain(p4_universe)
-    s1 = chain.systems[0]
+    s1 = levels_of(chain)[0]
     o = enumerate_profiles(s1, PROFILE)[0]
     assert is_robust_set([o], chain)
 
@@ -911,7 +937,7 @@ def test_synthetic_robustness_violation():
     ru, su = u.uid(r), u.uid(s)
     s1 = SubSystem(u, frozenset({ru}))
     s2 = SubSystem(u, frozenset({ru, su}))
-    chain = SubsystemChain(u, (s1, s2))
+    chain = chain_of(u, (s1, s2))
     Q = Orientation(s2, frozenset({r, s}))
     Q2 = Orientation(s2, frozenset({r, u.inv(s)}))
     P = Orientation(s1, frozenset({u.inv(r)}))

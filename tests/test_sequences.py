@@ -10,8 +10,8 @@ from totkit.sepsys import SubSystem, Universe
 from totkit.splinter import extract_transversal, splinters
 from totkit.universes import (
     Graph,
-    SubsystemChain,
     bipartition_universe,
+    chain_of,
     check_submodular_order,
     clique_subsystem,
     cut_order_fn,
@@ -33,7 +33,7 @@ def test_compatible_matches_literal_on_adhoc_chains(bip4):
         [[uids[0]], [uids[0], uids[3]], uids[:5]],
     ]
     for systems in cases:
-        chain = SubsystemChain(
+        chain = chain_of(
             bip4, tuple(SubSystem(bip4, frozenset(s)) for s in systems)
         )
         assert is_compatible_sequence(chain) == literal_compatible(chain)
@@ -42,7 +42,7 @@ def test_compatible_matches_literal_on_adhoc_chains(bip4):
 def test_incompatible_chain_detected(bip4):
     r = bip4.uid(bip4.find(bip4.mask_of([1, 2]), bip4.mask_of([3, 4])))
     s = bip4.uid(bip4.find(bip4.mask_of([2, 3]), bip4.mask_of([4, 1])))
-    chain = SubsystemChain(
+    chain = chain_of(
         bip4,
         (SubSystem(bip4, frozenset({r})), SubSystem(bip4, frozenset({r, s}))),
     )
@@ -62,7 +62,7 @@ def test_compatible_matches_literal_on_random_chains():
             size = 1 + (h >> 8 * level) % 3
             members |= {uids[splitmix64(h + 13 * level + j) % len(uids)] for j in range(size)}
             systems.append(SubSystem(u, frozenset(members)))
-        chain = SubsystemChain(u, tuple(systems))
+        chain = chain_of(u, tuple(systems))
         verdicts.append(literal_compatible(chain))
         assert is_compatible_sequence(chain) == verdicts[-1], counter
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
@@ -96,7 +96,7 @@ def test_missing_corner_is_in_no_level():
     full = 0b1111
     for masks, verdict in (((0b0011, 0b0110), False), ((0b0011, 0b0001), True)):
         u = Universe(range(4), [(m, full ^ m) for m in masks + tuple(full ^ m for m in masks)])
-        chain = SubsystemChain(u, (SubSystem(u, frozenset(u.unoriented_ids())),))
+        chain = chain_of(u, (SubSystem(u, frozenset(u.unoriented_ids())),))
         assert is_compatible_sequence(chain) == literal_compatible(chain) == verdict
 
 
@@ -115,7 +115,7 @@ def test_containment_violation_is_an_error(p4_universe):
     s1 = restrict_Sk(p4_universe, 1)
     s2 = restrict_Sk(p4_universe, 2)
     with pytest.raises(SeparationError):
-        SubsystemChain(p4_universe, (s2, s1))
+        chain_of(p4_universe, (s2, s1))
 
 
 def test_sequence_efficiency_equals_order_efficiency(small_corpus):

@@ -14,6 +14,9 @@ import importlib
 import io
 import json
 import runpy
+import shutil
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -74,6 +77,22 @@ def test_verify_runs_the_checks_the_benchmark_expects(tmp_path):
         artifact.write_text(out)
         report = json.loads(_cli("verify", "--input", str(artifact)))
         assert report["ok"] is True and report["diagnostic"]["checks"] == expected[command], command
+
+
+def test_traced_benchmark_run_passes(tmp_path):
+    """A short traced run of the benchmark ends correct with no failed job.
+    The trace also times the ``Universe`` primitives on the universes the
+    run enumerates, so a primitive that raises on one of them fails the run.
+    It runs on a copy of ``src/`` and ``bench/``, as it writes its results
+    and work files next to the script."""
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__", "results", ".work"))
+    argv = ["--workload", "tot-transversal", "--seed", "1", "--seconds", "0.05", "--trace", "1"]
+    run = subprocess.run([sys.executable, "bench/run.py", *argv], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
 
 
 def test_timed_universe_primitives_resolve():

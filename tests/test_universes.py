@@ -1,5 +1,6 @@
 """Concrete universes: graph separations, cliques, circles, chains, automorphisms."""
 
+import dataclasses
 import random
 import re
 from itertools import combinations, permutations, product
@@ -16,6 +17,7 @@ from totkit.universes import (
     automorphism_generators,
     automorphisms,
     bipartition_universe,
+    chain_of,
     check_submodular_order,
     clique_subsystem,
     complete_cut_order,
@@ -36,6 +38,7 @@ from oracles import (
     is_clique_separation,
     is_compatible_sequence,
     is_submodular_order,
+    levels_of,
     oid,
     pairwise_distinguishes_all,
     restrict_Sk,
@@ -517,47 +520,56 @@ def test_slice_chain_levels_are_the_order_slices(small_corpus):
         orders = sorted({u.order(m) for m in members})
         chain = slice_chain(u, within)
         assert chain.thresholds == tuple(orders)
-        assert [s.members for s in chain.systems] == [
+        assert [s.members for s in levels_of(chain)] == [
             restrict_Sk(u, t + 1).members & frozenset(members) for t in orders
         ]
 
 
 def test_chain_requires_containment(p4_universe):
+    """``chain_of`` builds a chain from ascending levels, which ``level``
+    gives back, and refuses others; the chain's fields are keyword-only, so
+    levels given to ``SubsystemChain`` itself are refused."""
     s1 = restrict_Sk(p4_universe, 1)
     s2 = restrict_Sk(p4_universe, 2)
-    SubsystemChain(p4_universe, (s1, s2))
+    chain = chain_of(p4_universe, (s1, s2))
+    assert [f.name for f in dataclasses.fields(chain)] == ["universe", "members", "ends", "thresholds"]
+    assert chain.ends == (len(s1), len(s2)) and set(chain.members) == s2.members
+    assert (chain.level(0), chain.level(1)) == (s1, s2)
     with pytest.raises(SeparationError):
-        SubsystemChain(p4_universe, (s2, s1))
+        chain_of(p4_universe, (s2, s1))
+    with pytest.raises(TypeError):
+        SubsystemChain(p4_universe, (s1, s2))
 
 
 def test_prefix_is_the_chain_of_its_first_levels(small_corpus):
-    """``prefix`` cuts the levels, thresholds and ranking of a slice chain
-    as a chain built from its first levels ranks them; a chain built from
-    given levels is still checked, as ``slice_chain`` and ``prefix`` skip
-    that check."""
+    """``prefix`` cuts the members, ends and thresholds of a slice chain
+    as ``chain_of`` ranks its first levels; ``chain_of`` still checks the
+    levels it is given, as ``slice_chain`` and ``prefix`` skip that check."""
     for g in small_corpus:
         chain = slice_chain(enumerate_graph_separations(g))
         for count in range(len(chain) + 2):
             cut = chain.prefix(count)
-            fresh = SubsystemChain(chain.universe, chain.systems[:count], chain.thresholds[:count])
-            assert (cut.systems, cut.thresholds, cut.ranking) == (fresh.systems, fresh.thresholds, fresh.ranking)
+            fresh = chain_of(chain.universe, levels_of(chain)[:count], chain.thresholds[:count])
+            assert cut == fresh
+            assert levels_of(cut) == levels_of(fresh)
     other = slice_chain(enumerate_graph_separations(g))
     with pytest.raises(SeparationError, match="different universes"):
-        SubsystemChain(chain.universe, chain.systems[:1] + other.systems[1:2])
+        chain_of(chain.universe, levels_of(chain)[:1] + levels_of(other)[1:2])
 
 
 def literal_compatible(chain):
     """Oracle: the definition verbatim, counting tagged corners; a corner
     outside the universe counts in no level."""
     u = chain.universe
-    n = len(chain.systems)
+    levels = levels_of(chain)
+    n = len(levels)
     for i in range(n):
         for j in range(i, n):
-            for si in sorted(chain.systems[i].members):
-                for sj in sorted(chain.systems[j].members):
+            for si in sorted(levels[i].members):
+                for sj in sorted(levels[j].members):
                     cs = [c for _, c in corner_items(u, si, sj)]
-                    in_i = sum(1 for c in cs if c in chain.systems[i].members)
-                    in_j = sum(1 for c in cs if c in chain.systems[j].members)
+                    in_i = sum(1 for c in cs if c in levels[i].members)
+                    in_j = sum(1 for c in cs if c in levels[j].members)
                     if in_i < 2 and in_j < 3:
                         return False
     return True
@@ -573,7 +585,7 @@ def test_compatible_sequence_matches_literal_definition(small_corpus):
 
 
 def test_single_system_chain_compatibility(p4_universe):
-    chain = SubsystemChain(p4_universe, (restrict_Sk(p4_universe, 2),))
+    chain = chain_of(p4_universe, (restrict_Sk(p4_universe, 2),))
     assert is_compatible_sequence(chain) == literal_compatible(chain)
 
 
