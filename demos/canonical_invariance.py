@@ -20,7 +20,7 @@ g = Graph(range(7), edges)
 print(f"graph: {g.n} vertices, {g.n_edges} edges, |Aut| = {len(automorphisms(g))}")
 
 u = enumerate_graph_separations(g)
-levels = enumerate_chain_profiles(slice_chain(u), graph_tangle_kind(), graph=g)
+levels = enumerate_chain_profiles(slice_chain(u), graph_tangle_kind(g))
 tangles = maximal_profiles([t for lvl in levels for t in lvl])
 print(f"maximal tangles: {len(tangles)} (one per triangle)")
 

@@ -138,7 +138,7 @@ def graph_tangles(
     if max_order is not None:
         chain = chain.prefix(bisect_left(chain.thresholds, max_order))
     searched = chain.prefix(bisect_right(chain.thresholds, g.elimination_width))
-    levels = enumerate_chain_profiles(searched, graph_tangle_kind(), g)
+    levels = enumerate_chain_profiles(searched, graph_tangle_kind(g))
     levels += [[] for _ in range(len(chain) - len(searched))]
     return _profiles_and_family(chain, levels, g, maximal_only=True)
 
@@ -176,14 +176,10 @@ def graph_pipeline(
     return _extract_and_check(graph_tangles(g, max_vertices, max_order), canonical)
 
 
-def clique_pipeline(
-    g: Graph,
-    canonical: bool = True,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> PipelineResult:
-    """Profiles of the clique-separation slices of a graph and a (canonical)
+def clique_pipeline(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PipelineResult:
+    """Profiles of the clique-separation slices of a graph and a canonical
     nested set of clique separations distinguishing them efficiently."""
-    return _extract_and_check(clique_profiles(g, max_vertices), canonical)
+    return _extract_and_check(clique_profiles(g, max_vertices), True)
 
 
 def circle_pipeline(
@@ -191,9 +187,8 @@ def circle_pipeline(
     m: int,
     n: int,
     order_fn: Callable[[int, int], int] | None = None,
-    canonical: bool = True,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> PipelineResult:
-    """Circle tangles of a cyclically ordered set and a (canonical) tree set
-    of circle separations distinguishing all distinguishable tangles."""
-    return _extract_and_check(circle_tangles(points, m, n, order_fn, max_vertices), canonical)
+    """Circle tangles of a cyclically ordered set and a canonical tree set of
+    circle separations distinguishing all distinguishable tangles."""
+    return _extract_and_check(circle_tangles(points, m, n, order_fn, max_vertices), True)

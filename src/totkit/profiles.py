@@ -1,15 +1,20 @@
 """Orientations of subsystems: consistency, profiles, tangles, distinguishers.
 
-An orientation picks one direction for every member of a subsystem.  Three
-kinds of "tangle-like" orientations are supported:
+An orientation picks one direction for every member of a subsystem.  A
+kind of "tangle-like" orientation is the function that builds its rule,
+``kind(universe, members, ends) -> (try_add, undo) | None``, for one
+search over ``members`` ranked as a chain's, ``ends`` its level ends.
+Three kinds are supported:
 
-* ``profile``: consistent and never containing the meet of the inverses of
+* ``PROFILE``: consistent and never containing the meet of the inverses of
   two of its members (property (P));
-* ``graph-tangle``: orientation of a graph's separations where no three
-  chosen small sides cover the whole graph, vertices and edges (property (T));
-* ``circle-tangle``: consistent orientation of circle separations with no
-  small subset whose big sides have a small common intersection (the
-  forbidden-family condition with parameters ``m`` and ``n``).
+* ``graph_tangle_kind(g)``: orientation of the separations of ``g`` where
+  no three chosen small sides cover the whole graph, vertices and edges
+  (property (T));
+* ``circle_tangle_kind(m, n)``: consistent orientation of circle
+  separations with no small subset whose big sides have a small common
+  intersection (the forbidden-family condition with parameters ``m`` and
+  ``n``).
 
 One exhaustive backtracking pass over an ascending chain of subsystems
 yields the profiles of every level: a profile of a later level restricted
@@ -20,8 +25,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from operator import and_, sub
+from typing import Callable
 
 from .errors import SeparationError
 from .sepsys import SubSystem, Universe
@@ -29,7 +36,6 @@ from .splinter import IndexedFamily
 from .universes import Graph, SubsystemChain, chain_of
 
 __all__ = [
-    "ProfileKind",
     "PROFILE",
     "graph_tangle_kind",
     "circle_tangle_kind",
@@ -40,33 +46,6 @@ __all__ = [
     "build_distinguisher_family",
     "orientation_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class ProfileKind:
-    """Which tangle-like property an orientation is required to satisfy."""
-
-    tag: str
-    m: int | None = None
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.tag not in ("profile", "graph-tangle", "circle-tangle"):
-            raise SeparationError(f"unknown profile kind {self.tag!r}")
-        if self.tag == "circle-tangle":
-            if self.m is None or self.n is None or self.m < 1 or self.n <= 3:
-                raise SeparationError("circle tangles need m >= 1 and n > 3")
-
-
-PROFILE = ProfileKind("profile")
-
-
-def graph_tangle_kind() -> ProfileKind:
-    return ProfileKind("graph-tangle")
-
-
-def circle_tangle_kind(m: int, n: int) -> ProfileKind:
-    return ProfileKind("circle-tangle", m=m, n=n)
 
 
 @dataclass(frozen=True)
@@ -108,8 +87,8 @@ class Orientation:
 # enumeration
 
 
-def _profile_rule(u: Universe, members: list[int], member_levels: list[int]):
-    """Rule (P) for profiles, as ``(try_add, undo)`` closures.
+def PROFILE(u: Universe, members: tuple[int, ...], ends: tuple[int, ...]):
+    """The kind of profiles: rule (P), as ``(try_add, undo)`` closures.
 
     The orientations of ``members[i]`` get the indices ``2i`` (canonical)
     and ``2i + 1``, so index ``j`` has the inverse ``j ^ 1``.  The corner
@@ -124,12 +103,13 @@ def _profile_rule(u: Universe, members: list[int], member_levels: list[int]):
     with a corner that is chosen or is ``x``.
 
     ``x`` is also rejected while a pending member of its own chain level
-    (``member_levels`` is parallel to ``members``) is dead, both of its
-    orientations forbidden.  ``dead[level]`` counts those members, so it
-    changes only when an orientation's count leaves 0 or returns to 0 while
-    its inverse's is positive; ``(V, V)``, the only member that is its own
-    inverse, has both base counts and starts dead.  Every profile of every
-    level is still found, in the same order, for three reasons:
+    (the first level whose ``ends`` entry exceeds the member's position) is
+    dead, both of its orientations forbidden.  ``dead[level]`` counts those
+    members, so it changes only when an orientation's count leaves 0 or
+    returns to 0 while its inverse's is positive; ``(V, V)``, the only
+    member that is its own inverse, has both base counts and starts dead.
+    Every profile of every level is still found, in the same order, for
+    three reasons:
 
     * forbidden counts only grow along a search path, so a dead member
       stays dead below it;
@@ -143,9 +123,10 @@ def _profile_rule(u: Universe, members: list[int], member_levels: list[int]):
     pairs = list(map(sides, oids))
     index = {o: j for j, o in enumerate(oids)}
     member_index = {p: j for j, p in enumerate(pairs)}
-    level = [li for li in member_levels for _ in (0, 1)]
+    # per index, its member's level: level li adds ends[li] - ends[li - 1] members
+    level = [li for li, new in enumerate(map(sub, ends, (0,) + ends)) for _ in range(2 * new)]
     forbidden = [int(b & ~a == 0) for a, b in pairs]
-    dead = [0] * (max(member_levels, default=0) + 1)
+    dead = [0] * len(ends)
     for j in range(0, len(oids), 2):
         if forbidden[j] and forbidden[j + 1]:
             dead[level[j]] += 1
@@ -187,7 +168,13 @@ def _profile_rule(u: Universe, members: list[int], member_levels: list[int]):
     return try_add, undo
 
 
-def _tangle_rule(u: Universe, graph: Graph | None):
+def graph_tangle_kind(graph: Graph) -> Callable:
+    """The kind of the tangles of ``graph``: rule (T), on a universe built
+    from ``graph``."""
+    return partial(_tangle_rule, graph)
+
+
+def _tangle_rule(graph: Graph, u: Universe, members: tuple[int, ...], ends: tuple[int, ...]):
     """Rule (T) for tangles of ``graph``, as ``(try_add, undo)`` closures.
 
     No three chosen small sides may cover ``g``, vertices and edges (a side
@@ -228,8 +215,6 @@ def _tangle_rule(u: Universe, graph: Graph | None):
     Rule (T) implies consistency: ``b <= a`` means ``a = V``, and
     ``b <= c``, ``d <= a`` leave ``a, c`` covering ``g``.
     """
-    if graph is None:
-        raise SeparationError("graph tangles need the underlying graph")
     if tuple(graph.vertices) != tuple(u.labels):
         raise SeparationError("universe was not built from this graph")
     sides = u.sides
@@ -276,7 +261,15 @@ def _tangle_rule(u: Universe, graph: Graph | None):
     return try_add, undo
 
 
-def _circle_rule(u: Universe, members: list[int], m: int, n: int):
+def circle_tangle_kind(m: int, n: int) -> Callable:
+    """The kind of the circle tangles with parameters ``m >= 1`` and
+    ``n > 3``: rule (F)."""
+    if m < 1 or n <= 3:
+        raise SeparationError("circle tangles need m >= 1 and n > 3")
+    return partial(_circle_rule, m, n)
+
+
+def _circle_rule(m: int, n: int, u: Universe, members: tuple[int, ...], ends: tuple[int, ...]):
     """Rule (F) for circle tangles, as ``(try_add, undo)`` closures: no set
     of fewer than ``n`` chosen members whose big sides meet in fewer than
     ``m`` points; None when the circle has fewer than ``m`` points, as then
@@ -338,23 +331,15 @@ def _circle_rule(u: Universe, members: list[int], m: int, n: int):
     return try_add, undo
 
 
-def enumerate_profiles(
-    system: SubSystem,
-    kind: ProfileKind,
-    graph: Graph | None = None,
-) -> list[Orientation]:
-    """All orientations of ``system`` that are consistent and satisfy ``kind``.
+def enumerate_profiles(system: SubSystem, kind: Callable) -> list[Orientation]:
+    """All orientations of ``system`` that are consistent and of ``kind``.
 
     Output order is the deterministic backtracking order.
     """
-    return enumerate_chain_profiles(chain_of(system.universe, (system,)), kind, graph)[0]
+    return enumerate_chain_profiles(chain_of(system.universe, (system,)), kind)[0]
 
 
-def enumerate_chain_profiles(
-    chain: SubsystemChain,
-    kind: ProfileKind,
-    graph: Graph | None = None,
-) -> list[list[Orientation]]:
+def enumerate_chain_profiles(chain: SubsystemChain, kind: Callable) -> list[list[Orientation]]:
     """Profiles of every chain level, found in one backtracking pass.
 
     Members are taken by ascending level, then order and id (the chain's
@@ -362,12 +347,15 @@ def enumerate_chain_profiles(
     co-small orientation, ``b <= a``, is never tried, as every rule refuses
     it (see below).  A partial orientation reaching a level's last member,
     at the level's ``ends`` entry, is one of its profiles; only a level that
-    holds a profile has its subsystem built.  The kind's rule, built once
-    per search, keeps its own state: ``try_add(x)`` returns an undo token
-    when ``x`` may extend the partial orientation, else None, and
-    ``undo(x, token)`` takes ``x`` back.  A rule rejects ``x`` only for a
-    violation among decided members, or while a pending member of ``x``'s
-    level has no orientation left, so no orientation is wrongly pruned.
+    holds a profile has its subsystem built.  The kind builds its rule once
+    per search, ``kind(chain.universe, members, ends)``: None when not even
+    the empty orientation is of the kind, so no level holds a profile, else
+    ``(try_add, undo)``, closures over the rule's own state.
+    ``try_add(x)`` returns an undo token when ``x`` may extend the partial
+    orientation, else None, and ``undo(x, token)`` takes ``x`` back.  A
+    rule rejects ``x`` only for a violation among decided members, or while
+    a pending member of ``x``'s level has no orientation left, so no
+    orientation is wrongly pruned.
 
     Every test is a plain operation on integer masks.  A candidate
     ``x = (a, b)`` and a chosen ``y = (c, d)`` are inconsistent when
@@ -384,13 +372,7 @@ def enumerate_chain_profiles(
     level_ends: dict[int, list[int]] = {}
     for li, n in enumerate(ends):
         level_ends.setdefault(n, []).append(li)
-    if kind.tag == "profile":
-        member_levels = [li for li, n in enumerate(map(sub, ends, (0,) + ends)) for _ in range(n)]
-        rule = _profile_rule(u, members, member_levels)
-    elif kind.tag == "graph-tangle":
-        rule = _tangle_rule(u, graph)
-    else:
-        rule = _circle_rule(u, members, kind.m, kind.n)
+    rule = kind(u, members, ends)
     if rule is None:
         return [[] for _ in ends]
     try_add, undo = rule

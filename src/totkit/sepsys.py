@@ -186,9 +186,6 @@ class Universe(GroundSet):
         a2, b2 = self._pairs[j]
         return a1 & ~a2 == 0 and b2 & ~b1 == 0
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def join(self, i: int, j: int) -> int:
         a1, b1 = self._pairs[i]
         a2, b2 = self._pairs[j]
@@ -209,7 +206,8 @@ class Universe(GroundSet):
 
     def is_trivial(self, oid: int, uids: Iterable[int]) -> bool:
         """Whether ``oid`` is strictly below both orientations of some member of ``uids``."""
-        return any(self.lt(oid, w) and self.lt(oid, self._inv[w]) for w in uids)
+        inv, leq = self._inv, self.leq
+        return any(oid not in (w, inv[w]) and leq(oid, w) and leq(oid, inv[w]) for w in uids)
 
     def nested(self, x: int, y: int) -> bool:
         """Whether the separations underlying ``x`` and ``y`` are nested."""

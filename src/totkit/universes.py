@@ -185,8 +185,10 @@ def _separator_size(a: int, b: int) -> int:
 
 
 def enumerate_graph_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Universe:
-    """The universe of all separations of ``g``, ordered by separator size,
-    from :func:`_separation_walk` with every submask ``x`` of ``free``."""
+    """The universe of all separations of ``g``, from
+    :func:`_separation_walk` with every submask ``x`` of ``free``.  Its
+    order function is the separator size; its ids follow the sorted
+    side-mask pairs, not the order."""
     walk = _separation_walk(g, max_vertices)
     full = (1 << g.n) - 1
     pairs = []
@@ -316,7 +318,8 @@ def clique_subsystem(g: Graph, universe: Universe, k=None) -> SubSystem:
 
 
 def enumerate_clique_separations(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Universe:
-    """The universe of the clique separations of ``g``, ordered by separator size.
+    """The universe of the clique separations of ``g``.  Its order function
+    is the separator size; its ids follow the sorted side-mask pairs.
 
     The pairs of :func:`enumerate_graph_separations` whose separator
     ``a ^ x`` is a clique (:attr:`Graph.clique`), in the same oid order.

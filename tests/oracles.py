@@ -20,9 +20,9 @@ inputs on which the width cut of ``graph_tangles`` is checked against the
 uncapped search.
 
 Some are no fast path's oracle but definitions the tests build their cases
-from, which the package itself does not need: smallness, the order slice
-below a bound, the levels of a chain, the first level of a member, and
-whether a separator is a clique.  ``is_compatible_sequence`` decides the
+from, which the package itself does not need: the strict order, smallness,
+the order slice below a bound, the levels of a chain, the first level of a
+member, and whether a separator is a clique.  ``is_compatible_sequence`` decides the
 corner condition of a compatible sequence per member pair, in one pass;
 ``test_universes`` checks it against the definition verbatim.
 """
@@ -82,6 +82,13 @@ def from_different_sides(u, r, s, c1, c2):
     return (c1 in side0 and c2 in side1) or (c1 in side1 and c2 in side0)
 
 
+def lt(u, i, j):
+    """Whether the orientation ``i`` lies strictly below ``j``: ``(A, B) <
+    (C, D)`` when ``A`` is in ``C``, ``D`` is in ``B`` and the two differ."""
+    (a, b), (c, d) = u.sides(i), u.sides(j)
+    return (a, b) != (c, d) and a & ~c == 0 and d & ~b == 0
+
+
 def is_small(u, oid):
     """Whether the orientation ``oid`` lies below its inverse."""
     return u.leq(oid, u.inv(oid))
@@ -102,7 +109,7 @@ def extremal_elements(u, seps):
     uids = {u.uid(x) for x in seps}
     oriented = [o for x in uids for o in u.orientations(x)]
     return frozenset(
-        x for x in uids if any(not any(u.lt(o, w) for w in oriented) for o in u.orientations(x))
+        x for x in uids if any(not any(lt(u, o, w) for w in oriented) for o in u.orientations(x))
     )
 
 
@@ -214,7 +221,7 @@ def is_consistent(o):
     for x in ch:
         ix = u.inv(x)
         for y in ch:
-            if u.lt(ix, y):
+            if lt(u, ix, y):
                 return False
     return True
 

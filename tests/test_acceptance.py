@@ -104,7 +104,7 @@ def tangle_bundles(all_graphs):
     for g in all_graphs:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         top = maximal_profiles([p for lvl in levels for p in lvl])
         out.append((g, u, chain, levels, top))
     return out

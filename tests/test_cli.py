@@ -422,10 +422,10 @@ def test_cut_file_names_points_as_join_does(capsys, tmp_path):
 
 
 def test_circle_parameter_validation(capsys, circle_file):
-    code, _, err = run(capsys, "circle-tangles", "--input", circle_file, "--m", "0", "--n", "4")
-    assert code == 2
-    code, _, err = run(capsys, "circle-tangles", "--input", circle_file, "--m", "1", "--n", "3")
-    assert code == 2
+    refusal = {"error": "input", "message": "circle tangles need m >= 1 and n > 3"}
+    for m, n in (("0", "4"), ("1", "3")):
+        code, out, err = run(capsys, "circle-tangles", "--input", circle_file, "--m", m, "--n", n)
+        assert (code, out, json.loads(err)) == (2, "", refusal), (m, n)
 
 
 def test_missing_input_is_exit_2(capsys):

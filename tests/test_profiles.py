@@ -127,7 +127,7 @@ def test_graph_tangles_satisfy_profile_property(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        for level in enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g):
+        for level in enumerate_chain_profiles(chain, graph_tangle_kind(g)):
             for t in level:
                 assert is_consistent(t)
                 assert has_profile_property(t)
@@ -141,7 +141,7 @@ def test_k4_tangle_towards_clique():
     g = corpus.complete_graph(4)
     u = enumerate_graph_separations(g)
     s2 = restrict_Sk(u, 2)
-    tangles = enumerate_profiles(s2, graph_tangle_kind(), graph=g)
+    tangles = enumerate_profiles(s2, graph_tangle_kind(g))
     assert len(tangles) == 1
     assert has_tangle_property(tangles[0], g)
 
@@ -150,7 +150,7 @@ def test_tangles_at_the_size_bound_satisfy_the_definitions():
     """Every tangle of K8 and K4,4, at every level, against the oracles."""
     for g in (corpus.complete_graph(8), corpus.complete_bipartite(4, 4)):
         chain = slice_chain(enumerate_graph_separations(g))
-        for level in enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g):
+        for level in enumerate_chain_profiles(chain, graph_tangle_kind(g)):
             for t in level:
                 assert is_consistent(t), g
                 assert has_tangle_property(t, g), g
@@ -182,7 +182,7 @@ def test_tangle_counts_at_the_size_bound():
 def test_p4_has_one_order2_tangle_per_edge(p4, p4_universe):
     """Under the literal tangle property every edge induces an order-2 tangle."""
     s2 = restrict_Sk(p4_universe, 2)
-    tangles = enumerate_profiles(s2, graph_tangle_kind(), graph=p4)
+    tangles = enumerate_profiles(s2, graph_tangle_kind(p4))
     assert len(tangles) == 3
 
 
@@ -190,7 +190,7 @@ def test_empty_subsystem_tangle_is_vacuous(p4, p4_universe):
     s0 = restrict_Sk(p4_universe, 0)
     o = Orientation(SubSystem(p4_universe, frozenset()), frozenset())
     assert has_tangle_property(o, p4)
-    assert enumerate_profiles(s0, graph_tangle_kind(), graph=p4) == [
+    assert enumerate_profiles(s0, graph_tangle_kind(p4)) == [
         Orientation(s0, frozenset())
     ]
 
@@ -243,24 +243,30 @@ def test_circle_tangle_brute_subset_scan():
 # enumeration vs unpruned oracle (pruning soundness)
 
 
-def satisfies(o, kind, graph=None):
-    """Whether ``o`` is consistent and has the property ``kind`` names."""
-    if not is_consistent(o):
-        return False
-    if kind.tag == "profile":
-        return has_profile_property(o)
-    if kind.tag == "graph-tangle":
-        return has_tangle_property(o, graph)
-    return is_circle_tangle(o, kind.m, kind.n)
+# each kind with the oracle of its property
+PROFILE_CASE = (PROFILE, has_profile_property)
 
 
-def naive_enumerate(system, kind, graph=None):
+def tangle_case(g):
+    return graph_tangle_kind(g), lambda o: has_tangle_property(o, g)
+
+
+def circle_case(m, n):
+    return circle_tangle_kind(m, n), lambda o: is_circle_tangle(o, m, n)
+
+
+def satisfies(o, oracle):
+    """Whether ``o`` is consistent and has the property ``oracle`` checks."""
+    return is_consistent(o) and oracle(o)
+
+
+def naive_enumerate(system, oracle):
     u = system.universe
     members = sorted(system.members)
     out = []
     for choice in product(*[u.orientations(m) for m in members]):
         o = Orientation(system, frozenset(choice))
-        if satisfies(o, kind, graph):
+        if satisfies(o, oracle):
             out.append(o.chosen)
     return sorted(out, key=sorted)
 
@@ -278,7 +284,7 @@ def ranked_members(chain):
     return tuple(members), tuple(ends)
 
 
-def backtrack_chain(chain, kind, graph=None):
+def backtrack_chain(chain, oracle):
     """The chain profiles of every level, by a backtracking that checks the
     definitional predicates on each partial orientation, in the order of
     ``enumerate_chain_profiles``: the :func:`ranked_members`, each with its
@@ -296,7 +302,7 @@ def backtrack_chain(chain, kind, graph=None):
             return
         decided = SubSystem(u, frozenset(members[: pos + 1]))
         for x in dict.fromkeys(u.orientations(members[pos])):
-            if satisfies(Orientation(decided, frozenset(chosen + [x])), kind, graph):
+            if satisfies(Orientation(decided, frozenset(chosen + [x])), oracle):
                 grow(chosen + [x])
 
     grow([])
@@ -315,9 +321,9 @@ def test_tangle_enumeration_matches_naive(gname, k):
     sk = restrict_Sk(u, k)
     if len(sk) > 13:
         pytest.skip("oracle too large")
-    kind = graph_tangle_kind()
-    got = sorted((o.chosen for o in enumerate_profiles(sk, kind, graph=g)), key=sorted)
-    assert got == naive_enumerate(sk, kind, graph=g)
+    kind, oracle = tangle_case(g)
+    got = sorted((o.chosen for o in enumerate_profiles(sk, kind)), key=sorted)
+    assert got == naive_enumerate(sk, oracle)
 
 
 def test_profile_enumeration_matches_naive():
@@ -325,21 +331,21 @@ def test_profile_enumeration_matches_naive():
     u = enumerate_graph_separations(g)
     sk = restrict_Sk(u, 2)
     got = sorted((o.chosen for o in enumerate_profiles(sk, PROFILE)), key=sorted)
-    assert got == naive_enumerate(sk, PROFILE)
+    assert got == naive_enumerate(sk, has_profile_property)
     g2 = corpus.path_graph(4)
     u2 = enumerate_graph_separations(g2)
     sk2 = restrict_Sk(u2, 2)
     got2 = sorted((o.chosen for o in enumerate_profiles(sk2, PROFILE)), key=sorted)
-    assert got2 == naive_enumerate(sk2, PROFILE)
+    assert got2 == naive_enumerate(sk2, has_profile_property)
 
 
 def test_circle_enumeration_matches_naive():
     pts = [1, 2, 3, 4, 5]
     u, circle = enumerate_circle_separations(pts)
     sk = SubSystem(u, frozenset(m for m in circle.members if u.order(m) <= 2))
-    kind = circle_tangle_kind(1, 4)
+    kind, oracle = circle_case(1, 4)
     got = sorted((o.chosen for o in enumerate_profiles(sk, kind)), key=sorted)
-    assert got == naive_enumerate(sk, kind)
+    assert got == naive_enumerate(sk, oracle)
 
 
 def test_circle_tangle_search_refuses_members_whose_sides_meet(p4_universe):
@@ -351,10 +357,9 @@ def test_circle_tangle_search_refuses_members_whose_sides_meet(p4_universe):
 
 def test_tangle_search_needs_the_graph_of_its_universe(p4, p4_universe):
     sk = restrict_Sk(p4_universe, 2)
-    for other in (None, corpus.path_graph(4)):
-        with pytest.raises(SeparationError):
-            enumerate_profiles(sk, graph_tangle_kind(), graph=other)
-    assert enumerate_profiles(sk, graph_tangle_kind(), graph=p4)
+    with pytest.raises(SeparationError):
+        enumerate_profiles(sk, graph_tangle_kind(corpus.path_graph(4)))
+    assert enumerate_profiles(sk, graph_tangle_kind(p4))
 
 
 def test_chain_search_matches_definitional_backtracking(small_corpus):
@@ -385,16 +390,16 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
         assert (shorter.members, shorter.ends) == ranked_members(shorter)
         assert (shorter.members, shorter.ends) != (chain.members, chain.ends) or len(chain) == 1
         stutter = chain_of(u, levels[:1] + levels)
-        cases += [(chain, graph_tangle_kind(), g), (chain, PROFILE, None)]
-        cases.append((stutter, graph_tangle_kind(), g))
+        cases += [(chain, *tangle_case(g)), (chain, *PROFILE_CASE)]
+        cases.append((stutter, *tangle_case(g)))
         skipped = chain_of(u, (restrict_Sk(u, 1), restrict_Sk(u, 3)))
         cut = graph_tangles(g, max_order=2).chain
         assert len(cut) < len(chain) or max(chain.thresholds) < 2
         bare = Universe(u.labels, map(u.sides, u.oriented_ids()))
         unordered = chain_of(bare, tuple(SubSystem(bare, s.members) for s in levels))
         assert not bare.has_order and unordered.ends == chain.ends
-        cases += [(skipped, kind, g) for kind in (graph_tangle_kind(), PROFILE)]
-        cases += [(cut, graph_tangle_kind(), g), (unordered, PROFILE, None), (unordered, graph_tangle_kind(), g)]
+        cases += [(skipped, *case) for case in (tangle_case(g), PROFILE_CASE)]
+        cases += [(cut, *tangle_case(g)), (unordered, *PROFILE_CASE), (unordered, *tangle_case(g))]
     for npts in (4, 5, 6, 7):
         pts = list(range(npts))
         for order_fn in (None, complete_cut_order(pts)):
@@ -402,12 +407,12 @@ def test_chain_search_matches_definitional_backtracking(small_corpus):
             chain = slice_chain(u, within=circle)
             for m, n in product((1, 2, 3), (4, 5, 6)):
                 if npts < 7 or n < 6:
-                    cases.append((chain, circle_tangle_kind(m, n), None))
+                    cases.append((chain, *circle_case(m, n)))
     assert len(cases) == 8 * 31 + 66
-    for chain, kind, g in cases:
-        assert (chain.members, chain.ends) == ranked_members(chain), (kind, g)
-        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
-        assert got == backtrack_chain(chain, kind, g), (kind, g)
+    for chain, kind, oracle in cases:
+        assert (chain.members, chain.ends) == ranked_members(chain), kind
+        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind)]
+        assert got == backtrack_chain(chain, oracle), kind
 
 
 # the circle shapes (points, order, m, n) of the benchmark's clique-circle workload
@@ -426,28 +431,22 @@ def test_every_rule_refuses_every_co_small_orientation_at_the_empty_state():
              corpus.two_cliques(4), corpus.cycle_graph(6), corpus.cycle_graph(8)]
     for g in corpus.all_connected_graphs(6) + extra:
         chain = graph_tangles(g).chain
-        cases += [(chain, PROFILE, g), (chain, graph_tangle_kind(), g)]
-        cases.append((pipelines.clique_profiles(g).chain, PROFILE, g))
+        cases += [(chain, PROFILE), (chain, graph_tangle_kind(g))]
+        cases.append((pipelines.clique_profiles(g).chain, PROFILE))
     for npts, order, m, n in CIRCLE_SHAPES:
         pts = list(range(1, npts + 1))
         order_fn = complete_cut_order(pts) if order == "complete" else None
-        cases.append((pipelines.circle_tangles(pts, m, n, order_fn).chain, circle_tangle_kind(m, n), None))
+        cases.append((pipelines.circle_tangles(pts, m, n, order_fn).chain, circle_tangle_kind(m, n)))
     tried = 0
-    for chain, kind, g in cases:
+    for chain, kind in cases:
         u = chain.universe
-        members, ends = chain.members, chain.ends
-        if kind.tag == "profile":
-            levels = [li for li, end in enumerate(ends) for _ in range(end - (ends[li - 1] if li else 0))]
-            try_add, _ = profiles._profile_rule(u, members, levels)
-        elif kind.tag == "graph-tangle":
-            try_add, _ = profiles._tangle_rule(u, g)
-        else:
-            try_add, _ = profiles._circle_rule(u, members, kind.m, kind.n)
+        members = chain.members
+        try_add, _ = kind(u, members, chain.ends)
         for x in (x for uid in members for x in u.orientations(uid)):
             a, b = u.sides(x)
             if not b & ~a:
                 tried += 1
-                assert try_add(x) is None, (kind, g, u.side_labels(x))
+                assert try_add(x) is None, (kind, u.side_labels(x))
     assert tried > len(cases)
 
 
@@ -465,7 +464,7 @@ def test_clique_chain_search_matches_definitional_backtracking(small_corpus):
         u = enumerate_graph_separations(g)
         chain = slice_chain(u, within=clique_subsystem(g, u, None))
         got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, PROFILE)]
-        assert got == backtrack_chain(chain, PROFILE), g
+        assert got == backtrack_chain(chain, has_profile_property), g
         assert got[0] and (g not in dying or not got[-1]), g
 
 
@@ -492,7 +491,7 @@ def _definitional_clique_pipeline(g):
     subsystem of the universe of all separations."""
     u = enumerate_graph_separations(g)
     chain = slice_chain(u, within=clique_subsystem(g, u, None))
-    levels = enumerate_chain_profiles(chain, PROFILE, g)
+    levels = enumerate_chain_profiles(chain, PROFILE)
     base = pipelines._profiles_and_family(chain, levels, g)
     return pipelines._extract_and_check(base, True)
 
@@ -519,21 +518,22 @@ def test_empty_first_level_holds_the_empty_orientation_exactly_when_the_oracle_a
     """Each kind on a slice chain with an empty level prepended; on 5 points
     a circle with ``m`` above the point count has no circle tangle on any
     level, the empty one included."""
-    cases = [(slice_chain(enumerate_graph_separations(p4)), kind, p4) for kind in (PROFILE, graph_tangle_kind())]
+    slices = slice_chain(enumerate_graph_separations(p4))
+    cases = [(slices, *PROFILE_CASE), (slices, *tangle_case(p4))]
     u, circle = enumerate_circle_separations([1, 2, 3, 4, 5])
-    cases += [(slice_chain(u, within=circle), circle_tangle_kind(m, n), None) for m, n in ((1, 4), (5, 4), (6, 4))]
-    counts = {}
-    for chain, kind, g in cases:
+    cases += [(slice_chain(u, within=circle), *circle_case(m, n)) for m, n in ((1, 4), (5, 4), (6, 4))]
+    counts = []
+    for chain, kind, oracle in cases:
         empty = SubSystem(chain.universe, frozenset())
         padded = chain_of(chain.universe, (empty,) + levels_of(chain))
-        levels = enumerate_chain_profiles(padded, kind, g)
+        levels = enumerate_chain_profiles(padded, kind)
         nothing = Orientation(empty, frozenset())
-        assert levels[0] == ([nothing] if satisfies(nothing, kind, g) else []), kind
-        assert levels[1:] == enumerate_chain_profiles(chain, kind, g), kind
-        counts[kind] = [len(level) for level in levels]
-    assert counts[circle_tangle_kind(5, 4)][0] == 1
-    too_few = counts[circle_tangle_kind(6, 4)]
-    assert len(too_few) > 1 and not any(too_few)
+        assert levels[0] == ([nothing] if satisfies(nothing, oracle) else []), kind
+        assert levels[1:] == enumerate_chain_profiles(chain, kind), kind
+        counts.append([len(level) for level in levels])
+    *_, five, six = counts  # m = 5 and m = 6 on the 5 points
+    assert five[0] == 1
+    assert len(six) > 1 and not any(six)
 
 
 def test_search_matches_naive_on_arbitrary_subsystems(p4):
@@ -548,9 +548,9 @@ def test_search_matches_naive_on_arbitrary_subsystems(p4):
         subsets += [rng.sample(uids, rng.randint(3, 7)) for _ in range(60)]
         for members in subsets:
             system = SubSystem(u, frozenset(members))
-            for kind in (PROFILE, graph_tangle_kind()):
-                got = sorted((o.chosen for o in enumerate_profiles(system, kind, g)), key=sorted)
-                assert got == naive_enumerate(system, kind, g), (g, kind, sorted(members))
+            for kind, oracle in (PROFILE_CASE, tangle_case(g)):
+                got = sorted((o.chosen for o in enumerate_profiles(system, kind)), key=sorted)
+                assert got == naive_enumerate(system, oracle), (g, kind, sorted(members))
 
 
 def test_tangle_search_matches_oracles_off_the_connected_corpus():
@@ -578,16 +578,16 @@ def test_tangle_search_matches_oracles_off_the_connected_corpus():
         g = Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < 0.4])
         if not connected(g):
             graphs.append(g)
-    kind = graph_tangle_kind()
     for g in graphs:
+        kind, oracle = tangle_case(g)
         chain = slice_chain(enumerate_graph_separations(g))
-        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind, g)]
-        assert got == backtrack_chain(chain, kind, g), g
+        got = [[o.chosen for o in level] for level in enumerate_chain_profiles(chain, kind)]
+        assert got == backtrack_chain(chain, oracle), g
         uids = chain.universe.unoriented_ids()
         for _ in range(8):
             system = SubSystem(chain.universe, frozenset(rng.sample(uids, min(len(uids), 6))))
-            got = sorted((o.chosen for o in enumerate_profiles(system, kind, g)), key=sorted)
-            assert got == naive_enumerate(system, kind, g), (g, sorted(system.members))
+            got = sorted((o.chosen for o in enumerate_profiles(system, kind)), key=sorted)
+            assert got == naive_enumerate(system, oracle), (g, sorted(system.members))
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +608,7 @@ def width_cases(small_corpus):
     cases = []
     for g in graphs:
         chain = slice_chain(enumerate_graph_separations(g))
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         cases.append((g, chain, [[o.chosen for o in level] for level in levels]))
     return cases
 
@@ -664,8 +664,8 @@ def test_graph_tangles_never_try_a_member_above_the_width(monkeypatch):
     tried = []
     rule = profiles._tangle_rule
 
-    def counting_rule(u, graph):
-        try_add, undo = rule(u, graph)
+    def counting_rule(graph, u, members, ends):
+        try_add, undo = rule(graph, u, members, ends)
 
         def counted(x):
             tried.append(u.order(x))
@@ -680,7 +680,7 @@ def test_graph_tangles_never_try_a_member_above_the_width(monkeypatch):
         graph_tangles(g)
         assert tried and max(tried) == 1, g
         tried.clear()
-        enumerate_chain_profiles(slice_chain(enumerate_graph_separations(g)), graph_tangle_kind(), g)
+        enumerate_chain_profiles(slice_chain(enumerate_graph_separations(g)), graph_tangle_kind(g))
         assert max(tried) == 2, g
 
 
@@ -729,7 +729,7 @@ def test_orientation_validation_names_the_fault(p4_universe):
 
 def test_chain_profiles_restrict_downwards(two_k4, two_k4_universe):
     chain = slice_chain(two_k4_universe)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(two_k4))
     for system, low, high in zip(levels_of(chain), levels, levels[1:]):
         low_sets = {o.chosen for o in low}
         for t in high:
@@ -753,7 +753,7 @@ def test_maximal_single_and_chain(p4_universe):
 
 def test_maximal_matches_pairwise_subset_oracle(two_k4, two_k4_universe):
     chain = slice_chain(two_k4_universe)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(two_k4))
     allp = [p for lvl in levels for p in lvl]
     got = {p.chosen for p in maximal_profiles(allp)}
     oracle = {
@@ -802,7 +802,7 @@ def bridge_uid(u):
 
 def graph_pipeline_result(g, u):
     chain = slice_chain(u)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
     return maximal_profiles([p for l in levels for p in l])
 
 
@@ -830,9 +830,9 @@ def test_unique_distinguisher_is_efficient(bip4):
 def test_sequence_context_singleton_every_distinguisher_efficient(p4_universe):
     s2 = restrict_Sk(p4_universe, 2)
     chain = chain_of(p4_universe, (s2,))
-    tangles = enumerate_profiles(s2, graph_tangle_kind(), graph=Graph(
+    tangles = enumerate_profiles(s2, graph_tangle_kind(Graph(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]
-    ))
+    )))
     p, q = tangles[0], tangles[1]
     for d in distinguishers(p, q):
         assert efficiently_distinguishes(p4_universe, d, p, q, context=chain)
@@ -925,7 +925,7 @@ def test_corpus_tangle_sets_are_robust(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         tangles = maximal_profiles([p for l in levels for p in l])
         assert is_robust_set(tangles, chain), g
 
@@ -955,7 +955,7 @@ def test_profiles_of_a_universe_not_closed_under_meets():
     system = SubSystem(u, frozenset(u.unoriented_ids()))
     got = sorted((o.chosen for o in enumerate_profiles(system, PROFILE)), key=sorted)
     assert len(got) == 3
-    assert got == naive_enumerate(system, PROFILE)
+    assert got == naive_enumerate(system, has_profile_property)
 
 
 def test_circle_tangles_empirically_satisfy_profile_property():

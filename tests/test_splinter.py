@@ -41,6 +41,7 @@ from totkit.universes import (
 from oracles import (
     corner_items,
     extremal_elements,
+    lt,
     pairwise_family,
     prec,
     reference_splinters,
@@ -139,7 +140,7 @@ def test_splinters_matches_reference_on_corpus_families(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        tangles = [p for l in enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g) for p in l]
+        tangles = [p for l in enumerate_chain_profiles(chain, graph_tangle_kind(g)) for p in l]
         top = maximal_profiles(tangles)
         profiles = [p for l in enumerate_chain_profiles(chain, PROFILE) for p in l]
         families = [pairwise_family(profiles, mode="all")]
@@ -349,7 +350,7 @@ def test_transversal_agrees_with_exhaustive_search(bip4):
 
 def test_transversal_on_tangle_families(two_k4, two_k4_universe):
     chain = slice_chain(two_k4_universe)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(two_k4))
     top = maximal_profiles([p for l in levels for p in l])
     fam = build_distinguisher_family(top)
     res = extract_transversal(fam)
@@ -466,7 +467,7 @@ def test_order_table_matches_leq_and_nested(small_corpus, bip4):
         assert support == sorted(uids) and table.pos == {x: i for i, x in enumerate(support)}
         for i, x in enumerate(support):
             for e, o in enumerate(u.orientations(x)):
-                above = [any(u.lt(o, w) for w in u.orientations(y)) for y in support]
+                above = [any(lt(u, o, w) for w in u.orientations(y)) for y in support]
                 assert table.up[2 * i + e] == sum(1 << j for j, b in enumerate(above) if b), (u, x, e)
             nested = [u.nested(x, y) for y in support]
             assert table.nest[i] == sum(1 << j for j, b in enumerate(nested) if b), (u, x)
@@ -506,7 +507,7 @@ def test_corpus_efficient_families_splinter_hierarchically(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
@@ -586,7 +587,7 @@ def test_hierarchical_matches_reference_on_corpus(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
@@ -778,7 +779,7 @@ def test_canonical_meets_every_set_and_is_nested(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
@@ -795,7 +796,7 @@ def test_canonical_meets_every_set_and_is_nested(small_corpus):
 def test_canonical_equivariance_on_two_cliques(two_k4, two_k4_universe):
     u = two_k4_universe
     chain = slice_chain(u)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(two_k4))
     top = maximal_profiles([p for l in levels for p in l])
     fam = build_distinguisher_family(top)
     base = extract_canonical(fam).nested
@@ -816,7 +817,7 @@ def test_canonical_output_is_order_independent(two_k4, two_k4_universe, small_co
 
     u = two_k4_universe
     chain = slice_chain(u)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(two_k4))
     top = maximal_profiles([p for l in levels for p in l])
     fam = build_distinguisher_family(top)
     ref = extract_canonical(fam).nested
@@ -850,7 +851,7 @@ def test_canonical_output_stays_within_family_support(small_corpus):
     for g in small_corpus:
         u = enumerate_graph_separations(g)
         chain = slice_chain(u)
-        levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=g)
+        levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
         top = maximal_profiles([p for l in levels for p in l])
         if len(top) < 2:
             continue
@@ -864,7 +865,7 @@ def test_canonical_trace_is_jsonl(two_k4, two_k4_universe):
 
     u = two_k4_universe
     chain = slice_chain(u)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=two_k4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(two_k4))
     top = maximal_profiles([p for l in levels for p in l])
     fam = build_distinguisher_family(top)
     res = extract_canonical(fam)

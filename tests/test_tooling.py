@@ -79,15 +79,18 @@ def test_verify_runs_the_checks_the_benchmark_expects(tmp_path):
         assert report["ok"] is True and report["diagnostic"]["checks"] == expected[command], command
 
 
-def test_traced_benchmark_run_passes(tmp_path):
+@pytest.mark.parametrize("workload", ["tot-transversal", "clique-circle"])
+def test_traced_benchmark_run_passes(tmp_path, workload):
     """A short traced run of the benchmark ends correct with no failed job.
     The trace also times the ``Universe`` primitives on the universes the
-    run enumerates, so a primitive that raises on one of them fails the run.
-    It runs on a copy of ``src/`` and ``bench/``, as it writes its results
-    and work files next to the script."""
+    run enumerates, so a primitive that raises on one of them fails the run,
+    and it wraps the profile search by name.  ``tot-transversal`` searches
+    with rule (T) only; ``clique-circle`` is the one workload that runs
+    rules (P) and (F).  It runs on a copy of ``src/`` and ``bench/``, as it
+    writes its results and work files next to the script."""
     for part in ("src", "bench"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__", "results", ".work"))
-    argv = ["--workload", "tot-transversal", "--seed", "1", "--seconds", "0.05", "--trace", "1"]
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.05", "--trace", "1"]
     run = subprocess.run([sys.executable, "bench/run.py", *argv], cwd=tmp_path, capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr

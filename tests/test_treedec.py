@@ -102,7 +102,7 @@ def test_pipeline_outputs_are_regular_tree_sets(small_corpus):
 def test_displays_single_tangle_vacuous(p4, p4_universe):
     td = build_tree_decomposition(p4, p4_universe, [])
     chain = slice_chain(p4_universe)
-    levels = enumerate_chain_profiles(chain, graph_tangle_kind(), graph=p4)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(p4))
     one = maximal_profiles([p for l in levels for p in l])[:1]
     assert displays(td, build_distinguisher_family(one), p4_universe)
 
