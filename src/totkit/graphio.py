@@ -4,9 +4,10 @@ Graphs arrive either as edge-list text (``u v`` per line, ``#`` comments,
 isolated vertices as a single token) or as JSON documents
 ``{"vertices": [...], "edges": [[u, v], ...]}``.  Circle ground sets arrive
 as JSON ``{"points": [... in cyclic order ...], "order_graph": [[u, v, w],
-...]}``.  JSON labels are numbers or strings: booleans, non-finite numbers
-and two labels equal in Python but of different types (``1`` and ``1.0``)
-are refused, since a universe could not keep them apart or write them back.
+...]}``.  JSON labels are numbers or strings: null, lists, objects,
+booleans, non-finite numbers and two labels equal in Python but of
+different types (``1`` and ``1.0``) are refused, since a universe could not
+keep them apart or write them back.
 
 :func:`command_params` is the one place that says which params a command
 records, and :func:`run_command` the one that turns them into a pipeline
@@ -111,11 +112,12 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def _check_labels(labels, error: type):
-    """Refuse booleans, non-finite numbers, and two labels equal in Python
-    but of different types (:func:`check_label_type`), among the hashable
-    ``labels``."""
+    """Refuse null, lists, objects, booleans, non-finite numbers, and two
+    labels equal in Python but of different types (:func:`check_label_type`)."""
     kinds: dict = {}
     for v in labels:
+        if v is None or isinstance(v, (list, dict)):
+            raise error("labels must be numbers or strings, not null, lists or objects")
         check_label_type(kinds, v, error)
         if v.__class__ is bool or (v.__class__ is float and not math.isfinite(v)):
             raise error(f"label {v!r} is a boolean or a non-finite number")

@@ -12,7 +12,7 @@ of the side-mask pairs and therefore deterministic.  The unoriented
 separation underlying an oid is addressed by the smaller id of its two
 orientations (its "uid").  Every operation of the abstract layer (``leq``,
 ``inv``, ``join``, ``meet``, ``nested``, ``corners``, ``is_trivial``) is a
-:class:`Universe` method on these ids.
+:class:`Universe` method on these ids; ``uid`` and ``uids`` map oids to uids.
 
 A universe is fixed at construction: its separations, ids and orders never
 change, and no method caches anything on it.  The per-oid lookups
@@ -171,6 +171,12 @@ class Universe(GroundSet):
     def uid(self, oid: int) -> int:
         j = self._inv[oid]
         return oid if oid <= j else j
+
+    def uids(self, oids: Iterable[int]) -> frozenset[int]:
+        """The uids of ``oids``, as a frozenset: the set itself when all of
+        them are uids, one subset test; else mapped one by one with :meth:`uid`."""
+        s = frozenset(oids)
+        return s if s <= self._uid_set else frozenset(map(self.uid, s))
 
     def orientations(self, uid: int) -> tuple[int, int]:
         return uid, self._inv[uid]

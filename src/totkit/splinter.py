@@ -54,7 +54,8 @@ __all__ = [
 
 
 class IndexedFamily:
-    """Finite family of non-empty separation sets, indexed by hashable keys.
+    """Finite family of non-empty separation sets, indexed by hashable keys;
+    each set is kept as the uids of its separations (:meth:`Universe.uids`).
 
     ``levels`` optionally maps every key to a value of one total order
     (numbers, in practice).  Key ``a`` strictly precedes key ``b`` when
@@ -73,7 +74,7 @@ class IndexedFamily:
             raise SeparationError("duplicate family keys")
         self.sets = {}
         for k, s in items:
-            members = frozenset(universe.uid(x) for x in s)
+            members = universe.uids(s)
             if not members:
                 raise SeparationError(f"family set {k!r} is empty")
             self.sets[k] = members
@@ -505,7 +506,5 @@ def map_family(fam: IndexedFamily, mapping: dict) -> IndexedFamily:
         for y in sup:
             if u.leq(x, y) != u.leq(mapping[x], mapping[y]):
                 raise SeparationError("mapping does not preserve the partial order")
-    new_sets = {
-        k: frozenset(u.uid(mapping[uid]) for uid in s) for k, s in fam.sets.items()
-    }
+    new_sets = {k: u.uids(map(mapping.__getitem__, s)) for k, s in fam.sets.items()}
     return IndexedFamily(u, new_sets, levels=fam.levels)

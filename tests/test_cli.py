@@ -567,14 +567,18 @@ def test_duplicate_points_are_input_to_the_command_and_a_verify_failure(capsys, 
         ('{"vertices":[1,2,3],"edges":[[1,2]]}', '{"vertices":[1,2,NaN],"edges":[[1,2]]}'),
         ('{"points":[1,2,3,4,5],"order_graph":[[1,2,1]]}', '{"points":[1,2,3,4,5],"order_graph":[[true,2,1]]}'),
         ('{"points":[1,2,3,4,5]}', '{"points":[1,2,3,4,Infinity]}'),
+        ('{"vertices":[1,2],"edges":[[1,2]]}', '{"vertices":[1,null],"edges":[[1,null]]}'),
+        ('{"points":[1,2,3,4,5]}', '{"points":[1,null,3,4,5]}'),
     ],
-    ids=["true-edge-end", "1-and-1.0", "NaN-vertex", "true-order-graph-end", "Infinity-point"],
+    ids=["true-edge-end", "1-and-1.0", "NaN-vertex", "true-order-graph-end", "Infinity-point",
+         "null-vertex", "null-point"],
 )
 def test_json_labels_that_merge_or_are_no_json_are_refused(capsys, tmp_path, twin, bad):
     """A boolean equals 0 or 1 and 1.0 equals 1, so such labels would merge
-    with others, and NaN or Infinity would be written back as no JSON: each
-    is refused at load (exit 2) and in an artifact's input block by ``verify``
-    (exit 4), where ``twin`` is a valid input the artifact is made from."""
+    with others, NaN or Infinity would be written back as no JSON, and null
+    is no number or string: each is refused at load (exit 2) and in an
+    artifact's input block by ``verify`` (exit 4), where ``twin`` is a valid
+    input the artifact is made from."""
     circle = '"points"' in bad
     path = tmp_path / "in.json"
     argv = ["circle-tangles", "--m", "1", "--n", "4"] if circle else ["canonical-tot"]
@@ -593,6 +597,7 @@ def test_json_labels_that_merge_or_are_no_json_are_refused(capsys, tmp_path, twi
 
 VERTEX_LIST = '"vertices" must be a list'
 EDGE_PAIRS = '"edges" must be a list of [u, v] pairs'
+NO_LABEL = "labels must be numbers or strings, not null, lists or objects"
 
 
 @pytest.mark.parametrize(
@@ -603,8 +608,11 @@ EDGE_PAIRS = '"edges" must be a list of [u, v] pairs'
         ('{"vertices":["a","b","c"],"edges":["ab","bc"]}', EDGE_PAIRS),
         ('{"vertices":[1,2,3],"edges":[[1,2,3]]}', EDGE_PAIRS),
         ('{"vertices":[1,2,3],"edges":{"1":2}}', EDGE_PAIRS),
+        ('{"vertices":[1,[2],3],"edges":[[1,3]]}', NO_LABEL),
+        ('{"vertices":[1,2,3],"edges":[[1,{"x":2}]]}', NO_LABEL),
     ],
-    ids=["string-vertices", "object-vertices", "string-edges", "three-ends", "object-edges"],
+    ids=["string-vertices", "object-vertices", "string-edges", "three-ends", "object-edges", "list-label",
+         "object-edge-end"],
 )
 def test_graph_json_of_the_wrong_shape_is_refused(capsys, tmp_path, bad, message):
     """A vertex list and edges of two ends each are asked for; a string or an
@@ -624,6 +632,15 @@ def test_graph_json_of_the_wrong_shape_is_refused(capsys, tmp_path, bad, message
     code, out, err = run(capsys, "verify", "--input", str(path))
     assert code == 4 and out == ""
     assert json.loads(err) == {"error": "verification", "message": f"artifact graph: {message}"}
+
+
+@pytest.mark.parametrize("command", ["tangles", "tot", "canonical-tot", "clique-tot"])
+def test_every_graph_command_refuses_a_null_label(capsys, tmp_path, command):
+    path = tmp_path / "in.json"
+    path.write_text('{"vertices":[1,null],"edges":[[1,null]]}')
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": NO_LABEL}
 
 
 def test_verify_refuses_decomposition_labels_equal_to_but_not_a_vertex(capsys, tmp_path):

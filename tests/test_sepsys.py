@@ -388,6 +388,17 @@ def test_lookups_raise_as_the_tables_do():
         bare.order(0)
 
 
+def test_uids_is_the_set_itself_when_it_holds_only_uids(bip4):
+    """``uids`` maps a set with an inverse in it one oid at a time, and
+    returns a set of uids as it is."""
+    uids = frozenset(bip4.unoriented_ids()[:3])
+    assert bip4.uids(uids) is uids
+    mixed = [bip4.inv(x) for x in uids] + [next(iter(uids))]
+    assert bip4.uids(mixed) == uids == frozenset(map(bip4.uid, mixed))
+    with pytest.raises(IndexError):
+        bip4.uids([bip4.n_oriented])
+
+
 @pytest.mark.parametrize(
     "labels, message",
     [

@@ -930,6 +930,28 @@ def test_map_family_identity(bip4):
     assert mapped.sets == fam.sets
 
 
+def test_a_family_keeps_the_uids_of_whichever_orientations_it_is_given(small_corpus):
+    """A family built from the inverse orientations of a family's separations,
+    or from the uids of every other key and the inverses of the rest, has the
+    same keys, sets and levels; so has its image under the identity mapping."""
+    families = [graph_pipeline(g).family for g in small_corpus] + [clique_family(g) for g in small_corpus]
+    families += [circle_family(6, "complete", 1, 4), circle_family(7, "cycle", 1, 4)]
+    checked = 0
+    for fam in families:
+        if fam is None or not len(fam):
+            continue
+        u = fam.universe
+        flipped = {k: [u.inv(x) for x in s] for k, s in fam.sets.items()}
+        mixed = {k: s if i % 2 else flipped[k] for i, (k, s) in enumerate(fam.sets.items())}
+        for sets in (flipped, mixed):
+            again = IndexedFamily(u, sets, levels=fam.levels)
+            assert (again.keys, again.sets, again.levels) == (fam.keys, fam.sets, fam.levels)
+        mapped = map_family(fam, {o: o for o in u.oriented_ids()})
+        assert (mapped.keys, mapped.sets, mapped.levels) == (fam.keys, fam.sets, fam.levels)
+        checked += 1
+    assert checked >= 20
+
+
 def test_map_family_rejects_non_order_preserving(bip4):
     a = uid_of(bip4, [1], [2, 3, 4])
     b = uid_of(bip4, [1, 2], [3, 4])

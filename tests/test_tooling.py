@@ -79,15 +79,17 @@ def test_verify_runs_the_checks_the_benchmark_expects(tmp_path):
         assert report["ok"] is True and report["diagnostic"]["checks"] == expected[command], command
 
 
-@pytest.mark.parametrize("workload", ["tot-transversal", "clique-circle"])
+@pytest.mark.parametrize("workload", ["tot-transversal", "clique-circle", "verify"])
 def test_traced_benchmark_run_passes(tmp_path, workload):
     """A short traced run of the benchmark ends correct with no failed job.
     The trace also times the ``Universe`` primitives on the universes the
     run enumerates, so a primitive that raises on one of them fails the run,
     and it wraps the profile search by name.  ``tot-transversal`` searches
     with rule (T) only; ``clique-circle`` is the one workload that runs
-    rules (P) and (F).  It runs on a copy of ``src/`` and ``bench/``, as it
-    writes its results and work files next to the script."""
+    rules (P) and (F); ``verify`` is the one that runs ``verify_artifact``,
+    ``automorphisms`` and ``lift_permutation``, and rebuilds a family in
+    step one.  It runs on a copy of ``src/`` and ``bench/``, as it writes
+    its results and work files next to the script."""
     for part in ("src", "bench"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__", "results", ".work"))
     argv = ["--workload", workload, "--seed", "1", "--seconds", "0.05", "--trace", "1"]
