@@ -147,11 +147,21 @@ def _read(path: str) -> str:
 
 
 def read_json(path: str, text: str | None = None):
-    """The JSON document in file ``path`` (whose ``text`` may be given)."""
+    """The JSON document in file ``path`` (whose ``text`` may be given).
+
+    Malformed JSON, nesting past the interpreter's recursion limit and an
+    integer literal past its digit limit each raise :class:`InputError`.
+    """
+    if text is None:
+        text = _read(path)
     try:
-        return json.loads(_read(path) if text is None else text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deep") from exc
+    except ValueError as exc:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise InputError(f"{path}: JSON integer literal too long") from exc
 
 
 def load_graph(path: str) -> Graph:

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, repeat
-from operator import and_, sub
+from operator import sub
 from typing import Callable
 
 from .errors import SeparationError
@@ -183,33 +183,43 @@ def _tangle_rule(graph: Graph, u: Universe, members: tuple[int, ...], ends: tupl
     its edges.  Of what neither ``X`` nor ``Y`` covers, the hull ``H(X, Y)``
     is ``O | (X & Y & nbhd[O]) | (rim(X) - Y) | (rim(Y) - X)``, where
     ``O = V - (X | Y)``, ``nbhd[S]`` is the neighbourhood mask of ``S``
-    (``Graph.nbhd``, built once per graph) and ``rim(A) = A & nbhd[V - A]``
-    (built once per search), both tables over all ``2^n`` vertex masks.
-    ``H`` shrinks when ``X`` or ``Y`` grows.  Some chosen small sides are
-    tallied: ``sup[h]`` counts the tallied sides that contain ``h``;
-    tallying ``A`` adds 1 on all ``2^|A|`` submasks of ``A``, and undo
-    subtracts it on the same submasks.  Every chosen small side lies inside
-    a tallied one, so ``sup[h] > 0`` exactly when some chosen small side
-    contains ``h``.  A candidate ``x = (a, b)`` is rejected when ``a`` is
-    ``V``, or when for some chosen small side ``Y`` it has
-    ``sup[H(a, Y)] > 0``; an empty hull is caught there too, as ``sup[0]``
-    counts every tallied side.  That is every triple through ``a``: with
-    ``Y = a`` the hull is ``(V - a) | rim(a)``, empty only when ``a`` is
-    ``V``, and a side ``Z`` containing it leaves the pair ``a, Z`` an empty
-    hull.  Three facts make most of these tests O(1):
+    and ``rim(A) = A & nbhd[V - A]``.  ``H`` shrinks when ``X`` or ``Y``
+    grows.
 
-    * (i) ``x`` is rejected when ``sup[b] > 0``: a chosen ``c`` containing
-      ``b`` gives ``G[a] | G[c] = g``.
-    * (ii) ``x`` is accepted when ``sup[a] > 0``, with no walk and no tally:
-      every triple through ``a`` lies inside the same triple with a chosen
-      ``c`` containing ``a`` in ``a``'s place, which does not cover ``g``,
-      and every later test that ``a`` could fail, ``c`` fails as well.
+    Some chosen small sides are tallied.  ``sup`` is one int: bit ``h`` is
+    set exactly when the vertex mask ``h`` lies inside some tallied side.
+    Tallying ``A`` ORs in the down-set of ``A``, built from bit 0 by one
+    shift-OR per vertex ``v`` of ``A`` (``d |= d << (1 << v)``: a submask
+    holds ``v`` or not), so O(|A|) big-int operations.  The undo token is
+    the previous ``(cover, sup)``, and undo restores it.  ``rim(A)`` is
+    read once per walked candidate and kept beside ``A`` in ``cover``:
+    ``Graph.nbhd`` is the one table over all ``2^n`` vertex masks left,
+    built once per graph and shared with the separation walk.  Each token
+    holds one ``sup`` of ``2^n`` bits, 128 B at ``n = 10``.
+
+    Every chosen small side lies inside a tallied one, so bit ``h`` is set
+    exactly when some chosen small side contains ``h``.  A candidate
+    ``x = (a, b)`` is rejected when ``a`` is ``V``, or when for some chosen
+    small side ``Y`` bit ``H(a, Y)`` of ``sup`` is set; an empty hull is
+    caught there too, as bit 0 is set once a side is tallied.  That is
+    every triple through ``a``: with ``Y = a`` the hull is
+    ``(V - a) | rim(a)``, empty only when ``a`` is ``V``, and a side ``Z``
+    containing it leaves the pair ``a, Z`` an empty hull.  Three facts make
+    most of these tests O(1):
+
+    * (i) ``x`` is rejected when bit ``b`` is set: a chosen ``c``
+      containing ``b`` gives ``G[a] | G[c] = g``.
+    * (ii) ``x`` is accepted when bit ``a`` is set, with no walk and no
+      tally: every triple through ``a`` lies inside the same triple with a
+      chosen ``c`` containing ``a`` in ``a``'s place, which does not cover
+      ``g``, and every later test that ``a`` could fail, ``c`` fails as
+      well.
     * (iii) The walk over ``Y`` takes only the inclusion-maximal tallied
       sides: ``H(a, Y)`` shrinks as ``Y`` grows and ``sup`` is down-closed,
       so rejection through ``Y`` implies rejection through any chosen
       ``Y'`` containing ``Y``, and every chosen small side lies inside a
-      maximal tallied one.  A side is tallied only when ``sup[a]`` is 0, so
-      it is then maximal; tallying it drops the tallied sides inside it
+      maximal tallied one.  A side is tallied only when bit ``a`` is clear,
+      so it is then maximal; tallying it drops the tallied sides inside it
       from the walk, and undo restores them.
 
     Rule (T) implies consistency: ``b <= a`` means ``a = V``, and
@@ -220,43 +230,38 @@ def _tangle_rule(graph: Graph, u: Universe, members: tuple[int, ...], ends: tupl
     sides = u.sides
     vfull = u.full_mask
     nbhd = graph.nbhd
-    rim = list(map(and_, range(vfull + 1), reversed(nbhd)))  # nbhd[V - s] for s
-    sup = [0] * (vfull + 1)
-    # the inclusion-maximal tallied sides, the only ones the walk takes
-    cover: list[int] = []
-
-    def tally(a: int, step: int):
-        s = a
-        while True:
-            sup[s] += step
-            if not s:
-                return
-            s = (s - 1) & a
+    sup = 0
+    # (side, rim) of the inclusion-maximal tallied sides, the only ones the walk takes
+    cover: list[tuple[int, int]] = []
 
     def try_add(x: int):
-        nonlocal cover
+        nonlocal cover, sup
         a, b = sides(x)
-        if a == vfull or sup[b]:
+        if a == vfull or sup >> b & 1:
             return None
-        if sup[a]:
+        if sup >> a & 1:
             return ()  # a lies inside a tallied side: nothing is tallied
-        ra = rim[a]
-        for c in cover:
+        ra = a & nbhd[vfull ^ a]
+        for c, rc in cover:
             o = vfull ^ (a | c)
-            h = o | (a & c & nbhd[o]) | (ra & ~c) | (rim[c] & ~a)
-            if sup[h]:
+            h = o | (a & c & nbhd[o]) | (ra & ~c) | (rc & ~a)
+            if sup >> h & 1:
                 return None
-        tally(a, 1)
-        prev = cover
-        cover = [c for c in cover if c & ~a]
-        cover.append(a)
-        return a, prev
+        token = cover, sup
+        down, s = 1, a
+        while s:
+            low = s & -s
+            down |= down << low
+            s ^= low
+        sup |= down
+        cover = [e for e in cover if e[0] & ~a]
+        cover.append((a, ra))
+        return token
 
     def undo(x: int, token):
-        nonlocal cover
+        nonlocal cover, sup
         if token:
-            a, cover = token
-            tally(a, -1)
+            cover, sup = token
 
     return try_add, undo
 

@@ -1096,12 +1096,22 @@ def test_verify_agrees_with_a_check_of_every_automorphism(capsys, tmp_path, smal
 
 @pytest.mark.parametrize("command", ["tot", "circle-tangles", "verify"])
 def test_undecodable_input_is_exit_2(capsys, tmp_path, command):
-    p = tmp_path / "binary"
-    p.write_bytes(b"\xff\xfe\x00\x81")
-    argv = [command, "--input", str(p)] + (["--m", "1", "--n", "4"] if command == "circle-tangles" else [])
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert json.loads(err)["error"] == "input"
+    """Bytes that are no text, JSON nested past the recursion limit and an
+    integer literal past the interpreter's digit limit are input errors
+    naming the file, not tracebacks."""
+    payloads = {
+        "binary": b"\xff\xfe\x00\x81",
+        "deep": b'{"vertices": ' + b"[" * 100_000,
+        "long-int": b'{"vertices": [' + b"9" * 5000 + b'], "points": [' + b"9" * 5000 + b"]}",
+    }
+    for name, payload in payloads.items():
+        p = tmp_path / name
+        p.write_bytes(payload)
+        argv = [command, "--input", str(p)] + (["--m", "1", "--n", "4"] if command == "circle-tangles" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", name
+        diag = json.loads(err)
+        assert diag["error"] == "input" and str(p) in diag["message"], name
 
 
 def test_circle_max_vertices_bounds_the_points(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Orientations, profiles, tangles, distinguishers, robustness."""
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -28,11 +29,13 @@ from totkit.profiles import (
     maximal_profiles,
     orientation_to_json,
 )
-from totkit.sepsys import SubSystem, Universe
+from totkit.sepsys import SubSystem, Universe, bits
 from totkit.treedec import decomposition_to_json
 from totkit.universes import (
     Graph,
     SubsystemChain,
+    _separation_walk,
+    _separator_size,
     bipartition_universe,
     chain_of,
     clique_subsystem,
@@ -177,6 +180,41 @@ def test_tangle_counts_at_the_size_bound():
     ]
     for g, counts in cases:
         assert [len(level) for level in graph_tangles(g).levels] == counts, g
+
+
+def test_tangle_rule_past_the_size_bound():
+    """Rule (T) on a random tree with 14 vertices, past the size bound, on
+    its separations of order at most 1, built by hand from the separation
+    walk: the one tangle of order 1 and the ``n - 1`` of order 2, one per
+    edge, are found and pass the oracle.  Building the rule allocates no
+    table over the ``2^n`` vertex masks; ``Graph.nbhd``, the graph's own,
+    is built beforehand."""
+    n = 14
+    rng = random.Random(14)
+    g = Graph(range(n), [(rng.randrange(i), i) for i in range(1, n)])
+    full = (1 << n) - 1
+    pairs = []
+    for a, forced, free in _separation_walk(g, n):
+        # x = free leaves the separator forced; x = free less v leaves forced | v
+        if forced.bit_count() <= 1:
+            pairs.append((a, full ^ free))
+        if not forced:
+            pairs += [(a, full ^ free ^ (1 << v)) for v in bits(free)]
+    u = Universe(g.vertices, pairs, order_fn=_separator_size, kind="graph")
+    chain = slice_chain(u)
+    levels = enumerate_chain_profiles(chain, graph_tangle_kind(g))
+    assert list(map(len, levels)) == [1, n - 1]
+    for level in levels:
+        for t in level:
+            assert has_tangle_property(t, g)
+    g.nbhd  # built once per graph, before the rule is traced
+    tracemalloc.start()
+    try:
+        profiles._tangle_rule(g, u, chain.members, chain.ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_p4_has_one_order2_tangle_per_edge(p4, p4_universe):
